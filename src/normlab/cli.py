@@ -50,8 +50,19 @@ def _resolve_norm(text: str):
     return formats.parse_norm_spec(text)
 
 
+def _dimension(text: str) -> int:
+    """Type of ``--dim``: an integer n >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid dimension {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"dimension must be at least 1, got {n}")
+    return n
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dim", type=int, default=2, help="matrix dimension n (default 2)")
+    sub.add_argument("--dim", type=_dimension, default=2, help="matrix dimension n (default 2)")
     sub.add_argument("--seed", type=int, default=0, help="root random seed (default 0)")
     sub.add_argument("--report", metavar="PATH", help="write a JSON report document")
     sub.add_argument("--budget-multistarts", type=int, default=None)
@@ -61,31 +72,27 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-tol", type=float, default=None)
 
 
+_BUDGET_FIELDS = ("multistarts", "max_iters", "samples", "step_init", "tol")
+
+
 def _budget_from(args, base: OptBudget | None = None) -> OptBudget:
+    """Each --budget-* flag given, else the base (default) value; a given
+    value reaches ``OptBudget`` validation even when it is zero."""
     base = base or default_budget(args.dim, args.seed)
-    return OptBudget(
-        multistarts=args.budget_multistarts or base.multistarts,
-        max_iters=args.budget_max_iters or base.max_iters,
-        samples=args.budget_samples or base.samples,
-        step_init=args.budget_step_init or base.step_init,
-        tol=args.budget_tol or base.tol,
-        seed=args.seed,
-    )
+    fields = {}
+    for name in _BUDGET_FIELDS:
+        value = getattr(args, f"budget_{name}")
+        fields[name] = getattr(base, name) if value is None else value
+    return OptBudget(seed=args.seed, **fields)
+
+
+def _budget_given(args) -> bool:
+    return any(getattr(args, f"budget_{name}") is not None for name in _BUDGET_FIELDS)
 
 
 def _explicit_budget(args) -> OptBudget | None:
     """The CLI budget only when the user set at least one --budget-* flag."""
-    given = any(
-        value is not None
-        for value in (
-            args.budget_multistarts,
-            args.budget_max_iters,
-            args.budget_samples,
-            args.budget_step_init,
-            args.budget_tol,
-        )
-    )
-    return _budget_from(args) if given else None
+    return _budget_from(args) if _budget_given(args) else None
 
 
 def _header(args, budget: OptBudget) -> dict:
@@ -96,19 +103,24 @@ def _header(args, budget: OptBudget) -> dict:
     }
 
 
-def _describe(budget: OptBudget | None) -> str:
+def _describe(budget: OptBudget | None, defaults: str) -> str:
     if budget is None:
-        return "suite defaults (override with --budget-*)"
+        return defaults
     return (
         f"multistarts={budget.multistarts} max_iters={budget.max_iters} "
         f"samples={budget.samples} step_init={budget.step_init} tol={budget.tol}"
     )
 
 
-def _print_header(command: str, args, budget: OptBudget | None) -> None:
+def _print_header(
+    command: str,
+    args,
+    budget: OptBudget | None,
+    defaults: str = "suite defaults (override with --budget-*)",
+) -> None:
     print(
         f"normlab {command} | dim={args.dim} seed={args.seed} "
-        f"budget: {_describe(budget)}"
+        f"budget: {_describe(budget, defaults)}"
     )
 
 
@@ -274,7 +286,10 @@ def _cmd_probe(args) -> int:
 
 def _cmd_verify(args) -> int:
     budget = _explicit_budget(args)
-    _print_header(f"verify {args.suite}", args, budget)
+    if args.suite == "paper-demos":
+        _print_header("verify paper-demos", args, None, "fixed by the suite")
+    else:
+        _print_header(f"verify {args.suite}", args, budget)
     rng = RandomStream(args.seed)
     if args.suite == "paper-demos":
         report = paper_demo_suite(args.seed)
@@ -316,6 +331,9 @@ def run_command(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and args.suite == "paper-demos" and _budget_given(args):
+            # paper_demo_suite sets its own budgets and takes none
+            parser.error("--budget-* flags do not apply to --suite paper-demos")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -288,15 +288,25 @@ def matrix_from_doc(doc, locus: str = "$") -> np.ndarray:
 
 
 def load_matrix_text(text: str) -> np.ndarray:
-    """Sniff JSON vs CSV and parse accordingly."""
+    """Sniff JSON vs CSV and parse accordingly; every entry must be finite.
+
+    The finiteness check sits here, at the input boundary, and not in
+    ``core.as_matrix``, which every norm kernel call passes through.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DocumentParseError(f"invalid JSON: {exc}") from exc
-        return matrix_from_doc(doc)
-    return matrix_from_csv(text)
+        m = matrix_from_doc(doc)
+    else:
+        m = matrix_from_csv(text)
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise DocumentParseError("matrix entries must be finite", f"row {i + 1}, column {j + 1}")
+    return m
 
 
 def load_matrix(path: str) -> np.ndarray:

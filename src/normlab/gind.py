@@ -14,6 +14,7 @@ import numpy as np
 
 from .budget import ComputationResult, OptBudget, default_budget
 from .core import RandomStream, as_matrix, hermitian_top_eig
+from .errors import DimensionMismatchError, NonConvergenceError
 from .vector_norms import Lp, VectorNormSpec, split_scale, vnorm_eval
 from .sphere_opt import maximize_on_sphere
 
@@ -47,8 +48,8 @@ def _quality_seeds(m: np.ndarray) -> list[np.ndarray]:
         try:
             eig = hermitian_top_eig(m.conj().T @ m, tol=1e-9, max_iter=5000, rng=_SEED_RNG)
             seeds.append(eig.eigenvector)
-        except Exception:
-            pass
+        except (NonConvergenceError, DimensionMismatchError):
+            pass  # no spectral seed; the ascent still runs from the others
     return seeds
 
 

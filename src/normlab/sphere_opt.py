@@ -1,14 +1,18 @@
 """Maximize absolutely homogeneous objectives over norm unit spheres.
 
-Exact dispatch where the sphere has usable extreme-point structure (l1
-vertices, l2 with a euclidean-of-linear objective, single-entry matrices for
-the entrywise-sum ball, phase matrices for the entrywise-max ball), and a
-derivative-free multi-start hill climb everywhere else.  Ascent results are
-honest lower bounds and are labeled as such.
+Exact dispatch where the sphere has usable extreme-point structure (phase
+multiples of the basis vectors for the l1 and weighted-l1 balls and of the
+single-entry matrices for the entrywise-sum ball; the top eigenvector for l2
+with a euclidean-of-linear objective), and one derivative-free multi-start
+hill climb, :func:`_climb`, everywhere else.  The climb runs over one of two
+search sets: the renormalized sphere itself, or, for convex objectives on an
+entrywise-max ball, the torus of phase matrices exp(i theta)/gamma.  Ascent
+results are honest lower bounds and are labeled as such.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -22,8 +26,9 @@ from .budget import (
     OptBudget,
     default_budget,
 )
-from .core import RandomStream, as_matrix, hermitian_top_eig, sample_vector
+from .core import RandomStream, as_matrix, hermitian_top_eig, sample_matrix, sample_vector
 from .errors import HomogeneityError
+from .matrix_norms import EntrywiseMax, EntrywiseSum, mnorm_eval
 from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
 
 _TINY = 1e-300
@@ -50,77 +55,90 @@ def _rank_starts(values: Sequence[float], k: int) -> list[int]:
     return order[:k]
 
 
-def _climb(
-    objective: Callable[[np.ndarray], float],
-    domain_eval: Callable[[np.ndarray], float],
-    pool: list[np.ndarray],
-    budget: OptBudget,
-    rng: RandomStream,
-    draw_direction,
-) -> tuple[float, np.ndarray, int]:
-    """Multi-start hill climb over the sphere {domain_eval = 1}.
+def _sphere_moves(x: np.ndarray, step: float):
+    """Per-entry moves on the renormalized sphere, and the random moves' reach.
 
-    Each sweep tries, per entry, small phase rotations and modulus scalings
-    (lossless moves along the renormalized sphere, which additive steps are
-    not near polydisc corners) plus two coordinate-free random directions.
-    The step grows 1.3x after an improving sweep and decays 0.7x after a
-    fully failed one; ``budget.max_iters`` caps candidate evaluations per
-    start.  Ties across starts resolve to the lowest start index, keeping
-    results schedule-independent.
+    Small phase rotations and modulus scalings are lossless along the
+    sphere, which additive steps are not near polydisc corners; a zero entry
+    gets four small injections instead.
     """
-    evals = 0
-    seeds: list[tuple[float, np.ndarray]] = []
-    for raw in pool:
-        dn = domain_eval(raw)
-        if not math.isfinite(dn) or dn < _TINY:
-            continue
-        point = raw / dn
-        seeds.append((objective(point), point))
-        evals += 1
+    scale = float(np.sqrt(np.vdot(x, x).real))
+    inject = step * scale / math.sqrt(x.size)
+    phase = complex(math.cos(step), math.sin(step))
+
+    def entry_moves(entry):
+        if entry == 0:
+            return (inject, -inject, 1j * inject, -1j * inject)
+        return (entry * phase, entry * phase.conjugate(), entry * (1.0 + step), entry / (1.0 + step))
+
+    return entry_moves, step * scale
+
+
+def _sphere_direction(g: np.random.Generator, shape) -> np.ndarray:
+    d = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    return d / np.sqrt(np.vdot(d, d).real)
+
+
+def _torus_moves(theta: np.ndarray, step: float):
+    """Each phase moves by +-step; the random moves reach step * pi."""
+    return (lambda t: (t + step, t - step)), step * np.pi
+
+
+def _torus_direction(g: np.random.Generator, shape) -> np.ndarray:
+    d = g.standard_normal(shape)
+    return d / np.linalg.norm(d.ravel())
+
+
+# (per-sweep moves, unit random direction, child-stream base of the starts)
+_SPHERE = (_sphere_moves, _sphere_direction, 100)
+_TORUS = (_torus_moves, _torus_direction, 200)
+
+
+def _climb(evaluate, pool: list[np.ndarray], move_set, budget: OptBudget, rng: RandomStream):
+    """Multi-start hill climb; returns (best value, best point, evaluations).
+
+    ``evaluate(raw)`` scores a raw point as ``(value, point)`` on the search
+    set, or returns None when the raw point has no image there; such points
+    are neither scored nor counted.  The ``budget.multistarts`` best seeds
+    are climbed.  Each sweep tries the move set's moves for every entry,
+    all built from the entry's value at the start of its turn, plus two
+    random directions in both signs.  The step grows 1.3x after an improving
+    sweep and decays 0.7x after a fully failed one; ``budget.max_iters`` caps
+    scored candidates per start.  Ties across starts and seeds resolve to
+    the lowest index, keeping results schedule-independent.
+    """
+    sweep_moves, direction, stream_base = move_set
+    seeds = [scored for scored in map(evaluate, pool) if scored is not None]
     if not seeds:
         raise HomogeneityError("no seed lies on the domain sphere")
+    evals = len(seeds)
 
-    values = [v for v, _ in seeds]
     best_val, best_x = -math.inf, None
-    for idx in _rank_starts(values, budget.multistarts):
+    for idx in _rank_starts([v for v, _ in seeds], budget.multistarts):
         val, x = seeds[idx]
-        g = rng.child(100 + idx).generator()
+        g = rng.child(stream_base + idx).generator()
         step = budget.step_init
         used = 0
 
         def consider(cand) -> bool:
             nonlocal x, val, evals, used
-            dn = domain_eval(cand)
-            if not math.isfinite(dn) or dn < _TINY:
+            scored = evaluate(cand)
+            if scored is None:
                 return False
-            cand = cand / dn
-            cval = objective(cand)
             evals += 1
             used += 1
-            if cval > val * (1.0 + 1e-15):
-                x, val = cand, cval
+            if scored[0] > val * (1.0 + 1e-15):
+                val, x = scored
                 return True
             return False
 
         while step >= budget.tol and used < budget.max_iters:
             improved = False
-            scale = float(np.sqrt(np.vdot(x, x).real))
-            inject = step * scale / math.sqrt(x.size)
-            phase = complex(math.cos(step), math.sin(step))
+            entry_moves, reach = sweep_moves(x, step)
             for k in range(x.size):
                 if used >= budget.max_iters:
                     break
-                entry = x.flat[k]
-                if entry == 0:
-                    moves = (inject, -inject, 1j * inject, -1j * inject)
-                else:
-                    moves = (
-                        entry * phase,
-                        entry * phase.conjugate(),
-                        entry * (1.0 + step),
-                        entry / (1.0 + step),
-                    )
-                for new_entry in moves:
+                for new_entry in entry_moves(x.flat[k]):
                     if used >= budget.max_iters:
                         break
                     cand = x.copy()
@@ -129,16 +147,11 @@ def _climb(
             for _ in range(2):
                 if used >= budget.max_iters:
                     break
-                d = draw_direction(g, x.shape)
-                d = d / np.sqrt(np.vdot(d, d).real)
-                offset = step * scale * d
+                offset = reach * direction(g, x.shape)
                 improved |= consider(x + offset)
                 if used < budget.max_iters:
                     improved |= consider(x - offset)
-            if improved:
-                step *= _GROWTH
-            else:
-                step *= _DECAY
+            step *= _GROWTH if improved else _DECAY
         if val > best_val:
             best_val, best_x = val, x
 
@@ -149,8 +162,27 @@ def _climb(
     return best_val, best_x, evals
 
 
-def _complex_direction(g: np.random.Generator, shape) -> np.ndarray:
-    return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+def _on_sphere(objective, domain_eval):
+    """Scorer for :func:`_climb` over the renormalized sphere {domain_eval = 1}."""
+
+    def evaluate(raw):
+        dn = domain_eval(raw)
+        if not math.isfinite(dn) or dn < _TINY:
+            return None
+        point = raw / dn
+        return objective(point), point
+
+    return evaluate
+
+
+def _valid_seeds(extra_seeds: Iterable[np.ndarray], shape: tuple) -> list[np.ndarray]:
+    """Caller-supplied seeds of the right shape that are not zero."""
+    out = []
+    for seed in extra_seeds:
+        s = np.asarray(seed, dtype=np.complex128)
+        if s.shape == shape and np.any(s != 0):
+            out.append(s)
+    return out
 
 
 def _finish(objective, domain_eval, witness, exactness, evals) -> ComputationResult:
@@ -159,6 +191,14 @@ def _finish(objective, domain_eval, witness, exactness, evals) -> ComputationRes
     return ComputationResult(
         value=float(objective(w)), witness=w, exactness=exactness, evaluations=evals
     )
+
+
+def _best_vertex(objective, domain_eval, verts, evals, gamma=1.0) -> ComputationResult:
+    """Exact maximum of a convex objective over a ball whose extreme points
+    are the phase multiples of ``verts / gamma``; ties go to the lowest index."""
+    vals = [objective(v / gamma) for v in verts]
+    j = max(range(len(verts)), key=lambda i: (vals[i], -i))
+    return _finish(objective, domain_eval, verts[j], EXACT_VERTEX, evals + len(verts))
 
 
 def maximize_on_sphere(
@@ -175,14 +215,18 @@ def maximize_on_sphere(
 ) -> ComputationResult:
     """max{ objective(x) : ||x||_domain = 1 } over x in C^n.
 
-    ``linear_l2``, when given, declares objective(x) = l2(linear_l2 @ x) and
-    unlocks the closed form on l2-type domains.  ``objective_convex`` is a
-    caller assertion enabling vertex dispatch on l1-type domains.
-    ``objective_homogeneous`` is a caller assertion that objective(a x) =
-    |a| objective(x); without it, absolute homogeneity is probed at 10 random
-    points and a violation raises ``HomogeneityError``.  The result's
-    ``evaluations`` counts every objective call, including the probe's 20
-    when it runs.
+    l1 and weighted-l1 domains dispatch exactly to their vertices for convex
+    objectives.  ``linear_l2``, when given, declares objective(x) =
+    l2(linear_l2 @ x) and unlocks the closed form on l2-type domains.
+    Everything else runs the hill climb over the renormalized sphere, seeded
+    with the basis vectors, the all-ones vector, n random phase vectors, the
+    caller's ``extra_seeds`` and ``budget.samples`` Gaussian draws, and is a
+    lower bound.  ``objective_convex`` is a caller assertion enabling vertex
+    dispatch.  ``objective_homogeneous`` is a caller assertion that
+    objective(a x) = |a| objective(x); without it, absolute homogeneity is
+    probed at 10 random points and a violation raises ``HomogeneityError``.
+    The result's ``evaluations`` counts every objective call, including the
+    probe's 20 when it runs.
     """
     if budget is None:
         budget = default_budget(n)
@@ -194,144 +238,29 @@ def maximize_on_sphere(
         )
 
     _, core = split_scale(domain_norm)
+    domain_eval = functools.partial(vnorm_eval, domain_norm)
     eye = np.eye(n, dtype=np.complex128)
+    dispatch = use_dispatch and objective_convex
 
-    if use_dispatch and objective_convex and isinstance(core, Lp) and core.p == 1.0:
-        # extreme points of the complex l1 ball are phase multiples of e_j
-        vals = [objective(eye[j]) for j in range(n)]
-        evals += n
-        j = max(range(n), key=lambda i: (vals[i], -i))
-        return _finish(
-            objective, lambda x: vnorm_eval(domain_norm, x), eye[j], EXACT_VERTEX, evals
-        )
-    if (
-        use_dispatch
-        and objective_convex
-        and isinstance(core, WeightedLp)
-        and core.p == 1.0
-        and len(core.weights) == n
-    ):
-        verts = [eye[j] / core.weights[j] for j in range(n)]
-        vals = [objective(v) for v in verts]
-        evals += n
-        j = max(range(n), key=lambda i: (vals[i], -i))
-        return _finish(
-            objective, lambda x: vnorm_eval(domain_norm, x), verts[j], EXACT_VERTEX, evals
-        )
+    if dispatch and isinstance(core, Lp) and core.p == 1.0:
+        return _best_vertex(objective, domain_eval, list(eye), evals)
+    if dispatch and isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
+        verts = [eye[j] / w for j, w in enumerate(core.weights)]
+        return _best_vertex(objective, domain_eval, verts, evals)
     if use_dispatch and linear_l2 is not None and isinstance(core, Lp) and core.p == 2.0:
         m = as_matrix(linear_l2)
         res = hermitian_top_eig(m.conj().T @ m, tol=1e-10, max_iter=10000, rng=rng.child(1))
-        return _finish(
-            objective,
-            lambda x: vnorm_eval(domain_norm, x),
-            res.eigenvector,
-            EXACT_CLOSED_FORM,
-            evals + 1,
-        )
+        return _finish(objective, domain_eval, res.eigenvector, EXACT_CLOSED_FORM, evals + 1)
 
     g = rng.child(0).generator()
-    pool: list[np.ndarray] = [eye[j] for j in range(n)]
+    pool: list[np.ndarray] = list(eye)
     pool.append(np.ones(n, dtype=np.complex128))
-    for _ in range(n):
-        pool.append(np.exp(2j * np.pi * g.random(n)))
-    for seed in extra_seeds:
-        s = np.asarray(seed, dtype=np.complex128)
-        if s.shape == (n,) and np.any(s != 0):
-            pool.append(s)
-    for _ in range(budget.samples):
-        pool.append(sample_vector(g, n))
+    pool.extend(np.exp(2j * np.pi * g.random(n)) for _ in range(n))
+    pool.extend(_valid_seeds(extra_seeds, (n,)))
+    pool.extend(sample_vector(g, n) for _ in range(budget.samples))
 
-    val, x, climbed = _climb(
-        objective,
-        lambda v: vnorm_eval(domain_norm, v),
-        pool,
-        budget,
-        rng,
-        _complex_direction,
-    )
-    return _finish(
-        objective, lambda v: vnorm_eval(domain_norm, v), x, LOWER_BOUND, evals + climbed
-    )
-
-
-def _single_entry_matrices(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = 1.0
-            out.append(e)
-    return out
-
-
-def _phase_climb(objective, gamma, n, budget, rng, torus_starts) -> tuple[float, np.ndarray, int]:
-    """Hill climb over phase matrices exp(i theta)/gamma.
-
-    Valid search space for convex objectives: the extreme points of the
-    entrywise-max ball are exactly the unimodular matrices.  Sweeps move one
-    phase at a time plus two random joint rotations, shrinking the step only
-    after a fully failed sweep.
-    """
-    evals = 0
-    g = rng.child(0).generator()
-    thetas: list[np.ndarray] = [np.zeros((n, n))]
-    thetas.extend(torus_starts)
-    for _ in range(max(2, budget.samples // 2)):
-        thetas.append(2.0 * np.pi * g.random((n, n)))
-
-    seeds = []
-    for th in thetas:
-        point = np.exp(1j * th) / gamma
-        seeds.append((objective(point), th))
-        evals += 1
-    values = [v for v, _ in seeds]
-
-    best_val, best_th = -math.inf, None
-    for idx in _rank_starts(values, budget.multistarts):
-        val, th = seeds[idx]
-        gen = rng.child(200 + idx).generator()
-        step = budget.step_init
-        used = 0
-
-        def consider(cand_th) -> bool:
-            nonlocal th, val, evals, used
-            cval = objective(np.exp(1j * cand_th) / gamma)
-            evals += 1
-            used += 1
-            if cval > val * (1.0 + 1e-15):
-                th, val = cand_th, cval
-                return True
-            return False
-
-        while step >= budget.tol and used < budget.max_iters:
-            improved = False
-            for k in range(n * n):
-                if used >= budget.max_iters:
-                    break
-                for delta in (step, -step):
-                    cand = th.copy()
-                    cand.flat[k] += delta
-                    improved |= consider(cand)
-                    if used >= budget.max_iters:
-                        break
-            for _ in range(2):
-                if used >= budget.max_iters:
-                    break
-                d = gen.standard_normal((n, n))
-                d = d / np.linalg.norm(d.ravel())
-                improved |= consider(th + step * np.pi * d)
-                if used < budget.max_iters:
-                    improved |= consider(th - step * np.pi * d)
-            if improved:
-                step *= _GROWTH
-            else:
-                step *= _DECAY
-        if val > best_val:
-            best_val, best_th = val, th
-    for val, th in seeds:
-        if val > best_val:
-            best_val, best_th = val, th
-    return best_val, np.exp(1j * best_th) / gamma, evals
+    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, _SPHERE, budget, rng)
+    return _finish(objective, domain_eval, x, LOWER_BOUND, evals + climbed)
 
 
 def maximize_on_matrix_sphere(
@@ -347,74 +276,61 @@ def maximize_on_matrix_sphere(
 ) -> ComputationResult:
     """max{ objective(A) : ||A||_domain = 1 } over A in M_n.
 
-    Seeds include the identity, all single-entry matrices, the all-ones
-    matrix and any caller-supplied points.  Entrywise-sum domains dispatch
-    exactly to single-entry vertices for convex objectives; entrywise-max
-    domains climb over phase matrices; everything else uses the generic
-    renormalized ascent and is a lower bound.  ``objective_convex`` and
-    ``objective_homogeneous`` are caller assertions with the same meaning
-    as in :func:`maximize_on_sphere`: without the latter, absolute
-    homogeneity is probed at 10 random matrices and a violation raises
+    Entrywise-sum domains dispatch exactly to single-entry vertices for
+    convex objectives.  Entrywise-max domains run the hill climb over the
+    phase matrices exp(i theta)/gamma, the ball's extreme points, seeded with
+    theta = 0, the phases of caller seeds without zero entries and random
+    phases; the plain seeds below are scored as well.  Everything else runs
+    the hill climb over the renormalized sphere, seeded with the identity,
+    all single-entry matrices, the all-ones matrix, the caller's
+    ``extra_seeds`` and ``budget.samples`` Gaussian draws.  Both climbs give
+    lower bounds.  ``objective_convex`` and ``objective_homogeneous`` are
+    caller assertions with the same meaning as in
+    :func:`maximize_on_sphere`: without the latter, absolute homogeneity is
+    probed at 10 random matrices and a violation raises
     ``HomogeneityError``.  ``evaluations`` counts every objective call,
     including the probe's 20 when it runs.
     """
-    from .matrix_norms import EntrywiseMax, EntrywiseSum, mnorm_eval
-
     if budget is None:
         budget = default_budget(n)
     rng = RandomStream(budget.seed)
-
-    def draw_matrix(g):
-        return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
-
     evals = 0
     if not objective_homogeneous:
-        evals = _check_homogeneity(objective, draw_matrix, rng.child(777).generator())
+        evals = _check_homogeneity(
+            objective, lambda g: sample_matrix(g, n), rng.child(777).generator()
+        )
 
     gamma, core = split_scale(domain_norm)
-    domain_eval = lambda a: mnorm_eval(domain_norm, a)
+    domain_eval = functools.partial(mnorm_eval, domain_norm)
+    dispatch = use_dispatch and objective_convex
+    singles = list(np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n))
 
-    if use_dispatch and objective_convex and isinstance(core, EntrywiseSum):
-        verts = _single_entry_matrices(n)
-        vals = [objective(v / gamma) for v in verts]
-        evals += len(verts)
-        j = max(range(len(verts)), key=lambda i: (vals[i], -i))
-        return _finish(objective, domain_eval, verts[j], EXACT_VERTEX, evals)
+    if dispatch and isinstance(core, EntrywiseSum):
+        return _best_vertex(objective, domain_eval, singles, evals, gamma)
 
-    pool: list[np.ndarray] = [np.eye(n, dtype=np.complex128)]
-    pool.extend(_single_entry_matrices(n))
-    pool.append(np.ones((n, n), dtype=np.complex128))
-    extras: list[np.ndarray] = []
-    for seed in extra_seeds:
-        s = np.asarray(seed, dtype=np.complex128)
-        if s.shape == (n, n) and np.any(s != 0):
-            extras.append(s)
+    extras = _valid_seeds(extra_seeds, (n, n))
+    pool = [np.eye(n, dtype=np.complex128), *singles, np.ones((n, n), dtype=np.complex128)]
     pool.extend(extras)
+    on_sphere = _on_sphere(objective, domain_eval)
+    g = rng.child(0).generator()
 
-    if use_dispatch and objective_convex and isinstance(core, EntrywiseMax):
-        torus_starts = [
-            np.angle(s) for s in extras if np.all(np.abs(s) > 1e-12)
-        ]
-        val, point, climbed = _phase_climb(
-            objective, gamma, n, budget, rng, torus_starts
+    if dispatch and isinstance(core, EntrywiseMax):
+        thetas = [np.zeros((n, n))]
+        thetas.extend(np.angle(s) for s in extras if np.all(np.abs(s) > 1e-12))
+        thetas.extend(2.0 * np.pi * g.random((n, n)) for _ in range(max(2, budget.samples // 2)))
+        val, theta, climbed = _climb(
+            lambda th: (objective(np.exp(1j * th) / gamma), th), thetas, _TORUS, budget, rng
         )
-        evals += climbed
+        point = np.exp(1j * theta) / gamma
         # plain seeds cannot beat the torus for convex objectives, but keep
         # the monotone-improvement contract explicit
-        for raw in pool:
-            dn = domain_eval(raw)
-            if dn < _TINY:
-                continue
-            cand = raw / dn
-            cval = objective(cand)
-            evals += 1
-            if cval > val:
-                val, point = cval, cand
-        return _finish(objective, domain_eval, point, LOWER_BOUND, evals)
+        for scored in map(on_sphere, pool):
+            if scored is not None:
+                climbed += 1
+                if scored[0] > val:
+                    val, point = scored
+        return _finish(objective, domain_eval, point, LOWER_BOUND, evals + climbed)
 
-    g = rng.child(0).generator()
-    for _ in range(budget.samples):
-        pool.append(draw_matrix(g))
-
-    val, x, climbed = _climb(objective, domain_eval, pool, budget, rng, _complex_direction)
+    pool.extend(sample_matrix(g, n) for _ in range(budget.samples))
+    val, x, climbed = _climb(on_sphere, pool, _SPHERE, budget, rng)
     return _finish(objective, domain_eval, x, LOWER_BOUND, evals + climbed)

@@ -1,0 +1,51 @@
+"""The names the benchmark in ``perfbench/`` reaches into still exist and work.
+
+``perfbench`` wraps public functions by module and name, clears caches by
+name and builds its workloads from the public API.  A rename in ``normlab``
+would otherwise surface only when the benchmark runs.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _normlab_bindings() -> dict:
+    return {
+        (name, attr): value
+        for name, module in list(sys.modules.items())
+        if module is not None and (name == "normlab" or name.startswith("normlab."))
+        for attr, value in vars(module).items()
+    }
+
+
+def test_traced_functions_exist():
+    for module_name, fn_name in tracer.KERNELS + tracer.SPANS:
+        module = importlib.import_module(f"normlab.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"normlab.{module_name}.{fn_name}"
+
+
+def test_workload_build_and_cache_clearing(tmp_path):
+    workloads.clear_caches()
+    built = workloads.build("gind-mix", 3001, str(tmp_path))
+    assert set(built.kinds) == {"exact", "ascent", "eval"}
+
+
+def test_tracer_install_uninstall_restores_bindings():
+    before = _normlab_bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rebound = {key for key, value in _normlab_bindings().items() if value is not before.get(key)}
+        for module_name, fn_name in tracer.KERNELS + tracer.SPANS:
+            assert (f"normlab.{module_name}", fn_name) in rebound
+    finally:
+        t.uninstall()
+    after = _normlab_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

@@ -61,6 +61,52 @@ def test_bad_matrix_document_exit_2(tmp_path, capsys):
     assert run_command(["eval", "--norm", "sigma", "--matrix", str(bad)]) == 2
 
 
+def test_non_finite_matrix_exit_2(tmp_path, capsys):
+    for name, text in (
+        ("nan.json", '{"rows": [[NaN, 1], [0, 1]]}'),
+        ("inf.json", '{"rows": [[1, 0], [0, {"re": 0, "im": 1e400}]]}'),
+        ("huge.csv", "1,2\n3,1e400\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_command(["eval", "--norm", "sigma", "--matrix", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+def test_zero_budget_flag_exit_2(matrix_file, capsys):
+    # a zero reaches OptBudget validation instead of silently becoming the default
+    argv = ["gind", "--norm1", "linf", "--norm2", "l1", "--matrix", matrix_file]
+    assert run_command(argv + ["--budget-multistarts", "0"]) == 2
+    assert run_command(argv + ["--budget-samples", "0"]) == 2
+    assert run_command(["verify", "--suite", "lemma21", "--budget-max-iters", "0"]) == 2
+
+
+def test_paper_demos_rejects_budget_flags(capsys):
+    code = run_command(["verify", "--suite", "paper-demos", "--budget-max-iters", "60"])
+    assert code == 2
+    assert "paper-demos" in capsys.readouterr().err
+
+
+def test_paper_demos_header_offers_no_override(monkeypatch, tmp_path, capsys):
+    from normlab import cli
+    from normlab.verification import SuiteReport
+
+    monkeypatch.setattr(cli, "paper_demo_suite", lambda seed: SuiteReport("paper-demos", seed, [], 0.0))
+    out_path = tmp_path / "demos.json"
+    assert run_command(["verify", "--suite", "paper-demos", "--report", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "budget: fixed by the suite" in out
+    assert "--budget" not in out
+    assert "budget" not in json.loads(out_path.read_text())["settings"]
+
+
+def test_dimension_below_one_exit_2(capsys):
+    for dim in ("0", "-1"):
+        assert run_command(["extract", "--norm", "maxrowsum", "--dim", dim]) == 2
+        assert run_command(["probe-minimality", "--norm", "sigma", "--dim", dim]) == 2
+    assert "dimension must be at least 1" in capsys.readouterr().err
+
+
 def test_non_convergence_exit_3(matrix_file, capsys):
     code = run_command(
         ["eval", "--norm", "spectral", "--matrix", matrix_file, "--eig-max-iter", "1"]

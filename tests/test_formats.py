@@ -143,6 +143,19 @@ def test_load_matrix_text_sniffs_format():
     assert np.array_equal(csv, doc)
 
 
+def test_load_matrix_text_rejects_non_finite_entries():
+    for text, locus in (
+        ('{"rows": [[1, NaN], [0, 1]]}', "row 1, column 2"),
+        ('{"rows": [[1, 0], [{"re": 0, "im": -Infinity}, 1]]}', "row 2, column 1"),
+        ('{"rows": [[1, 0], [0, 1e400]]}', "row 2, column 2"),
+        ("1,2\n1e400i,4\n", "row 2, column 1"),
+        ("-1e999,2\n3,4\n", "row 1, column 1"),
+    ):
+        with pytest.raises(DocumentParseError, match="finite") as info:
+            formats.load_matrix_text(text)
+        assert info.value.locus == locus
+
+
 def test_report_documents_are_schema_tagged():
     rep = dominance_check(Lp(1), Lp(math.inf), 2, samples=32, rng=RandomStream(1))
     doc = formats.dominance_to_doc(rep)

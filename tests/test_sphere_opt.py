@@ -207,3 +207,32 @@ def test_nonconvex_objective_skips_vertex_dispatch():
     )
     assert res.exactness == LOWER_BOUND
     assert res.value == pytest.approx(1.0, rel=1e-6)  # at |x1| = |x2| = 1/2
+
+
+def test_vertex_tie_goes_to_lowest_index():
+    # l2 is 1 at every l1 vertex: the tie resolves to e_1
+    res = maximize_on_sphere(lambda x: float(np.linalg.norm(x)), Lp(1), 3, B)
+    assert res.exactness == EXACT_VERTEX
+    assert res.value == 1.0
+    assert np.array_equal(res.witness, [1, 0, 0])
+
+
+@pytest.mark.parametrize("gamma, x", [(2.0, [1.0, 1.0]), (0.5, [1.0, 1.0j])])
+def test_scaled_entrywise_max_domain_phase_climb(gamma, x):
+    # on {gamma max|b_ij| = 1} the phase matrices are exp(i theta)/gamma, and
+    # l1(Bx) peaks at 4/gamma there.  At gamma = 1/2 with x = (1, i) the
+    # all-ones seed scores 2 sqrt(2)/gamma, which beats unscaled torus points.
+    x = np.asarray(x, dtype=np.complex128)
+    objective = lambda b: float(np.abs(b @ x).sum())
+    res = maximize_on_matrix_sphere(objective, Scaled(gamma, EntrywiseMax()), 2, B)
+    assert res.exactness == LOWER_BOUND
+    assert res.value == pytest.approx(4.0 / gamma, rel=1e-7)
+    assert np.allclose(np.abs(res.witness), 1.0 / gamma)
+
+
+def test_weighted_l1_length_mismatch_raises():
+    from normlab import WeightedLp
+    from normlab.errors import DimensionMismatchError
+
+    with pytest.raises(DimensionMismatchError):
+        maximize_on_sphere(_l2_of(np.eye(2)), WeightedLp((1.0, 2.0, 3.0), 1.0), 2, B)
