@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class OptBudget:
             if int(getattr(self, name)) <= 0:
                 raise SpecValidationError(f"budget field {name} must be positive")
             object.__setattr__(self, name, int(getattr(self, name)))
-        if self.step_init <= 0:
-            raise SpecValidationError("budget step_init must be positive")
+        if not 0.0 < self.step_init < math.inf:
+            raise SpecValidationError("budget step_init must be positive and finite")
         if not 0.0 < self.tol < 1e-2:
             raise SpecValidationError("budget tol must lie in (0, 1e-2)")
         object.__setattr__(self, "step_init", float(self.step_init))

@@ -50,19 +50,25 @@ def _resolve_norm(text: str):
     return formats.parse_norm_spec(text)
 
 
-def _dimension(text: str) -> int:
-    """Type of ``--dim``: an integer n >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid dimension {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"dimension must be at least 1, got {n}")
-    return n
+def _count(what: str):
+    """Argparse type for an integer n >= 1; ``what`` names it in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {n}")
+        return n
+
+    return parse
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dim", type=_dimension, default=2, help="matrix dimension n (default 2)")
+    sub.add_argument(
+        "--dim", type=_count("dimension"), default=2, help="matrix dimension n (default 2)"
+    )
     sub.add_argument("--seed", type=int, default=0, help="root random seed (default 0)")
     sub.add_argument("--report", metavar="PATH", help="write a JSON report document")
     sub.add_argument("--budget-multistarts", type=int, default=None)
@@ -99,28 +105,23 @@ def _header(args, budget: OptBudget) -> dict:
     return {
         "dim": args.dim,
         "seed": args.seed,
-        "budget": formats.budget_to_doc(budget),
+        "budget": budget,
     }
 
 
-def _describe(budget: OptBudget | None, defaults: str) -> str:
+def _describe(budget: OptBudget | None) -> str:
     if budget is None:
-        return defaults
+        return "suite defaults (override with --budget-*)"
     return (
         f"multistarts={budget.multistarts} max_iters={budget.max_iters} "
         f"samples={budget.samples} step_init={budget.step_init} tol={budget.tol}"
     )
 
 
-def _print_header(
-    command: str,
-    args,
-    budget: OptBudget | None,
-    defaults: str = "suite defaults (override with --budget-*)",
-) -> None:
+def _print_header(command: str, args, budget: OptBudget | None) -> None:
     print(
         f"normlab {command} | dim={args.dim} seed={args.seed} "
-        f"budget: {_describe(budget, defaults)}"
+        f"budget: {_describe(budget)}"
     )
 
 
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="evaluate a matrix norm on a matrix file")
     p.add_argument("--norm", required=True, help="norm spec (name, JSON, or @file)")
     p.add_argument("--matrix", required=True, help="CSV or JSON matrix file")
-    p.add_argument("--eig-max-iter", type=int, default=10000)
+    p.add_argument("--eig-max-iter", type=_count("iteration limit"), default=10000)
     _add_common(p)
 
     p = subs.add_parser("gind", help="generalized induced norm of a matrix")
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("probe-minimality", help="search for a reconstruction gap")
     p.add_argument("--norm", required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count("trial count"), default=100)
     _add_common(p)
 
     p = subs.add_parser("verify", help="run a property suite")
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["lemma21", "lemma22", "theorem23", "paper-demos"],
     )
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count("trial count"), default=200)
     p.add_argument("--norm", default="spectral", help="source norm for theorem23")
     p.add_argument("--norm1", default=None, help="pair A domain norm")
     p.add_argument("--norm2", default=None, help="pair A codomain norm")
@@ -189,16 +190,10 @@ def _cmd_eval(args) -> int:
     _print_header("eval", args, budget)
     value = mnorm_eval(spec, matrix, budget, eig_max_iter=args.eig_max_iter)
     print(f"norm value: {value:.10g}")
-    _write_report(
-        args,
-        {
-            "schema_version": formats.SCHEMA_VERSION,
-            "kind": "norm-value",
-            "norm": formats.norm_spec_to_doc(spec),
-            "value": value,
-            "settings": _header(args, budget),
-        },
+    doc = formats.report_to_doc(
+        "norm-value", settings=_header(args, budget), norm=spec, value=value
     )
+    _write_report(args, doc)
     return 0
 
 
@@ -210,9 +205,9 @@ def _cmd_gind(args) -> int:
     _print_header("gind", args, budget)
     result = gind_eval(pair, matrix, budget)
     print(f"value: {result.value:.10g}  exactness: {result.exactness}  evaluations: {result.evaluations}")
-    doc = formats.computation_to_doc(result, _header(args, budget))
-    doc["norm1"] = formats.norm_spec_to_doc(pair.norm1)
-    doc["norm2"] = formats.norm_spec_to_doc(pair.norm2)
+    doc = formats.report_to_doc(
+        "computation", result, _header(args, budget), norm1=pair.norm1, norm2=pair.norm2
+    )
     _write_report(args, doc)
     return 0
 
@@ -226,7 +221,7 @@ def _cmd_chain(args) -> int:
     report = chain_compare(pair, matrix, budget)
     print(f"v21={report.v21:.10g} v11={report.v11:.10g} v22={report.v22:.10g} v12={report.v12:.10g}")
     print(f"chain holds: {report.chain_holds} (slack {report.slack:.3e})")
-    _write_report(args, formats.chain_to_doc(report, _header(args, budget)))
+    _write_report(args, formats.report_to_doc("chain-report", report, _header(args, budget)))
     return 0
 
 
@@ -249,18 +244,11 @@ def _cmd_extract(args) -> int:
         v2 = vnorm_eval(pair.norm2, x)
         rows.append({"point": label, "norm1": v1, "norm2": v2})
         print(f"{label:>6s} {v1:18.10g} {v2:20.10g}")
-    _write_report(
-        args,
-        {
-            "schema_version": formats.SCHEMA_VERSION,
-            "kind": "extraction",
-            "source": formats.norm_spec_to_doc(source),
-            "norm1": formats.norm_spec_to_doc(pair.norm1),
-            "norm2": formats.norm_spec_to_doc(pair.norm2),
-            "evaluations": rows,
-            "settings": _header(args, inner),
-        },
+    doc = formats.report_to_doc(
+        "extraction", settings=_header(args, inner),
+        source=source, norm1=pair.norm1, norm2=pair.norm2, evaluations=rows,
     )
+    _write_report(args, doc)
     return 0
 
 
@@ -280,16 +268,21 @@ def _cmd_probe(args) -> int:
         print("witness:")
         for row in report.witness:
             print("  " + "  ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in row))
-    _write_report(args, formats.probe_to_doc(report, _header(args, outer)))
+    _write_report(args, formats.report_to_doc("minimality-probe", report, _header(args, outer)))
     return 0
 
 
 def _cmd_verify(args) -> int:
     budget = _explicit_budget(args)
+    settings = {"seed": args.seed}
     if args.suite == "paper-demos":
-        _print_header("verify paper-demos", args, None, "fixed by the suite")
+        # paper_demo_suite runs at its own n = 2 and 3 with its own budgets
+        print(f"normlab verify paper-demos | seed={args.seed} dim and budget: fixed by the suite")
     else:
         _print_header(f"verify {args.suite}", args, budget)
+        settings["dim"] = args.dim
+    if budget is not None:
+        settings["budget"] = budget
     rng = RandomStream(args.seed)
     if args.suite == "paper-demos":
         report = paper_demo_suite(args.seed)
@@ -320,9 +313,6 @@ def _cmd_verify(args) -> int:
         print(f"[{case.status:>12s}] {case.description}" + (f" ({shown})" if shown else ""))
     print(f"suite {report.suite_name}: {'PASS' if report.passed else 'FAIL'} "
           f"({len(report.cases)} cases, {report.elapsed:.2f}s)")
-    settings = {"dim": args.dim, "seed": args.seed}
-    if budget is not None:
-        settings["budget"] = formats.budget_to_doc(budget)
     _write_report(args, formats.suite_report_to_doc(report, settings))
     return 0 if report.passed else 1
 

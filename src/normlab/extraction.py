@@ -4,8 +4,10 @@ Given a matrix norm N, the column-replication matrix C_x (every column
 equal to x) yields ``||x||_2 = N(C_x)`` exactly, and
 ``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }`` by matrix-sphere maximization.
 Reconstructing the induced norm from the extracted pair and comparing it to
-N probes whether N can sit strictly above an induced norm: a gap certifies
-non-minimality, while its absence is evidence only.
+N probes whether N can sit strictly above an induced norm.  The
+reconstruction comes from numerical maximization and can fall short, so a
+gap flags possible non-minimality without certifying it, and its absence is
+evidence only.
 """
 
 from __future__ import annotations
@@ -170,9 +172,13 @@ class ProbeReport:
     """Minimality probe outcome.
 
     ``max_gap_ratio`` is the minimum of reconstruction/N over all tested
-    matrices; a value below 1 - 1e-4 certifies (numerically) that N sits
+    matrices; a value below 1 - 1e-4 (``gap_found``) flags that N may sit
     strictly above the induced norm built from its own extracted pair, i.e.
-    that N is not minimal.  ``no_gap_found`` is evidence, never proof.
+    that N may not be minimal.  The reconstruction is computed by an ascent
+    wherever the pair has no exact dispatch, and an ascent that falls short
+    drives the ratio below its true value (0.705544 < sqrt(1/2) for the
+    entrywise sum at paper-demos seed 1355706853), so neither verdict is a
+    proof.
     """
 
     max_gap_ratio: float

@@ -9,35 +9,37 @@ apart from elapsed-time fields.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
+from typing import get_args
 
 import numpy as np
 
-from .budget import ComputationResult, OptBudget
+from .budget import OptBudget
 from .errors import DocumentParseError, SpecValidationError
-from .extraction import AlphaIdentityReport, ProbeReport
-from .gind import ChainReport
 from .matrix_norms import (
     EntrywiseMax,
     EntrywiseSum,
     GInd,
+    MatrixNormSpec,
     MaxColSum,
     MaxRowSum,
     Spectral,
 )
 from .vector_norms import (
-    DominanceReport,
     Extracted,
     Lp,
     MaxOf,
     Scaled,
+    VectorNormSpec,
     WeightedLp,
 )
 from .verification import SuiteReport
 
 SCHEMA_VERSION = 1
+_NORM_SPECS = get_args(VectorNormSpec) + get_args(MatrixNormSpec)
 
 
 # --- norm-spec documents ---------------------------------------------------
@@ -87,7 +89,7 @@ def norm_spec_to_doc(spec) -> dict:
             "kind": "extracted",
             "role": spec.role,
             "source": norm_spec_to_doc(spec.source),
-            "budget": budget_to_doc(spec.budget),
+            "budget": _encode(spec.budget),
         }
     raise DocumentParseError(f"cannot encode norm descriptor {spec!r}")
 
@@ -166,17 +168,6 @@ def parse_norm_spec(text: str):
 
 def print_norm_spec(spec) -> str:
     return json.dumps(norm_spec_to_doc(spec), sort_keys=True)
-
-
-def budget_to_doc(budget: OptBudget) -> dict:
-    return {
-        "multistarts": budget.multistarts,
-        "max_iters": budget.max_iters,
-        "samples": budget.samples,
-        "step_init": budget.step_init,
-        "tol": budget.tol,
-        "seed": budget.seed,
-    }
 
 
 def budget_from_doc(doc, locus: str = "$") -> OptBudget:
@@ -329,100 +320,40 @@ def array_to_doc(arr) -> dict:
     raise DocumentParseError(f"cannot encode array of rank {a.ndim}")
 
 
-def _witness_to_doc(witness):
-    if witness is None:
-        return None
-    if isinstance(witness, list):
-        return [array_to_doc(w) for w in witness if w is not None]
-    return array_to_doc(witness)
+def _encode(value):
+    """A result value as JSON: arrays become complex cells, norm descriptors
+    their tagged trees, other dataclasses their fields, lists drop ``None``
+    entries and numpy scalars become Python scalars."""
+    if isinstance(value, np.ndarray):
+        return array_to_doc(value)
+    if isinstance(value, _NORM_SPECS):
+        return norm_spec_to_doc(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_encode(item) for item in value if item is not None]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def report_to_doc(kind: str, result=None, settings: dict | None = None, **fields) -> dict:
+    """The document of one report: the fields of the ``result`` dataclass and
+    any keyword ``fields``, tagged with the schema version and ``kind``, plus
+    ``settings`` when given."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind}
+    if result is not None:
+        doc.update(_encode(result))
+    doc.update(_encode(fields))
+    if settings:
+        doc["settings"] = _encode(settings)
+    return doc
 
 
 def suite_report_to_doc(report: SuiteReport, header: dict | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "suite-report",
-        "suite_name": report.suite_name,
-        "seed": report.seed,
-        "elapsed": report.elapsed,
-        "passed": report.passed,
-        "cases": [
-            {
-                "description": c.description,
-                "status": c.status,
-                "values": {k: float(v) for k, v in sorted(c.values.items())},
-                "witness": _witness_to_doc(c.witness),
-            }
-            for c in report.cases
-        ],
-    }
-    if header:
-        doc["settings"] = header
-    return doc
-
-
-def computation_to_doc(result: ComputationResult, header: dict | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "computation",
-        "value": float(result.value),
-        "exactness": result.exactness,
-        "evaluations": int(result.evaluations),
-        "witness": _witness_to_doc(result.witness),
-    }
-    if header:
-        doc["settings"] = header
-    return doc
-
-
-def probe_to_doc(report: ProbeReport, header: dict | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "minimality-probe",
-        "max_gap_ratio": float(report.max_gap_ratio),
-        "trials": int(report.trials),
-        "verdict": report.verdict,
-        "witness": _witness_to_doc(report.witness),
-    }
-    if header:
-        doc["settings"] = header
-    return doc
-
-
-def chain_to_doc(report: ChainReport, header: dict | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "chain-report",
-        "v21": report.v21,
-        "v11": report.v11,
-        "v22": report.v22,
-        "v12": report.v12,
-        "chain_holds": report.chain_holds,
-        "slack": report.slack,
-    }
-    if header:
-        doc["settings"] = header
-    return doc
-
-
-def dominance_to_doc(report: DominanceReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "dominance-report",
-        "dominated": report.dominated,
-        "max_ratio": report.max_ratio,
-        "samples_used": report.samples_used,
-        "counterexample": _witness_to_doc(report.counterexample),
-    }
-
-
-def alpha_to_doc(report: AlphaIdentityReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "alpha-identity",
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "holds": report.holds,
-    }
+    return report_to_doc("suite-report", report, header, passed=report.passed)
 
 
 def dumps_report(doc: dict) -> str:

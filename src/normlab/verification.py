@@ -52,6 +52,9 @@ class CaseResult:
     values: dict[str, float] = field(default_factory=dict)
     witness: np.ndarray | list[np.ndarray] | None = None
 
+    def __post_init__(self):
+        self.values = {k: float(v) for k, v in self.values.items()}
+
 
 @dataclass
 class SuiteReport:

@@ -49,3 +49,22 @@ def test_tracer_install_uninstall_restores_bindings():
     after = _normlab_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_verify_reports_through_the_traced_names(monkeypatch, tmp_path, capsys):
+    # demo-suite and t23-catalog count these two spans; verify must call them
+    # through the ``formats`` module, once each per report
+    from normlab import cli
+    from normlab.verification import CaseResult, SuiteReport
+
+    tiny = SuiteReport("paper-demos", 0, [CaseResult("stub", "pass", {"x": 1.0})], 0.0)
+    monkeypatch.setattr(cli, "paper_demo_suite", lambda seed: tiny)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.run_command(["verify", "--suite", "paper-demos", "--report", str(tmp_path / "r.json")])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.totals["formats.suite_report_to_doc"][0] == 1
+    assert t.totals["formats.dumps_report"][0] == 1

@@ -93,11 +93,24 @@ def test_paper_demos_header_offers_no_override(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cli, "paper_demo_suite", lambda seed: SuiteReport("paper-demos", seed, [], 0.0))
     out_path = tmp_path / "demos.json"
-    assert run_command(["verify", "--suite", "paper-demos", "--report", str(out_path)]) == 0
+    # the suite runs at its own n = 2 and 3, so --dim is neither shown nor recorded
+    argv = ["verify", "--suite", "paper-demos", "--dim", "3", "--seed", "9", "--report", str(out_path)]
+    assert run_command(argv) == 0
     out = capsys.readouterr().out
-    assert "budget: fixed by the suite" in out
+    assert "dim and budget: fixed by the suite" in out
     assert "--budget" not in out
-    assert "budget" not in json.loads(out_path.read_text())["settings"]
+    assert "dim=" not in out
+    settings = json.loads(out_path.read_text())["settings"]
+    assert "budget" not in settings
+    assert settings == {"seed": 9}
+
+
+def test_non_finite_step_init_exit_2(matrix_file, capsys):
+    # inf used to crash the sphere moves; nan used to skip every ascent
+    argv = ["gind", "--norm1", "linf", "--norm2", "l1", "--matrix", matrix_file]
+    for value in ("inf", "nan"):
+        assert run_command(argv + ["--budget-step-init", value]) == 2
+        assert "step_init" in capsys.readouterr().err
 
 
 def test_dimension_below_one_exit_2(capsys):
@@ -105,6 +118,20 @@ def test_dimension_below_one_exit_2(capsys):
         assert run_command(["extract", "--norm", "maxrowsum", "--dim", dim]) == 2
         assert run_command(["probe-minimality", "--norm", "sigma", "--dim", dim]) == 2
     assert "dimension must be at least 1" in capsys.readouterr().err
+
+
+def test_eig_max_iter_below_one_exit_2(matrix_file, capsys):
+    for cap in ("0", "-5"):
+        argv = ["eval", "--norm", "spectral", "--matrix", matrix_file, "--eig-max-iter", cap]
+        assert run_command(argv) == 2
+    assert "iteration limit must be at least 1" in capsys.readouterr().err
+
+
+def test_trials_below_one_exit_2(capsys):
+    assert run_command(["verify", "--suite", "lemma21", "--trials", "0"]) == 2
+    assert run_command(["verify", "--suite", "lemma22", "--trials", "-1"]) == 2
+    assert run_command(["probe-minimality", "--norm", "sigma", "--trials", "0"]) == 2
+    assert capsys.readouterr().err.count("trial count must be at least 1") == 3
 
 
 def test_non_convergence_exit_3(matrix_file, capsys):

@@ -158,10 +158,10 @@ def test_load_matrix_text_rejects_non_finite_entries():
 
 def test_report_documents_are_schema_tagged():
     rep = dominance_check(Lp(1), Lp(math.inf), 2, samples=32, rng=RandomStream(1))
-    doc = formats.dominance_to_doc(rep)
+    doc = formats.report_to_doc("dominance-report", rep)
     assert doc["schema_version"] == 1
     chain = chain_compare(GIndPair(Lp(math.inf), Lp(1)), np.eye(2))
-    assert formats.chain_to_doc(chain)["schema_version"] == 1
+    assert formats.report_to_doc("chain-report", chain)["schema_version"] == 1
 
 
 def test_suite_report_document_matches_golden_structure(tmp_path):
@@ -185,7 +185,7 @@ def test_suite_report_document_matches_golden_structure(tmp_path):
 
 def test_dumps_report_is_stable():
     rep = chain_compare(GIndPair(Lp(math.inf), Lp(1)), np.eye(2))
-    a = formats.dumps_report(formats.chain_to_doc(rep))
-    b = formats.dumps_report(formats.chain_to_doc(rep))
+    a = formats.dumps_report(formats.report_to_doc("chain-report", rep))
+    b = formats.dumps_report(formats.report_to_doc("chain-report", rep))
     assert a == b
     assert json.loads(a)["kind"] == "chain-report"

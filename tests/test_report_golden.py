@@ -1,0 +1,100 @@
+"""Every report kind encodes to fixed golden bytes.
+
+The files in ``tests/data/reports/`` were written by the per-kind encoders
+that ``formats.report_to_doc`` replaced, from the inputs built here: results
+constructed by hand for the library-only kinds, and ``run_command`` on one
+fixed 2x2 matrix for the kinds the CLI writes.  Suite reports carry a wall
+time, so ``elapsed`` is fixed in constructed reports and zeroed in CLI ones.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from normlab import formats
+from normlab.cli import run_command
+from normlab.extraction import AlphaIdentityReport, ProbeReport
+from normlab.vector_norms import DominanceReport
+from normlab.verification import CaseResult, SuiteReport
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "reports"
+MATRIX = "1+2i,-2\n0.5i,3\n"
+
+_W = np.array([[1 + 2j, 0.5], [-0.25j, 3.0]])
+_SUITE = SuiteReport(
+    "paper-demos",
+    42,
+    [
+        CaseResult("array witness", "pass", {"ratio": np.float64(0.5), "top": math.inf}, _W),
+        CaseResult("witness list with a gap", "fail", {"one": 1.0}, [_W, None, _W.T]),
+        CaseResult("no witness", "inconclusive"),
+    ],
+    1.25,
+)
+
+# file stem -> (kind, result, settings)
+CONSTRUCTED = {
+    "suite-report": ("suite-report", _SUITE, None),
+    "suite-report-settings": ("suite-report", _SUITE, {"dim": 3, "seed": 42}),
+    "minimality-probe": (
+        "minimality-probe",
+        ProbeReport(np.float64(1 / math.sqrt(2)), _W, np.int64(17), "gap_found"),
+        {"dim": 2, "seed": 7},
+    ),
+    "dominance-report": (
+        "dominance-report",
+        DominanceReport(False, np.array([1.0, -1j]), 32, 1.5),
+        None,
+    ),
+    "dominance-report-none": ("dominance-report", DominanceReport(True, None, 64, 0.75), None),
+    "alpha-identity": ("alpha-identity", AlphaIdentityReport(2.0, 2.0000000001, True), None),
+}
+
+# file stem -> argv; each runs with --matrix MATRIX (when it takes one) and --report
+CLI = {
+    "computation": ["gind", "--norm1", "l1", "--norm2", "l2"],
+    "computation-ascent": ["gind", "--norm1", "linf", "--norm2", "l2", "--budget-multistarts", "2"],
+    "norm-value": ["eval", "--norm", "maxcolsum"],
+    "chain-report": ["chain", "--norm1", "linf", "--norm2", "l1"],
+    "extraction": ["extract", "--norm", "maxrowsum", "--dim", "2"],
+    "suite-report-cli": [
+        "verify", "--suite", "lemma21", "--trials", "4", "--seed", "3",
+        "--budget-max-iters", "60",
+    ],
+}
+
+_ELAPSED = re.compile(r'("elapsed": )[^,\n]+')
+
+
+def cli_report(stem: str, tmp_path) -> str:
+    """The report ``run_command`` writes for ``CLI[stem]``, elapsed zeroed."""
+    argv = list(CLI[stem])
+    if argv[0] in ("gind", "eval", "chain"):
+        matrix = tmp_path / "a.csv"
+        matrix.write_text(MATRIX)
+        argv += ["--matrix", str(matrix)]
+    out = tmp_path / f"{stem}.json"
+    assert run_command(argv + ["--report", str(out)]) == 0
+    return _ELAPSED.sub(r"\g<1>0.0", out.read_text(encoding="utf-8"))
+
+
+def _golden(stem: str) -> str:
+    return (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("stem", sorted(CONSTRUCTED))
+def test_constructed_report_bytes(stem):
+    kind, result, settings = CONSTRUCTED[stem]
+    if kind == "suite-report":
+        doc = formats.suite_report_to_doc(result, settings)
+    else:
+        doc = formats.report_to_doc(kind, result, settings)
+    assert formats.dumps_report(doc) == _golden(stem)
+
+
+@pytest.mark.parametrize("stem", sorted(CLI))
+def test_cli_report_bytes(stem, tmp_path, capsys):
+    assert cli_report(stem, tmp_path) == _golden(stem)

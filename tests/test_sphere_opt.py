@@ -236,3 +236,12 @@ def test_weighted_l1_length_mismatch_raises():
 
     with pytest.raises(DimensionMismatchError):
         maximize_on_sphere(_l2_of(np.eye(2)), WeightedLp((1.0, 2.0, 3.0), 1.0), 2, B)
+
+
+@pytest.mark.parametrize("step_init", [math.inf, math.nan, 0.0, -0.5])
+def test_budget_rejects_step_init_outside_positive_reals(step_init):
+    from normlab.errors import SpecValidationError
+
+    with pytest.raises(SpecValidationError, match="step_init"):
+        OptBudget(step_init=step_init)
+    assert OptBudget(step_init=1e6).step_init == 1e6
