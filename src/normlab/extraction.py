@@ -2,7 +2,9 @@
 
 Given a matrix norm N, the column-replication matrix C_x (every column
 equal to x) yields ``||x||_2 = N(C_x)`` exactly, and
-``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }`` by matrix-sphere maximization.
+``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }``.  For the catalog sources (under
+any ``Scaled``) role 1 has a closed form and is exact; for every other
+source it comes from matrix-sphere maximization and is a lower bound.
 Reconstructing the induced norm from the extracted pair and comparing it to
 N probes whether N can sit strictly above an induced norm.  The
 reconstruction comes from numerical maximization and can fall short, so a
@@ -12,6 +14,7 @@ evidence only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +23,20 @@ from .budget import OptBudget, default_budget
 from .core import RandomStream, as_vector, sample_matrix
 from .errors import DimensionMismatchError
 from .gind import GIndPair, gind_eval
-from .matrix_norms import MatrixNormSpec, mnorm_eval
+from .matrix_norms import (
+    EntrywiseMax,
+    EntrywiseSum,
+    MatrixNormSpec,
+    MaxColSum,
+    MaxRowSum,
+    Spectral,
+    mnorm_eval,
+)
 from .sphere_opt import maximize_on_matrix_sphere
-from .vector_norms import Extracted, sum_functional_alpha, vnorm_eval
+from .vector_norms import Extracted, MaxOf, split_scale, sum_functional_alpha, vnorm_eval
 
-# nested optimization is the cost center: the inner search runs at a much
-# smaller budget than the outer one by default
+# budget of the role-1 matrix-sphere climb that non-catalog sources run for
+# every point they are evaluated at, hence much smaller than an outer budget
 DEFAULT_INNER_BUDGET = OptBudget(
     multistarts=2, max_iters=40, samples=6, step_init=0.5, tol=1e-8, seed=2024
 )
@@ -65,17 +76,53 @@ def clear_role1_cache() -> None:
     _ROLE1_CACHE.clear()
 
 
+_MAX_COL_ROW = frozenset({MaxColSum(), MaxRowSum()})
+
+
+def _role1_closed_form(core, v: np.ndarray) -> float | None:
+    """Role 1 of an unscaled catalog source at v, or None off the catalog.
+
+    EntrywiseSum, MaxRowSum and max(MaxColSum, MaxRowSum) give n||x||_inf,
+    EntrywiseMax and MaxColSum give ||x||_1, and Spectral gives
+    sqrt(n)||x||_2.  N(A) = 1 bounds N(C_{Ax}) by each value, and a phased
+    single-entry matrix, a matrix of phases or a rank-one matrix attains it.
+    """
+    n = v.size
+    if isinstance(core, (EntrywiseSum, MaxRowSum)) or (
+        isinstance(core, MaxOf) and frozenset(core.parts) == _MAX_COL_ROW
+    ):
+        return n * float(np.abs(v).max())
+    if isinstance(core, (EntrywiseMax, MaxColSum)):
+        return float(np.abs(v).sum())
+    if isinstance(core, Spectral):
+        return math.sqrt(n) * float(np.sqrt(np.vdot(v, v).real))
+    return None
+
+
 def eval_role1(source: MatrixNormSpec, budget: OptBudget, x) -> float:
-    """max{ N(C_{Ax}) : N(A) = 1 } as a lower bound at the given budget.
+    """max{ N(C_{Ax}) : N(A) = 1 }.
+
+    Exact for the catalog sources under any ``Scaled`` (scaling N leaves role
+    1 unchanged), which never reach the cache or the climb; a lower bound at
+    the given budget, from :func:`_role1_ascent`, for every other source.
+    """
+    v = as_vector(x)
+    if not np.any(v):
+        return 0.0
+    exact = _role1_closed_form(split_scale(source)[1], v)
+    if exact is not None:
+        return exact
+    return _role1_ascent(source, budget, v)
+
+
+def _role1_ascent(source: MatrixNormSpec, budget: OptBudget, v: np.ndarray) -> float:
+    """Role 1 of any source by matrix-sphere maximization, a lower bound.
 
     Results are cached by (source, budget, dim, x quantized to 1e-12); the
     minimality probe revisits the same points many times.  Cached values are
     deterministic, so concurrent last-writer-wins insertion is benign.
     """
-    v = as_vector(x)
     n = v.size
-    if not np.any(v):
-        return 0.0
     key = (source, budget, n, _quantize(v))
     hit = _ROLE1_CACHE.get(key)
     if hit is not None:
@@ -110,7 +157,8 @@ def extract_norm2(source: MatrixNormSpec, budget: OptBudget | None = None) -> Ex
 
 
 def extract_norm1(source: MatrixNormSpec, budget: OptBudget | None = None) -> Extracted:
-    """Vector norm x -> max{ N(C_{Ax}) : N(A) = 1 } (lower-bound evaluation)."""
+    """Vector norm x -> max{ N(C_{Ax}) : N(A) = 1 } (exact for the catalog,
+    a lower bound elsewhere; see :func:`eval_role1`)."""
     return Extracted(role=1, source=source, budget=budget or DEFAULT_INNER_BUDGET)
 
 

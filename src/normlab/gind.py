@@ -9,6 +9,7 @@ pairs evaluate through the identical core computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,28 +30,27 @@ class GIndPair:
     norm2: VectorNormSpec
 
 
-def _quality_seeds(m: np.ndarray) -> list[np.ndarray]:
+def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
     """Deterministic starting points tailored to x -> ||Ax||.
 
     Per-row conjugate-phase vectors attain row-sum type maxima; the top
     right singular vector attains euclidean ones.  Seeding never affects
-    soundness, only how quickly the ascent reaches the optimum.
+    soundness, only how quickly the ascent reaches the optimum.  A generator,
+    so the eigen solve runs only when the ascent consumes the seeds.
     """
     n = m.shape[0]
-    seeds: list[np.ndarray] = []
     mods = np.abs(m)
     for i in range(n):
         if mods[i].max() > 0:
             row = m[i]
             phases = np.where(mods[i] > 0, np.conj(row) / np.where(mods[i] > 0, mods[i], 1.0), 1.0)
-            seeds.append(phases.astype(np.complex128))
+            yield phases.astype(np.complex128)
     if mods.max() > 0:
         try:
             eig = hermitian_top_eig(m.conj().T @ m, tol=1e-9, max_iter=5000, rng=_SEED_RNG)
-            seeds.append(eig.eigenvector)
         except (NonConvergenceError, DimensionMismatchError):
-            pass  # no spectral seed; the ascent still runs from the others
-    return seeds
+            return  # no spectral seed; the ascent still runs from the others
+        yield eig.eigenvector
 
 
 def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> ComputationResult:

@@ -88,8 +88,11 @@ class Extracted:
     """Vector norm recovered from a matrix norm N.
 
     role 2 evaluates N on the matrix whose every column is x (exact);
-    role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 } by sphere maximization and
-    is therefore a certified lower bound at the stored budget.
+    role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }, exactly in closed form for
+    the catalog sources (EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum,
+    Spectral, max(MaxColSum, MaxRowSum), each under any Scaled) and by
+    matrix-sphere maximization otherwise, which is a lower bound at the
+    stored budget.
     """
 
     role: int
@@ -134,8 +137,8 @@ def _lp_of_moduli(m: np.ndarray, p: float) -> float:
 def vnorm_eval(spec: VectorNormSpec, x) -> float:
     """Evaluate a vector norm descriptor at x.
 
-    Exact for every kind except Extracted role 1, which reports the lower
-    bound produced by its stored optimization budget.
+    Exact for every kind except Extracted role 1 of a non-catalog source,
+    which reports the lower bound produced by its stored optimization budget.
     """
     v = as_vector(x)
     if isinstance(spec, Lp):

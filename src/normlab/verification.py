@@ -386,7 +386,7 @@ def verify_theorem23(
     probe = minimality_probe(source, n, trials, outer, rng.child(2), inner)
     cases.append(
         CaseResult(
-            description="minimality probe (gap certifies non-minimality)",
+            description="minimality probe (gap flags possible non-minimality)",
             status=PASS,
             values={
                 "min_ratio": probe.max_gap_ratio,

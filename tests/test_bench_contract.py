@@ -9,6 +9,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
@@ -68,3 +70,26 @@ def test_verify_reports_through_the_traced_names(monkeypatch, tmp_path, capsys):
     assert code == 0
     assert t.totals["formats.suite_report_to_doc"][0] == 1
     assert t.totals["formats.dumps_report"][0] == 1
+
+
+def test_role1_climbs_only_off_the_catalog():
+    # a catalog source is answered in closed form, so its traced role-1 call
+    # has no matrix-sphere child span; the tracer counts such a call as a hit
+    from normlab import extraction
+    from normlab.matrix_norms import EntrywiseMax, MaxColSum, Spectral
+    from normlab.vector_norms import MaxOf
+
+    x = np.array([1.0 + 0.5j, -2.0])
+    extraction.clear_role1_cache()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        extraction.eval_role1(Spectral(), extraction.DEFAULT_INNER_BUDGET, x)
+        extraction.eval_role1(MaxOf((EntrywiseMax(), MaxColSum())), extraction.DEFAULT_INNER_BUDGET, x)
+    finally:
+        t.uninstall()
+    role1 = [index for index, span in enumerate(t.spans) if span.name == "extraction.eval_role1"]
+    climbs = [span.parent for span in t.spans if span.name == "sphere_opt.maximize_on_matrix_sphere"]
+    assert len(role1) == 2
+    assert climbs == [role1[1]]
+    assert t.deterministic_counts()["extraction.eval_role1.hits"] == 1

@@ -105,6 +105,22 @@ def test_paper_demos_header_offers_no_override(monkeypatch, tmp_path, capsys):
     assert settings == {"seed": 9}
 
 
+def test_theorem23_runs_the_requested_trials(monkeypatch, capsys):
+    from normlab import cli
+    from normlab.verification import SuiteReport
+
+    seen = []
+
+    def stub(source, n, trials, budget, rng):
+        seen.append(trials)
+        return SuiteReport("theorem23", 0, [], 0.0)
+
+    monkeypatch.setattr(cli, "verify_theorem23", stub)
+    argv = ["verify", "--suite", "theorem23", "--norm", "maxcolsum", "--dim", "2", "--trials", "100"]
+    assert run_command(argv) == 0
+    assert seen == [100]
+
+
 def test_non_finite_step_init_exit_2(matrix_file, capsys):
     # inf used to crash the sphere moves; nan used to skip every ascent
     argv = ["gind", "--norm1", "linf", "--norm2", "l1", "--matrix", matrix_file]

@@ -30,7 +30,15 @@ from normlab import (
     vnorm_eval,
 )
 from normlab.errors import DimensionMismatchError
-from normlab.extraction import GAP_FOUND, NO_GAP_FOUND, clear_role1_cache
+from normlab.extraction import (
+    _ROLE1_CACHE,
+    DEFAULT_INNER_BUDGET,
+    GAP_FOUND,
+    NO_GAP_FOUND,
+    _role1_ascent,
+    clear_role1_cache,
+    eval_role1,
+)
 
 INNER = OptBudget(multistarts=2, max_iters=30, samples=4, step_init=0.5, tol=1e-8, seed=9)
 OUTER = OptBudget(multistarts=1, max_iters=30, samples=4, step_init=0.5, tol=1e-8, seed=10)
@@ -242,13 +250,50 @@ def test_probe_trial_count_and_validation():
     assert probe.trials == 13
 
 
+# role 1 of the catalog at x = (3, -4i), n = 2: n||x||_inf = 8, ||x||_1 = 7, sqrt(n)||x||_2 = 5 sqrt(2)
+ROLE1_HAND_VALUES = [
+    (EntrywiseSum(), 8.0),
+    (MaxRowSum(), 8.0),
+    (MaxOf((MaxColSum(), MaxRowSum())), 8.0),
+    (MaxOf((MaxRowSum(), MaxColSum())), 8.0),
+    (EntrywiseMax(), 7.0),
+    (MaxColSum(), 7.0),
+    (Spectral(), 5.0 * math.sqrt(2.0)),
+    (Scaled(3.0, MaxOf((MaxRowSum(), MaxColSum()))), 8.0),
+    (Scaled(0.5, Scaled(2.0, Spectral())), 5.0 * math.sqrt(2.0)),
+]
+
+
+@pytest.mark.parametrize("source, expected", ROLE1_HAND_VALUES)
+def test_role1_table_hand_values(source, expected):
+    x = np.array([3.0, -4.0j])
+    assert eval_role1(source, INNER, x) == pytest.approx(expected, rel=1e-15)
+    assert eval_role1(source, INNER, np.zeros(2)) == 0.0
+
+
+def test_role1_ascent_matches_the_table():
+    # the climb stays the path for non-catalog sources; on the catalog it must
+    # reach the closed form from below, at the default and a 12-iteration budget
+    small = OptBudget(multistarts=1, max_iters=12, samples=2, step_init=0.5, tol=1e-8, seed=31)
+    sources = [source for source, _ in ROLE1_HAND_VALUES]
+    g = RandomStream(28).generator()
+    for n in (2, 3, 4):
+        for source in sources:
+            for budget in (DEFAULT_INNER_BUDGET, small):
+                x = sample_vector(g, n)
+                table = eval_role1(source, budget, x)
+                climbed = _role1_ascent(source, budget, x)
+                assert table * (1 - 1e-9) <= climbed <= table * (1 + 1e-12), (source, n)
+
+
 def test_role1_cache_hits():
     clear_role1_cache()
-    from normlab.extraction import _ROLE1_CACHE, eval_role1
-
     x = np.array([1.0 + 0.5j, -2.0], dtype=np.complex128)
-    v1 = eval_role1(MaxColSum(), INNER, x)
-    size_after_first = len(_ROLE1_CACHE)
-    v2 = eval_role1(MaxColSum(), INNER, x)
+    eval_role1(MaxColSum(), INNER, x)
+    assert len(_ROLE1_CACHE) == 0  # the table answers without the climb
+    source = MaxOf((EntrywiseMax(), MaxColSum()))
+    v1 = eval_role1(source, INNER, x)
+    assert len(_ROLE1_CACHE) == 1
+    v2 = eval_role1(source, INNER, x)
     assert v1 == v2
-    assert len(_ROLE1_CACHE) == size_after_first
+    assert len(_ROLE1_CACHE) == 1

@@ -1,10 +1,11 @@
-"""The objectives built by ``gind_eval`` and ``eval_role1`` are absolutely
-homogeneous.
+"""The objectives built by ``gind_eval`` and by the role-1 climb
+``extraction._role1_ascent`` are absolutely homogeneous.
 
 Both callers assert homogeneity to the sphere maximizers, which then skip
 their runtime probe.  These tests run that probe, at its own 1e-8
 tolerance, on every objective the two callers build for the descriptors
-below, at n = 2 and n = 3.
+below, at n = 2 and n = 3.  The climb is driven directly, because
+``eval_role1`` answers these catalog sources in closed form.
 """
 
 import math
@@ -96,5 +97,5 @@ def test_role1_objectives_are_homogeneous(monkeypatch, n):
     ]
     g = RandomStream(34, (n,)).generator()
     for source in sources:
-        extraction.eval_role1(source, INNER, sample_vector(g, n))
+        extraction._role1_ascent(source, INNER, sample_vector(g, n))
     assert probed == [20] * len(sources)

@@ -121,7 +121,7 @@ def test_theorem23_entrywise_sum_reports_gap():
     report = verify_theorem23(EntrywiseSum(), 2, trials=15, rng=RandomStream(8))
     assert report.passed  # a gap is a finding, not a failure
     by_desc = {c.description: c for c in report.cases}
-    probe = by_desc["minimality probe (gap certifies non-minimality)"]
+    probe = by_desc["minimality probe (gap flags possible non-minimality)"]
     assert probe.values["gap_found"] == 1.0
     skipped = [c for c in report.cases if "skipped" in c.description]
     assert skipped and skipped[0].status == INCONCLUSIVE
