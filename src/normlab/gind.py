@@ -16,7 +16,14 @@ import numpy as np
 from .budget import ComputationResult, OptBudget, default_budget
 from .core import RandomStream, as_matrix, hermitian_top_eig
 from .errors import DimensionMismatchError, NonConvergenceError
-from .vector_norms import Lp, VectorNormSpec, split_scale, vnorm_eval
+from .vector_norms import (
+    Lp,
+    VectorNormSpec,
+    has_batch_form,
+    split_scale,
+    vnorm_eval,
+    vnorm_eval_many,
+)
 from .sphere_opt import maximize_on_sphere
 
 _SEED_RNG = RandomStream(0x91ED5EED)
@@ -70,6 +77,8 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     scale = g2 / g1
 
     objective = lambda x: vnorm_eval(core2, m @ x)
+    # the stacked product reproduces m @ x's rounding row by row
+    objective_many = lambda xs: vnorm_eval_many(core2, (m @ xs[..., None])[..., 0])
     linear = m if isinstance(core2, Lp) and core2.p == 2.0 else None
     res = maximize_on_sphere(
         objective,
@@ -81,6 +90,7 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
         # N2(A(ax)) = |a| N2(Ax): core2 is a norm descriptor validated at construction
         objective_homogeneous=True,
         extra_seeds=_quality_seeds(m),
+        objective_many=objective_many if has_batch_form(core2) else None,
     )
     witness = res.witness if g1 == 1.0 else res.witness / g1
     return ComputationResult(

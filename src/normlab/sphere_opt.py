@@ -8,11 +8,22 @@ hill climb, :func:`_climb`, everywhere else.  The climb runs over one of two
 search sets: the renormalized sphere itself, or, for convex objectives on an
 entrywise-max ball, the torus of phase matrices exp(i theta)/gamma.  Ascent
 results are honest lower bounds and are labeled as such.
+
+The climb scores candidates in one of two ways.  When the caller gives a
+batch form of the objective and the domain norm has one
+(:func:`~normlab.vector_norms.has_batch_form`), as ``gind_eval`` does for
+pairs of plain descriptors, the rest of each sweep is scored in one call
+and the scores are walked in order; everything else (``Extracted`` norms,
+the matrix sphere, the phase torus, callers' own callables) is scored
+lazily, one candidate at a time, so no objective call is spent on a
+candidate the walk never reaches.  Both take the same steps and return the
+same bits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +40,7 @@ from .budget import (
 from .core import RandomStream, as_matrix, hermitian_top_eig, sample_matrix, sample_vector
 from .errors import HomogeneityError
 from .matrix_norms import EntrywiseMax, EntrywiseSum, mnorm_eval
-from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
+from .vector_norms import Lp, WeightedLp, has_batch_form, split_scale, vnorm_eval, vnorm_eval_many
 
 _TINY = 1e-300
 _GROWTH = 1.3
@@ -62,7 +73,7 @@ def _sphere_moves(x: np.ndarray, step: float):
     sphere, which additive steps are not near polydisc corners; a zero entry
     gets four small injections instead.
     """
-    scale = float(np.sqrt(np.vdot(x, x).real))
+    scale = math.sqrt(np.vdot(x, x).real)
     inject = step * scale / math.sqrt(x.size)
     phase = complex(math.cos(step), math.sin(step))
 
@@ -75,8 +86,9 @@ def _sphere_moves(x: np.ndarray, step: float):
 
 
 def _sphere_direction(g: np.random.Generator, shape) -> np.ndarray:
-    d = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-    return d / np.sqrt(np.vdot(d, d).real)
+    re, im = g.standard_normal((2,) + shape)
+    d = re + 1j * im
+    return d / math.sqrt(np.vdot(d, d).real)
 
 
 def _torus_moves(theta: np.ndarray, step: float):
@@ -89,12 +101,45 @@ def _torus_direction(g: np.random.Generator, shape) -> np.ndarray:
     return d / np.linalg.norm(d.ravel())
 
 
-# (per-sweep moves, unit random direction, child-stream base of the starts)
-_SPHERE = (_sphere_moves, _sphere_direction, 100)
-_TORUS = (_torus_moves, _torus_direction, 200)
+# (per-sweep moves, moves per entry, unit random direction, child-stream base
+# of the starts)
+_SPHERE = (_sphere_moves, 4, _sphere_direction, 100)
+_TORUS = (_torus_moves, 2, _torus_direction, 200)
 
 
-def _climb(evaluate, pool: list[np.ndarray], move_set, budget: OptBudget, rng: RandomStream):
+class _Sweep:
+    """One sweep's candidates in order: every entry's moves, then x + d and
+    x - d for each random offset d.
+
+    An entry's moves are fixed when its first candidate is built, so that
+    rebuilding the rest of the sweep from a new point keeps them.
+    """
+
+    def __init__(self, entry_moves, per_entry: int, n_entries: int, offsets: list):
+        self.entry_moves = entry_moves
+        self.per_entry = per_entry
+        self.offsets = offsets
+        self.moves: list = [None] * n_entries
+        self.entries = n_entries * per_entry
+        self.size = self.entries + 2 * len(offsets)
+
+    def candidates(self, x: np.ndarray, start: int):
+        """Candidates start, start + 1, ... built from x, each when asked for."""
+        for pos in range(start, self.size):
+            if pos < self.entries:
+                k, j = pos // self.per_entry, pos % self.per_entry
+                if j == 0:
+                    self.moves[k] = self.entry_moves(x.flat[k])
+                cand = x.copy()
+                cand.flat[k] = self.moves[k][j]
+                yield cand
+            else:
+                r = pos - self.entries
+                yield x - self.offsets[r // 2] if r % 2 else x + self.offsets[r // 2]
+
+
+def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
+           evaluate_many=None):
     """Multi-start hill climb; returns (best value, best point, evaluations).
 
     ``evaluate(raw)`` scores a raw point as ``(value, point)`` on the search
@@ -102,13 +147,28 @@ def _climb(evaluate, pool: list[np.ndarray], move_set, budget: OptBudget, rng: R
     are neither scored nor counted.  The ``budget.multistarts`` best seeds
     are climbed.  Each sweep tries the move set's moves for every entry,
     all built from the entry's value at the start of its turn, plus two
-    random directions in both signs.  The step grows 1.3x after an improving
-    sweep and decays 0.7x after a fully failed one; ``budget.max_iters`` caps
-    scored candidates per start.  Ties across starts and seeds resolve to
-    the lowest index, keeping results schedule-independent.
+    random directions in both signs; the other entries and the random moves
+    always start from the current point.  A candidate is accepted when it
+    beats the current value by a factor 1 + 1e-15.  The step grows 1.3x
+    after an improving sweep and decays 0.7x after a fully failed one;
+    ``budget.max_iters`` caps scored candidates per start.  Ties across
+    starts and seeds resolve to the lowest index, keeping results
+    schedule-independent.
+
+    Without ``evaluate_many`` candidates are built and scored lazily, one at
+    a time.  ``evaluate_many(raws)``, a list-valued ``evaluate`` for a
+    sequence of raw points, gets the rest of the sweep (at most the
+    candidates the budget has left), built from the current point, in one
+    call; after an accepted move the rest is rebuilt from the new point and
+    scored again.  Scores past an accepted move are discarded unread, so the
+    walk, the result and the evaluation count are the same either way.
     """
-    sweep_moves, direction, stream_base = move_set
-    seeds = [scored for scored in map(evaluate, pool) if scored is not None]
+    if evaluate_many is None:
+        score = lambda raws: map(evaluate, raws)
+    else:
+        score = lambda raws: evaluate_many(list(raws))
+    sweep_moves, per_entry, direction, stream_base = move_set
+    seeds = [scored for scored in score(pool) if scored is not None]
     if not seeds:
         raise HomogeneityError("no seed lies on the domain sphere")
     evals = len(seeds)
@@ -119,38 +179,26 @@ def _climb(evaluate, pool: list[np.ndarray], move_set, budget: OptBudget, rng: R
         g = rng.child(stream_base + idx).generator()
         step = budget.step_init
         used = 0
-
-        def consider(cand) -> bool:
-            nonlocal x, val, evals, used
-            scored = evaluate(cand)
-            if scored is None:
-                return False
-            evals += 1
-            used += 1
-            if scored[0] > val * (1.0 + 1e-15):
-                val, x = scored
-                return True
-            return False
-
         while step >= budget.tol and used < budget.max_iters:
-            improved = False
             entry_moves, reach = sweep_moves(x, step)
-            for k in range(x.size):
-                if used >= budget.max_iters:
-                    break
-                for new_entry in entry_moves(x.flat[k]):
+            offsets = [reach * direction(g, x.shape) for _ in range(2)]
+            sweep = _Sweep(entry_moves, per_entry, x.size, offsets)
+            improved = False
+            pos = 0
+            while pos < sweep.size and used < budget.max_iters:
+                rest = itertools.islice(sweep.candidates(x, pos), budget.max_iters - used)
+                for scored in score(rest):
+                    pos += 1
+                    if scored is None:
+                        continue
+                    evals += 1
+                    used += 1
+                    if scored[0] > val * (1.0 + 1e-15):
+                        val, x = scored
+                        improved = True
+                        break
                     if used >= budget.max_iters:
                         break
-                    cand = x.copy()
-                    cand.flat[k] = new_entry
-                    improved |= consider(cand)
-            for _ in range(2):
-                if used >= budget.max_iters:
-                    break
-                offset = reach * direction(g, x.shape)
-                improved |= consider(x + offset)
-                if used < budget.max_iters:
-                    improved |= consider(x - offset)
             step *= _GROWTH if improved else _DECAY
         if val > best_val:
             best_val, best_x = val, x
@@ -173,6 +221,24 @@ def _on_sphere(objective, domain_eval):
         return objective(point), point
 
     return evaluate
+
+
+def _on_sphere_many(objective_many, domain_norm):
+    """Batch form of :func:`_on_sphere` for a domain descriptor with a batch
+    form; bit-identical to it point by point."""
+
+    def evaluate_many(raws):
+        rows = np.asarray(raws)
+        dn = vnorm_eval_many(domain_norm, rows)
+        ok = [_TINY <= v < math.inf for v in dn.tolist()]
+        if all(ok):  # the usual case; masking every batch costs gind-mix ~15%
+            points = rows / dn[:, None]
+            return list(zip(objective_many(points).tolist(), points))
+        points = rows[ok] / dn[ok, None]
+        scored = iter(zip(objective_many(points).tolist(), points))
+        return [next(scored) if good else None for good in ok]
+
+    return evaluate_many
 
 
 def _valid_seeds(extra_seeds: Iterable[np.ndarray], shape: tuple) -> list[np.ndarray]:
@@ -212,6 +278,7 @@ def maximize_on_sphere(
     objective_homogeneous: bool = False,
     extra_seeds: Iterable[np.ndarray] = (),
     use_dispatch: bool = True,
+    objective_many: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ComputationResult:
     """max{ objective(x) : ||x||_domain = 1 } over x in C^n.
 
@@ -226,7 +293,11 @@ def maximize_on_sphere(
     objective(a x) = |a| objective(x); without it, absolute homogeneity is
     probed at 10 random points and a violation raises ``HomogeneityError``.
     The result's ``evaluations`` counts every objective call, including the
-    probe's 20 when it runs.
+    probe's 20 when it runs.  ``objective_many``, when given, maps a 2-d
+    array of points to their objective values, each equal to ``objective``
+    of its row bit for bit; with a domain that has a batch form
+    (:func:`~normlab.vector_norms.has_batch_form`) the climb then scores its
+    candidates in batches, with the same result.
     """
     if budget is None:
         budget = default_budget(n)
@@ -259,7 +330,10 @@ def maximize_on_sphere(
     pool.extend(_valid_seeds(extra_seeds, (n,)))
     pool.extend(sample_vector(g, n) for _ in range(budget.samples))
 
-    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, _SPHERE, budget, rng)
+    many = None
+    if objective_many is not None and has_batch_form(domain_norm):
+        many = _on_sphere_many(objective_many, domain_norm)
+    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, _SPHERE, budget, rng, many)
     return _finish(objective, domain_eval, x, LOWER_BOUND, evals + climbed)
 
 

@@ -164,6 +164,71 @@ def vnorm_eval(spec: VectorNormSpec, x) -> float:
     raise SpecValidationError(f"not a vector norm descriptor: {spec!r}")
 
 
+def has_batch_form(spec) -> bool:
+    """True when :func:`vnorm_eval_many` evaluates ``spec``: Lp and WeightedLp
+    under any tree of Scaled and MaxOf."""
+    if isinstance(spec, (Lp, WeightedLp)):
+        return True
+    if isinstance(spec, Scaled):
+        return has_batch_form(spec.inner)
+    if isinstance(spec, MaxOf):
+        return all(map(has_batch_form, spec.parts))
+    return False
+
+
+def _lp_of_moduli_many(m: np.ndarray, p: float) -> np.ndarray:
+    """Row-wise :func:`_lp_of_moduli`, operation for operation."""
+    if p == math.inf:
+        return m.max(axis=1)
+    if p == 1.0:
+        return m.sum(axis=1)
+    if p == 2.0:
+        return np.sqrt((m * m).sum(axis=1))
+    peak = m.max(axis=1)
+    live = peak != 0.0  # NaN peaks stay live and propagate, as in the scalar form
+    safe = np.where(live, peak, 1.0)[:, None]
+    sums = ((m / safe) ** p).sum(axis=1)
+    # the array power differs from the scalar one in the last bit
+    root = np.array([s ** (1.0 / p) for s in sums])
+    return np.where(live, peak * root, 0.0)
+
+
+def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
+    """Evaluate a vector norm descriptor at every row of a 2-d array.
+
+    Row i equals ``vnorm_eval(spec, rows[i])`` bit for bit, for every spec
+    with :func:`has_batch_form`; other specs raise SpecValidationError.
+    """
+    v = np.asarray(rows, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] < 1:
+        raise DimensionMismatchError(f"expected a 2-d array of vectors, got shape {v.shape}")
+    if isinstance(spec, Lp):
+        if spec.p == 2.0:
+            # the stacked row-times-column product reproduces vdot's rounding
+            # on finite rows; vdot may give NaN where it gives inf
+            sq = (v.conj()[:, None, :] @ v[:, :, None])[:, 0, 0].real
+            for i in np.flatnonzero(~np.isfinite(sq)):
+                sq[i] = np.vdot(v[i], v[i]).real
+            return np.sqrt(sq)
+        return _lp_of_moduli_many(np.abs(v), spec.p)
+    if isinstance(spec, WeightedLp):
+        if len(spec.weights) != v.shape[1]:
+            raise DimensionMismatchError(
+                f"weighted norm has {len(spec.weights)} weights, vector has {v.shape[1]}"
+            )
+        return _lp_of_moduli_many(np.abs(v) * np.asarray(spec.weights), spec.p)
+    if isinstance(spec, Scaled):
+        return spec.gamma * vnorm_eval_many(spec.inner, v)
+    if isinstance(spec, MaxOf):
+        # built-in max keeps the first of equal or unordered (NaN) values
+        best = vnorm_eval_many(spec.parts[0], v)
+        for part in spec.parts[1:]:
+            vals = vnorm_eval_many(part, v)
+            best = np.where(vals > best, vals, best)
+        return best
+    raise SpecValidationError(f"no batch form for vector norm descriptor: {spec!r}")
+
+
 def _conjugate_exponent(p: float) -> float:
     if p == 1.0:
         return math.inf

@@ -93,3 +93,20 @@ def test_role1_climbs_only_off_the_catalog():
     assert len(role1) == 2
     assert climbs == [role1[1]]
     assert t.deterministic_counts()["extraction.eval_role1.hits"] == 1
+
+
+def test_batched_ascent_bypasses_the_scalar_kernel():
+    # gind_eval scores its ascent candidates through vnorm_eval_many, which
+    # the tracer does not wrap; only the final witness is scored through
+    # vnorm_eval (about 13k calls when every candidate went through it)
+    from normlab import GIndPair, Lp, default_budget, gind_eval
+
+    a = np.array([[1.0 + 0.5j, -2.0], [0.25j, 1.5]])
+    t = tracer.Tracer()
+    t.install()
+    try:
+        res = gind_eval(GIndPair(Lp(3), Lp(1.5)), a, default_budget(2))
+    finally:
+        t.uninstall()
+    assert res.exactness == "lower_bound"
+    assert t.totals["vector_norms.vnorm_eval"][0] < 100

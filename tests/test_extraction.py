@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -29,6 +32,7 @@ from normlab import (
     sample_vector,
     vnorm_eval,
 )
+from normlab.cli import run_command
 from normlab.errors import DimensionMismatchError
 from normlab.extraction import (
     _ROLE1_CACHE,
@@ -248,6 +252,21 @@ def test_probe_trial_count_and_validation():
     )
     # identity, 4 single entries, ones, 2 padded probes, 5 random draws
     assert probe.trials == 13
+
+
+def test_probe_witness_is_the_first_of_near_equal_ratios(tmp_path):
+    # MaxColSum is induced, so every ratio is 1 up to rounding: all 53 lie in
+    # [1 - 2**-53, 1 + 2**-52] and the witness must be probe 0, the identity
+    report = tmp_path / "t23.json"
+    argv = ["verify", "--suite", "theorem23", "--norm", "maxcolsum", "--dim", "3",
+            "--seed", "11", "--trials", "40", "--report", str(report)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command(argv) == 0
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    (case,) = [c for c in doc["cases"] if c["description"].startswith("minimality probe")]
+    assert 1.0 - 2.0**-53 <= case["values"]["min_ratio"] <= 1.0 + 2.0**-52
+    witness = np.array([[z["re"] + 1j * z["im"] for z in row] for row in case["witness"]["rows"]])
+    assert np.array_equal(witness, np.eye(3))
 
 
 # role 1 of the catalog at x = (3, -4i), n = 2: n||x||_inf = 8, ||x||_1 = 7, sqrt(n)||x||_2 = 5 sqrt(2)

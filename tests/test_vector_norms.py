@@ -18,6 +18,7 @@ from normlab import (
     vnorm_eval,
 )
 from normlab.errors import DimensionMismatchError, SpecValidationError
+from normlab.vector_norms import has_batch_form, vnorm_eval_many
 from _oracles import dense_sphere_max
 
 
@@ -113,6 +114,59 @@ def test_lp_triangle_hypothesis(entries, p):
     lhs = vnorm_eval(Lp(p), x + y)
     rhs = vnorm_eval(Lp(p), x) + vnorm_eval(Lp(p), y)
     assert lhs <= rhs * (1 + 1e-12) + 1e-12
+
+
+_BATCH_ENTRY = st.one_of(
+    st.complex_numbers(max_magnitude=1e200, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0j, complex(1e-310, 0.0), complex(-0.0, 2.0)]),
+)
+
+
+@st.composite
+def _batches(draw):
+    """Rows of one dimension, plus a zero row, a row below the sphere
+    scorer's 1e-300 cutoff and two non-finite rows."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_BATCH_ENTRY, min_size=n, max_size=n), min_size=1, max_size=6))
+    rows += [[0j] * n, [1e-310j] * n, [complex(math.inf, 1.0)] * n]
+    rows.append([complex(math.nan, 0.0)] + [1j] * (n - 1))
+    return np.array(rows, dtype=np.complex128)
+
+
+def _batch_specs(n):
+    w = tuple(0.5 + 0.75 * i for i in range(n))
+    return [
+        Lp(1), Lp(1.5), Lp(2), Lp(3), Lp(math.inf),
+        WeightedLp(w, 1), WeightedLp(w, 1.5), WeightedLp(w, 2), WeightedLp(w, math.inf),
+        Scaled(2.5, Scaled(0.3, Lp(1.5))),
+        MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))),
+        Scaled(1.5, MaxOf((WeightedLp(w, 3), MaxOf((Lp(2), Scaled(0.5, Lp(1))))))),
+    ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_batches())
+def test_vnorm_eval_many_equals_vnorm_eval_row_by_row(rows):
+    with np.errstate(all="ignore"):
+        for spec in _batch_specs(rows.shape[1]):
+            assert has_batch_form(spec)
+            many = vnorm_eval_many(spec, rows)
+            for row, got in zip(rows, many):
+                want = vnorm_eval(spec, row)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (spec, row)
+
+
+def test_vnorm_eval_many_rejects_what_it_cannot_batch():
+    from normlab import Extracted, MaxColSum, OptBudget
+
+    spec = MaxOf((Lp(2), Extracted(2, MaxColSum(), OptBudget())))
+    assert not has_batch_form(spec)
+    with pytest.raises(SpecValidationError):
+        vnorm_eval_many(spec, np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        vnorm_eval_many(Lp(2), np.ones(3))
+    with pytest.raises(DimensionMismatchError):
+        vnorm_eval_many(WeightedLp((1.0, 2.0), 1), np.ones((2, 3)))
 
 
 def test_dual_examples():
