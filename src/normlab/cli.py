@@ -254,8 +254,10 @@ def _cmd_extract(args) -> int:
 
 def _cmd_probe(args) -> int:
     source = _resolve_norm(args.norm)
-    # moderate default: every probe matrix runs an outer ascent, and for a
-    # non-catalog source each point it visits runs a role-1 climb
+    # moderate default: catalog sources with an exact extracted pair
+    # (spectral, entrywise-max, maxcolsum) run no outer ascent, the other
+    # catalog sources run one per probe matrix, and for a non-catalog source
+    # each point that ascent visits runs a role-1 climb
     outer = _explicit_budget(args) or OptBudget(
         multistarts=2, max_iters=120, samples=6, step_init=0.5, tol=1e-8,
         seed=args.seed,

@@ -7,14 +7,15 @@ any ``Scaled``) role 1 has a closed form and is exact; for every other
 source it comes from matrix-sphere maximization and is a lower bound.
 Reconstructing the induced norm from the extracted pair and comparing it to
 N probes whether N can sit strictly above an induced norm.  The
-reconstruction comes from numerical maximization and can fall short, so a
-gap flags possible non-minimality without certifying it, and its absence is
-evidence only.
+reconstruction is exact for Spectral, EntrywiseMax and MaxColSum sources
+(their pairs are plain l_p norms with an exact dispatch, see
+:func:`~normlab.matrix_norms.concrete`); elsewhere it comes from numerical
+maximization and can fall short, so a gap flags possible non-minimality
+without certifying it, and its absence is evidence only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +24,9 @@ from .budget import OptBudget, default_budget
 from .core import RandomStream, as_vector, sample_matrix
 from .errors import DimensionMismatchError
 from .gind import GIndPair, gind_eval
-from .matrix_norms import (
-    EntrywiseMax,
-    EntrywiseSum,
-    MatrixNormSpec,
-    MaxColSum,
-    MaxRowSum,
-    Spectral,
-    mnorm_eval,
-)
+from .matrix_norms import MatrixNormSpec, concrete, mnorm_eval
 from .sphere_opt import maximize_on_matrix_sphere
-from .vector_norms import Extracted, MaxOf, split_scale, sum_functional_alpha, vnorm_eval
+from .vector_norms import Extracted, sum_functional_alpha, vnorm_eval
 
 # budget of the role-1 matrix-sphere climb that non-catalog sources run for
 # every point they are evaluated at, hence much smaller than an outer budget
@@ -76,42 +69,20 @@ def clear_role1_cache() -> None:
     _ROLE1_CACHE.clear()
 
 
-_MAX_COL_ROW = frozenset({MaxColSum(), MaxRowSum()})
-
-
-def _role1_closed_form(core, v: np.ndarray) -> float | None:
-    """Role 1 of an unscaled catalog source at v, or None off the catalog.
-
-    EntrywiseSum, MaxRowSum and max(MaxColSum, MaxRowSum) give n||x||_inf,
-    EntrywiseMax and MaxColSum give ||x||_1, and Spectral gives
-    sqrt(n)||x||_2.  N(A) = 1 bounds N(C_{Ax}) by each value, and a phased
-    single-entry matrix, a matrix of phases or a rank-one matrix attains it.
-    """
-    n = v.size
-    if isinstance(core, (EntrywiseSum, MaxRowSum)) or (
-        isinstance(core, MaxOf) and frozenset(core.parts) == _MAX_COL_ROW
-    ):
-        return n * float(np.abs(v).max())
-    if isinstance(core, (EntrywiseMax, MaxColSum)):
-        return float(np.abs(v).sum())
-    if isinstance(core, Spectral):
-        return math.sqrt(n) * float(np.sqrt(np.vdot(v, v).real))
-    return None
-
-
 def eval_role1(source: MatrixNormSpec, budget: OptBudget, x) -> float:
     """max{ N(C_{Ax}) : N(A) = 1 }.
 
-    Exact for the catalog sources under any ``Scaled`` (scaling N leaves role
-    1 unchanged), which never reach the cache or the climb; a lower bound at
-    the given budget, from :func:`_role1_ascent`, for every other source.
+    Exact for the catalog sources under any ``Scaled``, through the table of
+    :func:`~normlab.matrix_norms.concrete`, without the cache or the climb; a
+    lower bound at the given budget, from :func:`_role1_ascent`, for every
+    other source.
     """
     v = as_vector(x)
     if not np.any(v):
         return 0.0
-    exact = _role1_closed_form(split_scale(source)[1], v)
-    if exact is not None:
-        return exact
+    spec = concrete(extract_norm1(source, budget), v.size)
+    if not isinstance(spec, Extracted):
+        return vnorm_eval(spec, v)
     return _role1_ascent(source, budget, v)
 
 
@@ -223,8 +194,9 @@ class ProbeReport:
     ``max_gap_ratio`` is the minimum of reconstruction/N over all tested
     matrices; a value below 1 - 1e-4 (``gap_found``) flags that N may sit
     strictly above the induced norm built from its own extracted pair, i.e.
-    that N may not be minimal.  The reconstruction is computed by an ascent
-    wherever the pair has no exact dispatch, and an ascent that falls short
+    that N may not be minimal.  For Spectral, EntrywiseMax and MaxColSum
+    sources the reconstruction is exact and runs no ascent.  Every other
+    reconstruction is computed by an ascent, and an ascent that falls short
     drives the ratio below its true value (0.705544 < sqrt(1/2) for the
     entrywise sum at paper-demos seed 1355706853), so neither verdict is a
     proof.  The witness is the first probe whose ratio lies within 1e-12

@@ -16,6 +16,7 @@ import numpy as np
 from .budget import ComputationResult, OptBudget, default_budget
 from .core import RandomStream, as_matrix, hermitian_top_eig
 from .errors import DimensionMismatchError, NonConvergenceError
+from .matrix_norms import concrete
 from .vector_norms import (
     Lp,
     VectorNormSpec,
@@ -63,17 +64,20 @@ def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
 def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> ComputationResult:
     """Evaluate the generalized induced norm of A for the given pair.
 
-    Exactness follows the sphere dispatch: l1-type domains are vertex-exact,
+    Extracted norms of catalog sources are first replaced by the plain
+    descriptors they equal at this dimension (:func:`concrete`).  Exactness
+    then follows the sphere dispatch: l1-type domains are vertex-exact,
     l2-to-l2 problems use the top singular value, anything else is the
-    ascent lower bound.
+    ascent lower bound.  So the extracted pairs of Spectral (closed form),
+    EntrywiseMax and MaxColSum (vertex) reconstruct their source exactly.
     """
     m = as_matrix(a)
     n = m.shape[0]
     if budget is None:
         budget = default_budget(n)
 
-    g1, core1 = split_scale(pair.norm1)
-    g2, core2 = split_scale(pair.norm2)
+    g1, core1 = split_scale(concrete(pair.norm1, n))
+    g2, core2 = split_scale(concrete(pair.norm2, n))
     scale = g2 / g1
 
     objective = lambda x: vnorm_eval(core2, m @ x)

@@ -8,6 +8,7 @@ matrix norms the same way they compose vector norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -16,7 +17,15 @@ import numpy as np
 from .budget import OptBudget
 from .core import RandomStream, as_matrix, hermitian_top_eig
 from .errors import SpecValidationError
-from .vector_norms import MaxOf, Scaled, VectorNormSpec, dominance_check
+from .vector_norms import (
+    Extracted,
+    Lp,
+    MaxOf,
+    Scaled,
+    VectorNormSpec,
+    dominance_check,
+    split_scale,
+)
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,55 @@ def mnorm_eval(
 
         return gind_eval(GIndPair(spec.norm1, spec.norm2), m, budget).value
     raise SpecValidationError(f"not a matrix norm descriptor: {spec!r}")
+
+
+_MAX_COL_ROW = frozenset({MaxColSum(), MaxRowSum()})
+
+
+def concrete(spec, n: int):
+    """The plain vector norm on C^n that an extracted catalog norm equals.
+
+    For an ``Extracted`` norm of a catalog source (EntrywiseSum,
+    EntrywiseMax, MaxColSum, MaxRowSum, Spectral or max(MaxColSum,
+    MaxRowSum), under any ``Scaled``), returns:
+
+    ==================  ===============  ===============
+    source              role 1           role 2, N(C_x)
+    ==================  ===============  ===============
+    EntrywiseSum        n ||x||_inf      n ||x||_1
+    EntrywiseMax        ||x||_1          ||x||_inf
+    MaxColSum           ||x||_1          ||x||_1
+    MaxRowSum, max      n ||x||_inf      n ||x||_inf
+    Spectral            sqrt(n) ||x||_2  sqrt(n) ||x||_2
+    ==================  ===============  ===============
+
+    For role 1, N(A) = 1 bounds N(C_{Ax}) by the value in the table, and a
+    phased single-entry matrix, a matrix of phases or a rank-one matrix
+    attains it.  ``Scaled(gamma, N)`` multiplies role 2 by gamma and leaves
+    role 1 unchanged.  Role 1 evaluates with the float operations of
+    :func:`normlab.extraction.eval_role1`, bit for bit.  Every other spec is
+    returned unchanged.
+    """
+    if not isinstance(spec, Extracted):
+        return spec
+    gamma, core = split_scale(spec.source)
+    if isinstance(core, MaxOf) and frozenset(core.parts) == _MAX_COL_ROW:
+        core = MaxRowSum()  # n||x||_inf >= ||x||_1, so the row sum decides both roles
+    if isinstance(core, EntrywiseSum):
+        role1, role2 = Scaled(n, Lp(math.inf)), Scaled(n, Lp(1.0))
+    elif isinstance(core, EntrywiseMax):
+        role1, role2 = Lp(1.0), Lp(math.inf)
+    elif isinstance(core, MaxColSum):
+        role1 = role2 = Lp(1.0)
+    elif isinstance(core, MaxRowSum):
+        role1 = role2 = Scaled(n, Lp(math.inf))
+    elif isinstance(core, Spectral):
+        role1 = role2 = Scaled(math.sqrt(n), Lp(2.0))
+    else:
+        return spec
+    if spec.role == 1:
+        return role1
+    return role2 if gamma == 1.0 else Scaled(gamma, role2)
 
 
 KNOWN_YES = "known_yes"

@@ -12,12 +12,12 @@ results are honest lower bounds and are labeled as such.
 The climb scores candidates in one of two ways.  When the caller gives a
 batch form of the objective and the domain norm has one
 (:func:`~normlab.vector_norms.has_batch_form`), as ``gind_eval`` does for
-pairs of plain descriptors, the rest of each sweep is scored in one call
-and the scores are walked in order; everything else (``Extracted`` norms,
-the matrix sphere, the phase torus, callers' own callables) is scored
-lazily, one candidate at a time, so no objective call is spent on a
-candidate the walk never reaches.  Both take the same steps and return the
-same bits.
+pairs of plain descriptors (extracted catalog norms included), the rest of
+each sweep is scored in one call and the scores are walked in order;
+everything else (other ``Extracted`` norms, the matrix sphere, the phase
+torus, callers' own callables) is scored lazily, one candidate at a time,
+so no objective call is spent on a candidate the walk never reaches.
+Both take the same steps and return the same bits.
 """
 
 from __future__ import annotations

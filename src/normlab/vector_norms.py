@@ -92,7 +92,9 @@ class Extracted:
     the catalog sources (EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum,
     Spectral, max(MaxColSum, MaxRowSum), each under any Scaled) and by
     matrix-sphere maximization otherwise, which is a lower bound at the
-    stored budget.
+    stored budget.  For the catalog sources both roles equal plain l_p
+    descriptors at each dimension (:func:`normlab.matrix_norms.concrete`),
+    which ``gind_eval`` dispatches on in their place.
     """
 
     role: int

@@ -9,6 +9,8 @@ import pytest
 from normlab import (
     EntrywiseMax,
     EntrywiseSum,
+    Extracted,
+    GInd,
     GIndPair,
     Lp,
     MaxColSum,
@@ -42,7 +44,9 @@ from normlab.extraction import (
     _role1_ascent,
     clear_role1_cache,
     eval_role1,
+    eval_role2,
 )
+from normlab.matrix_norms import concrete
 
 INNER = OptBudget(multistarts=2, max_iters=30, samples=4, step_init=0.5, tol=1e-8, seed=9)
 OUTER = OptBudget(multistarts=1, max_iters=30, samples=4, step_init=0.5, tol=1e-8, seed=10)
@@ -316,3 +320,52 @@ def test_role1_cache_hits():
     v2 = eval_role1(source, INNER, x)
     assert v1 == v2
     assert len(_ROLE1_CACHE) == 1
+
+
+CATALOG = [
+    EntrywiseSum(),
+    EntrywiseMax(),
+    MaxColSum(),
+    MaxRowSum(),
+    Spectral(),
+    MaxOf((MaxColSum(), MaxRowSum())),
+]
+
+
+def _role1_reference(core, v):
+    # the catalog's role-1 closed forms, float operation for float operation
+    n = v.size
+    if isinstance(core, (EntrywiseSum, MaxRowSum, MaxOf)):
+        return n * float(np.abs(v).max())
+    if isinstance(core, (EntrywiseMax, MaxColSum)):
+        return float(np.abs(v).sum())
+    return math.sqrt(n) * float(np.sqrt(np.vdot(v, v).real))
+
+
+@pytest.mark.parametrize("core", CATALOG, ids=lambda s: type(s).__name__)
+def test_concrete_pairs_match_the_extracted_roles(core):
+    g = RandomStream(29).generator()
+    for source in (core, Scaled(2.5, core), Scaled(0.5, Scaled(3.0, core))):
+        for n in (1, 2, 3, 4):
+            role1 = concrete(extract_norm1(source, INNER), n)
+            role2 = concrete(extract_norm2(source, INNER), n)
+            assert not isinstance(role1, Extracted) and not isinstance(role2, Extracted)
+            for _ in range(8):
+                x = sample_vector(g, n)
+                want = eval_role1(source, INNER, x)
+                assert vnorm_eval(role1, x) == want == _role1_reference(core, x)
+                exact2 = eval_role2(source, INNER, x)
+                assert vnorm_eval(role2, x) == pytest.approx(exact2, rel=1e-14, abs=0)
+
+
+def test_concrete_leaves_other_specs_alone():
+    for source in (
+        GInd(Lp(3), Lp(1.5)),
+        MaxOf((EntrywiseMax(), MaxColSum())),
+        MaxOf((MaxColSum(), MaxRowSum(), Spectral())),
+        Scaled(2.0, GInd(Lp(1), Lp(2))),
+    ):
+        for spec in (extract_norm1(source, INNER), extract_norm2(source, INNER)):
+            assert concrete(spec, 2) is spec
+    plain = Scaled(2.0, Lp(2))
+    assert concrete(plain, 3) is plain

@@ -6,15 +6,20 @@ import pytest
 from normlab import (
     EXACT_CLOSED_FORM,
     EXACT_VERTEX,
+    LOWER_BOUND,
+    EntrywiseMax,
+    EntrywiseSum,
     GIndPair,
     Lp,
     MaxColSum,
+    MaxOf,
     MaxRowSum,
     OptBudget,
     RandomStream,
     Scaled,
     Spectral,
     chain_compare,
+    extract_pair,
     gind_eval,
     mnorm_eval,
     sample_matrix,
@@ -180,3 +185,32 @@ def test_full_pipeline_at_n4():
     outer = OptBudget(multistarts=1, max_iters=30, samples=4, seed=46)
     num = gind_eval(GIndPair(pair.norm1, pair.norm2), a, outer).value
     assert num == pytest.approx(mnorm_eval(MaxColSum(), a), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "source, exactness",
+    [
+        (Spectral(), EXACT_CLOSED_FORM),
+        (EntrywiseMax(), EXACT_VERTEX),
+        (MaxColSum(), EXACT_VERTEX),
+        (EntrywiseSum(), LOWER_BOUND),
+        (MaxRowSum(), LOWER_BOUND),
+        (MaxOf((MaxColSum(), MaxRowSum())), LOWER_BOUND),
+    ],
+    ids=["spectral", "entrywise-max", "maxcolsum", "entrywise-sum", "maxrowsum", "maxcr"],
+)
+def test_extracted_catalog_pairs_reconstruct_through_the_dispatch(source, exactness):
+    g = RandomStream(41).generator()
+    budget = OptBudget(multistarts=2, max_iters=60, samples=4, step_init=0.5, tol=1e-8, seed=6)
+    extracted = extract_pair(source)
+    pair = GIndPair(extracted.norm1, extracted.norm2)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            a = sample_matrix(g, n)
+            res = gind_eval(pair, a, budget)
+            want = mnorm_eval(source, a)
+            assert res.exactness == exactness
+            if exactness == LOWER_BOUND:
+                assert res.value <= want * (1 + 1e-9)
+            else:
+                assert res.value == pytest.approx(want, rel=1e-12)

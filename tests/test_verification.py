@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from normlab import (
+    EntrywiseMax,
     EntrywiseSum,
     GIndPair,
     Lp,
+    MaxColSum,
     MaxRowSum,
     RandomStream,
     Scaled,
@@ -16,6 +18,7 @@ from normlab import (
     verify_lemma22,
     verify_theorem23,
 )
+from normlab import sphere_opt
 from normlab.errors import DimensionMismatchError
 from normlab.verification import FAIL, INCONCLUSIVE, PASS
 
@@ -163,3 +166,23 @@ def test_failures_would_carry_witnesses():
     for case in report.cases:
         if case.status == FAIL:
             assert case.witness is not None
+
+
+@pytest.mark.parametrize(
+    "source, n", [(Spectral(), 2), (EntrywiseMax(), 2), (MaxColSum(), 3)],
+    ids=["spectral", "entrywise-max", "maxcolsum"],
+)
+def test_theorem23_exact_catalog_pairs_never_climb(source, n, monkeypatch):
+    # their extracted pairs are plain descriptors with an exact dispatch, so
+    # no reconstruction or probe call may fall through to the hill climb
+    climbs = []
+    climb = sphere_opt._climb
+
+    def counting(*args, **kwargs):
+        climbs.append(1)
+        return climb(*args, **kwargs)
+
+    monkeypatch.setattr(sphere_opt, "_climb", counting)
+    report = verify_theorem23(source, n, trials=6, rng=RandomStream(12))
+    assert report.passed
+    assert not climbs
