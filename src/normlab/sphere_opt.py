@@ -9,6 +9,14 @@ search sets: the renormalized sphere itself, or, for convex objectives on an
 entrywise-max ball, the torus of phase matrices exp(i theta)/gamma.  Ascent
 results are honest lower bounds and are labeled as such.
 
+:func:`maximize_on_polydisc` is the deterministic alternative for convex
+objectives on a polydisc {|x_j| <= r_j}, the unit ball of an l-inf or
+weighted l-inf norm: a branch-and-bound over the phase torus of its extreme
+points that stops within 1e-9 (relative) of the maximum or at a fixed cap on
+scored points, whichever comes first.  ``gind_eval`` uses it for l-inf-type
+domains with a batch codomain; :func:`maximize_on_sphere` itself keeps the
+climb for them.
+
 The climb scores candidates in one of two ways.  When the caller gives a
 batch form of the objective and the domain norm has one
 (:func:`~normlab.vector_norms.has_batch_form`), as ``gind_eval`` does for
@@ -208,6 +216,78 @@ def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
         if val > best_val:
             best_val, best_x = val, x
     return best_val, best_x, evals
+
+
+# the polydisc search's pruning tolerance, its cap on scored rows (which
+# bounds flat maxima), the rows per objective call (which bounds memory) and
+# the tolerance of its ceiling test, all relative where not counts
+_POLYDISC_TOL = 1e-9
+_POLYDISC_CAP = 400_000
+_POLYDISC_CHUNK = 2048
+_CEILING_TOL = 1e-12
+
+
+def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> ComputationResult:
+    """max{ f(x) : |x_j| <= r_j } by branch-and-bound on the phase torus.
+
+    ``objective_many`` maps a 2-d array of points to the values of a convex,
+    absolutely homogeneous f.  Convexity puts the maximum on the extreme
+    points x_j = r_j exp(i theta_j), and homogeneity fixes theta_0 = 0.  The
+    caller's ``starts`` (rows) are scored first; if the best reaches
+    ``ceiling``, an upper bound on f over the polydisc, within 1e-12
+    relative, the search ends there.  Otherwise each coordinate's circle
+    starts as 4 arcs.  The arc [c - h, c + h] lies in the triangle with
+    vertices exp(i(c -+ h)) and exp(ic)/cos h, so by convexity the largest
+    value over a box's vertex combinations bounds f on the box, and its
+    endpoint combinations are feasible points.  Boxes whose bound is within
+    1e-9 (relative) of the best feasible value are dropped, the rest halved
+    in every coordinate, until none is left or the row cap is reached.
+
+    The result is the best feasible point found and its value, labelled a
+    lower bound; ``evaluations`` counts the rows scored.  No random draws:
+    equal inputs give equal bits.
+    """
+    r = np.asarray(radii, dtype=np.float64)
+    points = np.asarray(starts, dtype=np.complex128)
+    vals = objective_many(points)
+    k = int(np.argmax(vals))
+    best, witness = float(vals[k]), points[k]
+    evals = len(points)
+    if best >= ceiling * (1.0 - _CEILING_TOL):
+        return ComputationResult(best, witness, LOWER_BOUND, evals)
+
+    d = r.size - 1
+    # per free coordinate: 0 and 1 pick the arc ends c - h and c + h, 2 the apex
+    choice = np.array(list(itertools.product(range(3), repeat=d)), dtype=int).reshape(3**d, d)
+    ends = np.flatnonzero((choice < 2).all(axis=1))
+    halves = np.array(list(itertools.product((-0.5, 0.5), repeat=d))).reshape(2**d, d)
+    h = np.pi / 4
+    arcs = (2 * np.arange(4) + 1) * h
+    centers = np.array(list(itertools.product(arcs, repeat=d))).reshape(4**d, d)
+    per_box = len(choice)
+    boxes_per_chunk = max(1, _POLYDISC_CHUNK // per_box)
+    while len(centers) and evals + len(centers) * per_box <= _POLYDISC_CAP:
+        # the vertices of the box centred at c are exp(ic) times the rows here
+        turns = np.array([np.exp(-1j * h), np.exp(1j * h), 1.0 / math.cos(h)])
+        offsets = turns[choice] * r[1:]
+        uppers = np.empty(len(centers))
+        for lo in range(0, len(centers), boxes_per_chunk):
+            chunk = centers[lo : lo + boxes_per_chunk]
+            rows = np.empty((len(chunk), per_box, d + 1), dtype=np.complex128)
+            rows[..., 0] = r[0]
+            rows[..., 1:] = np.exp(1j * chunk)[:, None, :] * offsets
+            vals = objective_many(rows.reshape(-1, d + 1)).reshape(len(chunk), per_box)
+            uppers[lo : lo + len(chunk)] = vals.max(axis=1)
+            at_ends = vals[:, ends]
+            k = int(np.argmax(at_ends))
+            if at_ends.flat[k] > best:
+                box, end = divmod(k, len(ends))
+                best, witness = float(at_ends.flat[k]), rows[box, ends[end]].copy()
+        evals += len(centers) * per_box
+        live = centers[uppers > best * (1.0 + _POLYDISC_TOL)]
+        centers = (live[:, None, :] + h * halves).reshape(len(live) * len(halves), d)
+        h /= 2
+    return ComputationResult(best, witness, LOWER_BOUND, evals)
 
 
 def _on_sphere(objective, domain_eval):

@@ -3,7 +3,8 @@
 These never call the library's optimizers: the sphere oracle enumerates a
 dense quasi-uniform grid on the unit sphere of C^2 (moduli parameter times a
 relative phase, global phase fixed by invariance) and refines around the
-best cell.
+best cell; the torus oracle scans the phases of the polydisc's extreme points
+in any dimension and polishes every local peak of the scan.
 """
 
 import numpy as np
@@ -62,3 +63,47 @@ def dense_gind_oracle(a: np.ndarray, domain_p: float, codomain_p: float, codomai
         return codomain_scale * lp_batched(a @ x, codomain_p)
 
     return dense_sphere_max(objective, domain_p)
+
+
+def dense_torus_max(objective_batched, radii, grid: int, rounds: int = 40, width: int = 9):
+    """max of a convex, phase-invariant objective over the polydisc |x_j| <= r_j.
+
+    The maximum lies on the torus x_j = r_j e^{i theta_j}, theta_0 = 0.
+    ``objective_batched`` maps an (n, N) array of points to N values.  Scans
+    ``grid**(n-1)`` phase vectors, then polishes every grid point that no
+    axis neighbour beats with ``rounds`` local ``width**(n-1)`` grids, each
+    half as wide as the one before.
+    """
+    r = np.asarray(radii, dtype=float)
+    d = r.size - 1
+
+    def points(theta):
+        x = np.empty((d + 1, len(theta)), dtype=np.complex128)
+        x[0] = r[0]
+        x[1:] = r[1:, None] * np.exp(1j * theta.T)
+        return x
+
+    if d == 0:
+        return float(objective_batched(points(np.zeros((1, 0))))[0])
+    axis = 2 * np.pi * np.arange(grid) / grid
+    mesh = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)
+    vals = objective_batched(points(mesh.reshape(-1, d))).reshape((grid,) * d)
+    peaks = np.ones(vals.shape, dtype=bool)
+    for ax in range(d):
+        for shift in (1, -1):
+            peaks &= vals >= np.roll(vals, shift, axis=ax)
+    local = np.linspace(-1.0, 1.0, width)
+    offsets = np.stack(np.meshgrid(*[local] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    best = -np.inf
+    for idx in np.argwhere(peaks):
+        center, value = axis[idx], float(vals[tuple(idx)])
+        half = 2 * np.pi / grid
+        for _ in range(rounds):
+            cand = center + half * offsets
+            cand_vals = objective_batched(points(cand))
+            k = int(np.argmax(cand_vals))
+            if cand_vals[k] >= value:
+                center, value = cand[k], float(cand_vals[k])
+            half /= 2
+        best = max(best, value)
+    return best

@@ -110,3 +110,20 @@ def test_batched_ascent_bypasses_the_scalar_kernel():
         t.uninstall()
     assert res.exactness == "lower_bound"
     assert t.totals["vector_norms.vnorm_eval"][0] < 100
+
+
+def test_gind_mix_ascent_shapes_keep_their_label_and_witness_checks(tmp_path):
+    # gind-mix pins "lower_bound" on its four ascent shapes, the two l-inf
+    # domain ones (linf->l1, linf->linf) included, which the polydisc search
+    # now answers; a stronger label there has to land with a benchmark change
+    mix = workloads.build("gind-mix", 3001, str(tmp_path))
+    ascents = [call for call in mix.calls if call.kind == "ascent"]
+    shapes = {call.label.split()[0] for call in ascents}
+    assert shapes == {"linf->l1", "l3->l1.5", "linf->linf", "max(l1,2linf)->l2"}
+    checks = workloads.Checks()
+    for call in ascents:
+        result = call.run()
+        assert result.exactness == "lower_bound", call.label
+        call.check(result, checks)
+    assert checks.attempted > 0
+    assert checks.failed == 0, checks.messages

@@ -5,8 +5,11 @@ batches; an objective given as a bare callable is scored one candidate at a
 time.  Both walk the same sweep in the same order, so both return the same
 bits.  ``data/gind_ascent_golden.json`` pins value, witness and evaluation
 count of the four ascent pairs of the benchmark's ``gind-mix`` workload at
-n = 2, 3, 4, as the one-candidate-at-a-time climb computed them.  Regenerate
-it (only on purpose) with ``PYTHONPATH=src python tests/test_climb_trajectory.py``.
+n = 2, 3, 4, as the one-candidate-at-a-time climb computed them.  The two
+l-inf-domain pairs are no longer climbed (``gind_eval`` sends them to the
+polydisc branch-and-bound), so their entries serve as floors the new values
+must reach.  Regenerate the climbed entries (only on purpose) with
+``PYTHONPATH=src python tests/test_climb_trajectory.py``.
 """
 
 import functools
@@ -15,6 +18,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from normlab import GIndPair, Lp, MaxOf, Scaled, default_budget, gind_eval
 from normlab.gind import _quality_seeds
@@ -29,6 +33,7 @@ PAIRS = {
     "linf->linf": GIndPair(Lp(math.inf), Lp(math.inf)),
     "max(l1,2linf)->l2": GIndPair(MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))), Lp(2)),
 }
+CLIMBED = ("l3->l1.5", "max(l1,2linf)->l2")
 
 
 def _hex_array(a: np.ndarray) -> list:
@@ -51,8 +56,11 @@ def _cases():
 
 
 def _compute() -> dict:
-    doc = {}
+    """The golden document with the climbed entries recomputed."""
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for label, pair, a, budget in _cases():
+        if label.split()[0] not in CLIMBED:
+            continue
         res = gind_eval(pair, a, budget)
         doc[label] = {
             "seed": budget.seed,
@@ -75,6 +83,15 @@ def test_gind_ascents_match_golden():
         assert want["seed"] == budget.seed
         matrix = _from_hex(want["matrix"], (n, n))
         res = gind_eval(pair, matrix, budget)
+        if label.split()[0] not in CLIMBED:
+            # the branch-and-bound reaches at least what the climb found
+            assert res.value >= float.fromhex(want["value"]) * (1 - 1e-9), label
+            assert res.exactness == "lower_bound", label
+            assert vnorm_eval(pair.norm1, res.witness) == pytest.approx(1.0, rel=1e-12), label
+            assert vnorm_eval(pair.norm2, matrix @ res.witness) == pytest.approx(
+                res.value, rel=1e-12
+            ), label
+            continue
         assert float(res.value).hex() == want["value"], label
         assert res.witness.tobytes() == _from_hex(want["witness"], (n,)).tobytes(), label
         assert res.exactness == want["exactness"] == "lower_bound", label

@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from _oracles import dense_sphere_max, dense_torus_max, lp_batched
 
 from normlab import (
     EXACT_CLOSED_FORM,
@@ -18,6 +20,7 @@ from normlab import (
     RandomStream,
     Scaled,
     Spectral,
+    WeightedLp,
     chain_compare,
     extract_pair,
     gind_eval,
@@ -27,6 +30,7 @@ from normlab import (
     vnorm_dual_eval,
     vnorm_eval,
 )
+from normlab import core, gind, sphere_opt
 
 J2 = np.ones((2, 2), dtype=np.complex128)
 B = OptBudget(multistarts=4, max_iters=300, samples=16, step_init=0.5, tol=1e-8, seed=5)
@@ -214,3 +218,156 @@ def test_extracted_catalog_pairs_reconstruct_through_the_dispatch(source, exactn
                 assert res.value <= want * (1 + 1e-9)
             else:
                 assert res.value == pytest.approx(want, rel=1e-12)
+
+
+# l-inf and weighted l-inf domains: the polydisc branch-and-bound
+
+INF = math.inf
+
+
+def _linf_domains(n: int):
+    return [Lp(INF), WeightedLp((2.0, 1.0, 0.5, 1.25)[:n], INF)]
+
+
+def _radii(domain, n: int) -> np.ndarray:
+    return np.ones(n) if isinstance(domain, Lp) else 1.0 / np.asarray(domain.weights)
+
+
+def _batch_codomains(n: int):
+    return [
+        Lp(1),
+        Lp(1.5),
+        Lp(2),
+        Lp(3),
+        Lp(INF),
+        WeightedLp((0.5, 2.0, 1.0, 3.0)[:n], 1.5),
+        Scaled(2.0, Lp(2)),
+        MaxOf((Lp(1), Scaled(2.0, Lp(INF)))),
+    ]
+
+
+def _column_norms(spec):
+    """The codomain descriptor on the columns of a 2-d array, in plain numpy."""
+    if isinstance(spec, Lp):
+        return lambda y: lp_batched(y, spec.p)
+    if isinstance(spec, WeightedLp):
+        w = np.asarray(spec.weights)[:, None]
+        return lambda y: lp_batched(w * y, spec.p)
+    if isinstance(spec, Scaled):
+        inner = _column_norms(spec.inner)
+        return lambda y: spec.gamma * inner(y)
+    parts = [_column_norms(part) for part in spec.parts]
+    return lambda y: np.max([part(y) for part in parts], axis=0)
+
+
+def _complex(g: np.random.Generator, n: int) -> np.ndarray:
+    return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
+
+
+def _check_witness(pair, a, res):
+    assert vnorm_eval(pair.norm1, res.witness) == pytest.approx(1.0, rel=1e-12)
+    assert vnorm_eval(pair.norm2, a @ res.witness) == pytest.approx(res.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linf_domains_match_dense_oracles(n):
+    # n = 2: the sphere enumeration behind dense_gind_oracle, on an odd grid
+    # so that every round keeps the torus's modulus profile; n = 3, 4: a torus
+    # grid with a local polish of each of its peaks
+    g = np.random.default_rng([2024, n])
+    for domain in _linf_domains(n):
+        r = _radii(domain, n)
+        for codomain in _batch_codomains(n):
+            a = _complex(g, n)
+            norm2 = _column_norms(codomain)
+            if n == 2:
+                oracle = dense_sphere_max(lambda y: norm2((a * r) @ y), INF, grid=341, rounds=4)
+            else:
+                oracle = dense_torus_max(lambda x: norm2(a @ x), r, grid=(0, 0, 96, 40)[n - 1])
+            pair = GIndPair(domain, codomain)
+            res = gind_eval(pair, a)
+            label = f"{domain} -> {codomain}"
+            assert res.exactness == LOWER_BOUND, label
+            assert abs(res.value - oracle) <= 1e-9 * oracle, label
+            assert res.value <= oracle * (1 + 1e-12), label
+            _check_witness(pair, a, res)
+
+
+def _dft(n: int) -> np.ndarray:
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
+def _dft_value(codomain, n: int) -> float:
+    """max ||F x|| over unimodular x, F = DFT/sqrt(n) unitary: ||F x||_2 = sqrt(n)
+    always, so l_p peaks at n^(1/p) (flat F x, which some x gives) for p <= 2
+    and at sqrt(n) (F x = sqrt(n) e_0 at x = 1) for p >= 2."""
+    if isinstance(codomain, Lp):
+        return n ** max(1.0 / codomain.p, 0.5)
+    if isinstance(codomain, Scaled):
+        return codomain.gamma * _dft_value(codomain.inner, n)
+    return max(_dft_value(part, n) for part in codomain.parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flat_maxima_are_exact(n):
+    # the absolute bound N2(|A| r) settles the identity, a permutation, a
+    # single-entry, the all-ones and the zero matrix from the starts, though
+    # the whole torus (or whole circles of it) maximizes most of them;
+    # DFT/sqrt(n) into l2 is flat everywhere and below that bound, so it runs
+    # the search, within 0.5 s a call
+    perm = np.roll(np.eye(n), 1, axis=0)
+    single = np.zeros((n, n), dtype=np.complex128)
+    single[n - 1, 0] = 2.0 - 1.0j
+    for domain in _linf_domains(n):
+        r = _radii(domain, n)
+        for codomain in _batch_codomains(n):
+            pair = GIndPair(domain, codomain)
+            settled = [
+                (np.eye(n), vnorm_eval(codomain, r)),
+                (perm, vnorm_eval(codomain, perm @ r)),
+                (single, abs(single[n - 1, 0]) * r[0] * vnorm_eval(codomain, np.eye(n)[n - 1])),
+                (np.ones((n, n)), vnorm_eval(codomain, np.full(n, r.sum()))),
+                (np.zeros((n, n)), 0.0),
+            ]
+            for a, want in settled:
+                res = gind_eval(pair, a)
+                assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert res.evaluations == n
+                _check_witness(pair, a, res)
+            if isinstance(domain, Lp) and not isinstance(codomain, WeightedLp):
+                start = time.perf_counter()
+                res = gind_eval(pair, _dft(n))
+                assert time.perf_counter() - start < 0.5
+                assert res.value == pytest.approx(_dft_value(codomain, n), rel=1e-9)
+                _check_witness(pair, _dft(n), res)
+
+
+def test_linf_to_linf_is_the_max_row_sum_from_the_starts():
+    g = np.random.default_rng(29)
+    for n in (1, 2, 3, 4):
+        for domain in _linf_domains(n):
+            r = _radii(domain, n)
+            for _ in range(20):
+                a = _complex(g, n)
+                res = gind_eval(GIndPair(domain, Lp(INF)), a)
+                assert res.value == pytest.approx(float((np.abs(a) @ r).max()), rel=1e-15)
+                assert res.evaluations == n
+
+
+def test_linf_domains_never_climb(monkeypatch):
+    # no climb, no eigen solve, no random stream: the search is deterministic
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the polydisc search must not reach this")
+
+    monkeypatch.setattr(sphere_opt, "_climb", forbidden)
+    monkeypatch.setattr(gind, "hermitian_top_eig", forbidden)
+    monkeypatch.setattr(core.RandomStream, "generator", forbidden)
+    g = np.random.default_rng(31)
+    for n in (1, 2, 3, 4):
+        for domain in _linf_domains(n):
+            for codomain in _batch_codomains(n):
+                for outer in (1.0, 3.0):
+                    pair = GIndPair(Scaled(outer, domain), codomain)
+                    res = gind_eval(pair, _complex(g, n))
+                    assert res.exactness == LOWER_BOUND

@@ -2,10 +2,11 @@
 ``extraction._role1_ascent`` are absolutely homogeneous.
 
 Both callers assert homogeneity to the sphere maximizers, which then skip
-their runtime probe.  These tests run that probe, at its own 1e-8
-tolerance, on every objective the two callers build for the descriptors
-below, at n = 2 and n = 3.  The climb is driven directly, because
-``eval_role1`` answers these catalog sources in closed form.
+their runtime probe; ``gind_eval``'s polydisc search relies on it too.
+These tests run that probe, at its own 1e-8 tolerance, on every objective
+the two callers build for the descriptors below, at n = 2 and n = 3.  The
+climb is driven directly, because ``eval_role1`` answers these catalog
+sources in closed form.
 """
 
 import math
@@ -55,8 +56,11 @@ def _probe_objectives(monkeypatch, module, name, draw) -> list[int]:
 
 
 def _codomains(n: int):
+    """Codomains with a batch form (extracted catalog norms among them, via
+    ``concrete``), then two extracted norms of a source off the catalog."""
     weights = (2.0, 1.0, 0.5)[:n]
     role_source = MaxOf((MaxColSum(), MaxRowSum()))
+    off_catalog = MaxOf((EntrywiseMax(), MaxColSum()))
     return [
         Lp(1),
         Lp(3),
@@ -66,18 +70,40 @@ def _codomains(n: int):
         MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))),
         extract_norm1(role_source, INNER),
         extract_norm2(role_source, INNER),
+        extract_norm1(off_catalog, INNER),
+        extract_norm2(off_catalog, INNER),
     ]
+
+
+def _probe_polydisc_objectives(monkeypatch) -> list[int]:
+    """Rebind ``gind.maximize_on_polydisc`` so that the batch objective it
+    receives is probed, one row at a time, like ``_probe_objectives``."""
+    real = gind.maximize_on_polydisc
+    probed: list[int] = []
+
+    def probing(objective_many, radii, *args):
+        g = RandomStream(778, (len(probed),)).generator()
+        objective = lambda x: float(objective_many(x[None, :])[0])
+        probed.append(_check_homogeneity(objective, lambda gen: sample_vector(gen, len(radii)), g))
+        return real(objective_many, radii, *args)
+
+    monkeypatch.setattr(gind, "maximize_on_polydisc", probing)
+    return probed
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_gind_objectives_are_homogeneous(monkeypatch, n):
+    # on the l-inf domain, codomains with a batch form go to the polydisc
+    # search, the two off-catalog extracted ones to the sphere climb
     monkeypatch.setattr(extraction, "_ROLE1_CACHE", {})
-    probed = _probe_objectives(monkeypatch, gind, "maximize_on_sphere", sample_vector)
+    on_sphere = _probe_objectives(monkeypatch, gind, "maximize_on_sphere", sample_vector)
+    on_polydisc = _probe_polydisc_objectives(monkeypatch)
     g = RandomStream(33, (n,)).generator()
     codomains = _codomains(n)
     for codomain in codomains:
         gind.gind_eval(GIndPair(Lp(math.inf), codomain), sample_matrix(g, n), OUTER)
-    assert probed == [20] * len(codomains)
+    assert on_polydisc == [20] * (len(codomains) - 2)
+    assert on_sphere == [20] * 2
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -158,6 +158,16 @@ def test_paper_demo_suite_passes_and_replays():
         assert ca.values == cb.values
 
 
+def test_paper_demo_gap_probes_are_exact_at_seed_1355706853():
+    # the climb once left the entrywise-sum ratio at 0.705544 on this seed,
+    # below the true infimum sqrt(1/2), and the suite failed
+    report = paper_demo_suite(1355706853)
+    assert report.passed
+    values = report.cases[3].values
+    assert abs(values["entrywise_sum_ratio"] - math.sqrt(0.5)) <= 1e-9
+    assert abs(values["max_col_row_ratio"] - 0.5) <= 1e-12
+
+
 def test_failures_would_carry_witnesses():
     # every fail case in any suite must attach a witness; exercise the
     # reporting path through the undominated lemma21 search where the
