@@ -20,12 +20,13 @@ climb for them.
 The climb scores candidates in one of two ways.  When the caller gives a
 batch form of the objective and the domain norm has one
 (:func:`~normlab.vector_norms.has_batch_form`), as ``gind_eval`` does for
-pairs of plain descriptors (extracted catalog norms included), the rest of
-each sweep is scored in one call and the scores are walked in order;
-everything else (other ``Extracted`` norms, the matrix sphere, the phase
-torus, callers' own callables) is scored lazily, one candidate at a time,
-so no objective call is spent on a candidate the walk never reaches.
-Both take the same steps and return the same bits.
+pairs of plain descriptors (extracted catalog norms included), the starts
+run in lockstep: the climb scores the rest of each sweep of every start in
+one call per round and walks each start's scores in order.  Everything else
+(other ``Extracted`` norms, the matrix sphere, the phase torus, callers' own
+callables) climbs one start after another and scores lazily, one candidate
+at a time, so no objective call is spent on a candidate the walk never
+reaches.  Both take the same steps and return the same bits.
 """
 
 from __future__ import annotations
@@ -115,37 +116,6 @@ _SPHERE = (_sphere_moves, 4, _sphere_direction, 100)
 _TORUS = (_torus_moves, 2, _torus_direction, 200)
 
 
-class _Sweep:
-    """One sweep's candidates in order: every entry's moves, then x + d and
-    x - d for each random offset d.
-
-    An entry's moves are fixed when its first candidate is built, so that
-    rebuilding the rest of the sweep from a new point keeps them.
-    """
-
-    def __init__(self, entry_moves, per_entry: int, n_entries: int, offsets: list):
-        self.entry_moves = entry_moves
-        self.per_entry = per_entry
-        self.offsets = offsets
-        self.moves: list = [None] * n_entries
-        self.entries = n_entries * per_entry
-        self.size = self.entries + 2 * len(offsets)
-
-    def candidates(self, x: np.ndarray, start: int):
-        """Candidates start, start + 1, ... built from x, each when asked for."""
-        for pos in range(start, self.size):
-            if pos < self.entries:
-                k, j = pos // self.per_entry, pos % self.per_entry
-                if j == 0:
-                    self.moves[k] = self.entry_moves(x.flat[k])
-                cand = x.copy()
-                cand.flat[k] = self.moves[k][j]
-                yield cand
-            else:
-                r = pos - self.entries
-                yield x - self.offsets[r // 2] if r % 2 else x + self.offsets[r // 2]
-
-
 def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
            evaluate_many=None):
     """Multi-start hill climb; returns (best value, best point, evaluations).
@@ -153,30 +123,28 @@ def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
     ``evaluate(raw)`` scores a raw point as ``(value, point)`` on the search
     set, or returns None when the raw point has no image there; such points
     are neither scored nor counted.  The ``budget.multistarts`` best seeds
-    are climbed.  Each sweep tries the move set's moves for every entry,
-    all built from the entry's value at the start of its turn, plus two
-    random directions in both signs; the other entries and the random moves
-    always start from the current point.  A candidate is accepted when it
-    beats the current value by a factor 1 + 1e-15.  The step grows 1.3x
-    after an improving sweep and decays 0.7x after a fully failed one;
-    ``budget.max_iters`` caps scored candidates per start.  Ties across
-    starts and seeds resolve to the lowest index, keeping results
-    schedule-independent.
+    are climbed, each from its own random stream.  Each sweep tries the move
+    set's moves for every entry, all built from the entry's value at the
+    start of its turn, plus two random directions in both signs; the other
+    entries and the random moves always start from the current point.  A
+    candidate is accepted when it beats the current value by a factor
+    1 + 1e-15.  The step grows 1.3x after an improving sweep and decays 0.7x
+    after a fully failed one; ``budget.max_iters`` caps scored candidates
+    per start.  Ties across starts and seeds resolve to the lowest index,
+    keeping results schedule-independent.
 
-    Without ``evaluate_many`` candidates are built and scored lazily, one at
-    a time.  ``evaluate_many(raws)``, a list-valued ``evaluate`` for a
-    sequence of raw points, gets the rest of the sweep (at most the
-    candidates the budget has left), built from the current point, in one
-    call; after an accepted move the rest is rebuilt from the new point and
-    scored again.  Scores past an accepted move are discarded unread, so the
-    walk, the result and the evaluation count are the same either way.
+    Without ``evaluate_many`` each start climbs in turn and candidates are
+    built and scored lazily, one at a time.  ``evaluate_many``, the array
+    form of ``evaluate`` on the renormalized sphere (:func:`_on_sphere_many`),
+    runs the starts in lockstep instead (:func:`_lockstep_climb`): it scores
+    the rest of each sweep of every start in one call per round.  Both walk
+    every start's sweeps in the same order, so the result and the
+    evaluation count are the same bits either way.
     """
-    if evaluate_many is None:
-        score = lambda raws: map(evaluate, raws)
-    else:
-        score = lambda raws: evaluate_many(list(raws))
+    if evaluate_many is not None:
+        return _lockstep_climb(evaluate_many, pool, budget, rng)
     sweep_moves, per_entry, direction, stream_base = move_set
-    seeds = [scored for scored in score(pool) if scored is not None]
+    seeds = [scored for scored in map(evaluate, pool) if scored is not None]
     if not seeds:
         raise HomogeneityError("no seed lies on the domain sphere")
     evals = len(seeds)
@@ -190,24 +158,29 @@ def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
         while step >= budget.tol and used < budget.max_iters:
             entry_moves, reach = sweep_moves(x, step)
             offsets = [reach * direction(g, x.shape) for _ in range(2)]
-            sweep = _Sweep(entry_moves, per_entry, x.size, offsets)
+            entries = x.size * per_entry
             improved = False
-            pos = 0
-            while pos < sweep.size and used < budget.max_iters:
-                rest = itertools.islice(sweep.candidates(x, pos), budget.max_iters - used)
-                for scored in score(rest):
-                    pos += 1
-                    if scored is None:
-                        continue
-                    evals += 1
-                    used += 1
-                    if scored[0] > val * (1.0 + 1e-15):
-                        val, x = scored
-                        improved = True
-                        break
-                    if used >= budget.max_iters:
-                        break
+            for pos in range(entries + 2 * len(offsets)):
+                if pos < entries:
+                    k, j = divmod(pos, per_entry)
+                    if j == 0:  # the entry's moves are fixed at the start of its turn
+                        moves = entry_moves(x.flat[k])
+                    raw = x.copy()
+                    raw.flat[k] = moves[j]
+                else:
+                    r = pos - entries
+                    raw = x - offsets[r // 2] if r % 2 else x + offsets[r // 2]
+                scored = evaluate(raw)
+                if scored is None:
+                    continue
+                used += 1
+                if scored[0] > val * (1.0 + 1e-15):
+                    val, x = scored
+                    improved = True
+                if used >= budget.max_iters:
+                    break
             step *= _GROWTH if improved else _DECAY
+        evals += used
         if val > best_val:
             best_val, best_x = val, x
 
@@ -216,6 +189,137 @@ def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
         if val > best_val:
             best_val, best_x = val, x
     return best_val, best_x, evals
+
+
+def _entry_moves_many(x: np.ndarray, step: np.ndarray, inject: np.ndarray) -> np.ndarray:
+    """Every entry's :func:`_sphere_moves` moves for each row of x, (S, n, 4).
+
+    Row i uses ``step[i]`` and ``inject[i]``.  The phase rotations are
+    spelled out in real arithmetic: numpy's array complex multiply may fuse
+    a product and a sum (FMA) and then differs in the last bit from the
+    scalar ``np.complex128 * complex`` product the one-at-a-time walk uses.
+    """
+    cos = np.array([math.cos(t) for t in step.tolist()])[:, None]
+    sin = np.array([math.sin(t) for t in step.tolist()])[:, None]
+    grow = (1.0 + step)[:, None]
+    a, b = x.real, x.imag
+    moves = np.empty(x.shape + (4,), dtype=np.complex128)
+    moves.real[..., 0] = a * cos - b * sin
+    moves.imag[..., 0] = a * sin + b * cos
+    moves.real[..., 1] = a * cos + b * sin
+    moves.imag[..., 1] = b * cos - a * sin
+    moves[..., 2] = x * grow
+    moves[..., 3] = x / grow
+    zero = x == 0
+    if zero.any():  # (inject, -inject, 1j * inject, -1j * inject), zeros +0
+        inj = np.broadcast_to(inject[:, None], x.shape)[zero]
+        injections = np.zeros((inj.size, 4), dtype=np.complex128)
+        injections.real[:, 0], injections.real[:, 1] = inj, -inj
+        injections.imag[:, 2], injections.imag[:, 3] = inj, -inj
+        moves[zero] = injections
+    return moves
+
+
+def _lockstep_climb(evaluate_many, pool: list, budget: OptBudget, rng: RandomStream):
+    """:func:`_climb` over the renormalized sphere with every start in lockstep.
+
+    ``evaluate_many(rows)`` maps a 2-d array of raw points to ``(ok, values,
+    points)``, the array form of ``evaluate``.  Each round, every live start
+    contributes the rest of its current sweep, built from its current point
+    and cut at the candidates its budget has left; all rows are scored in
+    one call.  Each start's segment is then walked as one candidate at a
+    time would be: rows that are not ``ok`` are skipped uncounted, and the
+    first row that beats the start's value is its move, after which its rest
+    is rebuilt from the new point in the next round.  Because a segment never
+    outruns the budget, the budget stop falls at a segment's end.  Each start
+    draws its random directions from its own stream, banked a few sweeps at
+    a time.
+    """
+    ok, vals, points = evaluate_many(np.asarray(pool))
+    if not ok.any():
+        raise HomogeneityError("no seed lies on the domain sphere")
+    seed_vals, seed_points = vals[ok], points[ok]
+    starts = _rank_starts(seed_vals.tolist(), budget.multistarts)
+    stream_base = _SPHERE[3]
+    n = seed_points.shape[1]
+    entries = 4 * n
+    size = entries + 4
+    cols = np.arange(entries)
+    lane = np.arange(size)
+
+    val = seed_vals[starts]
+    x = seed_points[starts]
+    count = len(starts)
+    step = np.full(count, budget.step_init)
+    used = np.zeros(count, dtype=int)
+    pos = np.zeros(count, dtype=int)
+    improved = np.zeros(count, dtype=bool)
+    inject = np.zeros(count)
+    offsets = np.zeros((count, 2, n), dtype=np.complex128)
+    moves = np.zeros((count, n, 4), dtype=np.complex128)
+    gens = [rng.child(stream_base + idx).generator() for idx in starts]
+    # per start, pairs of (re, im) normal draws for a few sweeps ahead
+    banked = min(64, -(-budget.max_iters // size) + 1)
+    bank = np.stack([g.standard_normal((banked, 2, 2, n)) for g in gens])
+    drawn = np.zeros(count, dtype=int)
+
+    live = np.flatnonzero(step >= budget.tol)
+    opening = live
+    while live.size:
+        if opening.size:
+            for i in opening[drawn[opening] == banked].tolist():
+                bank[i] = gens[i].standard_normal((banked, 2, 2, n))
+                drawn[i] = 0
+            draws = bank[opening, drawn[opening]]
+            drawn[opening] += 1
+            d = draws[:, :, 0] + 1j * draws[:, :, 1]
+            d = d / vnorm_eval_many(Lp(2.0), d.reshape(-1, n)).reshape(-1, 2, 1)
+            reach = step[opening] * vnorm_eval_many(Lp(2.0), x[opening])
+            inject[opening] = reach / math.sqrt(n)
+            offsets[opening] = reach[:, None, None] * d
+            pos[opening] = 0
+            improved[opening] = False
+
+        xl, lo = x[live], pos[live]
+        fresh = _entry_moves_many(xl, step[live], inject[live])
+        renew = (4 * np.arange(n) >= lo[:, None])[..., None]
+        moves[live] = np.where(renew, fresh, moves[live])
+        cands = np.empty((live.size, size, n), dtype=np.complex128)
+        cands[:, :entries] = xl[:, None, :]
+        cands[:, cols, cols // 4] = moves[live].reshape(live.size, entries)
+        cands[:, entries::2] = xl[:, None, :] + offsets[live]
+        cands[:, entries + 1 :: 2] = xl[:, None, :] - offsets[live]
+        hi = np.minimum(size, lo + budget.max_iters - used[live])
+        rows = cands[(lane >= lo[:, None]) & (lane < hi[:, None])]
+
+        ok, vals, points = evaluate_many(rows)
+        first_row = np.concatenate(([0], np.cumsum(hi - lo)))
+        beats = ok & (vals > np.repeat(val[live] * (1.0 + 1e-15), hi - lo))
+        marks = np.where(beats, np.arange(len(rows)), len(rows))
+        accepted = np.minimum.reduceat(marks, first_row[:-1])
+        hit = accepted < len(rows)
+        stop = np.where(hit, accepted + 1, first_row[1:])
+        counted = np.concatenate(([0], np.cumsum(ok)))
+        used[live] += counted[stop] - counted[first_row[:-1]]
+        pos[live] += stop - first_row[:-1]
+        movers, at = live[hit], accepted[hit]
+        val[movers], x[movers], improved[movers] = vals[at], points[at], True
+
+        ended = live[(pos[live] >= size) | (used[live] >= budget.max_iters)]
+        step[ended] *= np.where(improved[ended], _GROWTH, _DECAY)
+        going = (step >= budget.tol) & (used < budget.max_iters)
+        opening = ended[going[ended]]
+        live = live[going[live]]
+
+    best_val, best_x = -math.inf, None
+    for v, point in zip(val.tolist(), x):
+        if v > best_val:
+            best_val, best_x = v, point
+    # include seeds that were not ascended from
+    for v, point in zip(seed_vals.tolist(), seed_points):
+        if v > best_val:
+            best_val, best_x = v, point
+    return best_val, best_x, len(seed_vals) + int(used.sum())
 
 
 # the polydisc search's pruning tolerance, its cap on scored rows (which
@@ -304,19 +408,23 @@ def _on_sphere(objective, domain_eval):
 
 
 def _on_sphere_many(objective_many, domain_norm):
-    """Batch form of :func:`_on_sphere` for a domain descriptor with a batch
-    form; bit-identical to it point by point."""
+    """Array form of :func:`_on_sphere` for a domain descriptor with a batch
+    form: rows map to ``(ok, values, points)``, where ``ok`` marks the rows
+    with a point on the sphere and, on those rows, values and points equal
+    :func:`_on_sphere`'s bit for bit; the other rows hold NaN and zeros."""
 
-    def evaluate_many(raws):
-        rows = np.asarray(raws)
+    def evaluate_many(rows):
+        rows = np.asarray(rows, dtype=np.complex128)
         dn = vnorm_eval_many(domain_norm, rows)
-        ok = [_TINY <= v < math.inf for v in dn.tolist()]
-        if all(ok):  # the usual case; masking every batch costs gind-mix ~15%
+        ok = (dn >= _TINY) & (dn < math.inf)
+        if ok.all():  # the usual case; masking every batch costs gind-mix ~15%
             points = rows / dn[:, None]
-            return list(zip(objective_many(points).tolist(), points))
-        points = rows[ok] / dn[ok, None]
-        scored = iter(zip(objective_many(points).tolist(), points))
-        return [next(scored) if good else None for good in ok]
+            return ok, objective_many(points), points
+        points = np.zeros_like(rows)
+        points[ok] = rows[ok] / dn[ok, None]
+        vals = np.full(len(rows), math.nan)
+        vals[ok] = objective_many(points[ok])
+        return ok, vals, points
 
     return evaluate_many
 

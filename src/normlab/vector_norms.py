@@ -190,8 +190,9 @@ def _lp_of_moduli_many(m: np.ndarray, p: float) -> np.ndarray:
     live = peak != 0.0  # NaN peaks stay live and propagate, as in the scalar form
     safe = np.where(live, peak, 1.0)[:, None]
     sums = ((m / safe) ** p).sum(axis=1)
-    # the array power differs from the scalar one in the last bit
-    root = np.array([s ** (1.0 / p) for s in sums])
+    # the array power differs from the scalar one in the last bit; the root
+    # of a Python float is the same libm pow as the scalar form's, but cheaper
+    root = np.array([s ** (1.0 / p) for s in sums.tolist()])
     return np.where(live, peak * root, 0.0)
 
 

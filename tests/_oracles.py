@@ -31,7 +31,7 @@ def _sphere_points(domain_p: float, t: np.ndarray, phi: np.ndarray) -> np.ndarra
     return x / scale
 
 
-def dense_sphere_max(objective_batched, domain_p: float, grid: int = 340, rounds: int = 3):
+def dense_sphere_max(objective_batched, domain_p: float, grid: int = 341, rounds: int = 3):
     """max of a phase-invariant objective over the l_p unit sphere of C^2.
 
     ``objective_batched`` maps a (2, N) array of points to N values.  Runs

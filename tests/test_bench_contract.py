@@ -127,3 +127,27 @@ def test_gind_mix_ascent_shapes_keep_their_label_and_witness_checks(tmp_path):
         call.check(result, checks)
     assert checks.attempted > 0
     assert checks.failed == 0, checks.messages
+
+
+def test_lockstep_climb_scores_each_round_in_one_call(monkeypatch):
+    # the starts climb in lockstep, so the batch objective is called once per
+    # round, not once per start and segment (791 / 1,046 / 1,266 calls when
+    # the starts climbed one after another); rows scored and evaluations are
+    # those of the one-after-another climb
+    from normlab import GIndPair, Lp, default_budget, gind, gind_eval
+
+    batch = gind.vnorm_eval_many
+    calls = []
+
+    def counting(spec, xs):
+        calls.append(len(xs))
+        return batch(spec, xs)
+
+    monkeypatch.setattr(gind, "vnorm_eval_many", counting)
+    for n, rows, evaluations in ((2, 8520, 6536), (3, 14298, 9803), (4, 20467, 13070)):
+        calls.clear()
+        a = np.random.default_rng(11).standard_normal((n, n)) + 0.5j
+        res = gind_eval(GIndPair(Lp(3), Lp(1.5)), a, default_budget(n, 29))
+        assert len(calls) <= 100, n
+        assert sum(calls) == rows, n
+        assert res.evaluations == evaluations, n

@@ -1,17 +1,19 @@
-"""The batched sphere climb replays the one-candidate-at-a-time climb exactly.
+"""The lockstep sphere climb replays the one-candidate-at-a-time climb exactly.
 
-``gind_eval`` on pairs of plain descriptors scores each sweep's candidates in
-batches; an objective given as a bare callable is scored one candidate at a
-time.  Both walk the same sweep in the same order, so both return the same
-bits.  ``data/gind_ascent_golden.json`` pins value, witness and evaluation
-count of the four ascent pairs of the benchmark's ``gind-mix`` workload at
-n = 2, 3, 4, as the one-candidate-at-a-time climb computed them.  The two
+``gind_eval`` on pairs of plain descriptors climbs its starts in lockstep and
+scores the rest of each sweep of every start in one call per round; an
+objective given as a bare callable is scored one candidate at a time.  Both
+walk each start's sweeps in the same order, so both return the same bits.
+``data/gind_ascent_golden.json`` pins value, witness and evaluation count of
+the four ascent pairs of the benchmark's ``gind-mix`` workload at n = 2, 3,
+4, as the one-candidate-at-a-time climb computed them.  The two
 l-inf-domain pairs are no longer climbed (``gind_eval`` sends them to the
 polydisc branch-and-bound), so their entries serve as floors the new values
 must reach.  Regenerate the climbed entries (only on purpose) with
 ``PYTHONPATH=src python tests/test_climb_trajectory.py``.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -20,9 +22,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normlab import GIndPair, Lp, MaxOf, Scaled, default_budget, gind_eval
+from normlab import GIndPair, Lp, MaxOf, OptBudget, Scaled, default_budget, gind_eval
 from normlab.gind import _quality_seeds
-from normlab.sphere_opt import _on_sphere, _on_sphere_many, maximize_on_sphere
+from normlab.sphere_opt import (
+    _entry_moves_many,
+    _on_sphere,
+    _on_sphere_many,
+    _sphere_moves,
+    maximize_on_sphere,
+)
 from normlab.vector_norms import vnorm_eval, vnorm_eval_many
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "gind_ascent_golden.json"
@@ -98,31 +106,44 @@ def test_gind_ascents_match_golden():
         assert res.evaluations == want["evaluations"], label
 
 
-def test_batched_and_scalar_climbs_agree_bit_for_bit():
-    # gind_eval's descriptors have batch forms; the same objective handed over
-    # as a bare callable takes the one-candidate-at-a-time path
-    n = 3
-    pair = GIndPair(Lp(3), Lp(1.5))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("cut", ["default", "one start", "mid-sweep"])
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_batched_and_scalar_climbs_agree_bit_for_bit(n, cut, zero_row):
+    # gind_eval's descriptors have batch forms, so its starts climb in
+    # lockstep; the same objective handed over as a bare callable takes the
+    # one-candidate-at-a-time path.  max_iters = 7 stops every start inside
+    # its first sweep
+    default = default_budget(n, 29)
+    budget = {
+        "default": default,
+        "one start": dataclasses.replace(default, multistarts=1),
+        "mid-sweep": OptBudget(multistarts=3, max_iters=7, samples=8, seed=5),
+    }[cut]
     a = np.random.default_rng(11).standard_normal((n, n)) + 0.5j
-    budget = default_budget(n, 29)
-    batched = gind_eval(pair, a, budget)
-    scalar = maximize_on_sphere(
-        lambda x: vnorm_eval(pair.norm2, a @ x),
-        pair.norm1,
-        n,
-        budget,
-        objective_homogeneous=True,
-        extra_seeds=_quality_seeds(a),
-    )
-    assert float(batched.value).hex() == float(scalar.value).hex()
-    assert batched.witness.tobytes() == scalar.witness.tobytes()
-    assert batched.evaluations == scalar.evaluations
-    assert batched.exactness == scalar.exactness == "lower_bound"
+    if zero_row:
+        a[n // 2] = 0.0
+    for label in CLIMBED:
+        pair = PAIRS[label]
+        batched = gind_eval(pair, a, budget)
+        scalar = maximize_on_sphere(
+            lambda x: vnorm_eval(pair.norm2, a @ x),
+            pair.norm1,
+            n,
+            budget,
+            objective_homogeneous=True,
+            extra_seeds=_quality_seeds(a),
+        )
+        assert float(batched.value).hex() == float(scalar.value).hex(), label
+        assert batched.witness.tobytes() == scalar.witness.tobytes(), label
+        assert batched.evaluations == scalar.evaluations, label
+        assert batched.exactness == scalar.exactness == "lower_bound", label
 
 
 def test_batched_scorer_matches_the_scalar_one_on_rejected_rows():
     # rows with no point on the sphere (zero, below 1e-300, non-finite) are
-    # None in both scorers; the others agree bit for bit
+    # None for the scalar scorer and not ok for the array one; on the other
+    # rows values and points agree bit for bit
     domain = MaxOf((Lp(3), Scaled(0.5, Lp(1))))
     a = np.array([[1.0, 2.0j, 0.5], [0.0, -1.0, 1.0 + 1.0j], [2.0, 0.0, -0.5j]])
     raws = [
@@ -142,14 +163,31 @@ def test_batched_scorer_matches_the_scalar_one_on_rejected_rows():
     )
     with np.errstate(all="ignore"):
         want = [scalar(raw) for raw in raws]
-        got = batched(raws)
-    assert [w is None for w in want] == [False, True, False, True, True, True, False]
-    for w, g in zip(want, got):
-        if w is None:
-            assert g is None
-        else:
-            assert float(w[0]).hex() == float(g[0]).hex()
-            assert w[1].tobytes() == g[1].tobytes()
+        ok, values, points = batched(np.array(raws))
+    assert [w is not None for w in want] == ok.tolist() == [
+        True, False, True, False, False, False, True
+    ]
+    for w, good, value, point in zip(want, ok, values, points):
+        if good:
+            assert float(w[0]).hex() == float(value).hex()
+            assert w[1].tobytes() == point.tobytes()
+
+
+_EDGE_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, 1e-300, 0.75, -1.3, 1e300, -3e300)
+
+
+@pytest.mark.parametrize("step", [0.5, 0.35, 0.5 * 1.3**4, 3e-7])
+def test_array_entry_moves_match_the_scalar_ones(step):
+    # the lockstep climb rotates entries in explicit real arithmetic, since
+    # numpy's array complex multiply may fuse (FMA) and differ in the last
+    # bit from the scalar np.complex128 * complex of _sphere_moves; signed
+    # zeros, subnormals and magnitudes near 1e+-300 included
+    parts = list(_EDGE_PARTS) + np.random.default_rng(7).standard_normal(40).tolist()
+    entries = np.array([complex(re, im) for re in parts for im in parts])
+    entry_moves, _ = _sphere_moves(np.ones(1, dtype=np.complex128), step)
+    want = np.array([entry_moves(e) for e in entries], dtype=np.complex128)
+    got = _entry_moves_many(entries[None, :], np.array([step]), np.array([step]))[0]
+    assert got.tobytes() == want.tobytes()
 
 
 if __name__ == "__main__":
