@@ -195,13 +195,14 @@ class ProbeReport:
     matrices; a value below 1 - 1e-4 (``gap_found``) flags that N may sit
     strictly above the induced norm built from its own extracted pair, i.e.
     that N may not be minimal.  For Spectral, EntrywiseMax and MaxColSum
-    sources the reconstruction is exact and runs no ascent.  Every other
-    reconstruction is computed by an ascent, and an ascent that falls short
-    drives the ratio below its true value (0.705544 < sqrt(1/2) for the
-    entrywise sum at paper-demos seed 1355706853), so neither verdict is a
-    proof.  The witness is the first probe whose ratio lies within 1e-12
-    (relative) of the minimum, so rounding noise among equal ratios never
-    picks it.
+    sources the reconstruction is exact and runs no ascent.  EntrywiseSum,
+    MaxRowSum and max(MaxColSum, MaxRowSum) reconstruct through the
+    deterministic polydisc search, which finds the maximum to 1e-9 relative
+    but reports no upper bound; every other source's reconstruction is
+    computed by an ascent.  A reconstruction that falls short drives the
+    ratio below its true value, so neither verdict is a proof.  The witness
+    is the first probe whose ratio lies within 1e-12 (relative) of the
+    minimum, so rounding noise among equal ratios never picks it.
     """
 
     max_gap_ratio: float

@@ -3,25 +3,29 @@
 ``gind_eval`` computes max{ ||Ax||_2 : ||x||_1 = 1 } for a pair of vector
 norms.  Outer scale factors are peeled off exactly (scaling either norm by
 gamma scales the induced value by 1/gamma resp. gamma), so proportional
-pairs evaluate through the identical core computation.  l-inf-type domains
-with a batch codomain go to the deterministic polydisc search; every other
+pairs evaluate through the identical core computation.  Polyhedral domains
+(l1 and l-inf parts under Scaled and MaxOf) with a batch codomain get the
+best polydisc search over the vertices of the ball of moduli; every other
 pair goes to the sphere maximizer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .budget import ComputationResult, OptBudget, default_budget
+from .budget import LOWER_BOUND, ComputationResult, OptBudget, default_budget
 from .core import RandomStream, as_matrix, hermitian_top_eig
 from .errors import DimensionMismatchError, NonConvergenceError
 from .matrix_norms import concrete
 from .vector_norms import (
     Lp,
+    MaxOf,
+    Scaled,
     VectorNormSpec,
     WeightedLp,
     has_batch_form,
@@ -50,14 +54,114 @@ def _row_phases(m: np.ndarray) -> np.ndarray:
     return np.where(nonzero, np.conj(m) / np.where(nonzero, mods, 1.0), 1.0).astype(np.complex128)
 
 
-def _polydisc_radii(core, n: int) -> np.ndarray | None:
-    """Radii r of the polydisc {|x_j| <= r_j} that is the unit ball of an
-    l-inf or weighted l-inf core at dimension n, or None for other cores."""
-    if isinstance(core, Lp) and core.p == math.inf:
-        return np.ones(n)
-    if isinstance(core, WeightedLp) and core.p == math.inf and len(core.weights) == n:
-        return 1.0 / np.asarray(core.weights)
+def _moduli_constraints(spec, n: int, gamma: float = 1.0):
+    """The ball of moduli {r >= 0 : N(r) <= 1} of gamma * spec at dimension n
+    as linear constraints, or None unless spec is a tree of Scaled and MaxOf
+    over l1 and l-inf parts (Lp, or WeightedLp with n weights).
+
+    Returns ``(rows, caps)``: c.r <= 1 for each l1 part's row c, and
+    r_j <= caps_j, the l-inf parts' caps folded per coordinate (inf where no
+    l-inf part caps it).
+    """
+    if isinstance(spec, Scaled):
+        return _moduli_constraints(spec.inner, n, gamma * spec.gamma)
+    if isinstance(spec, MaxOf):
+        rows, caps = [], np.full(n, math.inf)
+        for part in spec.parts:
+            found = _moduli_constraints(part, n, gamma)
+            if found is None:
+                return None
+            rows += found[0]
+            caps = np.minimum(caps, found[1])
+        return rows, caps
+    if isinstance(spec, Lp):
+        w = np.full(n, gamma)
+    elif isinstance(spec, WeightedLp) and len(spec.weights) == n:
+        w = gamma * np.asarray(spec.weights)
+    else:
+        return None
+    if spec.p == 1.0:
+        return [w], np.full(n, math.inf)
+    if spec.p == math.inf:
+        return [], 1.0 / w
     return None
+
+
+# relative tolerance of the vertex enumeration: for singular choices of
+# tight constraints, feasibility, zero entries and dominance
+_VERTEX_TOL = 1e-9
+
+
+def _ball_vertices(core, rows, caps) -> list[np.ndarray]:
+    """The maximal vertices v of the polytope {r >= 0, c.r <= 1, r <= caps},
+    each scaled to N1(v) = 1 for the norm ``core`` it is the ball of moduli
+    of; the zero vertex and dominated vertices are dropped.
+
+    Without l1 rows the polytope is the box [0, caps], whose one maximal
+    vertex, the caps themselves, is returned as is.  Otherwise every choice
+    of n tight constraints among r_j = 0, r_j = caps_j and c.r = 1 is solved
+    in one stacked call and the feasible solutions are kept.
+    """
+    n = caps.size
+    if not rows:
+        return [caps]
+    eye = np.eye(n)
+    capped = np.flatnonzero(np.isfinite(caps))
+    faces = np.vstack([eye, eye[capped], np.array(rows)])
+    rhs = np.concatenate([np.zeros(n), caps[capped], np.ones(len(rows))])
+    picks = np.array(list(itertools.combinations(range(len(faces)), n)))
+    systems = faces[picks]
+    # drop singular choices; the determinant is compared to Hadamard's bound
+    scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+    regular = np.abs(np.linalg.det(systems)) > _VERTEX_TOL * scale
+    points = np.linalg.solve(systems[regular], rhs[picks[regular]][..., None])[..., 0]
+    slack = _VERTEX_TOL * np.abs(points).max(axis=1)
+    feasible = (
+        (points >= -slack[:, None]).all(axis=1)
+        & (points <= caps * (1.0 + _VERTEX_TOL)).all(axis=1)
+        & (points @ faces[n + capped.size :].T <= 1.0 + _VERTEX_TOL).all(axis=1)
+    )
+    points = points[feasible]
+    points = np.where(points > slack[feasible, None], points, 0.0)
+    points = points[points.any(axis=1)]
+    points = points / vnorm_eval_many(core, points)[:, None]
+    # drop v when another vertex w >= v holds it: one strictly above it
+    # somewhere (its polydisc holds v's), or an earlier copy of v
+    tol = _VERTEX_TOL * points.max(axis=1)[:, None, None]
+    above = (points[None] >= points[:, None] - tol).all(axis=2)
+    strictly = (points[None] > points[:, None] + tol).any(axis=2)
+    earlier = np.tri(len(points), k=-1, dtype=bool)
+    return list(points[~(above & (strictly | earlier)).any(axis=1)])
+
+
+def _polyhedral_search(core2, m: np.ndarray, vertices) -> ComputationResult:
+    """max N2(Ax) over the union of the polydiscs {|x_j| <= v_j}: one
+    :func:`~normlab.sphere_opt.maximize_on_polydisc` per vertex, on its
+    support, from the row-phase points and with ceiling N2(|A_S| v_S); a
+    vertex whose ceiling does not exceed the best value so far is skipped.
+    The best value wins, ties to the lowest vertex; evaluations add up."""
+    n = m.shape[0]
+    phases, mods = _row_phases(m), np.abs(m)
+    best, witness, evals = -math.inf, None, 0
+    for v in vertices:
+        # a full support keeps the matrix itself, so l-inf cores search
+        # with the very arrays they always did
+        cols = slice(None) if np.count_nonzero(v) == n else np.flatnonzero(v)
+        ms, r = m[:, cols], v[cols]
+        # batch codomains are absolute and monotone, so N2(Ax) <= N2(|A| r)
+        # on the polydisc, with equality for an l-inf codomain at a row start
+        ceiling = vnorm_eval(core2, mods[:, cols] @ r)
+        if ceiling <= best:
+            continue  # this polydisc cannot beat the best so far
+        # the search replays no scalar walk, so one product serves the batch
+        res = maximize_on_polydisc(
+            lambda xs: vnorm_eval_many(core2, xs @ ms.T), r, r * phases[:, cols], ceiling
+        )
+        evals += res.evaluations
+        if witness is None or res.value > best:
+            best, witness = res.value, np.zeros(n, dtype=np.complex128)
+            witness[cols] = res.witness
+    return ComputationResult(best, witness, LOWER_BOUND, evals)
 
 
 def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
@@ -85,14 +189,20 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     """Evaluate the generalized induced norm of A for the given pair.
 
     Extracted norms of catalog sources are first replaced by the plain
-    descriptors they equal at this dimension (:func:`concrete`).  A domain
-    whose core is l-inf, or weighted l-inf with n weights, paired with a
-    codomain that has a batch form, goes to the polydisc branch-and-bound
-    (:func:`~normlab.sphere_opt.maximize_on_polydisc`).  It starts from the
-    row-phase points, stops at once when one reaches N2(|A| r) (always for
-    an l-inf codomain: the weighted max row sum), and otherwise finds the
-    maximum to 1e-9 relative unless its bounded work runs out first.  It
-    uses no random draws and no budget, and is labelled a lower bound.
+    descriptors they equal at this dimension (:func:`concrete`).  Polyhedral
+    domains, paired with a codomain that has a batch form, get the best
+    polydisc search over the vertices of the ball of moduli.  A domain core
+    of l1 and l-inf parts under Scaled and MaxOf, other than a plain or
+    weighted l1 core, has a polytope for its ball of moduli
+    {r >= 0 : N1(r) <= 1}, and its unit ball is the convex hull of the
+    polydiscs {|x_j| <= v_j} over the polytope's vertices v, so the convex
+    x -> N2(Ax) peaks in one of them.  Each maximal vertex gets a polydisc
+    branch-and-bound (:func:`~normlab.sphere_opt.maximize_on_polydisc`) on
+    its support; it stops at once when a row-phase start reaches N2(|A| v)
+    (always for an l-inf codomain: the weighted max row sum), and otherwise
+    finds its maximum to 1e-9 relative unless its bounded work runs out
+    first.  An l-inf or weighted l-inf core is the one-vertex case.  The
+    union uses no random draws and no budget, and is labelled a lower bound.
     Everything else follows the sphere dispatch: l1-type domains are
     vertex-exact, l2-to-l2 problems use the top singular value, anything
     else is the ascent lower bound.  So the extracted pairs of Spectral
@@ -110,15 +220,12 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     g2, core2 = split_scale(concrete(pair.norm2, n))
     scale = g2 / g1
 
-    radii = _polydisc_radii(core1, n)
-    if radii is not None and has_batch_form(core2):
-        # batch codomains are absolute and monotone, so N2(Ax) <= N2(|A| r)
-        # on the polydisc, with equality for an l-inf codomain at a row start;
-        # the search replays no scalar walk, so one product serves the batch
-        ceiling = vnorm_eval(core2, np.abs(m) @ radii)
-        res = maximize_on_polydisc(
-            lambda xs: vnorm_eval_many(core2, xs @ m.T), radii, radii * _row_phases(m), ceiling
-        )
+    # plain and weighted l1 keep their exact vertex dispatch, and plain l_p
+    # cores with 1 < p < inf have no polytope for a ball of moduli
+    plain = isinstance(core1, (Lp, WeightedLp)) and core1.p != math.inf
+    constraints = None if plain else _moduli_constraints(core1, n)
+    if constraints is not None and has_batch_form(core2):
+        res = _polyhedral_search(core2, m, _ball_vertices(core1, *constraints))
     else:
         # the stacked product reproduces m @ x's rounding row by row
         objective_many = lambda xs: vnorm_eval_many(core2, (m @ xs[..., None])[..., 0])

@@ -13,9 +13,10 @@ results are honest lower bounds and are labeled as such.
 objectives on a polydisc {|x_j| <= r_j}, the unit ball of an l-inf or
 weighted l-inf norm: a branch-and-bound over the phase torus of its extreme
 points that stops within 1e-9 (relative) of the maximum or at a fixed cap on
-scored points, whichever comes first.  ``gind_eval`` uses it for l-inf-type
-domains with a batch codomain; :func:`maximize_on_sphere` itself keeps the
-climb for them.
+scored points, whichever comes first.  ``gind_eval`` uses it for polyhedral
+domains with a batch codomain: the best polydisc search over the vertices of
+the ball of moduli.  :func:`maximize_on_sphere` itself keeps the climb for
+them.
 
 The climb scores candidates in one of two ways.  When the caller gives a
 batch form of the objective and the domain norm has one
@@ -516,7 +517,10 @@ def maximize_on_sphere(
     pool.append(np.ones(n, dtype=np.complex128))
     pool.extend(np.exp(2j * np.pi * g.random(n)) for _ in range(n))
     pool.extend(_valid_seeds(extra_seeds, (n,)))
-    pool.extend(sample_vector(g, n) for _ in range(budget.samples))
+    # one draw for every Gaussian seed: the bits and the stream state of
+    # budget.samples sample_vector calls
+    draws = g.standard_normal((budget.samples, 2, n))
+    pool.extend((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0))
 
     many = None
     if objective_many is not None and has_batch_form(domain_norm):

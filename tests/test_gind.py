@@ -355,6 +355,145 @@ def test_linf_to_linf_is_the_max_row_sum_from_the_starts():
                 assert res.evaluations == n
 
 
+def _polyhedral_domains(n: int):
+    """Polyhedral domains with l1 parts: max(l1, 2 l-inf), a weighted and
+    scaled one, and a nested MaxOf."""
+    w = (2.0, 1.0, 0.5, 1.25)[:n]
+    return [
+        MaxOf((Lp(1), Scaled(2.0, Lp(INF)))),
+        MaxOf((WeightedLp(w, 1), Scaled(1.5, Lp(INF)))),
+        MaxOf((Scaled(0.5, Lp(1)), MaxOf((WeightedLp(w, INF), Scaled(0.75, WeightedLp(w[::-1], 1)))))),
+    ]
+
+
+def _vertices(domain, n: int) -> list:
+    _, core1 = gind.split_scale(domain)
+    return gind._ball_vertices(core1, *gind._moduli_constraints(core1, n))
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 3), (4, 6)])
+def test_max_l1_2linf_vertices_hold_two_halves(n, count):
+    # max(l1, 2 l-inf) <= 1 caps each modulus at 1/2 and their sum at 1; the
+    # maximal vertices put 1/2 on two coordinates (on the one at n = 1)
+    verts = _vertices(MaxOf((Lp(1), Scaled(2.0, Lp(INF)))), n)
+    assert len(verts) == count
+    assert len({tuple(v) for v in verts}) == count
+    for v in verts:
+        assert sorted(v.tolist(), reverse=True) == [0.5] * min(n, 2) + [0.0] * (n - 2)
+
+
+def test_ball_vertices_of_weighted_scaled_and_nested_cores():
+    half_l1 = MaxOf((Scaled(0.5, Lp(1)), Lp(INF)))  # sum <= 2, each <= 1
+    assert [v.tolist() for v in _vertices(half_l1, 2)] == [[1.0, 1.0]]
+    assert sorted(v.tolist() for v in _vertices(half_l1, 3)) == [
+        [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]
+    ]
+    # r0 + 2 r1 <= 1 inside the unit box: the two axis vertices
+    weighted = MaxOf((WeightedLp((1.0, 2.0), 1), Lp(INF)))
+    assert sorted(v.tolist() for v in _vertices(weighted, 2)) == [[0.0, 0.5], [1.0, 0.0]]
+    # two l1 rows meet inside the simplex: r1 + r2 = 1 and 3 r1 + r2 / 2 = 1
+    rows = MaxOf((Lp(1), WeightedLp((1.0, 3.0, 0.5), 1)))
+    got = sorted(v.tolist() for v in _vertices(rows, 3))
+    want = [[0.0, 0.0, 1.0], [0.0, 0.2, 0.8], [0.0, 1.0 / 3.0, 0.0], [1.0, 0.0, 0.0]]
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
+    # nesting and outer scales fold into the same rows and caps
+    nested = Scaled(3.0, MaxOf((Lp(1), MaxOf((Scaled(2.0, Lp(INF)),)))))
+    for n in (1, 2, 3, 4):
+        flat = _vertices(MaxOf((Lp(1), Scaled(2.0, Lp(INF)))), n)
+        assert [v.tolist() for v in _vertices(nested, n)] == [v.tolist() for v in flat]
+    # l-inf cores are the one-vertex case: the caps, bit for bit
+    for n in (1, 2, 3, 4):
+        for domain in _linf_domains(n):
+            (v,) = _vertices(domain, n)
+            assert v.tobytes() == _radii(domain, n).tobytes()
+    # every vertex lies on the unit sphere of its norm, none dominates another
+    for n in (1, 2, 3, 4):
+        for domain in _polyhedral_domains(n):
+            _, core1 = gind.split_scale(domain)
+            verts = _vertices(domain, n)
+            for v in verts:
+                assert vnorm_eval(core1, v) == pytest.approx(1.0, rel=1e-15)
+                assert not any((u >= v).all() and (u > v).any() for u in verts)
+
+
+def test_skipped_vertices_never_change_the_result():
+    # a vertex whose ceiling N2(|A_S| v_S) does not exceed the best value so
+    # far cannot win, so the union equals the search of every vertex
+    g = np.random.default_rng(43)
+    skipped = 0
+    for n in (3, 4):
+        for domain in _polyhedral_domains(n):
+            for codomain in (Lp(2), Lp(1.5)):
+                a = _complex(g, n)
+                verts = _vertices(domain, n)
+                got = gind._polyhedral_search(codomain, a, verts)
+                best, evals = None, 0
+                for v in verts:
+                    s = np.flatnonzero(v)
+                    res = sphere_opt.maximize_on_polydisc(
+                        lambda xs: np.asarray([vnorm_eval(codomain, a[:, s] @ x) for x in xs]),
+                        v[s],
+                        v[s] * gind._row_phases(a)[:, s],
+                        vnorm_eval(codomain, np.abs(a[:, s]) @ v[s]),
+                    )
+                    evals += res.evaluations
+                    best = res.value if best is None else max(best, res.value)
+                assert got.value == pytest.approx(best, rel=1e-12)
+                assert got.evaluations <= evals
+                skipped += got.evaluations < evals
+    assert skipped > 0
+
+
+def test_non_polyhedral_maxof_domains_still_climb(monkeypatch):
+    climbs = []
+    climb = sphere_opt._climb
+    monkeypatch.setattr(sphere_opt, "_climb", lambda *args: climbs.append(1) or climb(*args))
+    domain = MaxOf((Lp(3), Scaled(0.5, Lp(1))))
+    assert gind._moduli_constraints(domain, 3) is None
+    a = _complex(np.random.default_rng(37), 3)
+    res = gind_eval(GIndPair(domain, Lp(2)), a, B)
+    assert climbs == [1]
+    assert res.exactness == LOWER_BOUND
+
+
+def _leaves(spec, gamma=1.0):
+    """The Lp and WeightedLp parts of a tree of Scaled and MaxOf, each under
+    its accumulated scale."""
+    if isinstance(spec, Scaled):
+        return _leaves(spec.inner, gamma * spec.gamma)
+    if isinstance(spec, MaxOf):
+        return [leaf for part in spec.parts for leaf in _leaves(part, gamma)]
+    return [Scaled(gamma, spec)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polyhedral_domains_match_dense_oracles(n):
+    # the unit ball is the convex hull of the vertices' polydiscs, so the
+    # maximum is the best dense torus scan over them; the domain norm
+    # dominates each of its parts, so the dual of every part bounds the
+    # domain's dual from above and the column bound N1^D((N2(a_j))_j) with it
+    g = np.random.default_rng([2027, n])
+    for domain in _polyhedral_domains(n):
+        for codomain in (Lp(1.5), Lp(2), Lp(INF), WeightedLp((0.5, 2.0, 1.0)[:n], 3)):
+            a = _complex(g, n)
+            norm2 = _column_norms(codomain)
+            oracle = 0.0
+            for v in _vertices(domain, n):
+                s = np.flatnonzero(v)
+                oracle = max(oracle, dense_torus_max(
+                    lambda x: norm2(a[:, s] @ x), v[s], grid={1: 1, 2: 96, 3: 96}[s.size]
+                ))
+            columns = np.array([vnorm_eval(codomain, a[:, j]) for j in range(n)])
+            ceiling = min(vnorm_dual_eval(leaf, columns) for leaf in _leaves(domain))
+            pair = GIndPair(domain, codomain)
+            res = gind_eval(pair, a)
+            label = f"{domain} -> {codomain}"
+            assert res.exactness == LOWER_BOUND, label
+            assert res.value >= oracle * (1 - 1e-9), label
+            assert res.value <= ceiling * (1 + 1e-12), label
+            _check_witness(pair, a, res)
+
+
 def test_linf_domains_never_climb(monkeypatch):
     # no climb, no eigen solve, no random stream: the search is deterministic
     def forbidden(*args, **kwargs):
@@ -365,7 +504,7 @@ def test_linf_domains_never_climb(monkeypatch):
     monkeypatch.setattr(core.RandomStream, "generator", forbidden)
     g = np.random.default_rng(31)
     for n in (1, 2, 3, 4):
-        for domain in _linf_domains(n):
+        for domain in _linf_domains(n) + _polyhedral_domains(n):
             for codomain in _batch_codomains(n):
                 for outer in (1.0, 3.0):
                     pair = GIndPair(Scaled(outer, domain), codomain)
