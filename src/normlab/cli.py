@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="evaluate a matrix norm on a matrix file")
     p.add_argument("--norm", required=True, help="norm spec (name, JSON, or @file)")
     p.add_argument("--matrix", required=True, help="CSV or JSON matrix file")
-    p.add_argument("--eig-max-iter", type=_count("iteration limit"), default=10000)
     _add_common(p)
 
     p = subs.add_parser("gind", help="generalized induced norm of a matrix")
@@ -188,7 +187,7 @@ def _cmd_eval(args) -> int:
     matrix = formats.load_matrix(args.matrix)
     args.dim = matrix.shape[0]
     _print_header("eval", args, budget)
-    value = mnorm_eval(spec, matrix, budget, eig_max_iter=args.eig_max_iter)
+    value = mnorm_eval(spec, matrix, budget)
     print(f"norm value: {value:.10g}")
     doc = formats.report_to_doc(
         "norm-value", settings=_header(args, budget), norm=spec, value=value

@@ -2,10 +2,14 @@
 
 Vectors and matrices are plain ``numpy`` arrays with dtype ``complex128``;
 the helpers here validate shapes and keep every random draw reproducible.
+Top eigenpairs come from one dense LAPACK solve, phase-aligned to a seeded
+start vector so that they do not depend on LAPACK's phase convention.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +85,8 @@ def sample_matrix(g: np.random.Generator, n: int) -> np.ndarray:
 class EigResult:
     """Largest eigenpair of a Hermitian PSD matrix.
 
-    ``residual`` is ||H v - lambda v||_2 at the returned pair and is at most
-    the configured tolerance whenever the solver reports success.
+    ``residual`` is ||H v - lambda v||_2 at the returned pair; ``iterations``
+    is always 1 (one dense solve).
     """
 
     eigenvalue: float
@@ -92,6 +96,9 @@ class EigResult:
 
 
 _HERMITIAN_TOL = 1e-12
+# eigenvalues within this distance (relative to ||H||_2) of the top one span
+# the top eigenspace
+_TOP_CLUSTER = 1e-12
 
 _START_CACHE: dict = {}
 
@@ -108,131 +115,41 @@ def _start_vector(rng: RandomStream, n: int) -> np.ndarray:
     return v
 
 
-def _squared_power_boost(m: np.ndarray, v: np.ndarray, tol: float, max_squarings: int):
-    """Project v onto the top eigenspace by repeated squaring of m.
+def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
+    """Largest eigenpair of a Hermitian PSD matrix by one dense solve.
 
-    Squaring doubles the contraction exponent per matrix product, so
-    clustered top eigenvalues (where the plain vector iteration contracts at
-    a rate near one) resolve in O(log) products.  Exits as soon as the
-    boosted vector meets the tolerance.
-    """
-    norm_m = np.sqrt(np.vdot(m, m).real)
-    if norm_m == 0.0:
-        return v, 0.0, np.inf, 0
-    s = m / norm_m
-    best_v, best_lam, best_res = v, 0.0, np.inf
-    steps = 0
-    checkpoints = {2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64}
-    for k in range(1, max_squarings + 1):
-        s = s @ s
-        norm_s = np.sqrt(np.vdot(s, s).real)
-        if norm_s == 0.0:
-            break
-        s = s / norm_s
-        steps = k
-        if k in checkpoints or k == max_squarings:
-            u = s @ v
-            norm_u = np.sqrt(np.vdot(u, u).real)
-            if norm_u < 1e-200:
-                # v is orthogonal to the top eigenspace: use the heaviest column
-                j = int(np.argmax(np.abs(s).sum(axis=0)))
-                u = s[:, j]
-                norm_u = np.sqrt(np.vdot(u, u).real)
-                if norm_u == 0.0:
-                    break
-            u = u / norm_u
-            w = m @ u
-            lam = float(np.vdot(u, w).real)
-            r = w - lam * u
-            res = float(np.sqrt(np.vdot(r, r).real))
-            if res < best_res:
-                best_v, best_lam, best_res = u, lam, res
-            if res <= tol * max(1.0, abs(lam)):
-                break
-    return best_v, best_lam, best_res, steps
+    The caller supplies H = A*A (or any Hermitian PSD matrix).  The
+    eigenvalues come from LAPACK (``np.linalg.eigh``).  The eigenvector is
+    the unit projection of the start vector of ``rng`` onto the top
+    eigenspace, spanned by every eigenvector whose eigenvalue lies within
+    1e-12 ||H||_2 of the largest, so the pair does not depend on LAPACK's
+    phase convention and ``vdot(start, v)`` is real and positive.
 
-
-_PLAIN_PHASE = 4
-
-
-def hermitian_top_eig(
-    h,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    rng: RandomStream = RandomStream(0),
-) -> EigResult:
-    """Largest eigenvalue of a Hermitian PSD matrix by power iteration.
-
-    The caller supplies H = A*A (or any Hermitian PSD matrix).  Convergence
-    is declared when the residual drops below ``tol * max(1, lambda)``; the
-    run is deterministic for a fixed ``rng``.  A short plain phase catches
-    the easy spectra; after it the iteration continues on repeatedly squared
-    matrices, whose contraction is insensitive to the spectral gap.
-
-    Raises :class:`NonConvergenceError` once ``max_iter`` total steps are
-    spent, and rejects matrices whose Hermitian deviation exceeds 1e-12
+    Raises :class:`NonConvergenceError` when H has a non-finite entry or the
+    solve fails, and rejects matrices whose Hermitian deviation exceeds 1e-12
     relative.
     """
     m = as_matrix(h)
-    n = m.shape[0]
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    deviation = float(np.max(np.abs(m - m.conj().T)))
+    scale = float(np.abs(m).max())
+    if not math.isfinite(scale):
+        raise NonConvergenceError("eigen solve needs a finite matrix")
+    deviation = float(np.abs(m - m.conj().T).max())
     if deviation > _HERMITIAN_TOL * max(1.0, scale):
         raise DimensionMismatchError(
             f"matrix is not Hermitian: deviation {deviation:.3e}"
         )
+    start = _start_vector(rng, m.shape[0])
     if scale == 0.0:
-        return EigResult(0.0, _start_vector(rng, n), 1, 0.0)
-    m = (m + m.conj().T) / 2.0
-
-    v = _start_vector(rng, n)
-    lam = 0.0
-    residual = np.inf
-    it = 0
-    restarts = 0
-    while it < min(_PLAIN_PHASE, max_iter):
-        it += 1
-        w = m @ v
-        lam = float(np.vdot(v, w).real)
-        r = w - lam * v
-        residual = float(np.sqrt(np.vdot(r, r).real))
-        if residual <= tol * max(1.0, abs(lam)):
-            return EigResult(max(lam, 0.0), v, it, residual)
-        norm_w = float(np.sqrt(np.vdot(w, w).real))
-        if norm_w == 0.0:
-            # v landed in the kernel; restart from a fresh direction
-            if restarts >= 3:
-                break
-            restarts += 1
-            v = sample_vector(rng.child(restarts).generator(), n)
-            v = v / np.sqrt(np.vdot(v, v).real)
-            continue
-        v = w / norm_w
-
-    bv, blam, bres, steps = _squared_power_boost(
-        m, v, tol, max_squarings=min(64, max_iter - it)
-    )
-    it += steps
-    if bres <= tol * max(1.0, abs(blam)):
-        return EigResult(max(blam, 0.0), bv, it, bres)
-    if bres < residual:
-        v, lam, residual = bv, blam, bres
-
-    while it < max_iter:
-        it += 1
-        w = m @ v
-        lam = float(np.vdot(v, w).real)
-        r = w - lam * v
-        residual = float(np.sqrt(np.vdot(r, r).real))
-        if residual <= tol * max(1.0, abs(lam)):
-            return EigResult(max(lam, 0.0), v, it, residual)
-        norm_w = float(np.sqrt(np.vdot(w, w).real))
-        if norm_w == 0.0:
-            break
-        v = w / norm_w
-    raise NonConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(residual {residual:.3e})",
-        residual=residual,
-        iterations=it,
-    )
+        return EigResult(0.0, start, 1, 0.0)
+    try:
+        lams, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigen solve failed: {exc}") from exc
+    lams = lams.tolist()  # ascending
+    lam = lams[-1]
+    top = vecs[:, bisect.bisect_left(lams, lam - _TOP_CLUSTER * max(lam, -lams[0])):]
+    coeffs = start.dot(top.conj())
+    weight = math.sqrt(np.vdot(coeffs, coeffs).real)
+    v = top.dot(coeffs / weight) if weight > 0.0 else vecs[:, -1]
+    r = m.dot(v) - lam * v
+    return EigResult(max(lam, 0.0), v, 1, math.sqrt(np.vdot(r, r).real))

@@ -18,12 +18,7 @@ class HomogeneityError(NormlabError, ValueError):
 
 
 class NonConvergenceError(NormlabError, RuntimeError):
-    """An iterative eigensolver did not reach the requested residual."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """The eigen solve gave no finite answer."""
 
 
 class DocumentParseError(NormlabError, ValueError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .budget import LOWER_BOUND, ComputationResult, OptBudget, default_budget
 from .core import RandomStream, as_matrix, hermitian_top_eig
-from .errors import DimensionMismatchError, NonConvergenceError
+from .errors import NonConvergenceError
 from .matrix_norms import concrete
 from .vector_norms import (
     Lp,
@@ -179,8 +179,8 @@ def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
             yield phases[i]
     if mods.max() > 0:
         try:
-            eig = hermitian_top_eig(m.conj().T @ m, tol=1e-9, max_iter=5000, rng=_SEED_RNG)
-        except (NonConvergenceError, DimensionMismatchError):
+            eig = hermitian_top_eig(m.conj().T @ m, rng=_SEED_RNG)
+        except NonConvergenceError:
             return  # no spectral seed; the ascent still runs from the others
         yield eig.eigenvector
 

@@ -69,18 +69,13 @@ MatrixNormSpec = Union[
 _SPECTRAL_RNG = RandomStream(0x5EED0E16)
 
 
-def mnorm_eval(
-    spec: MatrixNormSpec,
-    a,
-    budget: OptBudget | None = None,
-    *,
-    eig_max_iter: int = 10000,
-) -> float:
+def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> float:
     """Evaluate a matrix norm descriptor at A.
 
-    Closed forms throughout the catalog; Spectral runs power iteration on
-    A*A to residual 1e-10; GInd delegates to the g-ind engine and reports
-    that engine's (possibly lower-bound) value at ``budget``.
+    Closed forms throughout the catalog; Spectral is the square root of the
+    top eigenvalue of A*A from one dense Hermitian solve; GInd delegates to
+    the g-ind engine and reports that engine's (possibly lower-bound) value
+    at ``budget``.
     """
     m = as_matrix(a)
     if isinstance(spec, EntrywiseSum):
@@ -93,15 +88,12 @@ def mnorm_eval(
         return float(np.abs(m).sum(axis=1).max())
     if isinstance(spec, Spectral):
         h = m.conj().T @ m
-        res = hermitian_top_eig(h, tol=1e-10, max_iter=eig_max_iter, rng=_SPECTRAL_RNG)
+        res = hermitian_top_eig(h, rng=_SPECTRAL_RNG)
         return float(np.sqrt(max(res.eigenvalue, 0.0)))
     if isinstance(spec, Scaled):
-        return spec.gamma * mnorm_eval(spec.inner, m, budget, eig_max_iter=eig_max_iter)
+        return spec.gamma * mnorm_eval(spec.inner, m, budget)
     if isinstance(spec, MaxOf):
-        return max(
-            mnorm_eval(part, m, budget, eig_max_iter=eig_max_iter)
-            for part in spec.parts
-        )
+        return max(mnorm_eval(part, m, budget) for part in spec.parts)
     if isinstance(spec, GInd):
         from .gind import GIndPair, gind_eval
 

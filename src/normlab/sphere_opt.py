@@ -509,7 +509,7 @@ def maximize_on_sphere(
         return _best_vertex(objective, domain_eval, verts, evals)
     if use_dispatch and linear_l2 is not None and isinstance(core, Lp) and core.p == 2.0:
         m = as_matrix(linear_l2)
-        res = hermitian_top_eig(m.conj().T @ m, tol=1e-10, max_iter=10000, rng=rng.child(1))
+        res = hermitian_top_eig(m.conj().T @ m, rng=rng.child(1))
         return _finish(objective, domain_eval, res.eigenvector, EXACT_CLOSED_FORM, evals + 1)
 
     g = rng.child(0).generator()

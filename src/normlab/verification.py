@@ -16,6 +16,7 @@ from .budget import OptBudget
 from .core import RandomStream, sample_matrix, sample_vector
 from .errors import DimensionMismatchError
 from .extraction import (
+    _WITNESS_TIE,
     GAP_FOUND,
     NO_GAP_FOUND,
     alpha_identity_check,
@@ -254,17 +255,20 @@ def verify_lemma22(
     g2 = rng.child(2).generator()
     mats = [np.eye(n, dtype=np.complex128), np.ones((n, n), dtype=np.complex128)]
     mats.extend(sample_test_matrix(g2, n) for _ in range(max(1, trials // 4)))
-    worst_diff = 0.0
-    diff_witness = None
-    values_at_witness: dict[str, float] = {}
+    scored = []
     for m in mats:
         va = gind_eval(pair_a, m, budget).value
         vb = gind_eval(pair_b, m, budget).value
-        rel = abs(va - vb) / max(1.0, va, vb)
-        if rel > worst_diff:
-            worst_diff = rel
-            diff_witness = m
-            values_at_witness = {"gind_a": va, "gind_b": vb}
+        scored.append((abs(va - vb) / max(1.0, va, vb), m, va, vb))
+    worst_diff = max(rel for rel, *_ in scored)
+    diff_witness = None
+    values_at_witness: dict[str, float] = {}
+    if worst_diff > 0.0:
+        # the first matrix within rounding of the worst, so that an exact tie
+        # does not go to whichever matrix happens to round higher
+        near = worst_diff - _WITNESS_TIE * worst_diff
+        _, diff_witness, va, vb = next(s for s in scored if s[0] >= near)
+        values_at_witness = {"gind_a": va, "gind_b": vb}
     gind_equal = worst_diff <= tol
 
     if proportional and gind_equal:

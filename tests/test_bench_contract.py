@@ -151,3 +151,20 @@ def test_lockstep_climb_scores_each_round_in_one_call(monkeypatch):
         assert len(calls) <= 100, n
         assert sum(calls) == rows, n
         assert res.evaluations == evaluations, n
+
+
+def test_traced_spectral_value_counts_eigen_solves():
+    # the tracer reads ``EigResult.iterations`` after every eigen solve; a
+    # missing field would break only traced benchmark runs
+    from normlab.matrix_norms import Spectral, mnorm_eval
+
+    a = np.array([[1.0 + 0.5j, -2.0], [0.25j, 1.5]])
+    t = tracer.Tracer()
+    t.install()
+    try:
+        value = mnorm_eval(Spectral(), a)
+    finally:
+        t.uninstall()
+    assert abs(value - np.linalg.norm(a, 2)) <= 1e-14 * value
+    assert t.totals["core.hermitian_top_eig"][0] == 1
+    assert t.deterministic_counts()["core.hermitian_top_eig.iters"] == 1

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from normlab.cli import run_command
@@ -136,13 +137,6 @@ def test_dimension_below_one_exit_2(capsys):
     assert "dimension must be at least 1" in capsys.readouterr().err
 
 
-def test_eig_max_iter_below_one_exit_2(matrix_file, capsys):
-    for cap in ("0", "-5"):
-        argv = ["eval", "--norm", "spectral", "--matrix", matrix_file, "--eig-max-iter", cap]
-        assert run_command(argv) == 2
-    assert "iteration limit must be at least 1" in capsys.readouterr().err
-
-
 def test_trials_below_one_exit_2(capsys):
     assert run_command(["verify", "--suite", "lemma21", "--trials", "0"]) == 2
     assert run_command(["verify", "--suite", "lemma22", "--trials", "-1"]) == 2
@@ -150,11 +144,21 @@ def test_trials_below_one_exit_2(capsys):
     assert capsys.readouterr().err.count("trial count must be at least 1") == 3
 
 
-def test_non_convergence_exit_3(matrix_file, capsys):
-    code = run_command(
-        ["eval", "--norm", "spectral", "--matrix", matrix_file, "--eig-max-iter", "1"]
-    )
-    assert code == 3
+def test_non_convergence_exit_3(tmp_path, capsys):
+    # A*A overflows to inf, so the eigen solve has no finite answer
+    path = tmp_path / "huge.csv"
+    path.write_text("1e200,0\n0,1\n")
+    assert run_command(["eval", "--norm", "spectral", "--matrix", str(path)]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_eigen_solver_failure_exit_3(matrix_file, monkeypatch, capsys):
+    def failing(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    assert run_command(["eval", "--norm", "spectral", "--matrix", matrix_file]) == 3
+    assert "eigen solve failed" in capsys.readouterr().err
 
 
 def test_probe_minimality_report(matrix_file, tmp_path, capsys):

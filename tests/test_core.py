@@ -11,6 +11,7 @@ from normlab import (
     sample_matrix,
     sample_vector,
 )
+from normlab.core import _start_vector
 from normlab.errors import DimensionMismatchError, NonConvergenceError
 
 
@@ -79,7 +80,7 @@ def test_top_eig_rayleigh_lower_bound():
 
 
 def test_top_eig_clustered_spectrum():
-    # tiny spectral gaps are exactly where plain iteration contracts slowly
+    # gaps on both sides of the 1e-12 tolerance that merges top eigenvalues
     for eps in (0.0, 1e-12, 1e-8, 1e-5, 1e-3):
         res = hermitian_top_eig(np.diag([1.0, 1.0 - eps, 0.5]))
         assert res.eigenvalue == pytest.approx(1.0, abs=1e-9)
@@ -106,11 +107,57 @@ def test_top_eig_rejects_non_hermitian():
         hermitian_top_eig([[1, 2], [3, 4]])
 
 
-def test_top_eig_non_convergence_reports_residual():
-    with pytest.raises(NonConvergenceError) as info:
-        hermitian_top_eig([[2, 1], [1, 2]], tol=1e-12, max_iter=1)
-    assert info.value.residual is not None
-    assert info.value.residual > 0
+def test_top_eig_non_finite_raises_at_once():
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+        h = np.array([[2, 1], [1, 2]], dtype=np.complex128)
+        h[0, 0] = bad
+        with pytest.raises(NonConvergenceError, match="finite"):
+            hermitian_top_eig(h)
+
+
+def test_top_eig_solver_failure_is_non_convergence(monkeypatch):
+    def failing(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NonConvergenceError, match="eigen solve failed"):
+        hermitian_top_eig([[2, 1], [1, 2]])
+
+
+def test_top_eig_agrees_with_lapack_eigenvalues():
+    g = RandomStream(19).generator()
+    for n in (1, 2, 3, 4):
+        for _ in range(50):
+            a = sample_matrix(g, n)
+            h = a.conj().T @ a
+            res = hermitian_top_eig(h, rng=RandomStream(n))
+            top = float(np.linalg.eigvalsh(h)[-1])
+            assert abs(res.eigenvalue - top) <= 1e-14 * top
+            assert res.residual <= 1e-12 * max(1.0, res.eigenvalue)
+            assert res.iterations == 1
+            # the phase convention: the start vector has a real positive
+            # component along the returned eigenvector
+            overlap = np.vdot(_start_vector(RandomStream(n), n), res.eigenvector)
+            assert overlap.real > 0
+            assert abs(overlap.imag) <= 1e-14
+
+
+def test_top_eig_identity_returns_start_vector():
+    for n in (1, 2, 3, 4):
+        res = hermitian_top_eig(np.eye(n), rng=RandomStream(3))
+        start = _start_vector(RandomStream(3), n)
+        assert res.eigenvalue == 1.0
+        assert np.allclose(res.eigenvector, start, rtol=0.0, atol=1e-15)
+
+
+def test_top_eig_repeated_top_projects_start_vector():
+    res = hermitian_top_eig(np.diag([1.0, 1.0, 0.5]), rng=RandomStream(4))
+    expected = _start_vector(RandomStream(4), 3).copy()
+    expected[2] = 0.0
+    expected /= np.linalg.norm(expected)
+    assert res.eigenvalue == 1.0
+    assert np.allclose(res.eigenvector, expected, rtol=0.0, atol=1e-15)
+    assert res.residual <= 1e-15
 
 
 def test_randomstream_identical_draws():

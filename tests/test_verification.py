@@ -13,6 +13,8 @@ from normlab import (
     RandomStream,
     Scaled,
     Spectral,
+    default_budget,
+    gind_eval,
     paper_demo_suite,
     verify_lemma21,
     verify_lemma22,
@@ -88,9 +90,20 @@ def test_lemma22_distinct_pairs_differ_at_ones():
     agreement = report.cases[2]
     assert agreement.status == PASS
     assert agreement.values["verdict_scaled_and_equal"] == 0.0
-    # the all-ones matrix separates them: 4*sqrt(2) vs 4
-    assert agreement.values["gind_a"] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-6)
-    assert agreement.values["gind_b"] == pytest.approx(4.0, rel=1e-6)
+    # the identity (2*sqrt(2) vs 2) and the all-ones matrix (4*sqrt(2) vs 4)
+    # tie exactly at rel = 1 - 1/sqrt(2); the witness is the first of them,
+    # whichever one rounds higher
+    assert agreement.values["gind_a"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+    assert agreement.values["gind_b"] == pytest.approx(2.0, rel=1e-12)
+    worst = agreement.values["worst_relative_difference"]
+    assert worst == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), rel=1e-12)
+    budget = default_budget(2)
+    ones = np.ones((2, 2), dtype=np.complex128)
+    va = gind_eval(GIndPair(Lp(math.inf), Scaled(2.0, Lp(2))), ones, budget).value
+    vb = gind_eval(GIndPair(Lp(2), Scaled(2.0, Lp(2))), ones, budget).value
+    assert va == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)
+    assert vb == pytest.approx(4.0, rel=1e-12)
+    assert abs(va - vb) / va == pytest.approx(worst, rel=1e-12)
 
 
 def test_lemma22_identical_pairs():
