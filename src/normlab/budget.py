@@ -30,6 +30,13 @@ class OptBudget:
     At the default budgets ``max_iters`` allows only 20-33 sweeps (12 to 20
     candidates each at n = 2..4), so every ascent start stops on
     ``max_iters``.
+
+    The nonlinear power method that ``gind_eval`` runs for smooth l_p
+    domains reads the fields differently: ``multistarts`` is the number of
+    best seeds it iterates, ``max_iters`` caps the power steps per start (one
+    scored point each), ``samples`` and ``seed`` give the same seed pool as
+    the ascent, and ``step_init`` and ``tol`` are not used.  The polydisc
+    search for polyhedral domains uses no budget at all.
     """
 
     multistarts: int = 8
@@ -57,7 +64,9 @@ def default_budget(n: int, seed: int = 0) -> OptBudget:
     """Default effort for dimension n, sized for n <= 4 desk problems.
 
     Every ascent start at this budget stops on ``max_iters`` (400
-    evaluations, 20-33 sweeps), never on ``tol``.
+    evaluations, 20-33 sweeps), never on ``tol``.  The power method for
+    smooth l_p domains iterates the 8n best seeds for at most 400 steps
+    each; most starts stop far earlier, when a step no longer gains.
     """
     return OptBudget(
         multistarts=8 * n,

@@ -103,6 +103,21 @@ _TOP_CLUSTER = 1e-12
 _START_CACHE: dict = {}
 
 
+def scaled_gram(a) -> tuple[np.ndarray, int]:
+    """(B*B, e) for B = A / 2^e, so that A*A = 4^e B*B, where 2^e is the
+    smallest power of two above every real and imaginary part of A (e = 0
+    for the zero matrix).
+
+    B's parts lie below 1, so B*B cannot overflow where A*A would.  Scaling
+    by a power of two is exact: wherever A*A neither overflows nor
+    underflows, B*B is A*A / 4^e bit for bit.
+    """
+    parts = np.ascontiguousarray(as_matrix(a)).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    b = np.ldexp(parts, -e).view(np.complex128)
+    return b.conj().T @ b, e
+
+
 def _start_vector(rng: RandomStream, n: int) -> np.ndarray:
     """Deterministic unit start vector for (stream, n); cached, never mutated."""
     key = (rng.seed, rng.path, n)

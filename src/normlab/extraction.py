@@ -211,9 +211,9 @@ class ProbeReport:
     verdict: str
 
 
-def probe_matrices(n: int, trials: int, rng: RandomStream) -> list[np.ndarray]:
-    """Deterministic probes (identity, single entries, ones, two classic
-    rank/phase witnesses padded to size) followed by random draws."""
+def _fixed_probes(n: int) -> list[np.ndarray]:
+    """The deterministic probes: identity, single entries, ones, and two
+    classic rank/phase witnesses padded to size."""
     mats: list[np.ndarray] = [np.eye(n, dtype=np.complex128)]
     for i in range(n):
         for j in range(n):
@@ -228,10 +228,23 @@ def probe_matrices(n: int, trials: int, rng: RandomStream) -> list[np.ndarray]:
         else:
             m[0, 0] = 1.0
         mats.append(m)
-    g = rng.generator()
-    for _ in range(trials):
-        mats.append(sample_matrix(g, n))
     return mats
+
+
+def _random_probes(n: int, trials: int, rng: RandomStream) -> list[np.ndarray]:
+    """``trials`` complex Gaussian matrices drawn from ``rng``."""
+    g = rng.generator()
+    return [sample_matrix(g, n) for _ in range(trials)]
+
+
+def _probe_ratios(source, gpair, mats, outer, inner) -> list[tuple[float, np.ndarray]]:
+    """(reconstruction / N, A) for every probe A with N(A) >= 1e-14, in order."""
+    ratios = []
+    for m in mats:
+        den = mnorm_eval(source, m, inner)
+        if den >= 1e-14:
+            ratios.append((gind_eval(gpair, m, outer).value / den, m))
+    return ratios
 
 
 def minimality_probe(
@@ -254,13 +267,12 @@ def minimality_probe(
     inner = inner_budget or DEFAULT_INNER_BUDGET
     pair = extract_pair(source, inner)
     gpair = GIndPair(pair.norm1, pair.norm2)
+    mats = _fixed_probes(n) + _random_probes(n, trials, rng.child(3))
+    return _probe_report(_probe_ratios(source, gpair, mats, outer, inner))
 
-    ratios: list[tuple[float, np.ndarray]] = []
-    for m in probe_matrices(n, trials, rng.child(3)):
-        den = mnorm_eval(source, m, inner)
-        if den < 1e-14:
-            continue
-        ratios.append((gind_eval(gpair, m, outer).value / den, m))
+
+def _probe_report(ratios: list[tuple[float, np.ndarray]]) -> ProbeReport:
+    """The minimum ratio, its witness and the verdict."""
     best_ratio = min((ratio for ratio, _ in ratios), default=np.inf)
     near = best_ratio + _WITNESS_TIE * abs(best_ratio)
     best_witness = next((m for ratio, m in ratios if ratio <= near), None)

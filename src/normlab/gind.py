@@ -3,10 +3,11 @@
 ``gind_eval`` computes max{ ||Ax||_2 : ||x||_1 = 1 } for a pair of vector
 norms.  Outer scale factors are peeled off exactly (scaling either norm by
 gamma scales the induced value by 1/gamma resp. gamma), so proportional
-pairs evaluate through the identical core computation.  Polyhedral domains
-(l1 and l-inf parts under Scaled and MaxOf) with a batch codomain get the
-best polydisc search over the vertices of the ball of moduli; every other
-pair goes to the sphere maximizer.
+pairs evaluate through the identical core computation.  With a batch
+codomain, polyhedral domains (l1 and l-inf parts under Scaled and MaxOf) get
+the best polydisc search over the vertices of the ball of moduli, and smooth
+domains (an l_p or weighted l_p core, 1 < p < inf, other than l2 to l2) the
+nonlinear power method; every other pair goes to the sphere maximizer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .budget import LOWER_BOUND, ComputationResult, OptBudget, default_budget
-from .core import RandomStream, as_matrix, hermitian_top_eig
+from .core import RandomStream, as_matrix, hermitian_top_eig, scaled_gram
 from .errors import NonConvergenceError
 from .matrix_norms import concrete
 from .vector_norms import (
@@ -29,11 +30,12 @@ from .vector_norms import (
     VectorNormSpec,
     WeightedLp,
     has_batch_form,
+    norming_direction_many,
     split_scale,
     vnorm_eval,
     vnorm_eval_many,
 )
-from .sphere_opt import maximize_on_polydisc, maximize_on_sphere
+from .sphere_opt import maximize_on_polydisc, maximize_on_sphere, seed_pool
 
 _SEED_RNG = RandomStream(0x91ED5EED)
 
@@ -179,10 +181,63 @@ def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
             yield phases[i]
     if mods.max() > 0:
         try:
-            eig = hermitian_top_eig(m.conj().T @ m, rng=_SEED_RNG)
+            eig = hermitian_top_eig(scaled_gram(m)[0], rng=_SEED_RNG)
         except NonConvergenceError:
             return  # no spectral seed; the ascent still runs from the others
         yield eig.eigenvector
+
+
+def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> ComputationResult:
+    """max N2(Ax) on the unit sphere of an l_p or weighted l_p core with
+    1 < p < inf, by the nonlinear power method with every start in lockstep.
+
+    The starts are :func:`~normlab.sphere_opt.seed_pool`'s points with the
+    :func:`_quality_seeds`, scaled onto the sphere and scored; the
+    ``budget.multistarts`` best (ties to the lowest index) iterate.  A step
+    takes y = Ax, the norming direction u of y for N2, z = A*u, and x' the
+    norming point of z on the domain sphere: the norming direction of z for
+    the dual core, scaled to N1(x') = 1.  Then N2(Ax') >= Re <u, Ax'> /
+    N2*(u) = N1*(z) / N2*(u) >= Re <z, x> / N2*(u) = N2(Ax), so no step
+    loses value.  A start moves
+    only when N2(Ax') exceeds its value by a factor 1 + 1e-15, and retires
+    when it does not, when its y or z is zero, or after ``budget.max_iters``
+    steps.  The result is the best of every scored row, ties to the first,
+    labelled a lower bound; ``evaluations`` counts the rows scored.
+    """
+    q = core1.p / (core1.p - 1.0)
+    if isinstance(core1, Lp):
+        dual = Lp(q)
+    else:
+        dual = WeightedLp(tuple(1.0 / w for w in core1.weights), q)
+    image = lambda xs: (m @ xs[..., None])[..., 0]
+    adjoint = m.conj().T
+
+    pool = np.asarray(seed_pool(m.shape[0], budget, _quality_seeds(m)))
+    points = pool / vnorm_eval_many(core1, pool)[:, None]
+    images = image(points)
+    vals = vnorm_eval_many(core2, images)
+    evals = len(pool)
+    k = int(np.argmax(vals))
+    best, witness = vals[k], points[k]
+    starts = np.argsort(-vals, kind="stable")[: budget.multistarts]
+    y, val = images[starts], vals[starts]
+    for _ in range(budget.max_iters):
+        z = (adjoint @ norming_direction_many(core2, y)[..., None])[..., 0]
+        live = z.any(axis=1)  # a zero y has a zero direction, so a zero z
+        if not live.any():
+            break
+        x = norming_direction_many(dual, z[live])
+        x /= vnorm_eval_many(core1, x)[:, None]
+        y = image(x)
+        got = vnorm_eval_many(core2, y)
+        evals += len(x)
+        k = int(np.argmax(got))
+        if got[k] > best:
+            best, witness = got[k], x[k]
+        moved = got > val[live] * (1.0 + 1e-15)
+        y, val = y[moved], got[moved]
+    w = witness / vnorm_eval(core1, witness)
+    return ComputationResult(vnorm_eval(core2, m @ w), w, LOWER_BOUND, evals)
 
 
 def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> ComputationResult:
@@ -203,9 +258,13 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     finds its maximum to 1e-9 relative unless its bounded work runs out
     first.  An l-inf or weighted l-inf core is the one-vertex case.  The
     union uses no random draws and no budget, and is labelled a lower bound.
-    Everything else follows the sphere dispatch: l1-type domains are
+    An l_p or weighted l_p domain core with 1 < p < inf and a batch codomain,
+    l2 to l2 excepted, gets the nonlinear power method from the best seeds
+    of the sphere maximizer's pool (:func:`_power_search`), also a lower
+    bound.  Everything else follows the sphere dispatch: l1-type domains are
     vertex-exact, l2-to-l2 problems use the top singular value, anything
-    else is the ascent lower bound.  So the extracted pairs of Spectral
+    else (MaxOf domains with a smooth part, codomains without a batch form)
+    is the ascent lower bound.  So the extracted pairs of Spectral
     (closed form), EntrywiseMax and MaxColSum (vertex) reconstruct their
     source exactly, and those of EntrywiseSum, MaxRowSum and
     max(MaxColSum, MaxRowSum), whose domain is n l-inf, by the polydisc
@@ -220,11 +279,20 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     g2, core2 = split_scale(concrete(pair.norm2, n))
     scale = g2 / g1
 
-    # plain and weighted l1 keep their exact vertex dispatch, and plain l_p
-    # cores with 1 < p < inf have no polytope for a ball of moduli
+    # plain and weighted l1 keep their exact vertex dispatch, l2 -> l2 its
+    # closed form, and plain l_p cores with 1 < p < inf have no polytope for
+    # a ball of moduli
     plain = isinstance(core1, (Lp, WeightedLp)) and core1.p != math.inf
+    smooth = (
+        plain
+        and core1.p > 1.0
+        and (isinstance(core1, Lp) or len(core1.weights) == n)
+        and not (core1 == Lp(2.0) and core2 == Lp(2.0))
+    )
     constraints = None if plain else _moduli_constraints(core1, n)
-    if constraints is not None and has_batch_form(core2):
+    if smooth and has_batch_form(core2):
+        res = _power_search(core1, core2, m, budget)
+    elif constraints is not None and has_batch_form(core2):
         res = _polyhedral_search(core2, m, _ball_vertices(core1, *constraints))
     else:
         # the stacked product reproduces m @ x's rounding row by row

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, as_matrix, hermitian_top_eig
+from .core import RandomStream, as_matrix, hermitian_top_eig, scaled_gram
 from .errors import SpecValidationError
 from .vector_norms import (
     Extracted,
@@ -73,7 +73,9 @@ def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> floa
     """Evaluate a matrix norm descriptor at A.
 
     Closed forms throughout the catalog; Spectral is the square root of the
-    top eigenvalue of A*A from one dense Hermitian solve; GInd delegates to
+    top eigenvalue of A*A from one dense Hermitian solve, with A scaled by a
+    power of two first (:func:`~normlab.core.scaled_gram`), so that a finite
+    A has a finite value; GInd delegates to
     the g-ind engine and reports that engine's (possibly lower-bound) value
     at ``budget``.
     """
@@ -87,9 +89,12 @@ def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> floa
     if isinstance(spec, MaxRowSum):
         return float(np.abs(m).sum(axis=1).max())
     if isinstance(spec, Spectral):
-        h = m.conj().T @ m
+        h, e = scaled_gram(m)
         res = hermitian_top_eig(h, rng=_SPECTRAL_RNG)
-        return float(np.sqrt(max(res.eigenvalue, 0.0)))
+        try:
+            return math.ldexp(math.sqrt(res.eigenvalue), e)
+        except OverflowError:  # ||A||_2 of a finite A may exceed the largest float
+            return math.inf
     if isinstance(spec, Scaled):
         return spec.gamma * mnorm_eval(spec.inner, m, budget)
     if isinstance(spec, MaxOf):

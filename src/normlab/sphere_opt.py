@@ -15,15 +15,18 @@ weighted l-inf norm: a branch-and-bound over the phase torus of its extreme
 points that stops within 1e-9 (relative) of the maximum or at a fixed cap on
 scored points, whichever comes first.  ``gind_eval`` uses it for polyhedral
 domains with a batch codomain: the best polydisc search over the vertices of
-the ball of moduli.  :func:`maximize_on_sphere` itself keeps the climb for
-them.
+the ball of moduli.  Smooth l_p domains with a batch codomain take the
+nonlinear power method in ``gind`` instead, from the climb's own seed pool
+(:func:`seed_pool`).  :func:`maximize_on_sphere` itself keeps the climb for
+both.
 
 The climb scores candidates in one of two ways.  When the caller gives a
 batch form of the objective and the domain norm has one
 (:func:`~normlab.vector_norms.has_batch_form`), as ``gind_eval`` does for
-pairs of plain descriptors (extracted catalog norms included), the starts
-run in lockstep: the climb scores the rest of each sweep of every start in
-one call per round and walks each start's scores in order.  Everything else
+the pairs of plain descriptors it still climbs (MaxOf domains with a smooth
+part), the starts run in lockstep: the climb scores the rest of each sweep
+of every start in one call per round and walks each start's scores in
+order.  Everything else
 (other ``Extracted`` norms, the matrix sphere, the phase torus, callers' own
 callables) climbs one start after another and scores lazily, one candidate
 at a time, so no objective call is spent on a candidate the walk never
@@ -47,7 +50,7 @@ from .budget import (
     OptBudget,
     default_budget,
 )
-from .core import RandomStream, as_matrix, hermitian_top_eig, sample_matrix, sample_vector
+from .core import RandomStream, hermitian_top_eig, sample_matrix, sample_vector, scaled_gram
 from .errors import HomogeneityError
 from .matrix_norms import EntrywiseMax, EntrywiseSum, mnorm_eval
 from .vector_norms import Lp, WeightedLp, has_batch_form, split_scale, vnorm_eval, vnorm_eval_many
@@ -440,6 +443,23 @@ def _valid_seeds(extra_seeds: Iterable[np.ndarray], shape: tuple) -> list[np.nda
     return out
 
 
+def seed_pool(n: int, budget: OptBudget, extra_seeds: Iterable[np.ndarray] = ()) -> list[np.ndarray]:
+    """The starting points of a sphere search in C^n, unnormalized: the basis
+    vectors, the all-ones vector, n random phase vectors, the nonzero
+    ``extra_seeds`` of shape (n,) and ``budget.samples`` complex Gaussian
+    draws, the random ones from stream 0 of ``budget.seed``."""
+    g = RandomStream(budget.seed).child(0).generator()
+    pool: list[np.ndarray] = list(np.eye(n, dtype=np.complex128))
+    pool.append(np.ones(n, dtype=np.complex128))
+    pool.extend(np.exp(2j * np.pi * g.random(n)) for _ in range(n))
+    pool.extend(_valid_seeds(extra_seeds, (n,)))
+    # one draw for every Gaussian seed: the bits and the stream state of
+    # budget.samples sample_vector calls
+    draws = g.standard_normal((budget.samples, 2, n))
+    pool.extend((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0))
+    return pool
+
+
 def _finish(objective, domain_eval, witness, exactness, evals) -> ComputationResult:
     dn = domain_eval(witness)
     w = witness / dn
@@ -508,20 +528,10 @@ def maximize_on_sphere(
         verts = [eye[j] / w for j, w in enumerate(core.weights)]
         return _best_vertex(objective, domain_eval, verts, evals)
     if use_dispatch and linear_l2 is not None and isinstance(core, Lp) and core.p == 2.0:
-        m = as_matrix(linear_l2)
-        res = hermitian_top_eig(m.conj().T @ m, rng=rng.child(1))
+        res = hermitian_top_eig(scaled_gram(linear_l2)[0], rng=rng.child(1))
         return _finish(objective, domain_eval, res.eigenvector, EXACT_CLOSED_FORM, evals + 1)
 
-    g = rng.child(0).generator()
-    pool: list[np.ndarray] = list(eye)
-    pool.append(np.ones(n, dtype=np.complex128))
-    pool.extend(np.exp(2j * np.pi * g.random(n)) for _ in range(n))
-    pool.extend(_valid_seeds(extra_seeds, (n,)))
-    # one draw for every Gaussian seed: the bits and the stream state of
-    # budget.samples sample_vector calls
-    draws = g.standard_normal((budget.samples, 2, n))
-    pool.extend((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0))
-
+    pool = seed_pool(n, budget, extra_seeds)
     many = None
     if objective_many is not None and has_batch_form(domain_norm):
         many = _on_sphere_many(objective_many, domain_norm)

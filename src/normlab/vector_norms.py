@@ -232,6 +232,56 @@ def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
     raise SpecValidationError(f"no batch form for vector norm descriptor: {spec!r}")
 
 
+def _direction_of_moduli(phases: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
+    """Row-wise norming direction of l_p at the moduli m with the given phases."""
+    if p == 1.0:
+        return phases
+    if p == math.inf:
+        out = np.zeros_like(phases)
+        rows, first = np.arange(len(m)), m.argmax(axis=1)
+        out[rows, first] = phases[rows, first]
+        return out
+    # scale out the peak, as _lp_of_moduli does, so m**(p-1) cannot overflow
+    peak = m.max(axis=1, keepdims=True)
+    return phases * (m / np.where(peak > 0.0, peak, 1.0)) ** (p - 1.0)
+
+
+def norming_direction_many(spec: VectorNormSpec, rows) -> np.ndarray:
+    """A norming direction u of every row y for a spec with
+    :func:`has_batch_form`: Re <u, y> = ||y|| ||u||_dual, up to the scale of
+    u, which is not normalized.
+
+    For l_p with 1 < p < inf it is phase(y) |y|^(p-1), peak-scaled; for l1
+    the phases, and for l-inf the phase at the first largest modulus, with 0
+    on zero entries throughout, so a zero row gets a zero direction.
+    WeightedLp applies its weights inside and outside, Scaled gives its inner
+    direction and MaxOf that of its first part attaining the max.
+    """
+    v = np.asarray(rows, dtype=np.complex128)
+    if isinstance(spec, (Lp, WeightedLp)):
+        mods = np.abs(v)
+        phases = np.divide(v, mods, out=np.zeros_like(v), where=mods > 0)
+        if isinstance(spec, Lp):
+            return _direction_of_moduli(phases, mods, spec.p)
+        if len(spec.weights) != v.shape[1]:
+            raise DimensionMismatchError(
+                f"weighted norm has {len(spec.weights)} weights, vector has {v.shape[1]}"
+            )
+        w = np.asarray(spec.weights)
+        return w * _direction_of_moduli(phases, mods * w, spec.p)
+    if isinstance(spec, Scaled):
+        return norming_direction_many(spec.inner, v)
+    if isinstance(spec, MaxOf):
+        first = np.argmax([vnorm_eval_many(part, v) for part in spec.parts], axis=0)
+        out = np.zeros_like(v)
+        for k, part in enumerate(spec.parts):
+            at = first == k
+            if at.any():
+                out[at] = norming_direction_many(part, v[at])
+        return out
+    raise SpecValidationError(f"no batch form for vector norm descriptor: {spec!r}")
+
+
 def _conjugate_exponent(p: float) -> float:
     if p == 1.0:
         return math.inf

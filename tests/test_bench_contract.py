@@ -96,9 +96,9 @@ def test_role1_climbs_only_off_the_catalog():
 
 
 def test_batched_ascent_bypasses_the_scalar_kernel():
-    # gind_eval scores its ascent candidates through vnorm_eval_many, which
-    # the tracer does not wrap; only the final witness is scored through
-    # vnorm_eval (about 13k calls when every candidate went through it)
+    # gind_eval scores its seeds and power steps (ascent candidates, before
+    # the power method) through vnorm_eval_many, which the tracer does not
+    # wrap; only the final witness is scored through vnorm_eval
     from normlab import GIndPair, Lp, default_budget, gind_eval
 
     a = np.array([[1.0 + 0.5j, -2.0], [0.25j, 1.5]])
@@ -131,10 +131,10 @@ def test_gind_mix_ascent_shapes_keep_their_label_and_witness_checks(tmp_path):
 
 def test_lockstep_climb_scores_each_round_in_one_call(monkeypatch):
     # the starts climb in lockstep, so the batch objective is called once per
-    # round, not once per start and segment (791 / 1,046 / 1,266 calls when
-    # the starts climbed one after another); rows scored and evaluations are
-    # those of the one-after-another climb
-    from normlab import GIndPair, Lp, default_budget, gind, gind_eval
+    # round, not once per start and segment; rows scored and evaluations are
+    # those of the one-after-another climb.  A MaxOf domain with a smooth
+    # part is the one batch shape that still climbs
+    from normlab import GIndPair, Lp, MaxOf, Scaled, default_budget, gind, gind_eval
 
     batch = gind.vnorm_eval_many
     calls = []
@@ -144,10 +144,11 @@ def test_lockstep_climb_scores_each_round_in_one_call(monkeypatch):
         return batch(spec, xs)
 
     monkeypatch.setattr(gind, "vnorm_eval_many", counting)
-    for n, rows, evaluations in ((2, 8520, 6536), (3, 14298, 9803), (4, 20467, 13070)):
+    pair = GIndPair(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(1.5))
+    for n, rows, evaluations in ((2, 8520, 6536), (3, 14298, 9803), (4, 20676, 13070)):
         calls.clear()
         a = np.random.default_rng(11).standard_normal((n, n)) + 0.5j
-        res = gind_eval(GIndPair(Lp(3), Lp(1.5)), a, default_budget(n, 29))
+        res = gind_eval(pair, a, default_budget(n, 29))
         assert len(calls) <= 100, n
         assert sum(calls) == rows, n
         assert res.evaluations == evaluations, n

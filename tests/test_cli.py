@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -144,12 +145,20 @@ def test_trials_below_one_exit_2(capsys):
     assert capsys.readouterr().err.count("trial count must be at least 1") == 3
 
 
-def test_non_convergence_exit_3(tmp_path, capsys):
-    # A*A overflows to inf, so the eigen solve has no finite answer
+def test_huge_spectral_value_is_finite(tmp_path, capsys):
+    # A*A of this matrix overflows; A is scaled by a power of two before it
+    # is formed, so the value is exact and no overflow warning is raised
     path = tmp_path / "huge.csv"
     path.write_text("1e200,0\n0,1\n")
-    assert run_command(["eval", "--norm", "spectral", "--matrix", str(path)]) == 3
-    assert "finite" in capsys.readouterr().err
+    out_path = tmp_path / "value.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(
+            ["eval", "--norm", "spectral", "--matrix", str(path), "--report", str(out_path)]
+        )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out_path.read_text())["value"] == 1e200
 
 
 def test_eigen_solver_failure_exit_3(matrix_file, monkeypatch, capsys):

@@ -1,9 +1,12 @@
+import json
 import math
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import dense_sphere_max, dense_torus_max, lp_batched
+from _oracles import dense_gind_oracle, dense_sphere_max, dense_torus_max, lp_batched
 
 from normlab import (
     EXACT_CLOSED_FORM,
@@ -22,6 +25,7 @@ from normlab import (
     Spectral,
     WeightedLp,
     chain_compare,
+    default_budget,
     extract_pair,
     gind_eval,
     mnorm_eval,
@@ -510,3 +514,121 @@ def test_linf_domains_never_climb(monkeypatch):
                     pair = GIndPair(Scaled(outer, domain), codomain)
                     res = gind_eval(pair, _complex(g, n))
                     assert res.exactness == LOWER_BOUND
+
+
+# smooth l_p domains, 1 < p < inf: the nonlinear power method
+
+
+def _smooth_domains(n: int):
+    w = (2.0, 1.0, 0.5, 1.25)[:n]
+    return [Lp(1.5), Lp(3), WeightedLp(w, 3), Scaled(0.5, WeightedLp(w[::-1], 1.5))]
+
+
+def _column_bound(pair, a) -> float:
+    """N1^D((N2(a_j))_j): ||Ax|| <= sum_j |x_j| N2(a_j) <= N1(x) N1^D(c)."""
+    columns = np.array([vnorm_eval(pair.norm2, a[:, j]) for j in range(a.shape[1])])
+    return vnorm_dual_eval(pair.norm1, columns)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_smooth_domains_match_the_dense_oracle(p):
+    g = np.random.default_rng([2031, int(p * 2)])
+    for codomain_p, scale in ((1.0, 1.0), (1.5, 1.0), (3.0, 1.0), (INF, 1.0), (2.0, 2.0)):
+        codomain = Lp(codomain_p) if scale == 1.0 else Scaled(scale, Lp(codomain_p))
+        pair = GIndPair(Lp(p), codomain)
+        for _ in range(3):
+            a = _complex(g, 2)
+            oracle = dense_gind_oracle(a, p, codomain_p, scale)
+            res = gind_eval(pair, a)
+            label = f"l{p} -> {codomain}"
+            assert res.exactness == LOWER_BOUND, label
+            assert res.value >= oracle * (1 - 1e-9), label
+            assert res.value <= _column_bound(pair, a) * (1 + 1e-12), label
+            _check_witness(pair, a, res)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_smooth_domains_stay_below_the_column_bound(n):
+    g = np.random.default_rng([2033, n])
+    for domain in _smooth_domains(n):
+        for codomain in _batch_codomains(n):
+            pair = GIndPair(domain, codomain)
+            a = _complex(g, n)
+            res = gind_eval(pair, a)
+            label = f"{domain} -> {codomain}"
+            assert res.exactness == LOWER_BOUND, label
+            assert res.value <= _column_bound(pair, a) * (1 + 1e-12), label
+            _check_witness(pair, a, res)
+
+
+def test_smooth_domains_never_climb(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the power method must not reach the climb")
+
+    monkeypatch.setattr(sphere_opt, "_climb", forbidden)
+    g = np.random.default_rng(47)
+    for n in (1, 2, 3, 4):
+        for domain in _smooth_domains(n) + [WeightedLp((2.0, 1.0, 0.5, 1.25)[:n], 2)]:
+            for codomain in _batch_codomains(n):
+                res = gind_eval(GIndPair(Scaled(3.0, domain), codomain), _complex(g, n), B)
+                assert res.exactness == LOWER_BOUND
+
+
+def test_rank_one_matrices_converge_in_two_steps():
+    # C_x = x 1^T maps y to (sum_j y_j) x, so its value is N2(x) N1^D(1), and
+    # one step reaches it from any start: a second step does not move, so
+    # each start scores at most two rows beyond the seed pool
+    g = np.random.default_rng(53)
+    for n in (2, 3, 4):
+        budget = OptBudget(multistarts=4 * n, max_iters=400, samples=16 * n, seed=n)
+        for domain in _smooth_domains(n):
+            for codomain in _batch_codomains(n):
+                x = _complex(g, n)[0]
+                a = np.outer(x, np.ones(n))
+                pair = GIndPair(domain, codomain)
+                res = gind_eval(pair, a, budget)
+                want = vnorm_eval(codomain, x) * vnorm_dual_eval(domain, np.ones(n))
+                assert res.value == pytest.approx(want, rel=1e-12)
+                pool = sphere_opt.seed_pool(n, budget, gind._quality_seeds(a))
+                assert res.evaluations <= len(pool) + 2 * budget.multistarts
+                _check_witness(pair, a, res)
+
+
+def test_zero_images_raise_no_warning():
+    # every seed iterates; the zero matrix gives every start a zero image, and
+    # a zero column gives e_2 one.  The values are those the sphere climb
+    # found at this budget, or above
+    budget = OptBudget(multistarts=1000, max_iters=400, samples=16, seed=3)
+    a = np.array([[1.0, 2j, 0], [0, 0, 0], [0.5, -1.0, 0]])
+    pairs = {
+        GIndPair(Lp(3), Lp(1.5)): 2.866418596501418,
+        GIndPair(WeightedLp((2.0, 0.5, 1.0), 1.5), Lp(INF)): 4.002602275264524,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair, climbed in pairs.items():
+            first = np.eye(3, dtype=np.complex128)[0]
+            res = gind_eval(pair, np.zeros((3, 3)), budget)
+            assert res.value == 0.0
+            assert res.witness.tobytes() == (first / vnorm_eval(pair.norm1, first)).tobytes()
+            assert res.exactness == LOWER_BOUND
+            res = gind_eval(pair, a, budget)
+            assert res.value >= climbed
+            assert res.value <= _column_bound(pair, a) * (1 + 1e-12)
+            _check_witness(pair, a, res)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "gind_ascent_golden.json"
+
+
+def test_golden_l3_to_l15_evaluation_counts():
+    # the power method is deterministic, so a convergence change shows up as
+    # a count; the climb scored 6,536, 9,803 and 13,070 rows on these
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for n, evaluations in ((2, 358), (3, 635), (4, 1062)):
+        want = golden[f"l3->l1.5 n={n}"]
+        flat = [complex(float.fromhex(re), float.fromhex(im)) for re, im in want["matrix"]]
+        a = np.array(flat).reshape(n, n)
+        res = gind_eval(GIndPair(Lp(3), Lp(1.5)), a, default_budget(n, want["seed"]))
+        assert res.evaluations == evaluations, n
+        assert res.value > float.fromhex(want["value"]), n

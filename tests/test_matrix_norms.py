@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ def test_spectral_matches_svd_oracle():
             m = sample_matrix(g, n)
             expected = float(np.linalg.svd(m, compute_uv=False)[0])
             assert mnorm_eval(Spectral(), m) == pytest.approx(expected, rel=1e-8)
+
+
+def test_spectral_of_extreme_magnitudes():
+    # A is scaled by a power of two before A*A is formed, so neither
+    # overflow nor underflow in A*A reaches the value, and no warning is
+    # raised; a norm beyond the largest float is inf, as for the other norms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mnorm_eval(Spectral(), [[1e200, 0], [0, 1]]) == 1e200
+        assert mnorm_eval(Spectral(), [[1.7e308, 0], [0, 1j]]) == 1.7e308
+        assert mnorm_eval(Spectral(), [[1e-320, 0], [0, 1e-310]]) == 1e-310
+        assert mnorm_eval(Spectral(), np.full((2, 2), 1e308)) == math.inf
+        a = np.array([[1.0 + 2.0j, -0.5], [0.25j, 3.0]])
+        for scale in (1e-150, 1e150):
+            assert mnorm_eval(Spectral(), scale * a) == pytest.approx(
+                scale * np.linalg.norm(a, 2), rel=1e-14
+            )
 
 
 def test_spectral_sampled_lower_bound():
