@@ -28,6 +28,7 @@ from .errors import (
     DocumentParseError,
     HomogeneityError,
     NonConvergenceError,
+    NonFiniteInputError,
     NormlabError,
     SpecValidationError,
 )

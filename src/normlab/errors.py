@@ -9,6 +9,10 @@ class DimensionMismatchError(NormlabError, ValueError):
     """Operands have incompatible shapes or dimensions."""
 
 
+class NonFiniteInputError(NormlabError, ValueError):
+    """An input matrix has an infinite or NaN entry."""
+
+
 class SpecValidationError(NormlabError, ValueError):
     """A norm descriptor violates its invariants (p < 1, gamma <= 0, ...)."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .budget import LOWER_BOUND, ComputationResult, OptBudget, default_budget
 from .core import RandomStream, as_matrix, hermitian_top_eig, scaled_gram
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, NonFiniteInputError
 from .matrix_norms import concrete
 from .vector_norms import (
     Lp,
@@ -268,9 +268,12 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     (closed form), EntrywiseMax and MaxColSum (vertex) reconstruct their
     source exactly, and those of EntrywiseSum, MaxRowSum and
     max(MaxColSum, MaxRowSum), whose domain is n l-inf, by the polydisc
-    search.
+    search.  A matrix with an infinite or NaN entry raises
+    :class:`~normlab.errors.NonFiniteInputError`.
     """
     m = as_matrix(a)
+    if not np.isfinite(m).all():
+        raise NonFiniteInputError("gind_eval needs a finite matrix")
     n = m.shape[0]
     if budget is None:
         budget = default_budget(n)

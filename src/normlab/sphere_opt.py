@@ -348,12 +348,17 @@ def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> Compu
     vertices exp(i(c -+ h)) and exp(ic)/cos h, so by convexity the largest
     value over a box's vertex combinations bounds f on the box, and its
     endpoint combinations are feasible points.  Boxes whose bound is within
-    1e-9 (relative) of the best feasible value are dropped, the rest halved
-    in every coordinate, until none is left or the row cap is reached.
+    1e-9 (relative) of the best feasible value are dropped, and the rest
+    split, until none is left or the row cap is reached.  With one free
+    coordinate each live arc splits into 16 sub-arcs per round, so a search
+    makes a handful of objective calls of a few hundred rows; with d >= 2
+    free coordinates each box is halved in every coordinate, since a q-way
+    split makes q**d children of a box and at d >= 2 costs more in rows than
+    it saves in calls.
 
     The result is the best feasible point found and its value, labelled a
-    lower bound; ``evaluations`` counts the rows scored.  No random draws:
-    equal inputs give equal bits.
+    lower bound; ``evaluations`` counts the rows scored, the caller's starts
+    included.  No random draws: equal inputs give equal bits.
     """
     r = np.asarray(radii, dtype=np.float64)
     points = np.asarray(starts, dtype=np.complex128)
@@ -368,7 +373,10 @@ def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> Compu
     # per free coordinate: 0 and 1 pick the arc ends c - h and c + h, 2 the apex
     choice = np.array(list(itertools.product(range(3), repeat=d)), dtype=int).reshape(3**d, d)
     ends = np.flatnonzero((choice < 2).all(axis=1))
-    halves = np.array(list(itertools.product((-0.5, 0.5), repeat=d))).reshape(2**d, d)
+    # each box splits into q parts per coordinate, centred at c + h((2j+1)/q - 1)
+    q = 16 if d == 1 else 2
+    parts = [(2 * j + 1) / q - 1.0 for j in range(q)]
+    splits = np.array(list(itertools.product(parts, repeat=d))).reshape(q**d, d)
     h = np.pi / 4
     arcs = (2 * np.arange(4) + 1) * h
     centers = np.array(list(itertools.product(arcs, repeat=d))).reshape(4**d, d)
@@ -393,8 +401,8 @@ def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> Compu
                 best, witness = float(at_ends.flat[k]), rows[box, ends[end]].copy()
         evals += len(centers) * per_box
         live = centers[uppers > best * (1.0 + _POLYDISC_TOL)]
-        centers = (live[:, None, :] + h * halves).reshape(len(live) * len(halves), d)
-        h /= 2
+        centers = (live[:, None, :] + h * splits).reshape(len(live) * len(splits), d)
+        h /= q
     return ComputationResult(best, witness, LOWER_BOUND, evals)
 
 

@@ -4,7 +4,8 @@ These never call the library's optimizers: the sphere oracle enumerates a
 dense quasi-uniform grid on the unit sphere of C^2 (moduli parameter times a
 relative phase, global phase fixed by invariance) and refines around the
 best cell; the torus oracle scans the phases of the polydisc's extreme points
-in any dimension and polishes every local peak of the scan.
+in any dimension and polishes every local peak of the scan.  Where the maths
+gives a closed form, it is used instead: no grid limits its accuracy.
 """
 
 import numpy as np
@@ -107,3 +108,15 @@ def dense_torus_max(objective_batched, radii, grid: int, rounds: int = 40, width
             half /= 2
         best = max(best, value)
     return best
+
+
+def linf_to_l2_closed_form(a, radii) -> float:
+    """max ||Ax||_2 over the polydisc |x_j| <= r_j of a matrix with two
+    columns: ||x_0 a_0 + x_1 a_1||^2 peaks at |x_j| = r_j with a relative phase
+    that aligns the cross term, sqrt(r_0^2 |a_0|^2 + r_1^2 |a_1|^2 +
+    2 r_0 r_1 |<a_0, a_1>|)."""
+    a = np.asarray(a, dtype=np.complex128)
+    r0, r1 = radii
+    c0, c1 = a[:, 0], a[:, 1]
+    sq = r0**2 * np.vdot(c0, c0).real + r1**2 * np.vdot(c1, c1).real
+    return float(np.sqrt(sq + 2 * r0 * r1 * abs(np.vdot(c0, c1))))

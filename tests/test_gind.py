@@ -6,7 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import dense_gind_oracle, dense_sphere_max, dense_torus_max, lp_batched
+from _oracles import (
+    dense_gind_oracle,
+    dense_sphere_max,
+    dense_torus_max,
+    linf_to_l2_closed_form,
+    lp_batched,
+)
 
 from normlab import (
     EXACT_CLOSED_FORM,
@@ -19,6 +25,8 @@ from normlab import (
     MaxColSum,
     MaxOf,
     MaxRowSum,
+    NonFiniteInputError,
+    NormlabError,
     OptBudget,
     RandomStream,
     Scaled,
@@ -514,6 +522,82 @@ def test_linf_domains_never_climb(monkeypatch):
                     pair = GIndPair(Scaled(outer, domain), codomain)
                     res = gind_eval(pair, _complex(g, n))
                     assert res.exactness == LOWER_BOUND
+
+
+def _count_search_calls(monkeypatch) -> list:
+    """Rebind ``gind.maximize_on_polydisc`` so that each search appends
+    [free phases, objective calls] to the returned list."""
+    searches = []
+    real = gind.maximize_on_polydisc
+
+    def counting(objective_many, radii, starts, ceiling):
+        entry = [len(radii) - 1, 0]
+        searches.append(entry)
+
+        def objective(xs):
+            entry[1] += 1
+            return objective_many(xs)
+
+        return real(objective, radii, starts, ceiling)
+
+    monkeypatch.setattr(gind, "maximize_on_polydisc", counting)
+    return searches
+
+
+def test_one_phase_searches_make_at_most_six_objective_calls(monkeypatch):
+    # one free phase splits each live arc 16 ways: the starts, then five
+    # rounds take the arc half-width from pi/4 to pi/262144, where the box
+    # bound's excess 1/cos h - 1 is below the 1e-9 prune
+    searches = _count_search_calls(monkeypatch)
+    g = np.random.default_rng(1906)
+    half = MaxOf((Lp(1), Scaled(2.0, Lp(INF))))
+    cases = [(GIndPair(Lp(INF), codomain), 2) for codomain in (Lp(1), Scaled(2.0, Lp(2)))]
+    cases += [(GIndPair(half, Lp(2)), 3), (GIndPair(half, Lp(1.5)), 4)]
+    for pair, n in cases:
+        for _ in range(10):
+            gind_eval(pair, _complex(g, n))
+    one_phase = [calls for d, calls in searches if d == 1]
+    assert len(one_phase) == len(searches) and sum(calls > 1 for calls in one_phase) >= 30
+    assert max(one_phase) <= 6
+
+
+def test_searches_with_more_phases_still_halve():
+    # two and three free phases halve every box: these counts and values
+    # pin that search, so a change to its split shows here
+    pair = GIndPair(Lp(INF), Lp(1))
+    for n, evaluations, value in ((3, 2919, 6.284754042735348), (4, 51628, 9.13873685876921)):
+        a = _complex(np.random.default_rng([19, n]), n)
+        res = gind_eval(pair, a)
+        assert (res.evaluations, res.value) == (evaluations, value), n
+
+
+def test_linf_to_l2_matches_the_closed_form():
+    # two columns into l2 have a closed form, so the oracle has no grid: the
+    # search finds the maximum to its 1e-9 and never passes it
+    g = np.random.default_rng(1907)
+    for _ in range(240):
+        a = _complex(g, 2)
+        r = np.exp(g.uniform(-2.0, 2.0, 2))
+        closed = linf_to_l2_closed_form(a, r)
+        res = gind_eval(GIndPair(WeightedLp(tuple(1.0 / r), INF), Lp(2)), a)
+        assert closed * (1 - 1e-9) <= res.value <= closed * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        GIndPair(Lp(INF), Lp(1)),  # polydisc search
+        GIndPair(Lp(3), Lp(1.5)),  # power method
+        GIndPair(Lp(1), Lp(INF)),  # vertex
+        GIndPair(Lp(2), Lp(2)),  # closed form
+        GIndPair(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(2)),  # climb
+    ],
+)
+def test_non_finite_matrices_are_rejected(pair, bad):
+    with pytest.raises(NonFiniteInputError) as info:
+        gind_eval(pair, [[bad, 0], [0, 1]], B)
+    assert isinstance(info.value, NormlabError) and isinstance(info.value, ValueError)
 
 
 # smooth l_p domains, 1 < p < inf: the nonlinear power method
