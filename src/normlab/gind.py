@@ -5,7 +5,8 @@ norms.  Outer scale factors are peeled off exactly (scaling either norm by
 gamma scales the induced value by 1/gamma resp. gamma), so proportional
 pairs evaluate through the identical core computation.  With a batch
 codomain, polyhedral domains (l1 and l-inf parts under Scaled and MaxOf) get
-the best polydisc search over the vertices of the ball of moduli, and smooth
+the best polydisc search over the vertices of the ball of moduli (a closed
+form for two-coordinate vertices into l2), and smooth
 domains (an l_p or weighted l_p core, 1 < p < inf, other than l2 to l2) the
 nonlinear power method; every other pair goes to the sphere maximizer.
 """
@@ -136,29 +137,53 @@ def _ball_vertices(core, rows, caps) -> list[np.ndarray]:
     return list(points[~(above & (strictly | earlier)).any(axis=1)])
 
 
+def _two_column_l2(core2, ms: np.ndarray, cols: np.ndarray, r: np.ndarray) -> ComputationResult:
+    """max N2(ms x) over |x_j| <= r_j for two columns and an l2 or weighted
+    l2 codomain, whose weighted columns are ``cols``.  ||r_0 a_0 +
+    r_1 e^{it} a_1||^2 = r_0^2 ||a_0||^2 + r_1^2 ||a_1||^2 +
+    2 r_0 r_1 Re(e^{it} <a_0, a_1>) peaks where the cross term is real and
+    positive, at x = (r_0, r_1 phase(<a_1, a_0>)), phase 1 for orthogonal
+    columns.  The witness is scored with ``vnorm_eval``; one evaluation."""
+    inner = complex(np.vdot(cols[:, 1], cols[:, 0]))
+    x = np.array([r[0], r[1] * (inner / abs(inner) if inner else 1.0)], dtype=np.complex128)
+    return ComputationResult(vnorm_eval(core2, ms @ x), x, LOWER_BOUND, 1)
+
+
 def _polyhedral_search(core2, m: np.ndarray, vertices) -> ComputationResult:
-    """max N2(Ax) over the union of the polydiscs {|x_j| <= v_j}: one
-    :func:`~normlab.sphere_opt.maximize_on_polydisc` per vertex, on its
-    support, from the row-phase points and with ceiling N2(|A_S| v_S); a
-    vertex whose ceiling does not exceed the best value so far is skipped.
-    The best value wins, ties to the lowest vertex; evaluations add up."""
+    """max N2(Ax) over the union of the polydiscs {|x_j| <= v_j}, per vertex
+    on its support: with two coordinates and an l2 or weighted l2 codomain
+    the closed form :func:`_two_column_l2`, otherwise one
+    :func:`~normlab.sphere_opt.maximize_on_polydisc` from the row-phase
+    points and with ceiling N2(|A_S| v_S).  A vertex whose ceiling does not
+    exceed the best value so far is skipped.  The best value wins, ties to
+    the lowest vertex; evaluations add up."""
     n = m.shape[0]
     phases, mods = _row_phases(m), np.abs(m)
+    # the codomain's weights folded into the columns, when it is euclidean
+    euclid = None
+    if isinstance(core2, Lp) and core2.p == 2.0:
+        euclid = m
+    elif isinstance(core2, WeightedLp) and core2.p == 2.0 and len(core2.weights) == n:
+        euclid = np.asarray(core2.weights)[:, None] * m
     best, witness, evals = -math.inf, None, 0
     for v in vertices:
+        support = np.flatnonzero(v)
         # a full support keeps the matrix itself, so l-inf cores search
         # with the very arrays they always did
-        cols = slice(None) if np.count_nonzero(v) == n else np.flatnonzero(v)
+        cols = slice(None) if support.size == n else support
         ms, r = m[:, cols], v[cols]
         # batch codomains are absolute and monotone, so N2(Ax) <= N2(|A| r)
         # on the polydisc, with equality for an l-inf codomain at a row start
         ceiling = vnorm_eval(core2, mods[:, cols] @ r)
         if ceiling <= best:
             continue  # this polydisc cannot beat the best so far
-        # the search replays no scalar walk, so one product serves the batch
-        res = maximize_on_polydisc(
-            lambda xs: vnorm_eval_many(core2, xs @ ms.T), r, r * phases[:, cols], ceiling
-        )
+        if euclid is not None and support.size == 2:
+            res = _two_column_l2(core2, ms, euclid[:, support], r)
+        else:
+            # the search replays no scalar walk, so one product serves the batch
+            res = maximize_on_polydisc(
+                lambda xs: vnorm_eval_many(core2, xs @ ms.T), r, r * phases[:, cols], ceiling
+            )
         evals += res.evaluations
         if witness is None or res.value > best:
             best, witness = res.value, np.zeros(n, dtype=np.complex128)
@@ -201,8 +226,14 @@ def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> Computation
     loses value.  A start moves
     only when N2(Ax') exceeds its value by a factor 1 + 1e-15, and retires
     when it does not, when its y or z is zero, or after ``budget.max_iters``
-    steps.  The result is the best of every scored row, ties to the first,
-    labelled a lower bound; ``evaluations`` counts the rows scored.
+    steps.  It also retires when it cannot catch the best at its present
+    rate: from value ``prev`` to ``got`` with ``left`` steps to go, when
+    got (got/prev)**left < best (1 - 1e-12).  That assumes a start's gain
+    per step does not grow, which holds near a fixed point, where the
+    iteration contracts; a start that would have sped up is lost, and the
+    result is still a lower bound.  The result is the best of every scored
+    row, ties to the first, labelled a lower bound; ``evaluations`` counts
+    the rows scored.
     """
     q = core1.p / (core1.p - 1.0)
     if isinstance(core1, Lp):
@@ -221,7 +252,7 @@ def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> Computation
     best, witness = vals[k], points[k]
     starts = np.argsort(-vals, kind="stable")[: budget.multistarts]
     y, val = images[starts], vals[starts]
-    for _ in range(budget.max_iters):
+    for step in range(budget.max_iters):
         z = (adjoint @ norming_direction_many(core2, y)[..., None])[..., 0]
         live = z.any(axis=1)  # a zero y has a zero direction, so a zero z
         if not live.any():
@@ -234,7 +265,15 @@ def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> Computation
         k = int(np.argmax(got))
         if got[k] > best:
             best, witness = got[k], x[k]
-        moved = got > val[live] * (1.0 + 1e-15)
+        prev = val[live]
+        moved = got > prev * (1.0 + 1e-15)
+        if moved.any():
+            # a start that keeps its last gain per step for the steps left
+            # and still ends below the best cannot catch it
+            left = budget.max_iters - step - 1
+            up = got[moved]
+            reach = np.log(up) + left * np.log(up / prev[moved])
+            moved[moved] = reach >= math.log(best * (1.0 - 1e-12))
         y, val = y[moved], got[moved]
     w = witness / vnorm_eval(core1, witness)
     return ComputationResult(vnorm_eval(core2, m @ w), w, LOWER_BOUND, evals)
@@ -251,13 +290,17 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     weighted l1 core, has a polytope for its ball of moduli
     {r >= 0 : N1(r) <= 1}, and its unit ball is the convex hull of the
     polydiscs {|x_j| <= v_j} over the polytope's vertices v, so the convex
-    x -> N2(Ax) peaks in one of them.  Each maximal vertex gets a polydisc
-    branch-and-bound (:func:`~normlab.sphere_opt.maximize_on_polydisc`) on
-    its support; it stops at once when a row-phase start reaches N2(|A| v)
-    (always for an l-inf codomain: the weighted max row sum), and otherwise
-    finds its maximum to 1e-9 relative unless its bounded work runs out
-    first.  An l-inf or weighted l-inf core is the one-vertex case.  The
-    union uses no random draws and no budget, and is labelled a lower bound.
+    x -> N2(Ax) peaks in one of them.  A maximal vertex with two nonzero
+    moduli and an l2 or weighted l2 codomain core has one free phase and a
+    closed form (:func:`_two_column_l2`), one evaluation.  Every other one
+    gets a polydisc branch-and-bound
+    (:func:`~normlab.sphere_opt.maximize_on_polydisc`) on its support; it
+    stops at once when a row-phase start reaches N2(|A| v) (always for an
+    l-inf codomain: the weighted max row sum), and otherwise finds its
+    maximum to 1e-9 relative unless its bounded work runs out first.  An
+    l-inf or weighted l-inf core is the one-vertex case.  The union uses no
+    random draws and no budget, and is labelled a lower bound, closed forms
+    included, since no result carries an upper bound yet.
     An l_p or weighted l_p domain core with 1 < p < inf and a batch codomain,
     l2 to l2 excepted, gets the nonlinear power method from the best seeds
     of the sphere maximizer's pool (:func:`_power_search`), also a lower

@@ -12,10 +12,12 @@ results are honest lower bounds and are labeled as such.
 :func:`maximize_on_polydisc` is the deterministic alternative for convex
 objectives on a polydisc {|x_j| <= r_j}, the unit ball of an l-inf or
 weighted l-inf norm: a branch-and-bound over the phase torus of its extreme
-points that stops within 1e-9 (relative) of the maximum or at a fixed cap on
-scored points, whichever comes first.  ``gind_eval`` uses it for polyhedral
-domains with a batch codomain: the best polydisc search over the vertices of
-the ball of moduli.  Smooth l_p domains with a batch codomain take the
+points that scores the corners each split's boxes share once, and stops
+within 1e-9 (relative) of the maximum or at a fixed cap on scored points,
+whichever comes first.  ``gind_eval`` uses it for polyhedral domains with a
+batch codomain: the best polydisc search over the vertices of the ball of
+moduli, where a vertex with one free phase into l2 takes a closed form
+instead.  Smooth l_p domains with a batch codomain take the
 nonlinear power method in ``gind`` instead, from the climb's own seed pool
 (:func:`seed_pool`).  :func:`maximize_on_sphere` itself keeps the climb for
 both.
@@ -335,6 +337,36 @@ _POLYDISC_CHUNK = 2048
 _CEILING_TOL = 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def _split_tables(d: int, q: int):
+    """The index tables of a q-way split of a box in d free phases.
+
+    Per coordinate the children share 2q + 1 points: arc ends at even
+    positions 0, 2, ..., 2q and the children's apexes at odd ones.  Returns
+    the parent's grid of (2q+1)**d points as rows of per-coordinate
+    positions, each child's 3**d grid points as flat indices into that grid
+    (q**d rows), the grid points that are ends in every coordinate, and the
+    children's centre offsets in units of the parent's half-width.
+    """
+    grid = np.array(list(itertools.product(range(2 * q + 1), repeat=d)), dtype=np.intp)
+    kids = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.intp)
+    corners = np.array(list(itertools.product(range(3), repeat=d)), dtype=np.intp)
+    grid, kids, corners = (t.reshape(-1, d) for t in (grid, kids, corners))
+    place = (2 * q + 1) ** np.arange(d - 1, -1, -1)
+    children = (2 * kids[:, None, :] + corners[None]) @ place
+    ends = np.flatnonzero((grid % 2 == 0).all(axis=1))
+    return grid, children, ends, (2 * kids + 1) / q - 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _turns(q: int, h: float) -> np.ndarray:
+    """The 2q + 1 points of a split arc of half-width qh relative to its
+    centre, on the unit circle: ends exp(ijh) at even j, apexes exp(ijh) /
+    cos h at odd j, for j = -q..q."""
+    j = np.arange(-q, q + 1)
+    return np.exp(1j * h * j) * np.where(j % 2, 1.0 / math.cos(h), 1.0)
+
+
 def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> ComputationResult:
     """max{ f(x) : |x_j| <= r_j } by branch-and-bound on the phase torus.
 
@@ -343,18 +375,21 @@ def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> Compu
     points x_j = r_j exp(i theta_j), and homogeneity fixes theta_0 = 0.  The
     caller's ``starts`` (rows) are scored first; if the best reaches
     ``ceiling``, an upper bound on f over the polydisc, within 1e-12
-    relative, the search ends there.  Otherwise each coordinate's circle
-    starts as 4 arcs.  The arc [c - h, c + h] lies in the triangle with
-    vertices exp(i(c -+ h)) and exp(ic)/cos h, so by convexity the largest
-    value over a box's vertex combinations bounds f on the box, and its
-    endpoint combinations are feasible points.  Boxes whose bound is within
-    1e-9 (relative) of the best feasible value are dropped, and the rest
-    split, until none is left or the row cap is reached.  With one free
-    coordinate each live arc splits into 16 sub-arcs per round, so a search
-    makes a handful of objective calls of a few hundred rows; with d >= 2
-    free coordinates each box is halved in every coordinate, since a q-way
-    split makes q**d children of a box and at d >= 2 costs more in rows than
-    it saves in calls.
+    relative, the search ends there.  Otherwise the boxes of phases are
+    searched round by round.  The arc [c - h, c + h] lies in the triangle
+    with vertices exp(i(c -+ h)) and exp(ic)/cos h, so by convexity the
+    largest value over a box's 3**d vertex combinations bounds f on the box,
+    and its endpoint combinations are feasible points.  Each round splits
+    every live box q ways per coordinate; the q**d children share ends and
+    apexes, 2q + 1 distinct points per coordinate, so the round scores the
+    parent's (2q+1)**d grid once and takes each child's bound as the max
+    over its 3**d grid points.  The first round splits the whole torus, one
+    box of half-width pi, 4 ways; later rounds split 16 ways with one free
+    coordinate, so a search makes a handful of objective calls, and 2 ways
+    with d >= 2, where q**d children would cost more in rows than they save
+    in calls.  Children whose bound is within 1e-9 (relative) of the best
+    feasible value are dropped, the rest are the next round's parents, until
+    none is left or the row cap is reached.
 
     The result is the best feasible point found and its value, labelled a
     lower bound; ``evaluations`` counts the rows scored, the caller's starts
@@ -370,39 +405,31 @@ def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> Compu
         return ComputationResult(best, witness, LOWER_BOUND, evals)
 
     d = r.size - 1
-    # per free coordinate: 0 and 1 pick the arc ends c - h and c + h, 2 the apex
-    choice = np.array(list(itertools.product(range(3), repeat=d)), dtype=int).reshape(3**d, d)
-    ends = np.flatnonzero((choice < 2).all(axis=1))
-    # each box splits into q parts per coordinate, centred at c + h((2j+1)/q - 1)
-    q = 16 if d == 1 else 2
-    parts = [(2 * j + 1) / q - 1.0 for j in range(q)]
-    splits = np.array(list(itertools.product(parts, repeat=d))).reshape(q**d, d)
-    h = np.pi / 4
-    arcs = (2 * np.arange(4) + 1) * h
-    centers = np.array(list(itertools.product(arcs, repeat=d))).reshape(4**d, d)
-    per_box = len(choice)
-    boxes_per_chunk = max(1, _POLYDISC_CHUNK // per_box)
-    while len(centers) and evals + len(centers) * per_box <= _POLYDISC_CAP:
-        # the vertices of the box centred at c are exp(ic) times the rows here
-        turns = np.array([np.exp(-1j * h), np.exp(1j * h), 1.0 / math.cos(h)])
-        offsets = turns[choice] * r[1:]
-        uppers = np.empty(len(centers))
-        for lo in range(0, len(centers), boxes_per_chunk):
-            chunk = centers[lo : lo + boxes_per_chunk]
-            rows = np.empty((len(chunk), per_box, d + 1), dtype=np.complex128)
+    axes = np.arange(d)
+    centers, half, q = np.full((1, d), np.pi), np.pi, 4
+    while len(centers) and evals + len(centers) * (2 * q + 1) ** d <= _POLYDISC_CAP:
+        grid, children, ends, splits = _split_tables(d, q)
+        h = half / q
+        turns = _turns(q, h) * r[1:, None]
+        per_parent = len(grid)
+        parents_per_chunk = max(1, _POLYDISC_CHUNK // per_parent)
+        uppers = np.empty((len(centers), len(children)))
+        for lo in range(0, len(centers), parents_per_chunk):
+            chunk = centers[lo : lo + parents_per_chunk]
+            rows = np.empty((len(chunk), per_parent, d + 1), dtype=np.complex128)
             rows[..., 0] = r[0]
-            rows[..., 1:] = np.exp(1j * chunk)[:, None, :] * offsets
-            vals = objective_many(rows.reshape(-1, d + 1)).reshape(len(chunk), per_box)
-            uppers[lo : lo + len(chunk)] = vals.max(axis=1)
+            rows[..., 1:] = (np.exp(1j * chunk)[..., None] * turns)[:, axes, grid]
+            vals = objective_many(rows.reshape(-1, d + 1)).reshape(len(chunk), per_parent)
+            uppers[lo : lo + len(chunk)] = vals[:, children].max(axis=2)
             at_ends = vals[:, ends]
             k = int(np.argmax(at_ends))
             if at_ends.flat[k] > best:
-                box, end = divmod(k, len(ends))
-                best, witness = float(at_ends.flat[k]), rows[box, ends[end]].copy()
-        evals += len(centers) * per_box
-        live = centers[uppers > best * (1.0 + _POLYDISC_TOL)]
-        centers = (live[:, None, :] + h * splits).reshape(len(live) * len(splits), d)
-        h /= q
+                parent, end = divmod(k, len(ends))
+                best, witness = float(at_ends.flat[k]), rows[parent, ends[end]].copy()
+        evals += len(centers) * per_parent
+        live = uppers > best * (1.0 + _POLYDISC_TOL)
+        centers = (centers[:, None, :] + half * splits)[live]
+        half, q = h, (16 if d == 1 else 2)
     return ComputationResult(best, witness, LOWER_BOUND, evals)
 
 

@@ -120,3 +120,19 @@ def linf_to_l2_closed_form(a, radii) -> float:
     c0, c1 = a[:, 0], a[:, 1]
     sq = r0**2 * np.vdot(c0, c0).real + r1**2 * np.vdot(c1, c1).real
     return float(np.sqrt(sq + 2 * r0 * r1 * abs(np.vdot(c0, c1))))
+
+
+def half_pairs_l2_closed_form(a) -> float:
+    """max ||Ax||_2 over the unit ball of max(l1, 2 l-inf): its maximal
+    vertices put 1/2 on two coordinates j < k (on the one at n = 1), so the
+    maximum is the best two-column closed form at radii 1/2,
+    max_{j<k} 1/2 sqrt(|a_j|^2 + |a_k|^2 + 2 |<a_j, a_k>|)."""
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[1]
+    if n == 1:
+        return 0.5 * float(np.sqrt(np.vdot(a[:, 0], a[:, 0]).real))
+    return max(
+        linf_to_l2_closed_form(a[:, [j, k]], (0.5, 0.5))
+        for j in range(n)
+        for k in range(j + 1, n)
+    )
