@@ -58,11 +58,6 @@ def eval_role2(source: MatrixNormSpec, budget: OptBudget, x) -> float:
 
 
 _ROLE1_CACHE: dict = {}
-_QUANTUM = 1e-12
-
-
-def _quantize(v: np.ndarray) -> bytes:
-    return np.round(v.view(np.float64) / _QUANTUM).astype(np.int64).tobytes()
 
 
 def clear_role1_cache() -> None:
@@ -89,12 +84,14 @@ def eval_role1(source: MatrixNormSpec, budget: OptBudget, x) -> float:
 def _role1_ascent(source: MatrixNormSpec, budget: OptBudget, v: np.ndarray) -> float:
     """Role 1 of any source by matrix-sphere maximization, a lower bound.
 
-    Results are cached by (source, budget, dim, x quantized to 1e-12); the
-    minimality probe revisits the same points many times.  Cached values are
-    deterministic, so concurrent last-writer-wins insertion is benign.
+    Results are cached by (source, budget, the bytes of x): the minimality
+    probe revisits the same points many times, and only the very same x may
+    reuse a value, since a nearby x can have a smaller role-1 norm.  Cached
+    values are deterministic, so concurrent last-writer-wins insertion is
+    benign.
     """
     n = v.size
-    key = (source, budget, n, _quantize(v))
+    key = (source, budget, v.tobytes())
     hit = _ROLE1_CACHE.get(key)
     if hit is not None:
         return hit

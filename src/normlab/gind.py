@@ -341,8 +341,6 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     elif constraints is not None and has_batch_form(core2):
         res = _polyhedral_search(core2, m, _ball_vertices(core1, *constraints))
     else:
-        # the stacked product reproduces m @ x's rounding row by row
-        objective_many = lambda xs: vnorm_eval_many(core2, (m @ xs[..., None])[..., 0])
         linear = m if isinstance(core2, Lp) and core2.p == 2.0 else None
         res = maximize_on_sphere(
             lambda x: vnorm_eval(core2, m @ x),
@@ -354,7 +352,6 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
             # N2(A(ax)) = |a| N2(Ax): core2 is a norm descriptor validated at construction
             objective_homogeneous=True,
             extra_seeds=_quality_seeds(m),
-            objective_many=objective_many if has_batch_form(core2) else None,
         )
     witness = res.witness if g1 == 1.0 else res.witness / g1
     return ComputationResult(

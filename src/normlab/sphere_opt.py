@@ -22,17 +22,11 @@ nonlinear power method in ``gind`` instead, from the climb's own seed pool
 (:func:`seed_pool`).  :func:`maximize_on_sphere` itself keeps the climb for
 both.
 
-The climb scores candidates in one of two ways.  When the caller gives a
-batch form of the objective and the domain norm has one
-(:func:`~normlab.vector_norms.has_batch_form`), as ``gind_eval`` does for
-the pairs of plain descriptors it still climbs (MaxOf domains with a smooth
-part), the starts run in lockstep: the climb scores the rest of each sweep
-of every start in one call per round and walks each start's scores in
-order.  Everything else
-(other ``Extracted`` norms, the matrix sphere, the phase torus, callers' own
-callables) climbs one start after another and scores lazily, one candidate
-at a time, so no objective call is spent on a candidate the walk never
-reaches.  Both take the same steps and return the same bits.
+The climb walks its starts one after another and scores lazily, one
+candidate at a time.  In ``gind_eval`` the one shape of plain descriptors
+that still climbs is a MaxOf domain with a smooth part, such as
+max(l3, l1/2) -> l1.5.  It costs one objective call per candidate, 6,536
+to 13,070 candidates at n = 2..4 on the default budget.
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ from .budget import (
 from .core import RandomStream, hermitian_top_eig, sample_matrix, sample_vector, scaled_gram
 from .errors import HomogeneityError
 from .matrix_norms import EntrywiseMax, EntrywiseSum, mnorm_eval
-from .vector_norms import Lp, WeightedLp, has_batch_form, split_scale, vnorm_eval, vnorm_eval_many
+from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
 
 _TINY = 1e-300
 _GROWTH = 1.3
@@ -122,8 +116,7 @@ _SPHERE = (_sphere_moves, 4, _sphere_direction, 100)
 _TORUS = (_torus_moves, 2, _torus_direction, 200)
 
 
-def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
-           evaluate_many=None):
+def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream):
     """Multi-start hill climb; returns (best value, best point, evaluations).
 
     ``evaluate(raw)`` scores a raw point as ``(value, point)`` on the search
@@ -137,18 +130,10 @@ def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
     1 + 1e-15.  The step grows 1.3x after an improving sweep and decays 0.7x
     after a fully failed one; ``budget.max_iters`` caps scored candidates
     per start.  Ties across starts and seeds resolve to the lowest index,
-    keeping results schedule-independent.
-
-    Without ``evaluate_many`` each start climbs in turn and candidates are
-    built and scored lazily, one at a time.  ``evaluate_many``, the array
-    form of ``evaluate`` on the renormalized sphere (:func:`_on_sphere_many`),
-    runs the starts in lockstep instead (:func:`_lockstep_climb`): it scores
-    the rest of each sweep of every start in one call per round.  Both walk
-    every start's sweeps in the same order, so the result and the
-    evaluation count are the same bits either way.
+    keeping results schedule-independent.  The starts climb one after
+    another, and candidates are built and scored lazily, one at a time, so
+    no objective call is spent on a candidate the walk never reaches.
     """
-    if evaluate_many is not None:
-        return _lockstep_climb(evaluate_many, pool, budget, rng)
     sweep_moves, per_entry, direction, stream_base = move_set
     seeds = [scored for scored in map(evaluate, pool) if scored is not None]
     if not seeds:
@@ -195,137 +180,6 @@ def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream,
         if val > best_val:
             best_val, best_x = val, x
     return best_val, best_x, evals
-
-
-def _entry_moves_many(x: np.ndarray, step: np.ndarray, inject: np.ndarray) -> np.ndarray:
-    """Every entry's :func:`_sphere_moves` moves for each row of x, (S, n, 4).
-
-    Row i uses ``step[i]`` and ``inject[i]``.  The phase rotations are
-    spelled out in real arithmetic: numpy's array complex multiply may fuse
-    a product and a sum (FMA) and then differs in the last bit from the
-    scalar ``np.complex128 * complex`` product the one-at-a-time walk uses.
-    """
-    cos = np.array([math.cos(t) for t in step.tolist()])[:, None]
-    sin = np.array([math.sin(t) for t in step.tolist()])[:, None]
-    grow = (1.0 + step)[:, None]
-    a, b = x.real, x.imag
-    moves = np.empty(x.shape + (4,), dtype=np.complex128)
-    moves.real[..., 0] = a * cos - b * sin
-    moves.imag[..., 0] = a * sin + b * cos
-    moves.real[..., 1] = a * cos + b * sin
-    moves.imag[..., 1] = b * cos - a * sin
-    moves[..., 2] = x * grow
-    moves[..., 3] = x / grow
-    zero = x == 0
-    if zero.any():  # (inject, -inject, 1j * inject, -1j * inject), zeros +0
-        inj = np.broadcast_to(inject[:, None], x.shape)[zero]
-        injections = np.zeros((inj.size, 4), dtype=np.complex128)
-        injections.real[:, 0], injections.real[:, 1] = inj, -inj
-        injections.imag[:, 2], injections.imag[:, 3] = inj, -inj
-        moves[zero] = injections
-    return moves
-
-
-def _lockstep_climb(evaluate_many, pool: list, budget: OptBudget, rng: RandomStream):
-    """:func:`_climb` over the renormalized sphere with every start in lockstep.
-
-    ``evaluate_many(rows)`` maps a 2-d array of raw points to ``(ok, values,
-    points)``, the array form of ``evaluate``.  Each round, every live start
-    contributes the rest of its current sweep, built from its current point
-    and cut at the candidates its budget has left; all rows are scored in
-    one call.  Each start's segment is then walked as one candidate at a
-    time would be: rows that are not ``ok`` are skipped uncounted, and the
-    first row that beats the start's value is its move, after which its rest
-    is rebuilt from the new point in the next round.  Because a segment never
-    outruns the budget, the budget stop falls at a segment's end.  Each start
-    draws its random directions from its own stream, banked a few sweeps at
-    a time.
-    """
-    ok, vals, points = evaluate_many(np.asarray(pool))
-    if not ok.any():
-        raise HomogeneityError("no seed lies on the domain sphere")
-    seed_vals, seed_points = vals[ok], points[ok]
-    starts = _rank_starts(seed_vals.tolist(), budget.multistarts)
-    stream_base = _SPHERE[3]
-    n = seed_points.shape[1]
-    entries = 4 * n
-    size = entries + 4
-    cols = np.arange(entries)
-    lane = np.arange(size)
-
-    val = seed_vals[starts]
-    x = seed_points[starts]
-    count = len(starts)
-    step = np.full(count, budget.step_init)
-    used = np.zeros(count, dtype=int)
-    pos = np.zeros(count, dtype=int)
-    improved = np.zeros(count, dtype=bool)
-    inject = np.zeros(count)
-    offsets = np.zeros((count, 2, n), dtype=np.complex128)
-    moves = np.zeros((count, n, 4), dtype=np.complex128)
-    gens = [rng.child(stream_base + idx).generator() for idx in starts]
-    # per start, pairs of (re, im) normal draws for a few sweeps ahead
-    banked = min(64, -(-budget.max_iters // size) + 1)
-    bank = np.stack([g.standard_normal((banked, 2, 2, n)) for g in gens])
-    drawn = np.zeros(count, dtype=int)
-
-    live = np.flatnonzero(step >= budget.tol)
-    opening = live
-    while live.size:
-        if opening.size:
-            for i in opening[drawn[opening] == banked].tolist():
-                bank[i] = gens[i].standard_normal((banked, 2, 2, n))
-                drawn[i] = 0
-            draws = bank[opening, drawn[opening]]
-            drawn[opening] += 1
-            d = draws[:, :, 0] + 1j * draws[:, :, 1]
-            d = d / vnorm_eval_many(Lp(2.0), d.reshape(-1, n)).reshape(-1, 2, 1)
-            reach = step[opening] * vnorm_eval_many(Lp(2.0), x[opening])
-            inject[opening] = reach / math.sqrt(n)
-            offsets[opening] = reach[:, None, None] * d
-            pos[opening] = 0
-            improved[opening] = False
-
-        xl, lo = x[live], pos[live]
-        fresh = _entry_moves_many(xl, step[live], inject[live])
-        renew = (4 * np.arange(n) >= lo[:, None])[..., None]
-        moves[live] = np.where(renew, fresh, moves[live])
-        cands = np.empty((live.size, size, n), dtype=np.complex128)
-        cands[:, :entries] = xl[:, None, :]
-        cands[:, cols, cols // 4] = moves[live].reshape(live.size, entries)
-        cands[:, entries::2] = xl[:, None, :] + offsets[live]
-        cands[:, entries + 1 :: 2] = xl[:, None, :] - offsets[live]
-        hi = np.minimum(size, lo + budget.max_iters - used[live])
-        rows = cands[(lane >= lo[:, None]) & (lane < hi[:, None])]
-
-        ok, vals, points = evaluate_many(rows)
-        first_row = np.concatenate(([0], np.cumsum(hi - lo)))
-        beats = ok & (vals > np.repeat(val[live] * (1.0 + 1e-15), hi - lo))
-        marks = np.where(beats, np.arange(len(rows)), len(rows))
-        accepted = np.minimum.reduceat(marks, first_row[:-1])
-        hit = accepted < len(rows)
-        stop = np.where(hit, accepted + 1, first_row[1:])
-        counted = np.concatenate(([0], np.cumsum(ok)))
-        used[live] += counted[stop] - counted[first_row[:-1]]
-        pos[live] += stop - first_row[:-1]
-        movers, at = live[hit], accepted[hit]
-        val[movers], x[movers], improved[movers] = vals[at], points[at], True
-
-        ended = live[(pos[live] >= size) | (used[live] >= budget.max_iters)]
-        step[ended] *= np.where(improved[ended], _GROWTH, _DECAY)
-        going = (step >= budget.tol) & (used < budget.max_iters)
-        opening = ended[going[ended]]
-        live = live[going[live]]
-
-    best_val, best_x = -math.inf, None
-    for v, point in zip(val.tolist(), x):
-        if v > best_val:
-            best_val, best_x = v, point
-    # include seeds that were not ascended from
-    for v, point in zip(seed_vals.tolist(), seed_points):
-        if v > best_val:
-            best_val, best_x = v, point
-    return best_val, best_x, len(seed_vals) + int(used.sum())
 
 
 # the polydisc search's pruning tolerance, its cap on scored rows (which
@@ -446,28 +300,6 @@ def _on_sphere(objective, domain_eval):
     return evaluate
 
 
-def _on_sphere_many(objective_many, domain_norm):
-    """Array form of :func:`_on_sphere` for a domain descriptor with a batch
-    form: rows map to ``(ok, values, points)``, where ``ok`` marks the rows
-    with a point on the sphere and, on those rows, values and points equal
-    :func:`_on_sphere`'s bit for bit; the other rows hold NaN and zeros."""
-
-    def evaluate_many(rows):
-        rows = np.asarray(rows, dtype=np.complex128)
-        dn = vnorm_eval_many(domain_norm, rows)
-        ok = (dn >= _TINY) & (dn < math.inf)
-        if ok.all():  # the usual case; masking every batch costs gind-mix ~15%
-            points = rows / dn[:, None]
-            return ok, objective_many(points), points
-        points = np.zeros_like(rows)
-        points[ok] = rows[ok] / dn[ok, None]
-        vals = np.full(len(rows), math.nan)
-        vals[ok] = objective_many(points[ok])
-        return ok, vals, points
-
-    return evaluate_many
-
-
 def _valid_seeds(extra_seeds: Iterable[np.ndarray], shape: tuple) -> list[np.ndarray]:
     """Caller-supplied seeds of the right shape that are not zero."""
     out = []
@@ -522,7 +354,6 @@ def maximize_on_sphere(
     objective_homogeneous: bool = False,
     extra_seeds: Iterable[np.ndarray] = (),
     use_dispatch: bool = True,
-    objective_many: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ComputationResult:
     """max{ objective(x) : ||x||_domain = 1 } over x in C^n.
 
@@ -537,11 +368,7 @@ def maximize_on_sphere(
     objective(a x) = |a| objective(x); without it, absolute homogeneity is
     probed at 10 random points and a violation raises ``HomogeneityError``.
     The result's ``evaluations`` counts every objective call, including the
-    probe's 20 when it runs.  ``objective_many``, when given, maps a 2-d
-    array of points to their objective values, each equal to ``objective``
-    of its row bit for bit; with a domain that has a batch form
-    (:func:`~normlab.vector_norms.has_batch_form`) the climb then scores its
-    candidates in batches, with the same result.
+    probe's 20 when it runs.
     """
     if budget is None:
         budget = default_budget(n)
@@ -567,10 +394,7 @@ def maximize_on_sphere(
         return _finish(objective, domain_eval, res.eigenvector, EXACT_CLOSED_FORM, evals + 1)
 
     pool = seed_pool(n, budget, extra_seeds)
-    many = None
-    if objective_many is not None and has_batch_form(domain_norm):
-        many = _on_sphere_many(objective_many, domain_norm)
-    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, _SPHERE, budget, rng, many)
+    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, _SPHERE, budget, rng)
     return _finish(objective, domain_eval, x, LOWER_BOUND, evals + climbed)
 
 

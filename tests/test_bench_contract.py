@@ -129,31 +129,6 @@ def test_gind_mix_ascent_shapes_keep_their_label_and_witness_checks(tmp_path):
     assert checks.failed == 0, checks.messages
 
 
-def test_lockstep_climb_scores_each_round_in_one_call(monkeypatch):
-    # the starts climb in lockstep, so the batch objective is called once per
-    # round, not once per start and segment; rows scored and evaluations are
-    # those of the one-after-another climb.  A MaxOf domain with a smooth
-    # part is the one batch shape that still climbs
-    from normlab import GIndPair, Lp, MaxOf, Scaled, default_budget, gind, gind_eval
-
-    batch = gind.vnorm_eval_many
-    calls = []
-
-    def counting(spec, xs):
-        calls.append(len(xs))
-        return batch(spec, xs)
-
-    monkeypatch.setattr(gind, "vnorm_eval_many", counting)
-    pair = GIndPair(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(1.5))
-    for n, rows, evaluations in ((2, 8520, 6536), (3, 14298, 9803), (4, 20676, 13070)):
-        calls.clear()
-        a = np.random.default_rng(11).standard_normal((n, n)) + 0.5j
-        res = gind_eval(pair, a, default_budget(n, 29))
-        assert len(calls) <= 100, n
-        assert sum(calls) == rows, n
-        assert res.evaluations == evaluations, n
-
-
 def test_traced_spectral_value_counts_eigen_solves():
     # the tracer reads ``EigResult.iterations`` after every eigen solve; a
     # missing field would break only traced benchmark runs

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,3 +199,34 @@ def test_top_eig_hermitian_tolerance_boundary():
     bumped[0, 1] += 1e-9  # well outside
     with pytest.raises(DimensionMismatchError):
         hermitian_top_eig(bumped)
+
+
+# the imports normlab defers into function bodies to break an import cycle,
+# as (module, function, imported module); a new one is a new cycle
+DEFERRED_IMPORTS = {
+    ("matrix_norms", "mnorm_eval", "gind"),
+    ("vector_norms", "vnorm_eval", "extraction"),
+    ("vector_norms", "vnorm_dual_eval", "sphere_opt"),
+    ("vector_norms", "dominance_check", "sphere_opt"),
+}
+
+
+def _deferred_imports(node, module: str, function: str | None = None):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _deferred_imports(child, module, child.name)
+            continue
+        if function is not None and isinstance(child, (ast.Import, ast.ImportFrom)):
+            for alias in child.names:
+                yield module, function, getattr(child, "module", None) or alias.name
+        yield from _deferred_imports(child, module, function)
+
+
+def test_no_new_deferred_imports():
+    package = Path(__file__).resolve().parents[1] / "src" / "normlab"
+    found = {
+        imported
+        for path in sorted(package.glob("*.py"))
+        for imported in _deferred_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found == DEFERRED_IMPORTS

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -369,3 +370,23 @@ def test_concrete_leaves_other_specs_alone():
             assert concrete(spec, 2) is spec
     plain = Scaled(2.0, Lp(2))
     assert concrete(plain, 3) is plain
+
+
+@pytest.mark.parametrize("first, second", [(3e-13, 1e-13), (2e7, 1e7)])
+def test_role1_cache_never_answers_for_another_x(first, second):
+    # a value cached at x must not answer for a nearby x: role 1 at (1e-13, 0)
+    # is 1e-13, not the 3e-13 of (3e-13, 0).  A key rounded to 1e-12 merges
+    # each pair, and an int64 key of x / 1e-12 overflows above about 9.2e6
+    source = MaxOf((MaxColSum(), Scaled(2.0, EntrywiseMax())))
+    fresh = []
+    for x in ((first, 0.0), (second, 0.0)):
+        clear_role1_cache()
+        fresh.append(eval_role1(source, INNER, np.array(x, dtype=np.complex128)))
+    clear_role1_cache()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [eval_role1(source, INNER, np.array(x, dtype=np.complex128))
+               for x in ((first, 0.0), (second, 0.0))]
+    assert got == fresh
+    assert fresh[1] == pytest.approx(second, rel=1e-9)
+    assert len(_ROLE1_CACHE) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -789,6 +791,11 @@ def test_zero_images_raise_no_warning():
 GOLDEN = Path(__file__).resolve().parent / "data" / "gind_ascent_golden.json"
 
 
+def _golden_matrix(entry: dict, n: int) -> np.ndarray:
+    flat = [complex(float.fromhex(re), float.fromhex(im)) for re, im in entry["matrix"]]
+    return np.array(flat, dtype=np.complex128).reshape(n, n)
+
+
 def test_starts_that_cannot_catch_the_best_retire(monkeypatch):
     # on this matrix every start but the best crawls toward a lower local
     # maximum, about 0.2% below; each would spend all 400 steps, but none
@@ -816,8 +823,172 @@ def test_golden_l3_to_l15_evaluation_counts():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for n, evaluations in ((2, 358), (3, 635), (4, 1062)):
         want = golden[f"l3->l1.5 n={n}"]
-        flat = [complex(float.fromhex(re), float.fromhex(im)) for re, im in want["matrix"]]
-        a = np.array(flat).reshape(n, n)
+        a = _golden_matrix(want, n)
         res = gind_eval(GIndPair(Lp(3), Lp(1.5)), a, default_budget(n, want["seed"]))
         assert res.evaluations == evaluations, n
         assert res.value > float.fromhex(want["value"]), n
+
+
+# the four shapes of the benchmark's gind-mix workload that used to climb;
+# GOLDEN holds value, witness and evaluation count of each at n = 2, 3, 4 as
+# the climb computed them.  None climbs any more: the l-inf and
+# max(l1, 2 l-inf) domains get polydisc searches and the l3 domain the power
+# method, so every entry is a floor the new value must reach
+GOLDEN_PAIRS = {
+    "linf->l1": GIndPair(Lp(math.inf), Lp(1)),
+    "l3->l1.5": GIndPair(Lp(3), Lp(1.5)),
+    "linf->linf": GIndPair(Lp(math.inf), Lp(math.inf)),
+    "max(l1,2linf)->l2": GIndPair(MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))), Lp(2)),
+}
+
+
+def _golden_cases():
+    """(label, pair, n, budget) for every golden call."""
+    for n in (2, 3, 4):
+        seed = int(np.random.default_rng([3901, n]).integers(0, 2**31))
+        for label, pair in GOLDEN_PAIRS.items():
+            yield f"{label} n={n}", pair, n, default_budget(n, seed)
+
+
+def test_gind_ascents_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    cases = list(_golden_cases())
+    assert sorted(golden) == sorted(label for label, *_ in cases)
+    for label, pair, n, budget in cases:
+        want = golden[label]
+        assert want["seed"] == budget.seed
+        matrix = _golden_matrix(want, n)
+        res = gind_eval(pair, matrix, budget)
+        # the searches reach at least what the climb found
+        assert res.value >= float.fromhex(want["value"]) * (1 - 1e-9), label
+        assert res.exactness == want["exactness"] == "lower_bound", label
+        assert vnorm_eval(pair.norm1, res.witness) == pytest.approx(1.0, rel=1e-12), label
+        assert vnorm_eval(pair.norm2, matrix @ res.witness) == pytest.approx(
+            res.value, rel=1e-12
+        ), label
+
+
+# max(l3, l1/2) -> l1.5 is neither polyhedral nor a plain l_p domain, so it
+# still climbs.  (zero row, budget, n) -> (value hex, evaluations, SHA-256 of
+# the witness bytes) on rng(11).standard_normal((n, n)) + 0.5j; "mid-sweep"
+# stops every start inside its first sweep
+CLIMB_PINS = {
+    (False, "default", 1): (
+        "0x1.0099103fb8894p-1", 2885,
+        "838d175ef454f3ce76f9ba2e8cf58dad1beff67c427b84f15ae2d4b7f27b101d",
+    ),
+    (False, "default", 2): (
+        "0x1.fd5bab31dec5bp+0", 6536,
+        "ab0b4d3e2b4b70f95677d0f41b24db40f0184d5279fbf88ea1dff09d79e0b2e8",
+    ),
+    (False, "default", 3): (
+        "0x1.b96eb6b93dc04p+1", 9803,
+        "e8d99a7081a5b0207acbe44fc0cbed7abff2d4d9288095a9c5976afe40ebb45f",
+    ),
+    (False, "default", 4): (
+        "0x1.0b8d8bcce2606p+2", 13070,
+        "62e87604748868ccca64c9bd5934aa06b61520da72bfdd06e733785dd6b8cbf7",
+    ),
+    (False, "one start", 1): (
+        "0x1.0099103fb8894p-1", 421,
+        "838d175ef454f3ce76f9ba2e8cf58dad1beff67c427b84f15ae2d4b7f27b101d",
+    ),
+    (False, "one start", 2): (
+        "0x1.fd5ba5c2ff2dfp+0", 536,
+        "788471ac4837f5d4e4d01de43b14c116c02b868052e12bb4166a7f2e567e0d66",
+    ),
+    (False, "one start", 3): (
+        "0x1.b909f73b61199p+1", 603,
+        "8ded54b007d17db9234b6f77f26a8ba37c7e195511e837ad97013d4ce9451fe4",
+    ),
+    (False, "one start", 4): (
+        "0x1.0adcffaa9cd2dp+2", 670,
+        "4b3d607b906b3692445a48ff2b1ae97087cafb36c5540a0875e533e954ae0ab5",
+    ),
+    (False, "mid-sweep", 1): (
+        "0x1.0099103fb8893p-1", 34,
+        "495cd0cda08aca9d5940d6885269a6bda08604c8751ed31778b3eedde49fd729",
+    ),
+    (False, "mid-sweep", 2): (
+        "0x1.fd2f2ac6ec422p+0", 37,
+        "0d5045bc9862eb480913615add77d9539c69515cae595b66e8d019e6dbb48d1b",
+    ),
+    (False, "mid-sweep", 3): (
+        "0x1.b5f5a94dc21bfp+1", 40,
+        "ed0647fef1fcf4fe7a3a2f77920cdfe2aa315ca6df5e9572cec957f5dcb6e087",
+    ),
+    (False, "mid-sweep", 4): (
+        "0x1.0429e44802cfap+2", 43,
+        "e2f163f8b92ae4052713810a74a9a46abe5825d736c2b69c3fb290a5db7da7f7",
+    ),
+    (True, "default", 1): (
+        "0x0.0p+0", 2883,
+        "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65",
+    ),
+    (True, "default", 2): (
+        "0x1.a39f3e4ca01a9p+0", 6535,
+        "971ca7f02e6a9114490f560ee221008e4c99036ae46f10caac1bdfb3afd46082",
+    ),
+    (True, "default", 3): (
+        "0x1.71873bc2ac116p+1", 9802,
+        "a8b2386e1bae8e3aa8e257a7fddf1c4a967605cff12f7d4101313a884bb56d4f",
+    ),
+    (True, "default", 4): (
+        "0x1.8b6fd273cb24ap+1", 13069,
+        "50b746f3069a71a1fc769c2f21ac1335bec4a483be3041f286bccf227e0b9a9d",
+    ),
+    (True, "one start", 1): (
+        "0x0.0p+0", 419,
+        "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65",
+    ),
+    (True, "one start", 2): (
+        "0x1.a39edd5f4391fp+0", 535,
+        "858cbeda415397a321cf1b4dfeb175fb412945d5687a9e9af26d64fd99b287b3",
+    ),
+    (True, "one start", 3): (
+        "0x1.71229df03ede9p+1", 602,
+        "34ce7db648470e345c16cda580226f434923490b045351264c7beccb10cb7861",
+    ),
+    (True, "one start", 4): (
+        "0x1.8a45a417b2265p+1", 669,
+        "060e13cb2fe01c6c6891521b90c0a9225e595a810dfcba1840cb593a47497180",
+    ),
+    (True, "mid-sweep", 1): (
+        "0x0.0p+0", 32,
+        "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65",
+    ),
+    (True, "mid-sweep", 2): (
+        "0x1.a2cbfa01c83c4p+0", 36,
+        "43647215ca766f7b51334f061fbaca3be449134aa331c2a1908b4354c594b769",
+    ),
+    (True, "mid-sweep", 3): (
+        "0x1.6f0e2a76ec0b9p+1", 39,
+        "87b6f5a4e86f61d6b3474184937e9c75518265c40926da44f7e4988ea449a66e",
+    ),
+    (True, "mid-sweep", 4): (
+        "0x1.7c586b4d547d1p+1", 42,
+        "433ff276df2ec4fce31433dd6ecdd819d4b16286798e5ca3d1fdd87d49a1e3fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("cut", ["default", "one start", "mid-sweep"])
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_maxof_smooth_climb_keeps_its_bits(n, cut, zero_row):
+    default = default_budget(n, 29)
+    budget = {
+        "default": default,
+        "one start": dataclasses.replace(default, multistarts=1),
+        "mid-sweep": OptBudget(multistarts=3, max_iters=7, samples=8, seed=5),
+    }[cut]
+    a = np.random.default_rng(11).standard_normal((n, n)) + 0.5j
+    if zero_row:
+        a[n // 2] = 0.0
+    pair = GIndPair(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(1.5))
+    res = gind_eval(pair, a, budget)
+    value, evaluations, witness = CLIMB_PINS[zero_row, cut, n]
+    assert float(res.value).hex() == value
+    assert res.evaluations == evaluations
+    assert hashlib.sha256(res.witness.tobytes()).hexdigest() == witness
+    assert res.exactness == LOWER_BOUND
