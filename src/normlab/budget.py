@@ -23,7 +23,8 @@ class OptBudget:
     samples:     random seed points drawn before the ascent
     step_init:   initial relative perturbation size
     tol:         ascent stops once the step decays below this
-    seed:        root of every random draw the maximizer makes
+    seed:        root of every random draw the maximizer makes, an integer
+                 >= 0
 
     The step shrinks 0.7x per sweep without improvement, so from
     ``step_init`` 0.5 it needs at least 44 sweeps to fall below ``tol`` 1e-7.
@@ -58,6 +59,8 @@ class OptBudget:
         object.__setattr__(self, "step_init", float(self.step_init))
         object.__setattr__(self, "tol", float(self.tol))
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise SpecValidationError("budget seed must be non-negative")
 
 
 def default_budget(n: int, seed: int = 0) -> OptBudget:

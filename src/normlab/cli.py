@@ -50,16 +50,16 @@ def _resolve_norm(text: str):
     return formats.parse_norm_spec(text)
 
 
-def _count(what: str):
-    """Argparse type for an integer n >= 1; ``what`` names it in errors."""
+def _count(what: str, least: int = 1):
+    """Argparse type for an integer n >= ``least``; ``what`` names it in errors."""
 
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {n}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {least}, got {n}")
         return n
 
     return parse
@@ -69,7 +69,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--dim", type=_count("dimension"), default=2, help="matrix dimension n (default 2)"
     )
-    sub.add_argument("--seed", type=int, default=0, help="root random seed (default 0)")
+    sub.add_argument(
+        "--seed", type=_count("seed", 0), default=0, help="root random seed, >= 0 (default 0)"
+    )
     sub.add_argument("--report", metavar="PATH", help="write a JSON report document")
     sub.add_argument("--budget-multistarts", type=int, default=None)
     sub.add_argument("--budget-max-iters", type=int, default=None)

@@ -48,14 +48,28 @@ def _p_to_doc(p: float):
     return "inf" if p == math.inf else p
 
 
+def _number(value, locus: str) -> float:
+    """A JSON number as a float; booleans, strings, null and integers too
+    large for a float are rejected at ``locus``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DocumentParseError(f"expected a number, got {value!r}", locus)
+
+
+def _integer(value, locus: str) -> int:
+    """A JSON integer; booleans and fractional numbers are rejected at ``locus``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DocumentParseError(f"expected an integer, got {value!r}", locus)
+
+
 def _p_from_doc(value, locus: str) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise DocumentParseError(f"cannot read lp exponent {value!r}", locus)
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise DocumentParseError(f"cannot read lp exponent {value!r}", locus)
+    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    return _number(value, locus)
 
 
 def norm_spec_to_doc(spec) -> dict:
@@ -94,10 +108,12 @@ def norm_spec_to_doc(spec) -> dict:
     raise DocumentParseError(f"cannot encode norm descriptor {spec!r}")
 
 
-def _require(doc: dict, field: str, locus: str):
+def _require(doc: dict, field: str, locus: str, read=None):
+    """``doc[field]``, passed through ``read(value, locus of the field)``
+    when given."""
     if field not in doc:
         raise DocumentParseError(f"missing field {field!r}", locus)
-    return doc[field]
+    return doc[field] if read is None else read(doc[field], f"{locus}.{field}")
 
 
 def norm_spec_from_doc(doc, locus: str = "$"):
@@ -107,18 +123,18 @@ def norm_spec_from_doc(doc, locus: str = "$"):
     kind = _require(doc, "kind", locus)
     try:
         if kind == "lp":
-            return Lp(_p_from_doc(_require(doc, "p", locus), f"{locus}.p"))
+            return Lp(_require(doc, "p", locus, _p_from_doc))
         if kind == "weighted-lp":
             weights = _require(doc, "weights", locus)
             if not isinstance(weights, list):
                 raise DocumentParseError("weights must be a list", f"{locus}.weights")
             return WeightedLp(
-                tuple(float(w) for w in weights),
-                _p_from_doc(_require(doc, "p", locus), f"{locus}.p"),
+                tuple(_number(w, f"{locus}.weights[{i}]") for i, w in enumerate(weights)),
+                _require(doc, "p", locus, _p_from_doc),
             )
         if kind == "scaled":
             return Scaled(
-                float(_require(doc, "gamma", locus)),
+                _require(doc, "gamma", locus, _number),
                 norm_spec_from_doc(_require(doc, "inner", locus), f"{locus}.inner"),
             )
         if kind == "maxof":
@@ -148,7 +164,7 @@ def norm_spec_from_doc(doc, locus: str = "$"):
             )
         if kind == "extracted":
             return Extracted(
-                int(_require(doc, "role", locus)),
+                _require(doc, "role", locus, _integer),
                 norm_spec_from_doc(_require(doc, "source", locus), f"{locus}.source"),
                 budget_from_doc(_require(doc, "budget", locus), f"{locus}.budget"),
             )
@@ -175,12 +191,12 @@ def budget_from_doc(doc, locus: str = "$") -> OptBudget:
         raise DocumentParseError("budget must be an object", locus)
     try:
         return OptBudget(
-            multistarts=int(_require(doc, "multistarts", locus)),
-            max_iters=int(_require(doc, "max_iters", locus)),
-            samples=int(_require(doc, "samples", locus)),
-            step_init=float(_require(doc, "step_init", locus)),
-            tol=float(_require(doc, "tol", locus)),
-            seed=int(_require(doc, "seed", locus)),
+            multistarts=_require(doc, "multistarts", locus, _integer),
+            max_iters=_require(doc, "max_iters", locus, _integer),
+            samples=_require(doc, "samples", locus, _integer),
+            step_init=_require(doc, "step_init", locus, _number),
+            tol=_require(doc, "tol", locus, _number),
+            seed=_require(doc, "seed", locus, _integer),
         )
     except SpecValidationError as exc:
         raise DocumentParseError(str(exc), locus) from exc
@@ -241,15 +257,11 @@ def matrix_from_csv(text: str) -> np.ndarray:
 
 
 def _cell_from_doc(cell, locus: str) -> complex:
-    if isinstance(cell, (int, float)):
-        return complex(float(cell), 0.0)
     if isinstance(cell, dict):
-        re_part = cell.get("re", 0.0)
-        im_part = cell.get("im", 0.0)
-        if not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float)):
-            raise DocumentParseError("cell parts must be numbers", locus)
-        return complex(float(re_part), float(im_part))
-    raise DocumentParseError(f"cannot read matrix cell {cell!r}", locus)
+        return complex(
+            _number(cell.get("re", 0.0), f"{locus}.re"), _number(cell.get("im", 0.0), f"{locus}.im")
+        )
+    return complex(_number(cell, locus), 0.0)
 
 
 def matrix_from_doc(doc, locus: str = "$") -> np.ndarray:

@@ -4,10 +4,9 @@ Exact dispatch where the sphere has usable extreme-point structure (phase
 multiples of the basis vectors for the l1 and weighted-l1 balls and of the
 single-entry matrices for the entrywise-sum ball; the top eigenvector for l2
 with a euclidean-of-linear objective), and one derivative-free multi-start
-hill climb, :func:`_climb`, everywhere else.  The climb runs over one of two
-search sets: the renormalized sphere itself, or, for convex objectives on an
-entrywise-max ball, the torus of phase matrices exp(i theta)/gamma.  Ascent
-results are honest lower bounds and are labeled as such.
+hill climb over the renormalized sphere, :func:`_climb`, everywhere else,
+the entrywise-max ball included.  Ascent results are honest lower bounds and
+are labeled as such.
 
 :func:`maximize_on_polydisc` is the deterministic alternative for convex
 objectives on a polydisc {|x_j| <= r_j}, the unit ball of an l-inf or
@@ -48,7 +47,7 @@ from .budget import (
 )
 from .core import RandomStream, hermitian_top_eig, sample_matrix, sample_vector, scaled_gram
 from .errors import HomogeneityError
-from .matrix_norms import EntrywiseMax, EntrywiseSum, mnorm_eval
+from .matrix_norms import EntrywiseSum, mnorm_eval
 from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
 
 _TINY = 1e-300
@@ -100,41 +99,25 @@ def _sphere_direction(g: np.random.Generator, shape) -> np.ndarray:
     return d / math.sqrt(np.vdot(d, d).real)
 
 
-def _torus_moves(theta: np.ndarray, step: float):
-    """Each phase moves by +-step; the random moves reach step * pi."""
-    return (lambda t: (t + step, t - step)), step * np.pi
+def _climb(evaluate, pool: list, budget: OptBudget, rng: RandomStream):
+    """Multi-start hill climb on the renormalized sphere; returns (best
+    value, best point, evaluations).
 
-
-def _torus_direction(g: np.random.Generator, shape) -> np.ndarray:
-    d = g.standard_normal(shape)
-    return d / np.linalg.norm(d.ravel())
-
-
-# (per-sweep moves, moves per entry, unit random direction, child-stream base
-# of the starts)
-_SPHERE = (_sphere_moves, 4, _sphere_direction, 100)
-_TORUS = (_torus_moves, 2, _torus_direction, 200)
-
-
-def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream):
-    """Multi-start hill climb; returns (best value, best point, evaluations).
-
-    ``evaluate(raw)`` scores a raw point as ``(value, point)`` on the search
-    set, or returns None when the raw point has no image there; such points
-    are neither scored nor counted.  The ``budget.multistarts`` best seeds
-    are climbed, each from its own random stream.  Each sweep tries the move
-    set's moves for every entry, all built from the entry's value at the
-    start of its turn, plus two random directions in both signs; the other
-    entries and the random moves always start from the current point.  A
-    candidate is accepted when it beats the current value by a factor
-    1 + 1e-15.  The step grows 1.3x after an improving sweep and decays 0.7x
+    ``evaluate(raw)`` scores a raw point as ``(value, point)`` on the
+    sphere, or returns None when the raw point has no image there; such
+    points are neither scored nor counted.  The ``budget.multistarts`` best
+    seeds are climbed, start ``idx`` from child stream ``100 + idx``.  Each
+    sweep tries the four :func:`_sphere_moves` of every entry, all built
+    from the entry's value at the start of its turn, plus two random
+    directions in both signs; the other entries and the random moves always
+    start from the current point.  A candidate is accepted when it beats the
+    current value by a factor 1 + 1e-15.  The step grows 1.3x after an improving sweep and decays 0.7x
     after a fully failed one; ``budget.max_iters`` caps scored candidates
     per start.  Ties across starts and seeds resolve to the lowest index,
     keeping results schedule-independent.  The starts climb one after
     another, and candidates are built and scored lazily, one at a time, so
     no objective call is spent on a candidate the walk never reaches.
     """
-    sweep_moves, per_entry, direction, stream_base = move_set
     seeds = [scored for scored in map(evaluate, pool) if scored is not None]
     if not seeds:
         raise HomogeneityError("no seed lies on the domain sphere")
@@ -143,17 +126,17 @@ def _climb(evaluate, pool: list, move_set, budget: OptBudget, rng: RandomStream)
     best_val, best_x = -math.inf, None
     for idx in _rank_starts([v for v, _ in seeds], budget.multistarts):
         val, x = seeds[idx]
-        g = rng.child(stream_base + idx).generator()
+        g = rng.child(100 + idx).generator()
         step = budget.step_init
         used = 0
         while step >= budget.tol and used < budget.max_iters:
-            entry_moves, reach = sweep_moves(x, step)
-            offsets = [reach * direction(g, x.shape) for _ in range(2)]
-            entries = x.size * per_entry
+            entry_moves, reach = _sphere_moves(x, step)
+            offsets = [reach * _sphere_direction(g, x.shape) for _ in range(2)]
+            entries = x.size * 4
             improved = False
             for pos in range(entries + 2 * len(offsets)):
                 if pos < entries:
-                    k, j = divmod(pos, per_entry)
+                    k, j = divmod(pos, 4)
                     if j == 0:  # the entry's moves are fixed at the start of its turn
                         moves = entry_moves(x.flat[k])
                     raw = x.copy()
@@ -353,18 +336,18 @@ def maximize_on_sphere(
     objective_convex: bool = True,
     objective_homogeneous: bool = False,
     extra_seeds: Iterable[np.ndarray] = (),
-    use_dispatch: bool = True,
 ) -> ComputationResult:
     """max{ objective(x) : ||x||_domain = 1 } over x in C^n.
 
     l1 and weighted-l1 domains dispatch exactly to their vertices for convex
     objectives.  ``linear_l2``, when given, declares objective(x) =
-    l2(linear_l2 @ x) and unlocks the closed form on l2-type domains.
+    l2(linear_l2 @ x) and unlocks the closed form on l2 domains under any
+    ``Scaled``; without it an l2 domain climbs.
     Everything else runs the hill climb over the renormalized sphere, seeded
     with the basis vectors, the all-ones vector, n random phase vectors, the
     caller's ``extra_seeds`` and ``budget.samples`` Gaussian draws, and is a
     lower bound.  ``objective_convex`` is a caller assertion enabling vertex
-    dispatch.  ``objective_homogeneous`` is a caller assertion that
+    dispatch; ``objective_convex=False`` sends l1-type domains to the climb.  ``objective_homogeneous`` is a caller assertion that
     objective(a x) = |a| objective(x); without it, absolute homogeneity is
     probed at 10 random points and a violation raises ``HomogeneityError``.
     The result's ``evaluations`` counts every objective call, including the
@@ -382,19 +365,18 @@ def maximize_on_sphere(
     _, core = split_scale(domain_norm)
     domain_eval = functools.partial(vnorm_eval, domain_norm)
     eye = np.eye(n, dtype=np.complex128)
-    dispatch = use_dispatch and objective_convex
 
-    if dispatch and isinstance(core, Lp) and core.p == 1.0:
+    if objective_convex and isinstance(core, Lp) and core.p == 1.0:
         return _best_vertex(objective, domain_eval, list(eye), evals)
-    if dispatch and isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
+    if objective_convex and isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
         verts = [eye[j] / w for j, w in enumerate(core.weights)]
         return _best_vertex(objective, domain_eval, verts, evals)
-    if use_dispatch and linear_l2 is not None and isinstance(core, Lp) and core.p == 2.0:
+    if linear_l2 is not None and isinstance(core, Lp) and core.p == 2.0:
         res = hermitian_top_eig(scaled_gram(linear_l2)[0], rng=rng.child(1))
         return _finish(objective, domain_eval, res.eigenvector, EXACT_CLOSED_FORM, evals + 1)
 
     pool = seed_pool(n, budget, extra_seeds)
-    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, _SPHERE, budget, rng)
+    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, budget, rng)
     return _finish(objective, domain_eval, x, LOWER_BOUND, evals + climbed)
 
 
@@ -407,24 +389,19 @@ def maximize_on_matrix_sphere(
     objective_convex: bool = True,
     objective_homogeneous: bool = False,
     extra_seeds: Iterable[np.ndarray] = (),
-    use_dispatch: bool = True,
 ) -> ComputationResult:
     """max{ objective(A) : ||A||_domain = 1 } over A in M_n.
 
     Entrywise-sum domains dispatch exactly to single-entry vertices for
-    convex objectives.  Entrywise-max domains run the hill climb over the
-    phase matrices exp(i theta)/gamma, the ball's extreme points, seeded with
-    theta = 0, the phases of caller seeds without zero entries and random
-    phases; the plain seeds below are scored as well.  Everything else runs
-    the hill climb over the renormalized sphere, seeded with the identity,
-    all single-entry matrices, the all-ones matrix, the caller's
-    ``extra_seeds`` and ``budget.samples`` Gaussian draws.  Both climbs give
-    lower bounds.  ``objective_convex`` and ``objective_homogeneous`` are
-    caller assertions with the same meaning as in
-    :func:`maximize_on_sphere`: without the latter, absolute homogeneity is
-    probed at 10 random matrices and a violation raises
-    ``HomogeneityError``.  ``evaluations`` counts every objective call,
-    including the probe's 20 when it runs.
+    convex objectives.  Every other domain, the entrywise-max ball included,
+    runs the hill climb over the renormalized sphere, seeded with the
+    identity, all single-entry matrices, the all-ones matrix, the caller's
+    ``extra_seeds`` and ``budget.samples`` Gaussian draws, and gives a lower
+    bound.  ``objective_convex`` and ``objective_homogeneous`` are caller
+    assertions with the same meaning as in :func:`maximize_on_sphere`:
+    without the latter, absolute homogeneity is probed at 10 random matrices
+    and a violation raises ``HomogeneityError``.  ``evaluations`` counts
+    every objective call, including the probe's 20 when it runs.
     """
     if budget is None:
         budget = default_budget(n)
@@ -437,35 +414,14 @@ def maximize_on_matrix_sphere(
 
     gamma, core = split_scale(domain_norm)
     domain_eval = functools.partial(mnorm_eval, domain_norm)
-    dispatch = use_dispatch and objective_convex
     singles = list(np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n))
 
-    if dispatch and isinstance(core, EntrywiseSum):
+    if objective_convex and isinstance(core, EntrywiseSum):
         return _best_vertex(objective, domain_eval, singles, evals, gamma)
 
-    extras = _valid_seeds(extra_seeds, (n, n))
     pool = [np.eye(n, dtype=np.complex128), *singles, np.ones((n, n), dtype=np.complex128)]
-    pool.extend(extras)
-    on_sphere = _on_sphere(objective, domain_eval)
+    pool.extend(_valid_seeds(extra_seeds, (n, n)))
     g = rng.child(0).generator()
-
-    if dispatch and isinstance(core, EntrywiseMax):
-        thetas = [np.zeros((n, n))]
-        thetas.extend(np.angle(s) for s in extras if np.all(np.abs(s) > 1e-12))
-        thetas.extend(2.0 * np.pi * g.random((n, n)) for _ in range(max(2, budget.samples // 2)))
-        val, theta, climbed = _climb(
-            lambda th: (objective(np.exp(1j * th) / gamma), th), thetas, _TORUS, budget, rng
-        )
-        point = np.exp(1j * theta) / gamma
-        # plain seeds cannot beat the torus for convex objectives, but keep
-        # the monotone-improvement contract explicit
-        for scored in map(on_sphere, pool):
-            if scored is not None:
-                climbed += 1
-                if scored[0] > val:
-                    val, point = scored
-        return _finish(objective, domain_eval, point, LOWER_BOUND, evals + climbed)
-
     pool.extend(sample_matrix(g, n) for _ in range(budget.samples))
-    val, x, climbed = _climb(on_sphere, pool, _SPHERE, budget, rng)
+    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, budget, rng)
     return _finish(objective, domain_eval, x, LOWER_BOUND, evals + climbed)

@@ -263,7 +263,7 @@ def test_criterion_09_oracle_equivalence():
             engine = gind_eval(GIndPair(Lp(domain_p), codomain), a, budget).value
             objective = lambda x: vnorm_eval(codomain, a @ x)
             ascent = maximize_on_sphere(
-                objective, Lp(domain_p), 2, budget, use_dispatch=False
+                objective, Lp(domain_p), 2, budget, objective_convex=False
             ).value
             worst = max(
                 worst,

@@ -138,6 +138,29 @@ def test_dimension_below_one_exit_2(capsys):
     assert "dimension must be at least 1" in capsys.readouterr().err
 
 
+def test_negative_seed_exit_2(matrix_file, capsys):
+    assert run_command(["verify", "--suite", "lemma21", "--seed", "-1", "--trials", "2"]) == 2
+    assert run_command(["gind", "--norm1", "l1", "--norm2", "l2", "--seed", "-5", "--matrix", matrix_file]) == 2
+    assert capsys.readouterr().err.count("seed must be at least 0") == 2
+    budget = {"multistarts": 2, "max_iters": 40, "samples": 6, "step_init": 0.5, "tol": 1e-8, "seed": -1}
+    norm = json.dumps({"kind": "extracted", "role": 1, "source": {"kind": "sigma"}, "budget": budget})
+    assert run_command(["eval", "--norm", norm, "--matrix", matrix_file]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_document_field_of_wrong_type_exit_2(matrix_file, tmp_path, capsys):
+    for norm in (
+        '{"kind":"scaled","gamma":"abc","inner":{"kind":"lp","p":2}}',
+        '{"kind":"scaled","gamma":null,"inner":{"kind":"lp","p":2}}',
+        '{"kind":"weighted-lp","weights":["a",1],"p":2}',
+    ):
+        assert run_command(["extract", "--norm", norm]) == 2
+    cells = tmp_path / "bool.json"
+    cells.write_text('{"rows": [[true, 1], [0, 1]]}')
+    assert run_command(["eval", "--norm", "sigma", "--matrix", str(cells)]) == 2
+    assert capsys.readouterr().err.count("expected a number") == 4
+
+
 def test_trials_below_one_exit_2(capsys):
     assert run_command(["verify", "--suite", "lemma21", "--trials", "0"]) == 2
     assert run_command(["verify", "--suite", "lemma22", "--trials", "-1"]) == 2
@@ -231,3 +254,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "probe-minimality" in proc.stdout
+
+
+def test_default_runs_never_climb(monkeypatch, capsys):
+    # no suite or CLI default reaches the sphere hill climb: the catalog has
+    # closed forms, and gind pairs take vertex, closed-form, polydisc or
+    # power-method routes
+    from normlab import sphere_opt
+
+    def no_climb(*args, **kwargs):
+        raise AssertionError("sphere climb reached")
+
+    monkeypatch.setattr(sphere_opt, "_climb", no_climb)
+    for argv in (
+        ["verify", "--suite", "paper-demos", "--seed", "42"],
+        ["verify", "--suite", "lemma21", "--trials", "20"],
+        ["verify", "--suite", "lemma22", "--trials", "20"],
+        ["verify", "--suite", "theorem23", "--trials", "20"],
+        ["probe-minimality", "--norm", "sigma", "--trials", "5"],
+    ):
+        assert run_command(argv) == 0, argv

@@ -78,6 +78,33 @@ def test_parse_errors_carry_locus():
         formats.parse_norm_spec('{"kind":"scaled","gamma":-1,"inner":{"kind":"lp","p":2}}')
     with pytest.raises(DocumentParseError):
         formats.parse_norm_spec('{"kind":"maxof","inner":[]}')
+    # a field of the wrong type fails at its own locus; booleans are not numbers
+    budget = '{"multistarts":2,"max_iters":40,"samples":6,"step_init":0.5,"tol":1e-8,"seed":0}'
+    for text, locus in (
+        ('{"kind":"scaled","gamma":"abc","inner":{"kind":"lp","p":2}}', "$.gamma"),
+        ('{"kind":"scaled","gamma":null,"inner":{"kind":"lp","p":2}}', "$.gamma"),
+        ('{"kind":"scaled","gamma":1%s,"inner":{"kind":"lp","p":2}}' % ("0" * 400), "$.gamma"),
+        ('{"kind":"weighted-lp","weights":["a",1],"p":2}', "$.weights[0]"),
+        ('{"kind":"lp","p":true}', "$.p"),
+        ('{"kind":"extracted","role":"x","source":{"kind":"sigma"},"budget":%s}' % budget, "$.role"),
+        (
+            '{"kind":"extracted","role":1,"source":{"kind":"sigma"},"budget":%s}'
+            % budget.replace('"multistarts":2', '"multistarts":"x"'),
+            "$.budget.multistarts",
+        ),
+        (
+            '{"kind":"extracted","role":1,"source":{"kind":"sigma"},"budget":%s}'
+            % budget.replace('"seed":0', '"seed":-1'),
+            "$.budget",
+        ),
+    ):
+        with pytest.raises(DocumentParseError) as info:
+            formats.parse_norm_spec(text)
+        assert info.value.locus == locus
+    for cell, locus in (("true", "$.rows[0][0]"), ('{"re": 1, "im": false}', "$.rows[0][0].im")):
+        with pytest.raises(DocumentParseError) as info:
+            formats.load_matrix_text('{"rows": [[%s, 1], [0, 1]]}' % cell)
+        assert info.value.locus == locus
 
 
 def test_csv_parsing_examples():
