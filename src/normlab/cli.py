@@ -8,6 +8,7 @@ error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import formats
 from .budget import OptBudget, default_budget
 from .core import RandomStream
 from .errors import NonConvergenceError, NormlabError
-from .extraction import extract_pair, minimality_probe
+from .extraction import DEFAULT_INNER_BUDGET, extract_pair, minimality_probe
 from .gind import GIndPair, chain_compare, gind_eval
 from .matrix_norms import mnorm_eval
 from .vector_norms import Lp, Scaled, vnorm_eval
@@ -65,6 +66,15 @@ def _count(what: str, least: int = 1):
     return parse
 
 
+# one --budget-* flag per OptBudget field; --seed sets the budget's seed
+_BUDGET_FIELDS = tuple(f.name for f in dataclasses.fields(OptBudget) if f.name != "seed")
+_BUDGET_HELP = {
+    "multistarts": "caps the ascent or power-method starts per search",
+    "max_iters": "caps the scored points per start",
+    "samples": "sets the random seed points drawn per search",
+}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--dim", type=_count("dimension"), default=2, help="matrix dimension n (default 2)"
@@ -73,20 +83,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--seed", type=_count("seed", 0), default=0, help="root random seed, >= 0 (default 0)"
     )
     sub.add_argument("--report", metavar="PATH", help="write a JSON report document")
-    sub.add_argument("--budget-multistarts", type=int, default=None)
-    sub.add_argument("--budget-max-iters", type=int, default=None)
-    sub.add_argument("--budget-samples", type=int, default=None)
-    sub.add_argument("--budget-step-init", type=float, default=None)
-    sub.add_argument("--budget-tol", type=float, default=None)
+    for name in _BUDGET_FIELDS:
+        flag = "--budget-" + name.replace("_", "-")
+        sub.add_argument(flag, type=int, default=None, metavar="N", help=_BUDGET_HELP[name])
 
 
-_BUDGET_FIELDS = ("multistarts", "max_iters", "samples", "step_init", "tol")
-
-
-def _budget_from(args, base: OptBudget | None = None) -> OptBudget:
-    """Each --budget-* flag given, else the base (default) value; a given
+def _budget_from(args) -> OptBudget:
+    """Each --budget-* flag given, else the default budget's value; a given
     value reaches ``OptBudget`` validation even when it is zero."""
-    base = base or default_budget(args.dim, args.seed)
+    base = default_budget(args.dim, args.seed)
     fields = {}
     for name in _BUDGET_FIELDS:
         value = getattr(args, f"budget_{name}")
@@ -114,10 +119,7 @@ def _header(args, budget: OptBudget) -> dict:
 def _describe(budget: OptBudget | None) -> str:
     if budget is None:
         return "suite defaults (override with --budget-*)"
-    return (
-        f"multistarts={budget.multistarts} max_iters={budget.max_iters} "
-        f"samples={budget.samples} step_init={budget.step_init} tol={budget.tol}"
-    )
+    return " ".join(f"{name}={getattr(budget, name)}" for name in _BUDGET_FIELDS)
 
 
 def _print_header(command: str, args, budget: OptBudget | None) -> None:
@@ -228,10 +230,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_extract(args) -> int:
     source = _resolve_norm(args.norm)
-    inner = _explicit_budget(args) or OptBudget(
-        multistarts=2, max_iters=40, samples=6, step_init=0.5, tol=1e-8,
-        seed=args.seed,
-    )
+    inner = _explicit_budget(args) or dataclasses.replace(DEFAULT_INNER_BUDGET, seed=args.seed)
     _print_header("extract", args, inner)
     n = args.dim
     pair = extract_pair(source, inner)
@@ -260,8 +259,7 @@ def _cmd_probe(args) -> int:
     # catalog sources run one per probe matrix, and for a non-catalog source
     # each point that ascent visits runs a role-1 climb
     outer = _explicit_budget(args) or OptBudget(
-        multistarts=2, max_iters=120, samples=6, step_init=0.5, tol=1e-8,
-        seed=args.seed,
+        multistarts=2, max_iters=120, samples=6, seed=args.seed
     )
     _print_header("probe-minimality", args, outer)
     report = minimality_probe(

@@ -30,9 +30,7 @@ from .vector_norms import Extracted, sum_functional_alpha, vnorm_eval
 
 # budget of the role-1 matrix-sphere climb that non-catalog sources run for
 # every point they are evaluated at, hence much smaller than an outer budget
-DEFAULT_INNER_BUDGET = OptBudget(
-    multistarts=2, max_iters=40, samples=6, step_init=0.5, tol=1e-8, seed=2024
-)
+DEFAULT_INNER_BUDGET = OptBudget(multistarts=2, max_iters=40, samples=6, seed=2024)
 
 
 def column_embed(x, j: int) -> np.ndarray:

@@ -187,17 +187,14 @@ def print_norm_spec(spec) -> str:
 
 
 def budget_from_doc(doc, locus: str = "$") -> OptBudget:
+    """The ``OptBudget`` of a budget object.  Other fields are ignored, such
+    as the ``step_init`` and ``tol`` that older documents carry."""
     if not isinstance(doc, dict):
         raise DocumentParseError("budget must be an object", locus)
     try:
-        return OptBudget(
-            multistarts=_require(doc, "multistarts", locus, _integer),
-            max_iters=_require(doc, "max_iters", locus, _integer),
-            samples=_require(doc, "samples", locus, _integer),
-            step_init=_require(doc, "step_init", locus, _number),
-            tol=_require(doc, "tol", locus, _number),
-            seed=_require(doc, "seed", locus, _integer),
-        )
+        return OptBudget(**{
+            f.name: _require(doc, f.name, locus, _integer) for f in dataclasses.fields(OptBudget)
+        })
     except SpecValidationError as exc:
         raise DocumentParseError(str(exc), locus) from exc
 

@@ -51,8 +51,12 @@ from .matrix_norms import EntrywiseSum, mnorm_eval
 from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
 
 _TINY = 1e-300
+# the climb's step schedule: its first relative step, the factors after an
+# improving and a fully failed sweep, and the step below which a start stops
+_STEP_INIT = 0.5
 _GROWTH = 1.3
 _DECAY = 0.7
+_STEP_FLOOR = 1e-7
 
 
 def _check_homogeneity(objective, draw_point, g: np.random.Generator) -> int:
@@ -111,12 +115,14 @@ def _climb(evaluate, pool: list, budget: OptBudget, rng: RandomStream):
     from the entry's value at the start of its turn, plus two random
     directions in both signs; the other entries and the random moves always
     start from the current point.  A candidate is accepted when it beats the
-    current value by a factor 1 + 1e-15.  The step grows 1.3x after an improving sweep and decays 0.7x
-    after a fully failed one; ``budget.max_iters`` caps scored candidates
-    per start.  Ties across starts and seeds resolve to the lowest index,
-    keeping results schedule-independent.  The starts climb one after
-    another, and candidates are built and scored lazily, one at a time, so
-    no objective call is spent on a candidate the walk never reaches.
+    current value by a factor 1 + 1e-15.  The step starts at 0.5, grows
+    1.3x after an improving sweep and decays 0.7x after a fully failed one;
+    ``budget.max_iters`` caps scored candidates per start, and a start also
+    stops once its step decays below 1e-7, after 44 sweeps if none improves.
+    Ties across starts and seeds resolve to the lowest index, keeping
+    results schedule-independent.  The starts climb one after another, and
+    candidates are built and scored lazily, one at a time, so no objective
+    call is spent on a candidate the walk never reaches.
     """
     seeds = [scored for scored in map(evaluate, pool) if scored is not None]
     if not seeds:
@@ -127,9 +133,9 @@ def _climb(evaluate, pool: list, budget: OptBudget, rng: RandomStream):
     for idx in _rank_starts([v for v, _ in seeds], budget.multistarts):
         val, x = seeds[idx]
         g = rng.child(100 + idx).generator()
-        step = budget.step_init
+        step = _STEP_INIT
         used = 0
-        while step >= budget.tol and used < budget.max_iters:
+        while step >= _STEP_FLOOR and used < budget.max_iters:
             entry_moves, reach = _sphere_moves(x, step)
             offsets = [reach * _sphere_direction(g, x.shape) for _ in range(2)]
             entries = x.size * 4

@@ -392,8 +392,6 @@ def dominance_check(
         multistarts=3,
         max_iters=150,
         samples=max(8, min(32, samples)),
-        step_init=0.5,
-        tol=1e-9,
         seed=rng.child(1).derive_seed(),
     )
     refined = sphere_opt.maximize_on_sphere(

@@ -91,10 +91,8 @@ def sample_test_matrix(g: np.random.Generator, n: int) -> np.ndarray:
     return a
 
 
-def _suite_budget(n: int, seed: int) -> OptBudget:
-    return OptBudget(
-        multistarts=3, max_iters=80, samples=8, step_init=0.5, tol=1e-8, seed=seed
-    )
+def _suite_budget(seed: int) -> OptBudget:
+    return OptBudget(multistarts=3, max_iters=80, samples=8, seed=seed)
 
 
 _SLACK = 1e-9
@@ -115,7 +113,7 @@ def verify_lemma21(
     column replications of the dominance counterexample.
     """
     start = time.perf_counter()
-    budget = budget or _suite_budget(n, rng.child(9).derive_seed())
+    budget = budget or _suite_budget(rng.child(9).derive_seed())
     cases: list[CaseResult] = []
 
     dom = dominance_check(pair.norm1, pair.norm2, n, samples=256, rng=rng.child(0))
@@ -217,7 +215,7 @@ def verify_lemma22(
     proportional norms and a differing induced value.
     """
     start = time.perf_counter()
-    budget = budget or _suite_budget(n, rng.child(9).derive_seed())
+    budget = budget or _suite_budget(rng.child(9).derive_seed())
     cases: list[CaseResult] = []
     tol = _BAND if any(
         _involves_extracted(s)
@@ -305,8 +303,6 @@ def _reduced(budget: OptBudget) -> OptBudget:
         multistarts=max(1, budget.multistarts // 8),
         max_iters=max(15, budget.max_iters // 16),
         samples=max(2, budget.samples // 32),
-        step_init=budget.step_init,
-        tol=max(budget.tol, 1e-8),
         seed=budget.seed,
     )
 
@@ -329,8 +325,7 @@ def verify_theorem23(
         raise DimensionMismatchError("trials must be >= 1")
     start = time.perf_counter()
     outer = budget or OptBudget(
-        multistarts=3, max_iters=40, samples=4, step_init=0.5, tol=1e-8,
-        seed=rng.child(9).derive_seed(),
+        multistarts=3, max_iters=40, samples=4, seed=rng.child(9).derive_seed()
     )
     inner = _reduced(outer)
     cases: list[CaseResult] = []
@@ -448,7 +443,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     start = time.perf_counter()
     rng = RandomStream(seed)
     n = 2
-    budget = _suite_budget(n, rng.child(9).derive_seed())
+    budget = _suite_budget(rng.child(9).derive_seed())
     cases: list[CaseResult] = []
     ones2 = np.ones((2, 2), dtype=np.complex128)
 
@@ -477,7 +472,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     worst = 0.0
     for dim in (2, 3):
         g2 = rng.child(10 + dim).generator()
-        b = _suite_budget(dim, rng.child(20 + dim).derive_seed())
+        b = _suite_budget(rng.child(20 + dim).derive_seed())
         for _ in range(15):
             m = sample_test_matrix(g2, dim)
             for p, closed in ((1.0, MaxColSum()), (np.inf, MaxRowSum()), (2.0, Spectral())):
@@ -519,8 +514,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     # 4: non-minimality probes for the entrywise sum and max(col,row); the
     # entrywise-sum witness needs a finer phase polish than the suite default
     probe_budget = OptBudget(
-        multistarts=2, max_iters=160, samples=6, step_init=0.5, tol=1e-8,
-        seed=rng.child(8).derive_seed(),
+        multistarts=2, max_iters=160, samples=6, seed=rng.child(8).derive_seed()
     )
     probe_sigma = minimality_probe(EntrywiseSum(), 2, 25, probe_budget, rng.child(3))
     probe_maxcr = minimality_probe(
@@ -549,7 +543,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     ok5 = True
     for dim in (2, 3):
         g5 = rng.child(30 + dim).generator()
-        b5 = _suite_budget(dim, rng.child(40 + dim).derive_seed())
+        b5 = _suite_budget(rng.child(40 + dim).derive_seed())
         for n1 in family:
             for n2 in family:
                 for _ in range(2):

@@ -51,7 +51,7 @@ def _report(num: int, name: str, ok: bool, elapsed: float, bound: float, detail:
 
 def test_criterion_01_closed_form_recovery():
     start = time.perf_counter()
-    budget = OptBudget(multistarts=2, max_iters=120, samples=8, step_init=0.5, tol=1e-8, seed=101)
+    budget = OptBudget(multistarts=2, max_iters=120, samples=8, seed=101)
     worst = 0.0
     g = RandomStream(1001).generator()
     for n in (2, 3):
@@ -69,7 +69,7 @@ def test_criterion_01_closed_form_recovery():
 
 def test_criterion_02_product_bound_both_directions():
     start = time.perf_counter()
-    budget = OptBudget(multistarts=1, max_iters=40, samples=4, step_init=0.5, tol=1e-8, seed=102)
+    budget = OptBudget(multistarts=1, max_iters=40, samples=4, seed=102)
     forward = verify_lemma21(
         GIndPair(Lp(math.inf), Lp(1)), 2, trials=1000, rng=RandomStream(1002), budget=budget
     )
@@ -88,7 +88,7 @@ def test_criterion_02_product_bound_both_directions():
 
 def test_criterion_03_rescaled_pairs_agree():
     start = time.perf_counter()
-    budget = OptBudget(multistarts=2, max_iters=80, samples=6, step_init=0.5, tol=1e-8, seed=103)
+    budget = OptBudget(multistarts=2, max_iters=80, samples=6, seed=103)
     pair_a = GIndPair(Scaled(3.0, Lp(math.inf)), Scaled(6.0, Lp(2)))
     pair_b = GIndPair(Lp(math.inf), Scaled(2.0, Lp(2)))
     g = RandomStream(1003).generator()
@@ -114,7 +114,7 @@ def test_criterion_03_rescaled_pairs_agree():
 
 def test_criterion_04_column_replication_identity():
     start = time.perf_counter()
-    budget = OptBudget(multistarts=1, max_iters=30, samples=4, step_init=0.5, tol=1e-8, seed=104)
+    budget = OptBudget(multistarts=1, max_iters=30, samples=4, seed=104)
     family = [Lp(1), Lp(2), Lp(math.inf)]
     ok = True
     worst = 0.0
@@ -147,8 +147,8 @@ _CATALOG = [
 def test_criterion_05_reconstruction_upper_bound():
     start = time.perf_counter()
     clear_role1_cache()
-    outer = OptBudget(multistarts=1, max_iters=25, samples=4, step_init=0.5, tol=1e-8, seed=105)
-    inner = OptBudget(multistarts=1, max_iters=12, samples=2, step_init=0.5, tol=1e-8, seed=106)
+    outer = OptBudget(multistarts=1, max_iters=25, samples=4, seed=105)
+    inner = OptBudget(multistarts=1, max_iters=12, samples=2, seed=106)
     worst = 0.0
     for label, source in _CATALOG:
         pair = extract_pair(source, inner)
@@ -167,8 +167,8 @@ def test_criterion_05_reconstruction_upper_bound():
 def test_criterion_06_round_trip_for_induced_norms():
     start = time.perf_counter()
     clear_role1_cache()
-    outer = OptBudget(multistarts=1, max_iters=25, samples=4, step_init=0.5, tol=1e-8, seed=107)
-    inner = OptBudget(multistarts=1, max_iters=12, samples=2, step_init=0.5, tol=1e-8, seed=108)
+    outer = OptBudget(multistarts=1, max_iters=25, samples=4, seed=107)
+    inner = OptBudget(multistarts=1, max_iters=12, samples=2, seed=108)
     worst_rt = 0.0
     worst_eq = 0.0
     for source in (MaxColSum(), MaxRowSum(), Spectral()):
@@ -196,16 +196,16 @@ def test_criterion_06_round_trip_for_induced_norms():
 def test_criterion_07_non_minimality_witnesses():
     start = time.perf_counter()
     clear_role1_cache()
-    inner = OptBudget(multistarts=1, max_iters=12, samples=2, step_init=0.5, tol=1e-8, seed=109)
+    inner = OptBudget(multistarts=1, max_iters=12, samples=2, seed=109)
     probe_sigma = minimality_probe(
         EntrywiseSum(), 2, 100,
-        OptBudget(multistarts=2, max_iters=120, samples=4, step_init=0.5, tol=1e-8, seed=110),
+        OptBudget(multistarts=2, max_iters=120, samples=4, seed=110),
         RandomStream(1007),
         inner,
     )
     probe_maxcr = minimality_probe(
         MaxOf((MaxColSum(), MaxRowSum())), 2, 100,
-        OptBudget(multistarts=2, max_iters=60, samples=4, step_init=0.5, tol=1e-8, seed=111),
+        OptBudget(multistarts=2, max_iters=60, samples=4, seed=111),
         RandomStream(1008),
         inner,
     )
@@ -225,7 +225,7 @@ def test_criterion_07_non_minimality_witnesses():
 
 def test_criterion_08_chain_inequality():
     start = time.perf_counter()
-    budget = OptBudget(multistarts=2, max_iters=80, samples=6, step_init=0.5, tol=1e-8, seed=112)
+    budget = OptBudget(multistarts=2, max_iters=80, samples=6, seed=112)
     pairs = [
         GIndPair(Lp(math.inf), Lp(1)),
         GIndPair(Lp(math.inf), Lp(2)),

@@ -123,12 +123,12 @@ def test_theorem23_runs_the_requested_trials(monkeypatch, capsys):
     assert seen == [100]
 
 
-def test_non_finite_step_init_exit_2(matrix_file, capsys):
-    # inf used to crash the sphere moves; nan used to skip every ascent
+def test_step_schedule_flags_are_usage_errors_exit_2(matrix_file, capsys):
+    # the climb's step schedule is fixed in sphere_opt, not a budget field
     argv = ["gind", "--norm1", "linf", "--norm2", "l1", "--matrix", matrix_file]
-    for value in ("inf", "nan"):
-        assert run_command(argv + ["--budget-step-init", value]) == 2
-        assert "step_init" in capsys.readouterr().err
+    for flag, value in (("--budget-step-init", "0.5"), ("--budget-tol", "1e-8")):
+        assert run_command(argv + [flag, value]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_dimension_below_one_exit_2(capsys):

@@ -49,8 +49,8 @@ from normlab.extraction import (
 )
 from normlab.matrix_norms import concrete
 
-INNER = OptBudget(multistarts=2, max_iters=30, samples=4, step_init=0.5, tol=1e-8, seed=9)
-OUTER = OptBudget(multistarts=1, max_iters=30, samples=4, step_init=0.5, tol=1e-8, seed=10)
+INNER = OptBudget(multistarts=2, max_iters=30, samples=4, seed=9)
+OUTER = OptBudget(multistarts=1, max_iters=30, samples=4, seed=10)
 
 
 def test_column_embed_examples():
@@ -298,7 +298,7 @@ def test_role1_table_hand_values(source, expected):
 def test_role1_ascent_matches_the_table():
     # the climb stays the path for non-catalog sources; on the catalog it must
     # reach the closed form from below, at the default and a 12-iteration budget
-    small = OptBudget(multistarts=1, max_iters=12, samples=2, step_init=0.5, tol=1e-8, seed=31)
+    small = OptBudget(multistarts=1, max_iters=12, samples=2, seed=31)
     sources = [source for source, _ in ROLE1_HAND_VALUES]
     g = RandomStream(28).generator()
     for n in (2, 3, 4):

@@ -107,6 +107,19 @@ def test_parse_errors_carry_locus():
         assert info.value.locus == locus
 
 
+def test_old_budget_document_reads_as_four_fields():
+    # reports written while the climb's step schedule was a budget field
+    # carry step_init and tol; they are read, and ignored
+    old = {"multistarts": 2, "max_iters": 40, "samples": 6, "step_init": 0.5, "tol": 1e-8, "seed": 7}
+    doc = {"kind": "extracted", "role": 1, "source": {"kind": "sigma"}, "budget": old}
+    spec = formats.norm_spec_from_doc(doc)
+    budget = OptBudget(multistarts=2, max_iters=40, samples=6, seed=7)
+    assert spec == extract_norm1(EntrywiseSum(), budget)
+    assert formats.norm_spec_to_doc(spec)["budget"] == {
+        "multistarts": 2, "max_iters": 40, "samples": 6, "seed": 7
+    }
+
+
 def test_csv_parsing_examples():
     m = formats.matrix_from_csv("1,2\n3,4\n")
     assert np.allclose(m, [[1, 2], [3, 4]])

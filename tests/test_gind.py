@@ -48,7 +48,7 @@ from normlab import (
 from normlab import core, gind, sphere_opt
 
 J2 = np.ones((2, 2), dtype=np.complex128)
-B = OptBudget(multistarts=4, max_iters=300, samples=16, step_init=0.5, tol=1e-8, seed=5)
+B = OptBudget(multistarts=4, max_iters=300, samples=16, seed=5)
 
 
 def test_linf_to_scaled_l2_at_ones():
@@ -220,7 +220,7 @@ def test_full_pipeline_at_n4():
 )
 def test_extracted_catalog_pairs_reconstruct_through_the_dispatch(source, exactness):
     g = RandomStream(41).generator()
-    budget = OptBudget(multistarts=2, max_iters=60, samples=4, step_init=0.5, tol=1e-8, seed=6)
+    budget = OptBudget(multistarts=2, max_iters=60, samples=4, seed=6)
     extracted = extract_pair(source)
     pair = GIndPair(extracted.norm1, extracted.norm2)
     for n in (2, 3, 4):

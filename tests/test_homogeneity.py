@@ -35,8 +35,8 @@ from normlab import (
 )
 from normlab.sphere_opt import _check_homogeneity
 
-INNER = OptBudget(multistarts=1, max_iters=12, samples=2, step_init=0.5, tol=1e-8, seed=31)
-OUTER = OptBudget(multistarts=1, max_iters=30, samples=2, step_init=0.5, tol=1e-8, seed=32)
+INNER = OptBudget(multistarts=1, max_iters=12, samples=2, seed=31)
+OUTER = OptBudget(multistarts=1, max_iters=30, samples=2, seed=32)
 
 
 def _probe_objectives(monkeypatch, module, name, draw) -> list[int]:
