@@ -88,10 +88,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(flag, type=int, default=None, metavar="N", help=_BUDGET_HELP[name])
 
 
-def _budget_from(args) -> OptBudget:
-    """Each --budget-* flag given, else the default budget's value; a given
-    value reaches ``OptBudget`` validation even when it is zero."""
-    base = default_budget(args.dim, args.seed)
+def _budget_from(args, base: OptBudget | None = None) -> OptBudget:
+    """Each --budget-* flag given, else the field of ``base``, the budget
+    the command uses without flags (default: ``default_budget(args.dim)``);
+    a given value reaches ``OptBudget`` validation even when it is zero."""
+    if base is None:
+        base = default_budget(args.dim, args.seed)
     fields = {}
     for name in _BUDGET_FIELDS:
         value = getattr(args, f"budget_{name}")
@@ -104,7 +106,8 @@ def _budget_given(args) -> bool:
 
 
 def _explicit_budget(args) -> OptBudget | None:
-    """The CLI budget only when the user set at least one --budget-* flag."""
+    """The CLI budget only when the user set at least one --budget-* flag;
+    ``verify`` suites run their own budgets otherwise."""
     return _budget_from(args) if _budget_given(args) else None
 
 
@@ -186,10 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    budget = _budget_from(args)
     spec = _resolve_norm(args.norm)
     matrix = formats.load_matrix(args.matrix)
     args.dim = matrix.shape[0]
+    budget = _budget_from(args)
     _print_header("eval", args, budget)
     value = mnorm_eval(spec, matrix, budget)
     print(f"norm value: {value:.10g}")
@@ -201,10 +204,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gind(args) -> int:
-    budget = _budget_from(args)
     pair = GIndPair(_resolve_norm(args.norm1), _resolve_norm(args.norm2))
     matrix = formats.load_matrix(args.matrix)
     args.dim = matrix.shape[0]
+    budget = _budget_from(args)
     _print_header("gind", args, budget)
     result = gind_eval(pair, matrix, budget)
     print(f"value: {result.value:.10g}  exactness: {result.exactness}  evaluations: {result.evaluations}")
@@ -216,10 +219,10 @@ def _cmd_gind(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    budget = _budget_from(args)
     pair = GIndPair(_resolve_norm(args.norm1), _resolve_norm(args.norm2))
     matrix = formats.load_matrix(args.matrix)
     args.dim = matrix.shape[0]
+    budget = _budget_from(args)
     _print_header("chain", args, budget)
     report = chain_compare(pair, matrix, budget)
     print(f"v21={report.v21:.10g} v11={report.v11:.10g} v22={report.v22:.10g} v12={report.v12:.10g}")
@@ -230,7 +233,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_extract(args) -> int:
     source = _resolve_norm(args.norm)
-    inner = _explicit_budget(args) or dataclasses.replace(DEFAULT_INNER_BUDGET, seed=args.seed)
+    inner = _budget_from(args, dataclasses.replace(DEFAULT_INNER_BUDGET, seed=args.seed))
     _print_header("extract", args, inner)
     n = args.dim
     pair = extract_pair(source, inner)
@@ -258,9 +261,7 @@ def _cmd_probe(args) -> int:
     # (spectral, entrywise-max, maxcolsum) run no outer ascent, the other
     # catalog sources run one per probe matrix, and for a non-catalog source
     # each point that ascent visits runs a role-1 climb
-    outer = _explicit_budget(args) or OptBudget(
-        multistarts=2, max_iters=120, samples=6, seed=args.seed
-    )
+    outer = _budget_from(args, OptBudget(multistarts=2, max_iters=120, samples=6, seed=args.seed))
     _print_header("probe-minimality", args, outer)
     report = minimality_probe(
         source, args.dim, args.trials, outer, RandomStream(args.seed)

@@ -31,7 +31,7 @@ from .vector_norms import (
     VectorNormSpec,
     WeightedLp,
     has_batch_form,
-    norming_direction_many,
+    norming_functionals_many,
     split_scale,
     vnorm_eval,
     vnorm_eval_many,
@@ -218,63 +218,58 @@ def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> Computation
 
     The starts are :func:`~normlab.sphere_opt.seed_pool`'s points with the
     :func:`_quality_seeds`, scaled onto the sphere and scored; the
-    ``budget.multistarts`` best (ties to the lowest index) iterate.  A step
-    takes y = Ax, the norming direction u of y for N2, z = A*u, and x' the
-    norming point of z on the domain sphere: the norming direction of z for
-    the dual core, scaled to N1(x') = 1.  Then N2(Ax') >= Re <u, Ax'> /
-    N2*(u) = N1*(z) / N2*(u) >= Re <z, x> / N2*(u) = N2(Ax), so no step
-    loses value.  A start moves
+    ``budget.multistarts`` best (ties to the lowest index) iterate.  Scoring
+    a point x gives N2(Ax) and a unit norming functional u of Ax for N2
+    (:func:`~normlab.vector_norms.norming_functionals_many`).  A step takes
+    z = A*u and x' the unit norming functional of z for the dual core, which
+    lies on the domain sphere because the dual of the dual is the core, and
+    scores x'.  Then N2(Ax') >= Re <u, Ax'> = Re <z, x'> = N1*(z) >=
+    Re <z, x> = N2(Ax), so no step loses value.  A start moves
     only when N2(Ax') exceeds its value by a factor 1 + 1e-15, and retires
-    when it does not, when its y or z is zero, or after ``budget.max_iters``
-    steps.  It also retires when it cannot catch the best at its present
-    rate: from value ``prev`` to ``got`` with ``left`` steps to go, when
-    got (got/prev)**left < best (1 - 1e-12).  That assumes a start's gain
-    per step does not grow, which holds near a fixed point, where the
-    iteration contracts; a start that would have sped up is lost, and the
-    result is still a lower bound.  The result is the best of every scored
-    row, ties to the first, labelled a lower bound; ``evaluations`` counts
-    the rows scored.
+    when it does not (a zero y or z gives a zero x'), or after
+    ``budget.max_iters`` steps.  It also retires when it cannot catch the
+    best at its present rate: from value ``prev`` to ``got`` with ``left``
+    steps to go, when got (got/prev)**left < best (1 - 1e-12).  That assumes
+    a start's gain per step does not grow, which holds near a fixed point,
+    where the iteration contracts; a start that would have sped up is lost,
+    and the result is still a lower bound.  The result is the best of every
+    scored row, ties to the first, rescored with :func:`vnorm_eval` at the
+    witness scaled onto the sphere and labelled a lower bound;
+    ``evaluations`` counts the rows scored.
     """
     q = core1.p / (core1.p - 1.0)
     if isinstance(core1, Lp):
         dual = Lp(q)
     else:
         dual = WeightedLp(tuple(1.0 / w for w in core1.weights), q)
-    image = lambda xs: (m @ xs[..., None])[..., 0]
-    adjoint = m.conj().T
+    mt, mc = m.T, m.conj()
 
-    pool = np.asarray(seed_pool(m.shape[0], budget, _quality_seeds(m)))
+    pool = seed_pool(m.shape[0], budget, _quality_seeds(m))
     points = pool / vnorm_eval_many(core1, pool)[:, None]
-    images = image(points)
-    vals = vnorm_eval_many(core2, images)
+    vals, funcs = norming_functionals_many(core2, points @ mt)
     evals = len(pool)
     k = int(np.argmax(vals))
     best, witness = vals[k], points[k]
     starts = np.argsort(-vals, kind="stable")[: budget.multistarts]
-    y, val = images[starts], vals[starts]
+    u, val = funcs[starts], vals[starts]
     for step in range(budget.max_iters):
-        z = (adjoint @ norming_direction_many(core2, y)[..., None])[..., 0]
-        live = z.any(axis=1)  # a zero y has a zero direction, so a zero z
-        if not live.any():
+        if not len(u):
             break
-        x = norming_direction_many(dual, z[live])
-        x /= vnorm_eval_many(core1, x)[:, None]
-        y = image(x)
-        got = vnorm_eval_many(core2, y)
+        x = norming_functionals_many(dual, u @ mc)[1]
+        got, u = norming_functionals_many(core2, x @ mt)
         evals += len(x)
         k = int(np.argmax(got))
         if got[k] > best:
             best, witness = got[k], x[k]
-        prev = val[live]
-        moved = got > prev * (1.0 + 1e-15)
+        moved = got > val * (1.0 + 1e-15)
         if moved.any():
             # a start that keeps its last gain per step for the steps left
             # and still ends below the best cannot catch it
             left = budget.max_iters - step - 1
             up = got[moved]
-            reach = np.log(up) + left * np.log(up / prev[moved])
+            reach = np.log(up) + left * np.log(up / val[moved])
             moved[moved] = reach >= math.log(best * (1.0 - 1e-12))
-        y, val = y[moved], got[moved]
+        u, val = u[moved], got[moved]
     w = witness / vnorm_eval(core1, witness)
     return ComputationResult(vnorm_eval(core2, m @ w), w, LOWER_BOUND, evals)
 

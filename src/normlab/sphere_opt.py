@@ -103,7 +103,7 @@ def _sphere_direction(g: np.random.Generator, shape) -> np.ndarray:
     return d / math.sqrt(np.vdot(d, d).real)
 
 
-def _climb(evaluate, pool: list, budget: OptBudget, rng: RandomStream):
+def _climb(evaluate, pool: Iterable[np.ndarray], budget: OptBudget, rng: RandomStream):
     """Multi-start hill climb on the renormalized sphere; returns (best
     value, best point, evaluations).
 
@@ -299,21 +299,21 @@ def _valid_seeds(extra_seeds: Iterable[np.ndarray], shape: tuple) -> list[np.nda
     return out
 
 
-def seed_pool(n: int, budget: OptBudget, extra_seeds: Iterable[np.ndarray] = ()) -> list[np.ndarray]:
-    """The starting points of a sphere search in C^n, unnormalized: the basis
-    vectors, the all-ones vector, n random phase vectors, the nonzero
-    ``extra_seeds`` of shape (n,) and ``budget.samples`` complex Gaussian
-    draws, the random ones from stream 0 of ``budget.seed``."""
+def seed_pool(n: int, budget: OptBudget, extra_seeds: Iterable[np.ndarray] = ()) -> np.ndarray:
+    """The starting points of a sphere search in C^n, unnormalized, as the
+    rows of one array: the basis vectors, the all-ones vector, n random phase
+    vectors, the nonzero ``extra_seeds`` of shape (n,) and ``budget.samples``
+    complex Gaussian draws, the random ones from stream 0 of
+    ``budget.seed``."""
     g = RandomStream(budget.seed).child(0).generator()
-    pool: list[np.ndarray] = list(np.eye(n, dtype=np.complex128))
-    pool.append(np.ones(n, dtype=np.complex128))
-    pool.extend(np.exp(2j * np.pi * g.random(n)) for _ in range(n))
-    pool.extend(_valid_seeds(extra_seeds, (n,)))
-    # one draw for every Gaussian seed: the bits and the stream state of
-    # budget.samples sample_vector calls
+    # one draw for the phase vectors and one for every Gaussian seed: the
+    # bits and the stream state of n g.random(n) and budget.samples
+    # sample_vector calls
+    phases = np.exp(2j * np.pi * g.random((n, n)))
+    extras = _valid_seeds(extra_seeds, (n,))
     draws = g.standard_normal((budget.samples, 2, n))
-    pool.extend((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0))
-    return pool
+    gaussians = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+    return np.vstack([np.eye(n, dtype=np.complex128), np.ones(n), phases, *extras, gaussians])
 
 
 def _finish(objective, domain_eval, witness, exactness, evals) -> ComputationResult:

@@ -7,6 +7,12 @@ optimizers dispatch on structure and lets documents round-trip exactly.
 
 :class:`Scaled` and :class:`MaxOf` are structural combinators: the family
 (vector or matrix) is decided by the leaves they wrap.
+
+Descriptors built from Lp and WeightedLp under Scaled and MaxOf have two
+batch kernels over the rows of an array: :func:`vnorm_eval_many`, bit for
+bit the values of :func:`vnorm_eval`, and :func:`norming_functionals_many`,
+each row's value and unit norming functional in one pass, which the power
+method in ``gind`` steps on.
 """
 
 from __future__ import annotations
@@ -232,53 +238,70 @@ def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
     raise SpecValidationError(f"no batch form for vector norm descriptor: {spec!r}")
 
 
-def _direction_of_moduli(phases: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise norming direction of l_p at the moduli m with the given phases."""
+def _lp_functionals(v: np.ndarray, w, p: float):
+    """Row-wise l_p values of the weighted moduli m = w |v| and the unit
+    norming functionals phase(v) f, 0 on zero entries of v; ``w`` is None
+    for plain l_p.  The moduli f are w for l1, w at the first largest m for
+    l-inf, and w (r/rho)^(p-1) otherwise, with r = m / max(m) and
+    rho = ||r||_p."""
+    mods = np.abs(v)
+    m = mods if w is None else mods * w
     if p == 1.0:
-        return phases
-    if p == math.inf:
-        out = np.zeros_like(phases)
+        vals, f = m.sum(axis=1), (1.0 if w is None else w)
+    elif p == math.inf:
         rows, first = np.arange(len(m)), m.argmax(axis=1)
-        out[rows, first] = phases[rows, first]
-        return out
-    # scale out the peak, as _lp_of_moduli does, so m**(p-1) cannot overflow
-    peak = m.max(axis=1, keepdims=True)
-    return phases * (m / np.where(peak > 0.0, peak, 1.0)) ** (p - 1.0)
+        vals, f = m[rows, first], np.zeros_like(m)
+        f[rows, first] = 1.0 if w is None else w[first]
+    else:
+        # scale out the peak, as _lp_of_moduli does, so r**p cannot overflow
+        peak = m.max(axis=1)
+        r = m / np.where(peak > 0.0, peak, 1.0)[:, None]
+        s = r ** (p - 1.0)
+        total = (s * r).sum(axis=1)  # >= 1 on a nonzero row, whose peak r is 1
+        rho = total ** (1.0 / p)
+        vals = peak * rho
+        # (r/rho)^(p-1) = s rho / total, and s = 0 on a zero row
+        f = s * (rho / np.maximum(total, 1.0))[:, None]
+        if w is not None:
+            f *= w
+    return vals, v * (f / np.where(mods > 0.0, mods, 1.0))
 
 
-def norming_direction_many(spec: VectorNormSpec, rows) -> np.ndarray:
-    """A norming direction u of every row y for a spec with
-    :func:`has_batch_form`: Re <u, y> = ||y|| ||u||_dual, up to the scale of
-    u, which is not normalized.
+def norming_functionals_many(spec: VectorNormSpec, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The value N(y) and a unit norming functional u of every row y, for a
+    spec with :func:`has_batch_form`: Re <u, y> = N(y) and N*(u) = 1, or
+    N*(u) <= 1 under MaxOf; a zero row gets u = 0.
 
-    For l_p with 1 < p < inf it is phase(y) |y|^(p-1), peak-scaled; for l1
-    the phases, and for l-inf the phase at the first largest modulus, with 0
-    on zero entries throughout, so a zero row gets a zero direction.
-    WeightedLp applies its weights inside and outside, Scaled gives its inner
-    direction and MaxOf that of its first part attaining the max.
+    For l_p with 1 < p < inf, u = phase(y) (r/rho)^(p-1), with r the
+    peak-scaled moduli and rho = ||r||_p; for l1 the phases, and for l-inf the
+    phase at the first largest modulus, with 0 on zero entries throughout.
+    WeightedLp applies its weights inside and outside, Scaled by gamma gives
+    (gamma N, gamma u) and MaxOf the pair of its first part attaining the
+    max.  The values take a vectorized root, so they may differ from
+    :func:`vnorm_eval_many`'s in the last few bits.
     """
     v = np.asarray(rows, dtype=np.complex128)
-    if isinstance(spec, (Lp, WeightedLp)):
-        mods = np.abs(v)
-        phases = np.divide(v, mods, out=np.zeros_like(v), where=mods > 0)
-        if isinstance(spec, Lp):
-            return _direction_of_moduli(phases, mods, spec.p)
+    if v.ndim != 2 or v.shape[1] < 1:
+        raise DimensionMismatchError(f"expected a 2-d array of vectors, got shape {v.shape}")
+    if isinstance(spec, Lp):
+        return _lp_functionals(v, None, spec.p)
+    if isinstance(spec, WeightedLp):
         if len(spec.weights) != v.shape[1]:
             raise DimensionMismatchError(
                 f"weighted norm has {len(spec.weights)} weights, vector has {v.shape[1]}"
             )
-        w = np.asarray(spec.weights)
-        return w * _direction_of_moduli(phases, mods * w, spec.p)
+        return _lp_functionals(v, np.asarray(spec.weights), spec.p)
     if isinstance(spec, Scaled):
-        return norming_direction_many(spec.inner, v)
+        vals, u = norming_functionals_many(spec.inner, v)
+        return spec.gamma * vals, spec.gamma * u
     if isinstance(spec, MaxOf):
-        first = np.argmax([vnorm_eval_many(part, v) for part in spec.parts], axis=0)
-        out = np.zeros_like(v)
-        for k, part in enumerate(spec.parts):
-            at = first == k
-            if at.any():
-                out[at] = norming_direction_many(part, v[at])
-        return out
+        vals, u = norming_functionals_many(spec.parts[0], v)
+        for part in spec.parts[1:]:
+            part_vals, part_u = norming_functionals_many(part, v)
+            above = part_vals > vals
+            vals = np.where(above, part_vals, vals)
+            u = np.where(above[:, None], part_u, u)
+        return vals, u
     raise SpecValidationError(f"no batch form for vector norm descriptor: {spec!r}")
 
 

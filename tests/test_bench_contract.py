@@ -96,9 +96,9 @@ def test_role1_climbs_only_off_the_catalog():
 
 
 def test_batched_ascent_bypasses_the_scalar_kernel():
-    # gind_eval scores its seeds and power steps (ascent candidates, before
-    # the power method) through vnorm_eval_many, which the tracer does not
-    # wrap; only the final witness is scored through vnorm_eval
+    # the power method scores its seeds through vnorm_eval_many and its
+    # steps through norming_functionals_many, neither of which the tracer
+    # wraps; only the final witness is scored through vnorm_eval
     from normlab import GIndPair, Lp, default_budget, gind_eval
 
     a = np.array([[1.0 + 0.5j, -2.0], [0.25j, 1.5]])

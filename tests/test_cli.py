@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from normlab import cli, default_budget
 from normlab.cli import run_command
 
 
@@ -211,6 +212,46 @@ def test_probe_minimality_report(matrix_file, tmp_path, capsys):
     rows = doc["witness"]["rows"]
     assert rows[0][0]["re"] == pytest.approx(1.0)
     assert rows[1][1]["re"] == pytest.approx(-1.0)
+
+
+def test_matrix_commands_size_their_budget_by_the_matrix(tmp_path, monkeypatch, capsys):
+    # default_budget(4), not that of the default --dim 2 or of a given --dim
+    path = tmp_path / "a4.csv"
+    path.write_text("\n".join(",".join(f"{i - 2 * j}" for j in range(4)) for i in range(4)) + "\n")
+    budgets = []
+    for name in ("mnorm_eval", "gind_eval", "chain_compare"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: budgets.append(a[-1]) or real(*a))
+    l3, l15 = '{"kind":"lp","p":3}', '{"kind":"lp","p":1.5}'
+    commands = (
+        ["eval", "--norm", "spectral"],
+        ["gind", "--norm1", l3, "--norm2", l15],
+        ["chain", "--norm1", l3, "--norm2", l15],
+    )
+    for argv in commands:
+        for dim in ([], ["--dim", "3"]):
+            assert run_command(argv + ["--matrix", str(path)] + dim) == 0
+            header = capsys.readouterr().out.splitlines()[0]
+            assert "dim=4 " in header
+            assert header.endswith("budget: multistarts=32 max_iters=400 samples=256"), header
+    assert budgets == [default_budget(4)] * 6
+    assert run_command(["gind", "--norm1", l3, "--norm2", l15, "--matrix", str(path),
+                        "--budget-multistarts", "3"]) == 0
+    assert "multistarts=3 max_iters=400 samples=256" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["extract", "--norm", "maxrowsum"], "multistarts=2 max_iters=40 samples=4"),
+        (["probe-minimality", "--norm", "spectral", "--trials", "1"],
+         "multistarts=2 max_iters=120 samples=4"),
+    ],
+    ids=["extract", "probe-minimality"],
+)
+def test_budget_flags_override_the_commands_own_defaults(argv, want, capsys):
+    assert run_command(argv + ["--budget-samples", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("budget: " + want)
 
 
 def test_extract_command(capsys):

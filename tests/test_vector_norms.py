@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from normlab import (
     Scaled,
     WeightedLp,
     dominance_check,
+    split_scale,
     sample_vector,
     sum_functional_alpha,
     vnorm_dual_eval,
     vnorm_eval,
 )
 from normlab.errors import DimensionMismatchError, SpecValidationError
-from normlab.vector_norms import has_batch_form, vnorm_eval_many
+from normlab.vector_norms import has_batch_form, norming_functionals_many, vnorm_eval_many
 from _oracles import dense_sphere_max
 
 
@@ -167,6 +169,40 @@ def test_vnorm_eval_many_rejects_what_it_cannot_batch():
         vnorm_eval_many(Lp(2), np.ones(3))
     with pytest.raises(DimensionMismatchError):
         vnorm_eval_many(WeightedLp((1.0, 2.0), 1), np.ones((2, 3)))
+    with pytest.raises(SpecValidationError):
+        norming_functionals_many(spec, np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        norming_functionals_many(Lp(2), np.ones(3))
+    with pytest.raises(DimensionMismatchError):
+        norming_functionals_many(WeightedLp((1.0, 2.0), 3), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_norming_functionals_are_unit_and_attain_the_norm(n):
+    # Re <u, y> = N(y) and N*(u) = 1 (<= 1 under MaxOf, whose functional is a
+    # part's); the values agree with vnorm_eval_many to a few ulps; a zero
+    # row, and zero entries, get zero functionals without a warning
+    g = np.random.default_rng([59, n])
+    rows = g.standard_normal((6, n)) + 1j * g.standard_normal((6, n))
+    rows[1, : n - 1] = 0.0
+    rows[2] *= 1e-150
+    rows[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in _batch_specs(n):
+            vals, funcs = norming_functionals_many(spec, rows)
+            want = vnorm_eval_many(spec, rows)
+            assert np.all(np.abs(vals - want) <= 4 * np.spacing(want)), spec
+            assert vals[3] == 0.0 and not funcs[3].any(), spec
+            assert not funcs[1, : n - 1].any(), spec
+            maxof = isinstance(split_scale(spec)[1], MaxOf)
+            for y, val, u in zip(rows[[0, 1, 2, 4, 5]], vals[[0, 1, 2, 4, 5]], funcs[[0, 1, 2, 4, 5]]):
+                assert np.vdot(u, y).real == pytest.approx(val, rel=1e-14), spec
+                dual = vnorm_dual_eval(spec, u)
+                if maxof:
+                    assert dual <= 1.0 + 1e-13, spec
+                else:
+                    assert dual == pytest.approx(1.0, rel=1e-13), spec
 
 
 def test_dual_examples():
