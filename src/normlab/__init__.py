@@ -44,11 +44,19 @@ from .extraction import (
     extract_pair,
     minimality_probe,
 )
-from .gind import ChainReport, GIndPair, chain_compare, gind_eval
-from .matrix_norms import (
+from .gind import (
     KNOWN_NO,
     KNOWN_YES,
     UNKNOWN,
+    ChainReport,
+    DominanceReport,
+    GIndPair,
+    chain_compare,
+    dominance_check,
+    gind_eval,
+    mnorm_is_algebra_candidate,
+)
+from .matrix_norms import (
     EntrywiseMax,
     EntrywiseSum,
     GInd,
@@ -57,18 +65,15 @@ from .matrix_norms import (
     MaxRowSum,
     Spectral,
     mnorm_eval,
-    mnorm_is_algebra_candidate,
 )
 from .sphere_opt import maximize_on_matrix_sphere, maximize_on_sphere
 from .vector_norms import (
-    DominanceReport,
     Extracted,
     Lp,
     MaxOf,
     Scaled,
     VectorNormSpec,
     WeightedLp,
-    dominance_check,
     split_scale,
     sum_functional_alpha,
     vnorm_dual_eval,

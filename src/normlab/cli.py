@@ -22,6 +22,8 @@ from .gind import GIndPair, chain_compare, gind_eval
 from .matrix_norms import mnorm_eval
 from .vector_norms import Lp, Scaled, vnorm_eval
 from .verification import (
+    SUITE_BUDGET,
+    THEOREM23_BUDGET,
     paper_demo_suite,
     verify_lemma21,
     verify_lemma22,
@@ -75,10 +77,11 @@ _BUDGET_HELP = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--dim", type=_count("dimension"), default=2, help="matrix dimension n (default 2)"
-    )
+def _add_common(sub: argparse.ArgumentParser, dim: bool = True) -> None:
+    if dim:  # eval, gind and chain take n from the loaded matrix instead
+        sub.add_argument(
+            "--dim", type=_count("dimension"), default=2, help="matrix dimension n (default 2)"
+        )
     sub.add_argument(
         "--seed", type=_count("seed", 0), default=0, help="root random seed, >= 0 (default 0)"
     )
@@ -106,9 +109,11 @@ def _budget_given(args) -> bool:
 
 
 def _explicit_budget(args) -> OptBudget | None:
-    """The CLI budget only when the user set at least one --budget-* flag;
-    ``verify`` suites run their own budgets otherwise."""
-    return _budget_from(args) if _budget_given(args) else None
+    """For ``verify``: None unless the user set at least one --budget-* flag,
+    and then the suite's own budget with the given fields overridden."""
+    if not _budget_given(args):
+        return None
+    return _budget_from(args, THEOREM23_BUDGET if args.suite == "theorem23" else SUITE_BUDGET)
 
 
 def _header(args, budget: OptBudget) -> dict:
@@ -148,19 +153,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="evaluate a matrix norm on a matrix file")
     p.add_argument("--norm", required=True, help="norm spec (name, JSON, or @file)")
     p.add_argument("--matrix", required=True, help="CSV or JSON matrix file")
-    _add_common(p)
+    _add_common(p, dim=False)
 
     p = subs.add_parser("gind", help="generalized induced norm of a matrix")
     p.add_argument("--norm1", required=True, help="domain vector norm")
     p.add_argument("--norm2", required=True, help="codomain vector norm")
     p.add_argument("--matrix", required=True)
-    _add_common(p)
+    _add_common(p, dim=False)
 
     p = subs.add_parser("chain", help="the four mixed operator norms of a pair")
     p.add_argument("--norm1", required=True)
     p.add_argument("--norm2", required=True)
     p.add_argument("--matrix", required=True)
-    _add_common(p)
+    _add_common(p, dim=False)
 
     p = subs.add_parser("extract", help="recover the vector-norm pair of a matrix norm")
     p.add_argument("--norm", required=True)
@@ -258,9 +263,10 @@ def _cmd_extract(args) -> int:
 def _cmd_probe(args) -> int:
     source = _resolve_norm(args.norm)
     # moderate default: catalog sources with an exact extracted pair
-    # (spectral, entrywise-max, maxcolsum) run no outer ascent, the other
-    # catalog sources run one per probe matrix, and for a non-catalog source
-    # each point that ascent visits runs a role-1 climb
+    # (spectral, entrywise-max, maxcolsum) run no outer search, the other
+    # catalog sources run a polydisc search per probe matrix, which reads no
+    # budget, and a non-catalog source runs an ascent per probe matrix, each
+    # point of which runs a role-1 climb
     outer = _budget_from(args, OptBudget(multistarts=2, max_iters=120, samples=6, seed=args.seed))
     _print_header("probe-minimality", args, outer)
     report = minimality_probe(

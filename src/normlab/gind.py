@@ -1,4 +1,4 @@
-"""Generalized induced norms and the four-norm comparison chain.
+"""Generalized induced norms, the four-norm comparison chain and Lemma 2.1.
 
 ``gind_eval`` computes max{ ||Ax||_2 : ||x||_1 = 1 } for a pair of vector
 norms.  Outer scale factors are peeled off exactly (scaling either norm by
@@ -9,6 +9,11 @@ the best polydisc search over the vertices of the ball of moduli (a closed
 form for two-coordinate vertices into l2), and smooth
 domains (an l_p or weighted l_p core, 1 < p < inf, other than l2 to l2) the
 nonlinear power method; every other pair goes to the sphere maximizer.
+
+Every supremum of a norm ratio goes through ``gind_eval``: sup ||x||_a /
+||x||_b is ||I||_{b -> a} (:func:`dominance_check`, which decides Lemma 2.1
+in :func:`mnorm_is_algebra_candidate`), and a dual norm without a closed
+form is the induced norm of a one-row matrix into l1.
 """
 
 from __future__ import annotations
@@ -23,7 +28,16 @@ import numpy as np
 from .budget import LOWER_BOUND, ComputationResult, OptBudget, default_budget
 from .core import RandomStream, as_matrix, hermitian_top_eig, scaled_gram
 from .errors import NonConvergenceError, NonFiniteInputError
-from .matrix_norms import concrete
+from .matrix_norms import (
+    EntrywiseMax,
+    EntrywiseSum,
+    GInd,
+    MatrixNormSpec,
+    MaxColSum,
+    MaxRowSum,
+    Spectral,
+    concrete,
+)
 from .vector_norms import (
     Lp,
     MaxOf,
@@ -391,3 +405,87 @@ def chain_compare(pair: GIndPair, a, budget: OptBudget | None = None) -> ChainRe
     slack = min(v11 - v21, v12 - v11, v22 - v21, v12 - v22)
     holds = slack >= -_CHAIN_SLACK * max(1.0, v12)
     return ChainReport(v21=v21, v11=v11, v22=v22, v12=v12, chain_holds=holds, slack=slack)
+
+
+@dataclass
+class DominanceReport:
+    """sup ||x||_a / ||x||_b as ``max_ratio``: :func:`gind_eval` of the
+    identity from b to a, with ``samples_used`` its objective evaluations.
+
+    ``dominated`` means max_ratio <= 1 + 1e-9.  Both are exact where
+    ``gind_eval`` is (an l1-type b, a polyhedral b with an a of l_p parts,
+    l2 against l2); elsewhere "dominated" is evidence, not proof.  A
+    counterexample, present when not dominated, lies on the b-unit sphere:
+    a hard certificate.
+    """
+
+    dominated: bool
+    counterexample: np.ndarray | None
+    samples_used: int
+    max_ratio: float
+
+
+_DOMINANCE_SLACK = 1e-9
+
+
+def dominance_check(
+    spec_a: VectorNormSpec,
+    spec_b: VectorNormSpec,
+    n: int,
+    samples: int = 256,
+    rng: RandomStream = RandomStream(0),
+) -> DominanceReport:
+    """Compare ||x||_a with ||x||_b on C^n by one :func:`gind_eval` of the
+    identity from b to a, with ``samples`` seed points if it draws any."""
+    budget = OptBudget(
+        multistarts=3, max_iters=150, samples=samples, seed=rng.child(1).derive_seed()
+    )
+    res = gind_eval(GIndPair(spec_b, spec_a), np.eye(n, dtype=np.complex128), budget)
+    dominated = res.value <= 1.0 + _DOMINANCE_SLACK
+    return DominanceReport(
+        dominated=dominated,
+        counterexample=None if dominated else res.witness,
+        samples_used=res.evaluations,
+        max_ratio=res.value,
+    )
+
+
+KNOWN_YES = "known_yes"
+KNOWN_NO = "known_no"
+UNKNOWN = "unknown"
+
+
+def mnorm_is_algebra_candidate(spec: MatrixNormSpec) -> str:
+    """Classify whether the norm is submultiplicative.
+
+    Catalog norms carry a known verdict.  A GInd norm is classified by
+    Lemma 2.1 (submultiplicative iff norm1 <= norm2 pointwise), which
+    :func:`dominance_check` tests at n = 2 and 3 only: exactly where
+    ``gind_eval`` is exact (an l1-type norm2, a polyhedral norm2 with a
+    norm1 of l_p parts, l2 against l2), and elsewhere its "yes" is
+    high-confidence rather than proven.  A ratio inside the tolerance band
+    yields ``unknown``.
+    """
+    if isinstance(spec, (EntrywiseSum, MaxColSum, MaxRowSum, Spectral)):
+        return KNOWN_YES
+    if isinstance(spec, EntrywiseMax):
+        return KNOWN_NO
+    if isinstance(spec, MaxOf):
+        verdicts = {mnorm_is_algebra_candidate(p) for p in spec.parts}
+        # a pointwise max of algebra norms is again an algebra norm
+        return KNOWN_YES if verdicts == {KNOWN_YES} else UNKNOWN
+    if isinstance(spec, Scaled):
+        if spec.gamma >= 1.0 and mnorm_is_algebra_candidate(spec.inner) == KNOWN_YES:
+            return KNOWN_YES
+        return UNKNOWN
+    if isinstance(spec, GInd):
+        for n in (2, 3):
+            report = dominance_check(
+                spec.norm1, spec.norm2, n, samples=192, rng=RandomStream(0xD011, (n,))
+            )
+            if not report.dominated:
+                return KNOWN_NO
+            if report.max_ratio > 1.0 + 1e-12:
+                return UNKNOWN  # inside the tolerance band: cannot call it
+        return KNOWN_YES
+    return UNKNOWN

@@ -4,6 +4,8 @@ The catalog covers the entrywise sum and max, the maximum column and row
 sums, the spectral norm, and generalized induced norms built from two vector
 norms.  ``Scaled`` and ``MaxOf`` from :mod:`normlab.vector_norms` compose
 matrix norms the same way they compose vector norms.
+Whether a norm is submultiplicative is decided in :mod:`normlab.gind`,
+which imports this module (:func:`~normlab.gind.mnorm_is_algebra_candidate`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .vector_norms import (
     MaxOf,
     Scaled,
     VectorNormSpec,
-    dominance_check,
     split_scale,
 )
 
@@ -153,43 +154,3 @@ def concrete(spec, n: int):
     if spec.role == 1:
         return role1
     return role2 if gamma == 1.0 else Scaled(gamma, role2)
-
-
-KNOWN_YES = "known_yes"
-KNOWN_NO = "known_no"
-UNKNOWN = "unknown"
-
-
-def mnorm_is_algebra_candidate(spec: MatrixNormSpec) -> str:
-    """Classify whether the norm is submultiplicative.
-
-    Catalog norms carry a known verdict.  A GInd norm is classified through
-    the dominance criterion (submultiplicative iff norm1 <= norm2 pointwise)
-    checked by sampling at n = 2 and 3, so its "yes" is high-confidence
-    rather than proven; inconclusive sampling yields ``unknown``.
-    """
-    if isinstance(spec, (EntrywiseSum, MaxColSum, MaxRowSum, Spectral)):
-        return KNOWN_YES
-    if isinstance(spec, EntrywiseMax):
-        return KNOWN_NO
-    if isinstance(spec, MaxOf):
-        verdicts = {mnorm_is_algebra_candidate(p) for p in spec.parts}
-        # a pointwise max of algebra norms is again an algebra norm
-        return KNOWN_YES if verdicts == {KNOWN_YES} else UNKNOWN
-    if isinstance(spec, Scaled):
-        if spec.gamma >= 1.0 and mnorm_is_algebra_candidate(spec.inner) == KNOWN_YES:
-            return KNOWN_YES
-        return UNKNOWN
-    if isinstance(spec, GInd):
-        verdict = UNKNOWN
-        for n in (2, 3):
-            report = dominance_check(
-                spec.norm1, spec.norm2, n, samples=192, rng=RandomStream(0xD011, (n,))
-            )
-            if not report.dominated:
-                return KNOWN_NO
-            if report.max_ratio > 1.0 + 1e-12:
-                return UNKNOWN  # inside the tolerance band: cannot call it
-            verdict = KNOWN_YES
-        return verdict
-    return UNKNOWN

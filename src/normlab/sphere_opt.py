@@ -19,7 +19,8 @@ moduli, where a vertex with one free phase into l2 takes a closed form
 instead.  Smooth l_p domains with a batch codomain take the
 nonlinear power method in ``gind`` instead, from the climb's own seed pool
 (:func:`seed_pool`).  :func:`maximize_on_sphere` itself keeps the climb for
-both.
+both.  Its one caller in the package is ``gind_eval``, through which the
+pointwise dominance check and the dual norms without a closed form run too.
 
 The climb walks its starts one after another and scores lazily, one
 candidate at a time.  In ``gind_eval`` the one shape of plain descriptors

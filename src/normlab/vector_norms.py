@@ -13,6 +13,9 @@ batch kernels over the rows of an array: :func:`vnorm_eval_many`, bit for
 bit the values of :func:`vnorm_eval`, and :func:`norming_functionals_many`,
 each row's value and unit norming functional in one pass, which the power
 method in ``gind`` steps on.
+
+:func:`vnorm_dual_eval` has the conjugate-exponent closed form for Lp and
+WeightedLp cores; every other dual is an induced norm, left to ``gind``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, as_vector, sample_vector
+from .core import as_vector
 from .errors import DimensionMismatchError, SpecValidationError
 
 if TYPE_CHECKING:  # matrix_norms imports this module; annotation only
@@ -317,8 +320,10 @@ def vnorm_dual_eval(spec: VectorNormSpec, v, budget: OptBudget | None = None) ->
     """max{ |<v, x>| : ||x||_spec = 1 } with <v, x> = sum conj(v_i) x_i.
 
     Closed form (the conjugate-exponent identity) for Lp and WeightedLp
-    cores, sphere maximization otherwise; in the latter case the result is a
-    lower bound at the given budget.
+    cores.  Otherwise |<v, x>| = ||Mx||_1 for the M whose row 0 is conj(v)
+    and whose other rows are 0, so the dual is :func:`~normlab.gind.gind_eval`
+    of M from the spec to l1 at the given budget: to 1e-9 relative for a
+    polyhedral spec, a lower bound otherwise.
     """
     w = as_vector(v)
     gamma, core = split_scale(spec)
@@ -332,20 +337,14 @@ def vnorm_dual_eval(spec: VectorNormSpec, v, budget: OptBudget | None = None) ->
         q = _conjugate_exponent(core.p)
         return _lp_of_moduli(np.abs(w) / np.asarray(core.weights), q) / gamma
 
-    from . import sphere_opt  # deferred: sphere_opt imports this module
+    from . import gind  # deferred: gind imports this module
 
     n = w.size
     if budget is None:
         budget = OptBudget(multistarts=4, max_iters=200, samples=16 * n, seed=0)
-    phases = np.where(np.abs(w) > 0, w / np.where(np.abs(w) > 0, np.abs(w), 1.0), 1.0)
-    result = sphere_opt.maximize_on_sphere(
-        lambda x: abs(np.vdot(w, x)),
-        spec,
-        n,
-        budget,
-        extra_seeds=[phases],
-    )
-    return result.value
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[0] = np.conj(w)
+    return gind.gind_eval(gind.GIndPair(spec, Lp(1.0)), m, budget).value
 
 
 def sum_functional_alpha(
@@ -353,89 +352,3 @@ def sum_functional_alpha(
 ) -> float:
     """max{ |sum_j y_j| : ||y||_spec = 1 }, the dual norm of the all-ones vector."""
     return vnorm_dual_eval(spec, np.ones(n, dtype=np.complex128), budget)
-
-
-@dataclass
-class DominanceReport:
-    """Outcome of a pointwise norm-comparison search.
-
-    ``dominated`` means no sampled or ascent-refined point had
-    ||x||_a > ||x||_b (1 + 1e-9); it is high-confidence evidence, never a
-    proof.  A counterexample, when present, is a hard certificate.
-    """
-
-    dominated: bool
-    counterexample: np.ndarray | None
-    samples_used: int
-    max_ratio: float
-
-
-_DOMINANCE_SLACK = 1e-9
-
-
-def dominance_check(
-    spec_a: VectorNormSpec,
-    spec_b: VectorNormSpec,
-    n: int,
-    samples: int = 256,
-    rng: RandomStream = RandomStream(0),
-) -> DominanceReport:
-    """Search for a point where ||x||_a exceeds ||x||_b.
-
-    Probes the standard basis and phased all-ones vectors, samples complex
-    Gaussian directions on the b-unit sphere, then refines the best ratio by
-    sphere ascent.  Axis-aligned probes catch l_p dominance failures exactly.
-    """
-    g = rng.child(0).generator()
-    points: list[np.ndarray] = []
-    eye = np.eye(n, dtype=np.complex128)
-    points.extend(eye[j] for j in range(n))
-    points.append(np.ones(n, dtype=np.complex128))
-    for _ in range(n):
-        points.append(np.exp(2j * np.pi * g.random(n)))
-    for _ in range(samples):
-        points.append(sample_vector(g, n))
-
-    best_ratio = 0.0
-    best_point: np.ndarray | None = None
-    used = 0
-    for x in points:
-        nb = vnorm_eval(spec_b, x)
-        if nb < 1e-300:
-            continue
-        used += 1
-        ratio = vnorm_eval(spec_a, x) / nb
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_point = x / nb
-
-    from . import sphere_opt  # deferred: sphere_opt imports this module
-
-    budget = OptBudget(
-        multistarts=3,
-        max_iters=150,
-        samples=max(8, min(32, samples)),
-        seed=rng.child(1).derive_seed(),
-    )
-    refined = sphere_opt.maximize_on_sphere(
-        lambda x: vnorm_eval(spec_a, x),
-        spec_b,
-        n,
-        budget,
-        extra_seeds=[] if best_point is None else [best_point],
-    )
-    used += refined.evaluations
-    if refined.value > best_ratio:
-        best_ratio = refined.value
-        best_point = refined.witness
-
-    dominated = best_ratio <= 1.0 + _DOMINANCE_SLACK
-    counterexample = None
-    if not dominated and best_point is not None:
-        counterexample = best_point
-    return DominanceReport(
-        dominated=dominated,
-        counterexample=counterexample,
-        samples_used=used,
-        max_ratio=best_ratio,
-    )

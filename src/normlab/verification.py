@@ -7,6 +7,7 @@ composes public operations of the other modules.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -29,9 +30,15 @@ from .extraction import (
     extract_pair,
     minimality_probe,
 )
-from .gind import GIndPair, chain_compare, gind_eval
-from .matrix_norms import (
+from .gind import (
     KNOWN_YES,
+    GIndPair,
+    chain_compare,
+    dominance_check,
+    gind_eval,
+    mnorm_is_algebra_candidate,
+)
+from .matrix_norms import (
     EntrywiseMax,
     EntrywiseSum,
     MatrixNormSpec,
@@ -40,9 +47,8 @@ from .matrix_norms import (
     MaxRowSum,
     Spectral,
     mnorm_eval,
-    mnorm_is_algebra_candidate,
 )
-from .vector_norms import Extracted, Lp, Scaled, dominance_check, vnorm_eval
+from .vector_norms import Extracted, Lp, Scaled, vnorm_eval
 
 PASS = "pass"
 FAIL = "fail"
@@ -91,8 +97,14 @@ def sample_test_matrix(g: np.random.Generator, n: int) -> np.ndarray:
     return a
 
 
-def _suite_budget(seed: int) -> OptBudget:
-    return OptBudget(multistarts=3, max_iters=80, samples=8, seed=seed)
+# the budgets the suites run when given none, each run with its own seed;
+# ``verify``'s --budget-* flags override their fields
+SUITE_BUDGET = OptBudget(multistarts=3, max_iters=80, samples=8)
+THEOREM23_BUDGET = OptBudget(multistarts=3, max_iters=40, samples=4)
+
+
+def _suite_budget(seed: int, base: OptBudget = SUITE_BUDGET) -> OptBudget:
+    return dataclasses.replace(base, seed=seed)
 
 
 _SLACK = 1e-9
@@ -324,9 +336,7 @@ def verify_theorem23(
     if trials < 1:
         raise DimensionMismatchError("trials must be >= 1")
     start = time.perf_counter()
-    outer = budget or OptBudget(
-        multistarts=3, max_iters=40, samples=4, seed=rng.child(9).derive_seed()
-    )
+    outer = budget or _suite_budget(rng.child(9).derive_seed(), THEOREM23_BUDGET)
     inner = _reduced(outer)
     cases: list[CaseResult] = []
 
@@ -511,12 +521,8 @@ def paper_demo_suite(seed: int) -> SuiteReport:
         )
     )
 
-    # 4: non-minimality probes for the entrywise sum and max(col,row); the
-    # entrywise-sum witness needs a finer phase polish than the suite default
-    probe_budget = OptBudget(
-        multistarts=2, max_iters=160, samples=6, seed=rng.child(8).derive_seed()
-    )
-    probe_sigma = minimality_probe(EntrywiseSum(), 2, 25, probe_budget, rng.child(3))
+    # 4: non-minimality probes for the entrywise sum and max(col,row)
+    probe_sigma = minimality_probe(EntrywiseSum(), 2, 25, budget, rng.child(3))
     probe_maxcr = minimality_probe(
         MaxOf((MaxColSum(), MaxRowSum())), 2, 25, budget, rng.child(4)
     )

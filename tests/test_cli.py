@@ -215,7 +215,7 @@ def test_probe_minimality_report(matrix_file, tmp_path, capsys):
 
 
 def test_matrix_commands_size_their_budget_by_the_matrix(tmp_path, monkeypatch, capsys):
-    # default_budget(4), not that of the default --dim 2 or of a given --dim
+    # default_budget(4) from the loaded matrix; these commands take no --dim
     path = tmp_path / "a4.csv"
     path.write_text("\n".join(",".join(f"{i - 2 * j}" for j in range(4)) for i in range(4)) + "\n")
     budgets = []
@@ -229,12 +229,13 @@ def test_matrix_commands_size_their_budget_by_the_matrix(tmp_path, monkeypatch, 
         ["chain", "--norm1", l3, "--norm2", l15],
     )
     for argv in commands:
-        for dim in ([], ["--dim", "3"]):
-            assert run_command(argv + ["--matrix", str(path)] + dim) == 0
-            header = capsys.readouterr().out.splitlines()[0]
-            assert "dim=4 " in header
-            assert header.endswith("budget: multistarts=32 max_iters=400 samples=256"), header
-    assert budgets == [default_budget(4)] * 6
+        assert run_command(argv + ["--matrix", str(path)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "dim=4 " in header
+        assert header.endswith("budget: multistarts=32 max_iters=400 samples=256"), header
+        assert run_command(argv + ["--matrix", str(path), "--dim", "3"]) == 2
+        assert "unrecognized arguments: --dim" in capsys.readouterr().err
+    assert budgets == [default_budget(4)] * 3
     assert run_command(["gind", "--norm1", l3, "--norm2", l15, "--matrix", str(path),
                         "--budget-multistarts", "3"]) == 0
     assert "multistarts=3 max_iters=400 samples=256" in capsys.readouterr().out
@@ -246,8 +247,12 @@ def test_matrix_commands_size_their_budget_by_the_matrix(tmp_path, monkeypatch, 
         (["extract", "--norm", "maxrowsum"], "multistarts=2 max_iters=40 samples=4"),
         (["probe-minimality", "--norm", "spectral", "--trials", "1"],
          "multistarts=2 max_iters=120 samples=4"),
+        (["verify", "--suite", "lemma21", "--trials", "1"], "multistarts=3 max_iters=80 samples=4"),
+        (["verify", "--suite", "lemma22", "--trials", "1"], "multistarts=3 max_iters=80 samples=4"),
+        (["verify", "--suite", "theorem23", "--trials", "1"],
+         "multistarts=3 max_iters=40 samples=4"),
     ],
-    ids=["extract", "probe-minimality"],
+    ids=["extract", "probe-minimality", "lemma21", "lemma22", "theorem23"],
 )
 def test_budget_flags_override_the_commands_own_defaults(argv, want, capsys):
     assert run_command(argv + ["--budget-samples", "4"]) == 0

@@ -206,8 +206,7 @@ def test_top_eig_hermitian_tolerance_boundary():
 DEFERRED_IMPORTS = {
     ("matrix_norms", "mnorm_eval", "gind"),
     ("vector_norms", "vnorm_eval", "extraction"),
-    ("vector_norms", "vnorm_dual_eval", "sphere_opt"),
-    ("vector_norms", "dominance_check", "sphere_opt"),
+    ("vector_norms", "vnorm_dual_eval", "gind"),
 }
 
 

@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normlab import formats
+from normlab import DominanceReport, formats
 from normlab.cli import run_command
 from normlab.extraction import AlphaIdentityReport, ProbeReport
-from normlab.vector_norms import DominanceReport
 from normlab.verification import CaseResult, SuiteReport
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "reports"

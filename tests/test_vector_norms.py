@@ -260,6 +260,29 @@ def test_dual_of_maxof_is_lower_bound_and_sane():
     assert got >= 0.9 * cap  # ascent should get close at n=2
 
 
+# the ball of max(l1, 2 l-inf) is the hull of the polydiscs over the moduli
+# with two entries 1/2 and the rest 0
+_HALF_PAIRS = MaxOf((Lp(1), Scaled(2, Lp(math.inf))))
+
+
+def test_dual_of_polyhedral_maxof_is_exact():
+    # <v, x> peaks at moduli 1/2 on the two largest |v_j|
+    g = np.random.default_rng(11)
+    for n in (3, 4):
+        for _ in range(5):
+            v = sample_vector(g, n)
+            top = np.sort(np.abs(v))[-2:]
+            assert vnorm_dual_eval(_HALF_PAIRS, v) == pytest.approx(0.5 * top.sum(), rel=1e-12)
+
+
+def test_dominance_of_polyhedral_maxof_is_exact():
+    # sup ||x||_2 / max(||x||_1, 2||x||_inf) is attained at (1/2, 1/2, 0, ...)
+    for n in (3, 4):
+        report = dominance_check(Lp(2), _HALF_PAIRS, n)
+        assert report.dominated
+        assert report.max_ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+
+
 def test_alpha_examples():
     assert sum_functional_alpha(Lp(1), 3) == pytest.approx(1.0)
     assert sum_functional_alpha(Lp(math.inf), 2) == pytest.approx(2.0)
