@@ -23,10 +23,8 @@ class OptBudget:
     samples:     random seed points drawn before the ascent
     seed:        root of every random draw the maximizer makes, >= 0
 
-    The nonlinear power method that ``gind_eval`` runs for smooth l_p
-    domains reads them the same way: ``multistarts`` best seeds from the
-    same pool, at most ``max_iters`` scored points each.  The polydisc
-    search for polyhedral domains uses no budget at all.
+    Only the sphere climbs read a budget: the polydisc search for
+    polyhedral domains and the power method for smooth l_p domains use none.
     """
 
     multistarts: int = 8
@@ -54,9 +52,7 @@ def default_budget(n: int, seed: int = 0) -> OptBudget:
 
     An ascent start stops on ``max_iters`` (400 evaluations, 20-33 sweeps
     at n = 2..4) unless it fails every sweep, as at n = 1, where its step
-    decays below the climb's floor first.  The power method for smooth l_p
-    domains iterates the 8n best seeds for at most 400 steps each; most
-    starts stop far earlier, when a step no longer gains.
+    decays below the climb's floor first.
     """
     return OptBudget(multistarts=8 * n, max_iters=400, samples=64 * n, seed=seed)
 

@@ -71,7 +71,7 @@ def _count(what: str, least: int = 1):
 # one --budget-* flag per OptBudget field; --seed sets the budget's seed
 _BUDGET_FIELDS = tuple(f.name for f in dataclasses.fields(OptBudget) if f.name != "seed")
 _BUDGET_HELP = {
-    "multistarts": "caps the ascent or power-method starts per search",
+    "multistarts": "caps the ascent starts per search",
     "max_iters": "caps the scored points per start",
     "samples": "sets the random seed points drawn per search",
 }

@@ -2,14 +2,17 @@
 
 Given a matrix norm N, the column-replication matrix C_x (every column
 equal to x) yields ``||x||_2 = N(C_x)`` exactly, and
-``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }``.  For the catalog sources (under
-any ``Scaled``) role 1 has a closed form and is exact; for every other
-source it comes from matrix-sphere maximization and is a lower bound.
+``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }``.  For the catalog sources and
+GInd sources with an l_p or weighted l_p domain (under any ``Scaled``) role
+1 has a closed form and is exact; for every other source it comes from
+matrix-sphere maximization and is a lower bound.
 Reconstructing the induced norm from the extracted pair and comparing it to
 N probes whether N can sit strictly above an induced norm.  The
 reconstruction is exact for Spectral, EntrywiseMax and MaxColSum sources
 (their pairs are plain l_p norms with an exact dispatch, see
-:func:`~normlab.matrix_norms.concrete`); elsewhere it comes from numerical
+:func:`~normlab.matrix_norms.concrete`), and a GInd source's pair is its
+own up to a common scale, so the reconstruction runs the source's own
+computation; elsewhere it comes from numerical
 maximization and can fall short, so a gap flags possible non-minimality
 without certifying it, and its absence is evidence only.
 """
@@ -65,7 +68,8 @@ def clear_role1_cache() -> None:
 def eval_role1(source: MatrixNormSpec, budget: OptBudget, x) -> float:
     """max{ N(C_{Ax}) : N(A) = 1 }.
 
-    Exact for the catalog sources under any ``Scaled``, through the table of
+    Exact for the catalog sources and GInd sources with an l_p or weighted
+    l_p domain, under any ``Scaled``, through the table of
     :func:`~normlab.matrix_norms.concrete`, without the cache or the climb; a
     lower bound at the given budget, from :func:`_role1_ascent`, for every
     other source.
@@ -190,7 +194,9 @@ class ProbeReport:
     matrices; a value below 1 - 1e-4 (``gap_found``) flags that N may sit
     strictly above the induced norm built from its own extracted pair, i.e.
     that N may not be minimal.  For Spectral, EntrywiseMax and MaxColSum
-    sources the reconstruction is exact and runs no ascent.  EntrywiseSum,
+    sources the reconstruction is exact and runs no ascent, and for a GInd
+    source with an l_p or weighted l_p domain it is the very computation
+    that evaluates N, up to a common scale.  EntrywiseSum,
     MaxRowSum and max(MaxColSum, MaxRowSum) reconstruct through the
     deterministic polydisc search, which finds the maximum to 1e-9 relative
     but reports no upper bound; every other source's reconstruction is

@@ -8,7 +8,8 @@ codomain, polyhedral domains (l1 and l-inf parts under Scaled and MaxOf) get
 the best polydisc search over the vertices of the ball of moduli (a closed
 form for two-coordinate vertices into l2), and smooth
 domains (an l_p or weighted l_p core, 1 < p < inf, other than l2 to l2) the
-nonlinear power method; every other pair goes to the sphere maximizer.
+nonlinear power method from fixed starts; every other pair goes to the
+sphere maximizer.  Only its climb reads a budget.
 
 Every supremum of a norm ratio goes through ``gind_eval``: sup ||x||_a /
 ||x||_b is ||I||_{b -> a} (:func:`dominance_check`, which decides Lemma 2.1
@@ -50,9 +51,11 @@ from .vector_norms import (
     vnorm_eval,
     vnorm_eval_many,
 )
-from .sphere_opt import maximize_on_polydisc, maximize_on_sphere, seed_pool
+from .sphere_opt import maximize_on_polydisc, maximize_on_sphere
 
 _SEED_RNG = RandomStream(0x91ED5EED)
+# the power method's phase starts
+_PHASE_RNG = RandomStream(0)
 
 
 @dataclass(frozen=True)
@@ -226,24 +229,29 @@ def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
         yield eig.eigenvector
 
 
-def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> ComputationResult:
-    """max N2(Ax) on the unit sphere of an l_p or weighted l_p core with
-    1 < p < inf, by the nonlinear power method with every start in lockstep.
+# the power method's step cap per start
+_POWER_STEPS = 400
 
-    The starts are :func:`~normlab.sphere_opt.seed_pool`'s points with the
-    :func:`_quality_seeds`, scaled onto the sphere and scored; the
-    ``budget.multistarts`` best (ties to the lowest index) iterate.  Scoring
-    a point x gives N2(Ax) and a unit norming functional u of Ax for N2
+
+def _power_search(core1, core2, m: np.ndarray) -> ComputationResult:
+    """max N2(Ax) on the unit sphere of an l_p or weighted l_p core with
+    1 < p < inf, by the nonlinear power method (Boyd 1974, Higham 1992) with
+    every start in lockstep.  It reads no budget.
+
+    The starts are the basis vectors, the all-ones vector, n phase vectors
+    from a fixed stream and the :func:`_quality_seeds`, scaled onto the
+    sphere and scored, and every one of them iterates.  Scoring a point x
+    gives N2(Ax) and a unit norming functional u of Ax for N2
     (:func:`~normlab.vector_norms.norming_functionals_many`).  A step takes
     z = A*u and x' the unit norming functional of z for the dual core, which
     lies on the domain sphere because the dual of the dual is the core, and
     scores x'.  Then N2(Ax') >= Re <u, Ax'> = Re <z, x'> = N1*(z) >=
     Re <z, x> = N2(Ax), so no step loses value.  A start moves
     only when N2(Ax') exceeds its value by a factor 1 + 1e-15, and retires
-    when it does not (a zero y or z gives a zero x'), or after
-    ``budget.max_iters`` steps.  It also retires when it cannot catch the
-    best at its present rate: from value ``prev`` to ``got`` with ``left``
-    steps to go, when got (got/prev)**left < best (1 - 1e-12).  That assumes
+    when it does not (a zero y or z gives a zero x'), or after 400 steps.
+    It also retires when it cannot catch the best at its present rate: from
+    value ``prev`` to ``got`` with ``left`` of the 400 steps to go, when
+    got (got/prev)**left < best (1 - 1e-12).  That assumes
     a start's gain per step does not grow, which holds near a fixed point,
     where the iteration contracts; a start that would have sped up is lost,
     and the result is still a lower bound.  The result is the best of every
@@ -251,6 +259,7 @@ def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> Computation
     witness scaled onto the sphere and labelled a lower bound;
     ``evaluations`` counts the rows scored.
     """
+    n = m.shape[0]
     q = core1.p / (core1.p - 1.0)
     if isinstance(core1, Lp):
         dual = Lp(q)
@@ -258,15 +267,14 @@ def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> Computation
         dual = WeightedLp(tuple(1.0 / w for w in core1.weights), q)
     mt, mc = m.T, m.conj()
 
-    pool = seed_pool(m.shape[0], budget, _quality_seeds(m))
+    phases = np.exp(2j * np.pi * _PHASE_RNG.generator().random((n, n)))
+    pool = np.vstack([np.eye(n, dtype=np.complex128), np.ones(n), phases, *_quality_seeds(m)])
     points = pool / vnorm_eval_many(core1, pool)[:, None]
-    vals, funcs = norming_functionals_many(core2, points @ mt)
+    val, u = norming_functionals_many(core2, points @ mt)
     evals = len(pool)
-    k = int(np.argmax(vals))
-    best, witness = vals[k], points[k]
-    starts = np.argsort(-vals, kind="stable")[: budget.multistarts]
-    u, val = funcs[starts], vals[starts]
-    for step in range(budget.max_iters):
+    k = int(np.argmax(val))
+    best, witness = val[k], points[k]
+    for step in range(_POWER_STEPS):
         if not len(u):
             break
         x = norming_functionals_many(dual, u @ mc)[1]
@@ -279,7 +287,7 @@ def _power_search(core1, core2, m: np.ndarray, budget: OptBudget) -> Computation
         if moved.any():
             # a start that keeps its last gain per step for the steps left
             # and still ends below the best cannot catch it
-            left = budget.max_iters - step - 1
+            left = _POWER_STEPS - step - 1
             up = got[moved]
             reach = np.log(up) + left * np.log(up / val[moved])
             moved[moved] = reach >= math.log(best * (1.0 - 1e-12))
@@ -311,17 +319,20 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     random draws and no budget, and is labelled a lower bound, closed forms
     included, since no result carries an upper bound yet.
     An l_p or weighted l_p domain core with 1 < p < inf and a batch codomain,
-    l2 to l2 excepted, gets the nonlinear power method from the best seeds
-    of the sphere maximizer's pool (:func:`_power_search`), also a lower
-    bound.  Everything else follows the sphere dispatch: l1-type domains are
-    vertex-exact, l2-to-l2 problems use the top singular value, anything
-    else (MaxOf domains with a smooth part, codomains without a batch form)
-    is the ascent lower bound.  So the extracted pairs of Spectral
+    l2 to l2 excepted, gets the nonlinear power method from fixed starts
+    and with no budget (:func:`_power_search`), also a lower bound.
+    Everything else follows the sphere dispatch: l1-type domains are
+    vertex-exact, l2-to-l2 problems use the top singular value from a fixed
+    eigen start, anything else (MaxOf domains with a smooth part, codomains
+    without a batch form) is the ascent lower bound, the one route that
+    reads ``budget``.  So the extracted pairs of Spectral
     (closed form), EntrywiseMax and MaxColSum (vertex) reconstruct their
     source exactly, and those of EntrywiseSum, MaxRowSum and
     max(MaxColSum, MaxRowSum), whose domain is n l-inf, by the polydisc
-    search.  A matrix with an infinite or NaN entry raises
-    :class:`~normlab.errors.NonFiniteInputError`.
+    search.  The extracted pair of a GInd source with an l_p or weighted l_p
+    domain is the source's own pair up to a common scale, so its
+    reconstruction takes the source's own route.  A matrix with an infinite
+    or NaN entry raises :class:`~normlab.errors.NonFiniteInputError`.
     """
     m = as_matrix(a)
     if not np.isfinite(m).all():
@@ -346,7 +357,7 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     )
     constraints = None if plain else _moduli_constraints(core1, n)
     if smooth and has_batch_form(core2):
-        res = _power_search(core1, core2, m, budget)
+        res = _power_search(core1, core2, m)
     elif constraints is not None and has_batch_form(core2):
         res = _polyhedral_search(core2, m, _ball_vertices(core1, *constraints))
     else:

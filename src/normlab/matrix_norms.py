@@ -25,7 +25,10 @@ from .vector_norms import (
     MaxOf,
     Scaled,
     VectorNormSpec,
+    WeightedLp,
+    has_batch_form,
     split_scale,
+    vnorm_dual_eval,
 )
 
 
@@ -114,8 +117,8 @@ def concrete(spec, n: int):
     """The plain vector norm on C^n that an extracted catalog norm equals.
 
     For an ``Extracted`` norm of a catalog source (EntrywiseSum,
-    EntrywiseMax, MaxColSum, MaxRowSum, Spectral or max(MaxColSum,
-    MaxRowSum), under any ``Scaled``), returns:
+    EntrywiseMax, MaxColSum, MaxRowSum, Spectral, max(MaxColSum,
+    MaxRowSum) or GInd(alpha, beta), under any ``Scaled``), returns:
 
     ==================  ===============  ===============
     source              role 1           role 2, N(C_x)
@@ -125,14 +128,24 @@ def concrete(spec, n: int):
     MaxColSum           ||x||_1          ||x||_1
     MaxRowSum, max      n ||x||_inf      n ||x||_inf
     Spectral            sqrt(n) ||x||_2  sqrt(n) ||x||_2
+    GInd(alpha, beta)   c alpha(x)       c beta(x)
     ==================  ===============  ===============
 
     For role 1, N(A) = 1 bounds N(C_{Ax}) by the value in the table, and a
     phased single-entry matrix, a matrix of phases or a rank-one matrix
     attains it.  ``Scaled(gamma, N)`` multiplies role 2 by gamma and leaves
-    role 1 unchanged.  Role 1 evaluates with the float operations of
-    :func:`normlab.extraction.eval_role1`, bit for bit.  Every other spec is
-    returned unchanged.
+    role 1 unchanged.  Role 1 of the other catalog sources evaluates with
+    the float operations of :func:`normlab.extraction.eval_role1`, bit for
+    bit.
+
+    The GInd row, with c = alpha*(1) the dual norm of the all-ones vector,
+    applies when alpha's core is an Lp, or a WeightedLp with n weights, so
+    that c is a closed form, and beta has a batch form.  C_x = x 1^T maps y
+    to (sum_j y_j) x, so N(C_x) = beta(x) alpha*(1); role 1 is at most
+    c ||A|| alpha(x) = c alpha(x) when N(A) = 1, and a rank-one A = y f*
+    attains it, with f a norming functional of x for alpha.  The
+    induced norm of (c alpha, c beta) is N again, whatever c.  Every other
+    spec is returned unchanged.
     """
     if not isinstance(spec, Extracted):
         return spec
@@ -149,6 +162,12 @@ def concrete(spec, n: int):
         role1 = role2 = Scaled(n, Lp(math.inf))
     elif isinstance(core, Spectral):
         role1 = role2 = Scaled(math.sqrt(n), Lp(2.0))
+    elif isinstance(core, GInd) and has_batch_form(core.norm2):
+        alpha = split_scale(core.norm1)[1]
+        if not (isinstance(alpha, Lp) or isinstance(alpha, WeightedLp) and len(alpha.weights) == n):
+            return spec
+        c = vnorm_dual_eval(core.norm1, np.ones(n, dtype=np.complex128))
+        role1, role2 = Scaled(c, core.norm1), Scaled(c, core.norm2)
     else:
         return spec
     if spec.role == 1:

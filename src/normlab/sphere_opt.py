@@ -16,11 +16,11 @@ within 1e-9 (relative) of the maximum or at a fixed cap on scored points,
 whichever comes first.  ``gind_eval`` uses it for polyhedral domains with a
 batch codomain: the best polydisc search over the vertices of the ball of
 moduli, where a vertex with one free phase into l2 takes a closed form
-instead.  Smooth l_p domains with a batch codomain take the
-nonlinear power method in ``gind`` instead, from the climb's own seed pool
-(:func:`seed_pool`).  :func:`maximize_on_sphere` itself keeps the climb for
-both.  Its one caller in the package is ``gind_eval``, through which the
-pointwise dominance check and the dual norms without a closed form run too.
+instead.  Smooth l_p domains with a batch codomain take the nonlinear
+power method in ``gind`` instead, from fixed starts and with no budget.
+:func:`maximize_on_sphere` itself keeps the climb for both.  Its one caller
+in the package is ``gind_eval``, through which the pointwise dominance
+check and the dual norms without a closed form run too.
 
 The climb walks its starts one after another and scores lazily, one
 candidate at a time.  In ``gind_eval`` the one shape of plain descriptors
@@ -52,6 +52,9 @@ from .matrix_norms import EntrywiseSum, mnorm_eval
 from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
 
 _TINY = 1e-300
+# the start of the l2 closed form's eigen solve: a fixed stream, so that the
+# closed form reads no budget
+_L2_RNG = RandomStream(0).child(1)
 # the climb's step schedule: its first relative step, the factors after an
 # improving and a fully failed sweep, and the step below which a start stops
 _STEP_INIT = 0.5
@@ -349,7 +352,8 @@ def maximize_on_sphere(
     l1 and weighted-l1 domains dispatch exactly to their vertices for convex
     objectives.  ``linear_l2``, when given, declares objective(x) =
     l2(linear_l2 @ x) and unlocks the closed form on l2 domains under any
-    ``Scaled``; without it an l2 domain climbs.
+    ``Scaled``, whose eigen solve starts from a fixed stream and reads no
+    budget; without it an l2 domain climbs.
     Everything else runs the hill climb over the renormalized sphere, seeded
     with the basis vectors, the all-ones vector, n random phase vectors, the
     caller's ``extra_seeds`` and ``budget.samples`` Gaussian draws, and is a
@@ -379,7 +383,7 @@ def maximize_on_sphere(
         verts = [eye[j] / w for j, w in enumerate(core.weights)]
         return _best_vertex(objective, domain_eval, verts, evals)
     if linear_l2 is not None and isinstance(core, Lp) and core.p == 2.0:
-        res = hermitian_top_eig(scaled_gram(linear_l2)[0], rng=rng.child(1))
+        res = hermitian_top_eig(scaled_gram(linear_l2)[0], rng=_L2_RNG)
         return _finish(objective, domain_eval, res.eigenvector, EXACT_CLOSED_FORM, evals + 1)
 
     pool = seed_pool(n, budget, extra_seeds)

@@ -1,8 +1,12 @@
 """Property suites that pin the norm-comparison lemmas to machine checks.
 
-Every suite is replayable from (suite name, seed), reports three-valued
-statuses (a tolerance-band miss is "inconclusive", never "fail"), and only
-composes public operations of the other modules.
+Every suite is replayable from (suite name, seed) and reports three-valued
+statuses (a tolerance-band miss is "inconclusive", never "fail").  The
+suites compose public operations of the other modules, with one exception:
+:func:`verify_theorem23` builds the minimality probe from the private
+pieces of :mod:`normlab.extraction` (its probe matrices, ratios and
+report), so that the fixed probes' ratios serve both its upper-bound case
+and its probe.
 """
 
 from __future__ import annotations

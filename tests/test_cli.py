@@ -302,10 +302,13 @@ def test_console_entry_point_runs():
     assert "probe-minimality" in proc.stdout
 
 
+GIND_L3_L15 = '{"kind": "gind", "norm1": {"kind": "lp", "p": 3}, "norm2": {"kind": "lp", "p": 1.5}}'
+
+
 def test_default_runs_never_climb(monkeypatch, capsys):
-    # no suite or CLI default reaches the sphere hill climb: the catalog has
-    # closed forms, and gind pairs take vertex, closed-form, polydisc or
-    # power-method routes
+    # no suite or CLI default reaches the sphere hill climb: the catalog and
+    # g-ind sources of l_p domains have closed-form pairs, and gind pairs
+    # take vertex, closed-form, polydisc or power-method routes
     from normlab import sphere_opt
 
     def no_climb(*args, **kwargs):
@@ -317,6 +320,7 @@ def test_default_runs_never_climb(monkeypatch, capsys):
         ["verify", "--suite", "lemma21", "--trials", "20"],
         ["verify", "--suite", "lemma22", "--trials", "20"],
         ["verify", "--suite", "theorem23", "--trials", "20"],
+        ["verify", "--suite", "theorem23", "--norm", GIND_L3_L15, "--trials", "20"],
         ["probe-minimality", "--norm", "sigma", "--trials", "5"],
     ):
         assert run_command(argv) == 0, argv

@@ -21,6 +21,7 @@ from normlab import (
     RandomStream,
     Scaled,
     Spectral,
+    WeightedLp,
     alpha_identity_check,
     column_embed,
     column_replicate,
@@ -361,15 +362,44 @@ def test_concrete_pairs_match_the_extracted_roles(core):
 
 def test_concrete_leaves_other_specs_alone():
     for source in (
-        GInd(Lp(3), Lp(1.5)),
         MaxOf((EntrywiseMax(), MaxColSum())),
         MaxOf((MaxColSum(), MaxRowSum(), Spectral())),
-        Scaled(2.0, GInd(Lp(1), Lp(2))),
+        # a polyhedral domain's dual has no closed form
+        GInd(MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))), Lp(2)),
     ):
         for spec in (extract_norm1(source, INNER), extract_norm2(source, INNER)):
             assert concrete(spec, 2) is spec
     plain = Scaled(2.0, Lp(2))
     assert concrete(plain, 3) is plain
+
+
+def _gind_sources(n: int):
+    w = (2.0, 1.0, 0.5)[:n]
+    return [
+        GInd(Lp(3), Lp(1.5)),
+        Scaled(2.0, GInd(Lp(1), Lp(2))),
+        GInd(Scaled(0.5, WeightedLp(w, 3)), MaxOf((Lp(1), Scaled(2.0, Lp(math.inf))))),
+        Scaled(0.5, GInd(Lp(2), Scaled(3.0, Lp(math.inf)))),
+        GInd(Lp(math.inf), WeightedLp(w[::-1], 1.5)),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gind_sources_have_closed_form_pairs(n):
+    # role 1 is c alpha with c = alpha*(1): the matrix-sphere climb never gets
+    # above it, and role 2 is N(C_x) itself
+    g = RandomStream(31, (n,)).generator()
+    for source in _gind_sources(n):
+        role1 = concrete(extract_norm1(source, INNER), n)
+        role2 = concrete(extract_norm2(source, INNER), n)
+        assert not isinstance(role1, Extracted) and not isinstance(role2, Extracted)
+        for _ in range(4):
+            x = sample_vector(g, n)
+            closed = vnorm_eval(role1, x)
+            assert eval_role1(source, INNER, x) == closed, source
+            assert closed >= _role1_ascent(source, INNER, x) * (1 - 1e-9), source
+            want = eval_role2(source, INNER, x)
+            assert vnorm_eval(role2, x) == pytest.approx(want, rel=1e-14), source
 
 
 @pytest.mark.parametrize("first, second", [(3e-13, 1e-13), (2e7, 1e7)])
