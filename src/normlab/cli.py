@@ -143,40 +143,38 @@ def _write_report(args, doc: dict) -> None:
             fh.write(formats.dumps_report(doc))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="normlab",
-        description="Numerical laboratory for matrix norms on n x n complex matrices.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("eval", help="evaluate a matrix norm on a matrix file")
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--norm", required=True, help="norm spec (name, JSON, or @file)")
     p.add_argument("--matrix", required=True, help="CSV or JSON matrix file")
     _add_common(p, dim=False)
 
-    p = subs.add_parser("gind", help="generalized induced norm of a matrix")
+
+def _gind_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--norm1", required=True, help="domain vector norm")
     p.add_argument("--norm2", required=True, help="codomain vector norm")
     p.add_argument("--matrix", required=True)
     _add_common(p, dim=False)
 
-    p = subs.add_parser("chain", help="the four mixed operator norms of a pair")
+
+def _chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--norm1", required=True)
     p.add_argument("--norm2", required=True)
     p.add_argument("--matrix", required=True)
     _add_common(p, dim=False)
 
-    p = subs.add_parser("extract", help="recover the vector-norm pair of a matrix norm")
+
+def _extract_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--norm", required=True)
     _add_common(p)
 
-    p = subs.add_parser("probe-minimality", help="search for a reconstruction gap")
+
+def _probe_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--norm", required=True)
     p.add_argument("--trials", type=_count("trial count"), default=100)
     _add_common(p)
 
-    p = subs.add_parser("verify", help="run a property suite")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--suite",
         required=True,
@@ -190,6 +188,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm4", default=None, help="pair B codomain norm (lemma22)")
     _add_common(p)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``normlab`` parser, or, given a subcommand name, a parser that
+    builds only that subcommand.  Its usage line still names all six, so
+    the subcommand's help and every error read as in the full parser."""
+    parser = argparse.ArgumentParser(
+        prog="normlab",
+        description="Numerical laboratory for matrix norms on n x n complex matrices.",
+    )
+    # the full parser keeps metavar None: its "required" error names the
+    # argument "command", which a parser given a command never reports
+    subs = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name, (text, add_arguments, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(subs.add_parser(name, help=text))
     return parser
 
 
@@ -324,8 +341,21 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# subcommand -> (help, the function that adds its arguments, its runner)
+_COMMANDS = {
+    "eval": ("evaluate a matrix norm on a matrix file", _eval_args, _cmd_eval),
+    "gind": ("generalized induced norm of a matrix", _gind_args, _cmd_gind),
+    "chain": ("the four mixed operator norms of a pair", _chain_args, _cmd_chain),
+    "extract": ("recover the vector-norm pair of a matrix norm", _extract_args, _cmd_extract),
+    "probe-minimality": ("search for a reconstruction gap", _probe_args, _cmd_probe),
+    "verify": ("run a property suite", _verify_args, _cmd_verify),
+}
+
+
 def run_command(argv) -> int:
-    parser = build_parser()
+    # a command named first needs only its own arguments; anything else
+    # (no command, an unknown one, -h) gets the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.command == "verify" and args.suite == "paper-demos" and _budget_given(args):
@@ -334,25 +364,13 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "gind":
-            return _cmd_gind(args)
-        if args.command == "chain":
-            return _cmd_chain(args)
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "probe-minimality":
-            return _cmd_probe(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return _COMMANDS[args.command][2](args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NormlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

@@ -3,7 +3,8 @@
 Vectors and matrices are plain ``numpy`` arrays with dtype ``complex128``;
 the helpers here validate shapes and keep every random draw reproducible.
 Top eigenpairs come from one dense LAPACK solve, phase-aligned to a seeded
-start vector so that they do not depend on LAPACK's phase convention.
+start vector so that they do not depend on LAPACK's phase convention; a top
+eigenvalue alone comes from the same solve, without the eigenvector.
 """
 
 from __future__ import annotations
@@ -130,6 +131,38 @@ def _start_vector(rng: RandomStream, n: int) -> np.ndarray:
     return v
 
 
+def _dense_eigh(h) -> tuple[np.ndarray, list[float], np.ndarray | None]:
+    """(H, its eigenvalues in ascending order, its eigenvectors) from one
+    dense LAPACK solve (``np.linalg.eigh``), which reads one triangle of H.
+
+    The zero matrix is not solved: its eigenvalues are all 0.0 and its
+    eigenvectors None.  Raises :class:`NonConvergenceError` when H has a
+    non-finite entry or the solve fails.
+    """
+    m = as_matrix(h)
+    scale = float(np.abs(m).max())
+    if not math.isfinite(scale):
+        raise NonConvergenceError("eigen solve needs a finite matrix")
+    if scale == 0.0:
+        return m, [0.0] * m.shape[0], None
+    try:
+        lams, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigen solve failed: {exc}") from exc
+    return m, lams.tolist(), vecs
+
+
+def hermitian_top_eigenvalue(h) -> float:
+    """max(lambda_top, 0) of a Hermitian PSD matrix H, without an eigenvector.
+
+    The bits of ``hermitian_top_eig(h).eigenvalue``, from the same solve,
+    for an H that is Hermitian by construction (a Gram matrix): H is not
+    checked for it.  Raises as :func:`hermitian_top_eig` does on a
+    non-finite entry or a failed solve.
+    """
+    return max(_dense_eigh(h)[1][-1], 0.0)
+
+
 def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
     """Largest eigenpair of a Hermitian PSD matrix by one dense solve.
 
@@ -138,29 +171,25 @@ def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
     the unit projection of the start vector of ``rng`` onto the top
     eigenspace, spanned by every eigenvector whose eigenvalue lies within
     1e-12 ||H||_2 of the largest, so the pair does not depend on LAPACK's
-    phase convention and ``vdot(start, v)`` is real and positive.
+    phase convention and ``vdot(start, v)`` is real and positive.  Its
+    callers are the power method's quality seeds in :mod:`normlab.gind` and
+    the l2 -> l2 closed form in :mod:`normlab.sphere_opt`; a spectral norm
+    value, which reads no eigenvector, comes from
+    :func:`hermitian_top_eigenvalue`.
 
     Raises :class:`NonConvergenceError` when H has a non-finite entry or the
     solve fails, and rejects matrices whose Hermitian deviation exceeds 1e-12
     relative.
     """
-    m = as_matrix(h)
-    scale = float(np.abs(m).max())
-    if not math.isfinite(scale):
-        raise NonConvergenceError("eigen solve needs a finite matrix")
+    m, lams, vecs = _dense_eigh(h)
     deviation = float(np.abs(m - m.conj().T).max())
-    if deviation > _HERMITIAN_TOL * max(1.0, scale):
+    if deviation > _HERMITIAN_TOL * max(1.0, float(np.abs(m).max())):
         raise DimensionMismatchError(
             f"matrix is not Hermitian: deviation {deviation:.3e}"
         )
     start = _start_vector(rng, m.shape[0])
-    if scale == 0.0:
+    if vecs is None:
         return EigResult(0.0, start, 1, 0.0)
-    try:
-        lams, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigen solve failed: {exc}") from exc
-    lams = lams.tolist()  # ascending
     lam = lams[-1]
     top = vecs[:, bisect.bisect_left(lams, lam - _TOP_CLUSTER * max(lam, -lams[0])):]
     coeffs = start.dot(top.conj())

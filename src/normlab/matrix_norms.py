@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, as_matrix, hermitian_top_eig, scaled_gram
+from .core import as_matrix, hermitian_top_eigenvalue, scaled_gram
 from .errors import SpecValidationError
 from .vector_norms import (
     Extracted,
@@ -69,17 +69,14 @@ MatrixNormSpec = Union[
     EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum, Spectral, GInd, Scaled, MaxOf
 ]
 
-# fixed stream so spectral values do not depend on the caller's budget seed
-_SPECTRAL_RNG = RandomStream(0x5EED0E16)
-
-
 def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> float:
     """Evaluate a matrix norm descriptor at A.
 
     Closed forms throughout the catalog; Spectral is the square root of the
-    top eigenvalue of A*A from one dense Hermitian solve, with A scaled by a
-    power of two first (:func:`~normlab.core.scaled_gram`), so that a finite
-    A has a finite value; GInd delegates to
+    top eigenvalue of A*A from one dense Hermitian solve that computes no
+    eigenvector (:func:`~normlab.core.hermitian_top_eigenvalue`), with A
+    scaled by a power of two first (:func:`~normlab.core.scaled_gram`), so
+    that a finite A has a finite value; GInd delegates to
     the g-ind engine and reports that engine's (possibly lower-bound) value
     at ``budget``.
     """
@@ -94,9 +91,8 @@ def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> floa
         return float(np.abs(m).sum(axis=1).max())
     if isinstance(spec, Spectral):
         h, e = scaled_gram(m)
-        res = hermitian_top_eig(h, rng=_SPECTRAL_RNG)
         try:
-            return math.ldexp(math.sqrt(res.eigenvalue), e)
+            return math.ldexp(math.sqrt(hermitian_top_eigenvalue(h)), e)
         except OverflowError:  # ||A||_2 of a finite A may exceed the largest float
             return math.inf
     if isinstance(spec, Scaled):

@@ -129,16 +129,18 @@ def test_gind_mix_ascent_shapes_keep_their_label_and_witness_checks(tmp_path):
     assert checks.failed == 0, checks.messages
 
 
-def test_traced_spectral_value_counts_eigen_solves():
+def test_traced_l2_closed_form_counts_eigen_solves():
     # the tracer reads ``EigResult.iterations`` after every eigen solve; a
-    # missing field would break only traced benchmark runs
-    from normlab.matrix_norms import Spectral, mnorm_eval
+    # missing field would break only traced benchmark runs.  A spectral norm
+    # value solves without an eigenvector, past the traced name; the l2 -> l2
+    # induced norm reads the eigenvector and solves through it
+    from normlab import GIndPair, Lp, gind_eval
 
     a = np.array([[1.0 + 0.5j, -2.0], [0.25j, 1.5]])
     t = tracer.Tracer()
     t.install()
     try:
-        value = mnorm_eval(Spectral(), a)
+        value = gind_eval(GIndPair(Lp(2), Lp(2)), a).value
     finally:
         t.uninstall()
     assert abs(value - np.linalg.norm(a, 2)) <= 1e-14 * value

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -324,3 +326,55 @@ def test_default_runs_never_climb(monkeypatch, capsys):
         ["probe-minimality", "--norm", "sigma", "--trials", "5"],
     ):
         assert run_command(argv) == 0, argv
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# each command with its required arguments
+_REQUIRED = {
+    "eval": ["--norm", "l1", "--matrix", "a.csv"],
+    "gind": ["--norm1", "l1", "--norm2", "l2", "--matrix", "a.csv"],
+    "chain": ["--norm1", "l1", "--norm2", "l2", "--matrix", "a.csv"],
+    "extract": ["--norm", "l1"],
+    "probe-minimality": ["--norm", "l1"],
+    "verify": ["--suite", "lemma21"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_one_command_parser_reads_as_the_full_parser(command, monkeypatch):
+    # run_command builds only the subcommand named first; its help, its own
+    # errors and the top-level usage in errors after it match the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = cli.build_parser(), cli.build_parser(command)
+    for argv in ([command, "-h"], [command], [command, *_REQUIRED[command], "--bogus"]):
+        want = _parse(full, argv)
+        assert want[0] is not None and want[1] + want[2]
+        assert _parse(one, argv) == want
+
+
+def test_help_and_usage_errors_use_the_full_parser(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_command(["-h"]) == 0
+    listing = capsys.readouterr().out
+    for command in cli._COMMANDS:
+        assert f"\n    {command} " in listing
+    for argv, message in (
+        ([], "the following arguments are required: command"),
+        (["nonsense"], "argument command: invalid choice"),
+        (["verify"], "normlab verify: error: the following arguments are required: --suite"),
+    ):
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err == _parse(cli.build_parser(), argv)[2]
+        assert message in err

@@ -23,6 +23,8 @@ from normlab import (
     sample_matrix,
     sample_vector,
 )
+from normlab.core import hermitian_top_eig, scaled_gram
+from normlab.errors import NonConvergenceError
 
 A = [[1, 2], [3, 4]]
 
@@ -69,6 +71,35 @@ def test_spectral_of_extreme_magnitudes():
             assert mnorm_eval(Spectral(), scale * a) == pytest.approx(
                 scale * np.linalg.norm(a, 2), rel=1e-14
             )
+
+
+def test_spectral_value_is_the_eigen_solvers_bits():
+    # the value path skips the eigenvector, not the solve: its bits are those
+    # of the top eigenvalue hermitian_top_eig reports for the same Gram matrix
+    g = RandomStream(43).generator()
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(13):
+            a = sample_matrix(g, n)
+            u, v = sample_vector(g, n), sample_vector(g, n)
+            for m in (
+                a,
+                (a + a.conj().T) / 2.0,
+                np.outer(u, v.conj()),
+                np.zeros((n, n), dtype=np.complex128),
+                1e200 * a,
+            ):
+                h, e = scaled_gram(m)
+                want = math.ldexp(math.sqrt(hermitian_top_eig(h).eigenvalue), e)
+                assert mnorm_eval(Spectral(), m).hex() == want.hex()
+                checked += 1
+    assert checked >= 200
+    for bad in (math.inf, -math.inf, math.nan, complex(0.0, math.inf)):
+        m = np.eye(2, dtype=np.complex128)
+        m[0, 1] = bad
+        # forming A*A warns before the solve rejects it
+        with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError, match="finite"):
+            mnorm_eval(Spectral(), m)
 
 
 def test_spectral_sampled_lower_bound():

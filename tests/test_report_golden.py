@@ -5,6 +5,12 @@ that ``formats.report_to_doc`` replaced, from the inputs built here: results
 constructed by hand for the library-only kinds, and ``run_command`` on one
 fixed 2x2 matrix for the kinds the CLI writes.  Suite reports carry a wall
 time, so ``elapsed`` is fixed in constructed reports and zeroed in CLI ones.
+
+The ``t23-*`` files are ``verify --suite theorem23`` on the three sources of
+the benchmark's t23-catalog workload at two seeds, written by the code in
+which every spectral value still computed an eigenvector and every role-1
+value resolved its extracted norm afresh; they pin that neither shortcut
+moves a report byte.
 """
 
 import math
@@ -64,6 +70,12 @@ CLI = {
         "--budget-max-iters", "60",
     ],
 }
+for _seed in (5, 2718):
+    for _norm, _dim in (("spectral", 2), ("entrywise-max", 2), ("maxcolsum", 3)):
+        CLI[f"t23-{_norm}-n{_dim}-seed{_seed}"] = [
+            "verify", "--suite", "theorem23", "--norm", _norm, "--dim", str(_dim),
+            "--seed", str(_seed), "--trials", "6",
+        ]
 
 _ELAPSED = re.compile(r'("elapsed": )[^,\n]+')
 

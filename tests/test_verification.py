@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from normlab import (
     verify_lemma22,
     verify_theorem23,
 )
-from normlab import sphere_opt
+from normlab import core, extraction, sphere_opt
 from normlab.errors import DimensionMismatchError
 from normlab.verification import FAIL, INCONCLUSIVE, PASS
 
@@ -191,21 +192,45 @@ def test_failures_would_carry_witnesses():
             assert case.witness is not None
 
 
+def _count_calls(monkeypatch, fn) -> dict:
+    """Rebind every normlab name bound to ``fn`` to a wrapper that counts its
+    calls by the module that made them; returns module name -> calls."""
+    calls: dict = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "normlab" or name.startswith("normlab.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+
+                def counted(*args, _name=name, **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "source, n", [(Spectral(), 2), (EntrywiseMax(), 2), (MaxColSum(), 3)],
+    "source, n, eigen_solves",
+    [
+        (Spectral(), 2, {"normlab.sphere_opt": 20}),
+        (EntrywiseMax(), 2, {}),
+        (MaxColSum(), 3, {}),
+    ],
     ids=["spectral", "entrywise-max", "maxcolsum"],
 )
-def test_theorem23_exact_catalog_pairs_never_climb(source, n, monkeypatch):
+def test_theorem23_exact_catalog_pairs_never_climb(source, n, eigen_solves, monkeypatch):
     # their extracted pairs are plain descriptors with an exact dispatch, so
-    # no reconstruction or probe call may fall through to the hill climb
-    climbs = []
-    climb = sphere_opt._climb
-
-    def counting(*args, **kwargs):
-        climbs.append(1)
-        return climb(*args, **kwargs)
-
-    monkeypatch.setattr(sphere_opt, "_climb", counting)
+    # no reconstruction or probe call may fall through to the hill climb.
+    # Role 1 is resolved once per run, so no value goes through eval_role1;
+    # spectral values solve for no eigenvector, so the only eigenpair solves
+    # are the l2 -> l2 closed forms of the reconstruction, one for each of
+    # the 8 fixed and 2 x 6 random probes
+    climbs = _count_calls(monkeypatch, sphere_opt._climb)
+    role1 = _count_calls(monkeypatch, extraction.eval_role1)
+    eig = _count_calls(monkeypatch, core.hermitian_top_eig)
     report = verify_theorem23(source, n, trials=6, rng=RandomStream(12))
     assert report.passed
-    assert not climbs
+    assert climbs == {}
+    assert role1 == {}
+    assert eig == eigen_solves
