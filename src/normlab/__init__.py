@@ -34,7 +34,6 @@ from .errors import (
 )
 from .extraction import (
     AlphaIdentityReport,
-    ExtractionResult,
     ProbeReport,
     alpha_identity_check,
     column_embed,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -16,11 +17,11 @@ import numpy as np
 from . import formats
 from .budget import OptBudget, default_budget
 from .core import RandomStream
-from .errors import NonConvergenceError, NormlabError
+from .errors import NonConvergenceError, NormlabError, SpecValidationError
 from .extraction import DEFAULT_INNER_BUDGET, extract_pair, minimality_probe
-from .gind import GIndPair, chain_compare, gind_eval
-from .matrix_norms import mnorm_eval
-from .vector_norms import Lp, Scaled, vnorm_eval
+from .gind import chain_compare, gind_eval
+from .matrix_norms import GInd, mnorm_eval
+from .vector_norms import Extracted, Lp, MaxOf, Scaled, WeightedLp, vnorm_eval
 from .verification import (
     SUITE_BUDGET,
     THEOREM23_BUDGET,
@@ -43,14 +44,45 @@ _SHORTHAND = {
 }
 
 
-def _resolve_norm(text: str):
-    """Shorthand name, inline JSON, or @file containing JSON."""
+def _in_family(spec, matrix: bool) -> bool:
+    """Whether every leaf of ``spec`` under Scaled and MaxOf is a matrix
+    norm (``matrix``) or a vector norm, with vector norms inside a GInd and
+    a matrix norm as an extracted norm's source."""
+    if isinstance(spec, Scaled):
+        return _in_family(spec.inner, matrix)
+    if isinstance(spec, MaxOf):
+        return all(_in_family(part, matrix) for part in spec.parts)
+    if isinstance(spec, GInd):
+        return matrix and _in_family(spec.norm1, False) and _in_family(spec.norm2, False)
+    if isinstance(spec, Extracted):
+        return not matrix and _in_family(spec.source, True)
+    return isinstance(spec, (Lp, WeightedLp)) != matrix
+
+
+def _resolve_norm(text: str, option: str, matrix: bool):
+    """Shorthand name, inline JSON, or @file containing JSON, of a matrix
+    norm (``matrix``) or a vector norm; a norm of the other family is
+    rejected here, before the command prints anything, naming ``--option``."""
+    given = text
     if text in _SHORTHAND:
         text = _SHORTHAND[text]
     elif text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
-    return formats.parse_norm_spec(text)
+    spec = formats.parse_norm_spec(text)
+    if not _in_family(spec, matrix):
+        family = "matrix" if matrix else "vector"
+        raise SpecValidationError(f"--{option} needs a {family} norm, got {given!r}")
+    return spec
+
+
+def _pair_from(args, first: str, second: str, defaults=(None, None)) -> GInd:
+    """The GInd of two vector-norm options, each its default when not given."""
+    texts = (getattr(args, first), getattr(args, second))
+    return GInd(*(
+        default if text is None else _resolve_norm(text, option, matrix=False)
+        for text, option, default in zip(texts, (first, second), defaults)
+    ))
 
 
 def _count(what: str, least: int = 1):
@@ -211,7 +243,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    spec = _resolve_norm(args.norm)
+    spec = _resolve_norm(args.norm, "norm", matrix=True)
     matrix = formats.load_matrix(args.matrix)
     args.dim = matrix.shape[0]
     budget = _budget_from(args)
@@ -226,7 +258,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gind(args) -> int:
-    pair = GIndPair(_resolve_norm(args.norm1), _resolve_norm(args.norm2))
+    pair = _pair_from(args, "norm1", "norm2")
     matrix = formats.load_matrix(args.matrix)
     args.dim = matrix.shape[0]
     budget = _budget_from(args)
@@ -241,7 +273,7 @@ def _cmd_gind(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    pair = GIndPair(_resolve_norm(args.norm1), _resolve_norm(args.norm2))
+    pair = _pair_from(args, "norm1", "norm2")
     matrix = formats.load_matrix(args.matrix)
     args.dim = matrix.shape[0]
     budget = _budget_from(args)
@@ -254,7 +286,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    source = _resolve_norm(args.norm)
+    source = _resolve_norm(args.norm, "norm", matrix=True)
     inner = _budget_from(args, dataclasses.replace(DEFAULT_INNER_BUDGET, seed=args.seed))
     _print_header("extract", args, inner)
     n = args.dim
@@ -278,7 +310,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    source = _resolve_norm(args.norm)
+    source = _resolve_norm(args.norm, "norm", matrix=True)
     # moderate default: catalog sources with an exact extracted pair
     # (spectral, entrywise-max, maxcolsum) run no outer search, the other
     # catalog sources run a polydisc search per probe matrix, which reads no
@@ -300,6 +332,23 @@ def _cmd_probe(args) -> int:
 
 def _cmd_verify(args) -> int:
     budget = _explicit_budget(args)
+    rng = RandomStream(args.seed)
+    # the suite's norms are resolved before anything is printed
+    if args.suite == "paper-demos":
+        run = functools.partial(paper_demo_suite, args.seed)
+    elif args.suite == "lemma21":
+        pair = _pair_from(args, "norm1", "norm2", (Lp(float("inf")), Lp(1.0)))
+        run = functools.partial(verify_lemma21, pair, args.dim, args.trials, rng, budget)
+    elif args.suite == "lemma22":
+        pair_a = _pair_from(
+            args, "norm1", "norm2", (Scaled(3.0, Lp(float("inf"))), Scaled(6.0, Lp(2.0)))
+        )
+        pair_b = _pair_from(args, "norm3", "norm4", (Lp(float("inf")), Scaled(2.0, Lp(2.0))))
+        run = functools.partial(verify_lemma22, pair_a, pair_b, args.dim, args.trials, rng, budget)
+    else:
+        source = _resolve_norm(args.norm, "norm", matrix=True)
+        run = functools.partial(verify_theorem23, source, args.dim, args.trials, budget, rng=rng)
+
     settings = {"seed": args.seed}
     if args.suite == "paper-demos":
         # paper_demo_suite runs at its own n = 2 and 3 with its own budgets
@@ -309,28 +358,7 @@ def _cmd_verify(args) -> int:
         settings["dim"] = args.dim
     if budget is not None:
         settings["budget"] = budget
-    rng = RandomStream(args.seed)
-    if args.suite == "paper-demos":
-        report = paper_demo_suite(args.seed)
-    elif args.suite == "lemma21":
-        pair = GIndPair(
-            _resolve_norm(args.norm1) if args.norm1 else Lp(float("inf")),
-            _resolve_norm(args.norm2) if args.norm2 else Lp(1.0),
-        )
-        report = verify_lemma21(pair, args.dim, args.trials, rng, budget)
-    elif args.suite == "lemma22":
-        pair_a = GIndPair(
-            _resolve_norm(args.norm1) if args.norm1 else Scaled(3.0, Lp(float("inf"))),
-            _resolve_norm(args.norm2) if args.norm2 else Scaled(6.0, Lp(2.0)),
-        )
-        pair_b = GIndPair(
-            _resolve_norm(args.norm3) if args.norm3 else Lp(float("inf")),
-            _resolve_norm(args.norm4) if args.norm4 else Scaled(2.0, Lp(2.0)),
-        )
-        report = verify_lemma22(pair_a, pair_b, args.dim, args.trials, rng, budget)
-    else:
-        source = _resolve_norm(args.norm)
-        report = verify_theorem23(source, args.dim, args.trials, budget, rng=rng)
+    report = run()
 
     for case in report.cases:
         shown = ", ".join(f"{k}={v:.6g}" for k, v in sorted(case.values.items()))

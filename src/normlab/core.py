@@ -107,14 +107,18 @@ _START_CACHE: dict = {}
 def scaled_gram(a) -> tuple[np.ndarray, int]:
     """(B*B, e) for B = A / 2^e, so that A*A = 4^e B*B, where 2^e is the
     smallest power of two above every real and imaginary part of A (e = 0
-    for the zero matrix).
+    for the zero matrix).  Raises :class:`NonConvergenceError` when A has a
+    non-finite entry, before forming any product.
 
     B's parts lie below 1, so B*B cannot overflow where A*A would.  Scaling
     by a power of two is exact: wherever A*A neither overflows nor
     underflows, B*B is A*A / 4^e bit for bit.
     """
     parts = np.ascontiguousarray(as_matrix(a)).view(np.float64)
-    e = math.frexp(float(np.abs(parts).max()))[1]
+    peak = float(np.abs(parts).max())
+    if not math.isfinite(peak):
+        raise NonConvergenceError("eigen solve needs a finite matrix")
+    e = math.frexp(peak)[1]
     b = np.ldexp(parts, -e).view(np.complex128)
     return b.conj().T @ b, e
 
@@ -171,11 +175,10 @@ def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
     the unit projection of the start vector of ``rng`` onto the top
     eigenspace, spanned by every eigenvector whose eigenvalue lies within
     1e-12 ||H||_2 of the largest, so the pair does not depend on LAPACK's
-    phase convention and ``vdot(start, v)`` is real and positive.  Its
-    callers are the power method's quality seeds in :mod:`normlab.gind` and
-    the l2 -> l2 closed form in :mod:`normlab.sphere_opt`; a spectral norm
-    value, which reads no eigenvector, comes from
-    :func:`hermitian_top_eigenvalue`.
+    phase convention and ``vdot(start, v)`` is real and positive.  Both of
+    its callers are in :mod:`normlab.gind`: the l2 -> l2 closed form and the
+    power method's quality seeds; a spectral norm value, which reads no
+    eigenvector, comes from :func:`hermitian_top_eigenvalue`.
 
     Raises :class:`NonConvergenceError` when H has a non-finite entry or the
     solve fails, and rejects matrices whose Hermitian deviation exceeds 1e-12

@@ -2,19 +2,21 @@
 
 Given a matrix norm N, the column-replication matrix C_x (every column
 equal to x) yields ``||x||_2 = N(C_x)`` exactly, and
-``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }``.  For the catalog sources and
-GInd sources with an l_p or weighted l_p domain (under any ``Scaled``) role
-1 has a closed form and is exact; for every other source it comes from
+``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }``.  :func:`extract_pair` returns
+the two as ``GInd(||.||_1, ||.||_2)``, the induced norm that the paper's
+theorem says equals N when N is minimal.  For the catalog sources and GInd
+sources with an l_p or weighted l_p domain (under any ``Scaled``) role 1
+has a closed form and is exact; for every other source it comes from
 matrix-sphere maximization and is a lower bound.
-Reconstructing the induced norm from the extracted pair and comparing it to
-N probes whether N can sit strictly above an induced norm.  The
-reconstruction is exact for Spectral, EntrywiseMax and MaxColSum sources
-(their pairs are plain l_p norms with an exact dispatch, see
-:func:`~normlab.matrix_norms.concrete`), and a GInd source's pair is its
-own up to a common scale, so the reconstruction runs the source's own
-computation; elsewhere it comes from numerical
-maximization and can fall short, so a gap flags possible non-minimality
-without certifying it, and its absence is evidence only.
+
+Evaluating that induced norm and comparing it to N probes whether N can sit
+strictly above an induced norm.  The reconstruction is exact for Spectral,
+EntrywiseMax and MaxColSum sources (their pairs are plain l_p norms with an
+exact route in :func:`~normlab.gind.gind_eval`), and a GInd source's pair is
+its own up to a common scale, so the reconstruction runs the source's own
+computation; elsewhere it comes from numerical maximization and can fall
+short, so a gap flags possible non-minimality without certifying it, and
+its absence is evidence only.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 from .budget import OptBudget, default_budget
 from .core import RandomStream, as_vector, sample_matrix
 from .errors import DimensionMismatchError
-from .gind import GIndPair, gind_eval
-from .matrix_norms import MatrixNormSpec, concrete, mnorm_eval
+from .gind import gind_eval
+from .matrix_norms import GInd, MatrixNormSpec, concrete, mnorm_eval
 from .sphere_opt import maximize_on_matrix_sphere
 from .vector_norms import Extracted, sum_functional_alpha, vnorm_eval
 
@@ -132,24 +134,12 @@ def extract_norm1(source: MatrixNormSpec, budget: OptBudget | None = None) -> Ex
     return Extracted(role=1, source=source, budget=budget or DEFAULT_INNER_BUDGET)
 
 
-@dataclass
-class ExtractionResult:
-    """The pair of vector norms recovered from a matrix norm."""
-
-    source: MatrixNormSpec
-    norm1: Extracted
-    norm2: Extracted
-    budget: OptBudget
-
-
-def extract_pair(source: MatrixNormSpec, budget: OptBudget | None = None) -> ExtractionResult:
-    budget = budget or DEFAULT_INNER_BUDGET
-    return ExtractionResult(
-        source=source,
-        norm1=extract_norm1(source, budget),
-        norm2=extract_norm2(source, budget),
-        budget=budget,
-    )
+def extract_pair(source: MatrixNormSpec, budget: OptBudget | None = None) -> GInd:
+    """The pair of vector norms hiding inside N, as the induced norm they
+    define: GInd(:func:`extract_norm1`, :func:`extract_norm2`), both at
+    ``budget`` (default :data:`DEFAULT_INNER_BUDGET`).  For a minimal N that
+    induced norm is N itself."""
+    return GInd(extract_norm1(source, budget), extract_norm2(source, budget))
 
 
 @dataclass
@@ -165,7 +155,7 @@ _ALPHA_TOL = 1e-6
 
 
 def alpha_identity_check(
-    pair: GIndPair, x, budget: OptBudget | None = None
+    pair: GInd, x, budget: OptBudget | None = None
 ) -> AlphaIdentityReport:
     """Check the column-replication identity for a norm pair at x.
 
@@ -238,13 +228,13 @@ def _random_probes(n: int, trials: int, rng: RandomStream) -> list[np.ndarray]:
     return [sample_matrix(g, n) for _ in range(trials)]
 
 
-def _probe_ratios(source, gpair, mats, outer, inner) -> list[tuple[float, np.ndarray]]:
+def _probe_ratios(source, pair, mats, outer, inner) -> list[tuple[float, np.ndarray]]:
     """(reconstruction / N, A) for every probe A with N(A) >= 1e-14, in order."""
     ratios = []
     for m in mats:
         den = mnorm_eval(source, m, inner)
         if den >= 1e-14:
-            ratios.append((gind_eval(gpair, m, outer).value / den, m))
+            ratios.append((gind_eval(pair, m, outer).value / den, m))
     return ratios
 
 
@@ -267,9 +257,8 @@ def minimality_probe(
     outer = budget or default_budget(n)
     inner = inner_budget or DEFAULT_INNER_BUDGET
     pair = extract_pair(source, inner)
-    gpair = GIndPair(pair.norm1, pair.norm2)
     mats = _fixed_probes(n) + _random_probes(n, trials, rng.child(3))
-    return _probe_report(_probe_ratios(source, gpair, mats, outer, inner))
+    return _probe_report(_probe_ratios(source, pair, mats, outer, inner))
 
 
 def _probe_report(ratios: list[tuple[float, np.ndarray]]) -> ProbeReport:

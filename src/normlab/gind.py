@@ -1,15 +1,15 @@
 """Generalized induced norms, the four-norm comparison chain and Lemma 2.1.
 
 ``gind_eval`` computes max{ ||Ax||_2 : ||x||_1 = 1 } for a pair of vector
-norms.  Outer scale factors are peeled off exactly (scaling either norm by
-gamma scales the induced value by 1/gamma resp. gamma), so proportional
-pairs evaluate through the identical core computation.  With a batch
-codomain, polyhedral domains (l1 and l-inf parts under Scaled and MaxOf) get
-the best polydisc search over the vertices of the ball of moduli (a closed
-form for two-coordinate vertices into l2), and smooth
-domains (an l_p or weighted l_p core, 1 < p < inf, other than l2 to l2) the
-nonlinear power method from fixed starts; every other pair goes to the
-sphere maximizer.  Only its climb reads a budget.
+norms, a :class:`~normlab.matrix_norms.GInd`.  Outer scale factors are
+peeled off exactly (scaling either norm by gamma scales the induced value by
+1/gamma resp. gamma), so proportional pairs evaluate through the identical
+core computation.  The route is chosen by the two cores, in one place: l2
+to l2 is the top singular value, polyhedral domains with a batch codomain
+get the best polydisc search over the vertices of the ball of moduli,
+smooth l_p domains with a batch codomain the nonlinear power method, and
+every other pair goes to the sphere maximizer.  Only its climb reads a
+budget.
 
 Every supremum of a norm ratio goes through ``gind_eval``: sup ||x||_a /
 ||x||_b is ||I||_{b -> a} (:func:`dominance_check`, which decides Lemma 2.1
@@ -26,7 +26,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .budget import LOWER_BOUND, ComputationResult, OptBudget, default_budget
+from .budget import (
+    EXACT_CLOSED_FORM,
+    LOWER_BOUND,
+    ComputationResult,
+    OptBudget,
+    default_budget,
+)
 from .core import RandomStream, as_matrix, hermitian_top_eig, scaled_gram
 from .errors import NonConvergenceError, NonFiniteInputError
 from .matrix_norms import (
@@ -56,14 +62,12 @@ from .sphere_opt import maximize_on_polydisc, maximize_on_sphere
 _SEED_RNG = RandomStream(0x91ED5EED)
 # the power method's phase starts
 _PHASE_RNG = RandomStream(0)
+# the start of the l2 -> l2 eigen solve: a fixed stream, so that the closed
+# form reads no budget
+_L2_RNG = RandomStream(0).child(1)
 
-
-@dataclass(frozen=True)
-class GIndPair:
-    """Domain-constraint norm and codomain norm of an induced construction."""
-
-    norm1: VectorNormSpec
-    norm2: VectorNormSpec
+# the earlier name of the pair descriptor, kept for callers that build it
+GIndPair = GInd
 
 
 def _row_phases(m: np.ndarray) -> np.ndarray:
@@ -296,43 +300,34 @@ def _power_search(core1, core2, m: np.ndarray) -> ComputationResult:
     return ComputationResult(vnorm_eval(core2, m @ w), w, LOWER_BOUND, evals)
 
 
-def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> ComputationResult:
+def gind_eval(pair: GInd, a, budget: OptBudget | None = None) -> ComputationResult:
     """Evaluate the generalized induced norm of A for the given pair.
 
     Extracted norms of catalog sources are first replaced by the plain
-    descriptors they equal at this dimension (:func:`concrete`).  Polyhedral
-    domains, paired with a codomain that has a batch form, get the best
-    polydisc search over the vertices of the ball of moduli.  A domain core
-    of l1 and l-inf parts under Scaled and MaxOf, other than a plain or
-    weighted l1 core, has a polytope for its ball of moduli
-    {r >= 0 : N1(r) <= 1}, and its unit ball is the convex hull of the
-    polydiscs {|x_j| <= v_j} over the polytope's vertices v, so the convex
-    x -> N2(Ax) peaks in one of them.  A maximal vertex with two nonzero
-    moduli and an l2 or weighted l2 codomain core has one free phase and a
-    closed form (:func:`_two_column_l2`), one evaluation.  Every other one
-    gets a polydisc branch-and-bound
-    (:func:`~normlab.sphere_opt.maximize_on_polydisc`) on its support; it
-    stops at once when a row-phase start reaches N2(|A| v) (always for an
-    l-inf codomain: the weighted max row sum), and otherwise finds its
-    maximum to 1e-9 relative unless its bounded work runs out first.  An
-    l-inf or weighted l-inf core is the one-vertex case.  The union uses no
-    random draws and no budget, and is labelled a lower bound, closed forms
-    included, since no result carries an upper bound yet.
-    An l_p or weighted l_p domain core with 1 < p < inf and a batch codomain,
-    l2 to l2 excepted, gets the nonlinear power method from fixed starts
-    and with no budget (:func:`_power_search`), also a lower bound.
-    Everything else follows the sphere dispatch: l1-type domains are
-    vertex-exact, l2-to-l2 problems use the top singular value from a fixed
-    eigen start, anything else (MaxOf domains with a smooth part, codomains
-    without a batch form) is the ascent lower bound, the one route that
-    reads ``budget``.  So the extracted pairs of Spectral
-    (closed form), EntrywiseMax and MaxColSum (vertex) reconstruct their
-    source exactly, and those of EntrywiseSum, MaxRowSum and
-    max(MaxColSum, MaxRowSum), whose domain is n l-inf, by the polydisc
-    search.  The extracted pair of a GInd source with an l_p or weighted l_p
-    domain is the source's own pair up to a common scale, so its
-    reconstruction takes the source's own route.  A matrix with an infinite
-    or NaN entry raises :class:`~normlab.errors.NonFiniteInputError`.
+    descriptors they equal at this dimension (:func:`concrete`), and outer
+    scales are peeled off.  The cores pick the route, first match:
+
+    ===========================  ============================  ======  ======
+    domain -> codomain core      route                         label   budget
+    ===========================  ============================  ======  ======
+    l2 -> l2                     top eigenvector of A*A        exact   no
+    l_p, 1 < p < inf -> batch    :func:`_power_search`         lower   no
+    polyhedral -> batch          :func:`_polyhedral_search`    lower   no
+    l1 -> any                    sphere maximizer, vertices    exact   no
+    anything else                sphere maximizer, ascent      lower   yes
+    ===========================  ============================  ======  ======
+
+    "batch" is a codomain with a batch form (:func:`has_batch_form`); l_p
+    and l1 include WeightedLp cores with n weights; "polyhedral" is a tree
+    of Scaled and MaxOf over l1 and l-inf parts, such as l-inf or
+    max(l1, 2 l-inf).  The l2 closed form solves the eigenproblem of A*A
+    from a fixed start (its top eigenvector is the maximizer) and makes one
+    evaluation.  So the extracted pairs of Spectral, EntrywiseMax and
+    MaxColSum reconstruct their source exactly, those of EntrywiseSum,
+    MaxRowSum and max(MaxColSum, MaxRowSum) by the polydisc search, and that
+    of a GInd source with an l_p or weighted l_p domain by the source's own
+    route, its pair up to a common scale.  A matrix with an infinite or NaN
+    entry raises :class:`~normlab.errors.NonFiniteInputError`.
     """
     m = as_matrix(a)
     if not np.isfinite(m).all():
@@ -345,29 +340,26 @@ def gind_eval(pair: GIndPair, a, budget: OptBudget | None = None) -> Computation
     g2, core2 = split_scale(concrete(pair.norm2, n))
     scale = g2 / g1
 
-    # plain and weighted l1 keep their exact vertex dispatch, l2 -> l2 its
-    # closed form, and plain l_p cores with 1 < p < inf have no polytope for
-    # a ball of moduli
+    # plain and weighted l1 keep their exact vertex dispatch, and plain l_p
+    # cores with 1 < p < inf have no polytope for a ball of moduli
     plain = isinstance(core1, (Lp, WeightedLp)) and core1.p != math.inf
-    smooth = (
-        plain
-        and core1.p > 1.0
-        and (isinstance(core1, Lp) or len(core1.weights) == n)
-        and not (core1 == Lp(2.0) and core2 == Lp(2.0))
-    )
+    smooth = plain and core1.p > 1.0 and (isinstance(core1, Lp) or len(core1.weights) == n)
     constraints = None if plain else _moduli_constraints(core1, n)
-    if smooth and has_batch_form(core2):
+    if core1 == core2 == Lp(2.0):
+        # the top eigenvector of A*A, rescaled so that l2 reads 1 at it
+        v = hermitian_top_eig(scaled_gram(m)[0], rng=_L2_RNG).eigenvector
+        w = v / vnorm_eval(core1, v)
+        res = ComputationResult(vnorm_eval(core2, m @ w), w, EXACT_CLOSED_FORM, 1)
+    elif smooth and has_batch_form(core2):
         res = _power_search(core1, core2, m)
     elif constraints is not None and has_batch_form(core2):
         res = _polyhedral_search(core2, m, _ball_vertices(core1, *constraints))
     else:
-        linear = m if isinstance(core2, Lp) and core2.p == 2.0 else None
         res = maximize_on_sphere(
             lambda x: vnorm_eval(core2, m @ x),
             core1,
             n,
             budget,
-            linear_l2=linear,
             objective_convex=True,
             # N2(A(ax)) = |a| N2(Ax): core2 is a norm descriptor validated at construction
             objective_homogeneous=True,
@@ -402,7 +394,7 @@ class ChainReport:
 _CHAIN_SLACK = 1e-9
 
 
-def chain_compare(pair: GIndPair, a, budget: OptBudget | None = None) -> ChainReport:
+def chain_compare(pair: GInd, a, budget: OptBudget | None = None) -> ChainReport:
     """Compute all four domain/codomain combinations and check the chain.
 
     The chain is guaranteed only when norm1 <= norm2 pointwise; the
@@ -410,9 +402,9 @@ def chain_compare(pair: GIndPair, a, budget: OptBudget | None = None) -> ChainRe
     """
     m = as_matrix(a)
     v12 = gind_eval(pair, m, budget).value
-    v21 = gind_eval(GIndPair(pair.norm2, pair.norm1), m, budget).value
-    v11 = gind_eval(GIndPair(pair.norm1, pair.norm1), m, budget).value
-    v22 = gind_eval(GIndPair(pair.norm2, pair.norm2), m, budget).value
+    v21 = gind_eval(GInd(pair.norm2, pair.norm1), m, budget).value
+    v11 = gind_eval(GInd(pair.norm1, pair.norm1), m, budget).value
+    v22 = gind_eval(GInd(pair.norm2, pair.norm2), m, budget).value
     slack = min(v11 - v21, v12 - v11, v22 - v21, v12 - v22)
     holds = slack >= -_CHAIN_SLACK * max(1.0, v12)
     return ChainReport(v21=v21, v11=v11, v22=v22, v12=v12, chain_holds=holds, slack=slack)
@@ -451,7 +443,7 @@ def dominance_check(
     budget = OptBudget(
         multistarts=3, max_iters=150, samples=samples, seed=rng.child(1).derive_seed()
     )
-    res = gind_eval(GIndPair(spec_b, spec_a), np.eye(n, dtype=np.complex128), budget)
+    res = gind_eval(GInd(spec_b, spec_a), np.eye(n, dtype=np.complex128), budget)
     dominated = res.value <= 1.0 + _DOMINANCE_SLACK
     return DominanceReport(
         dominated=dominated,

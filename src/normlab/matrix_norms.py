@@ -59,7 +59,12 @@ class Spectral:
 
 @dataclass(frozen=True)
 class GInd:
-    """Generalized induced norm max{ ||Ax||_norm2 : ||x||_norm1 = 1 }."""
+    """Generalized induced norm max{ ||Ax||_norm2 : ||x||_norm1 = 1 }.
+
+    The one record of the induced norm of a pair of vector norms: the matrix
+    norm descriptor, what :func:`~normlab.gind.gind_eval` evaluates, and
+    what :func:`~normlab.extraction.extract_pair` returns.
+    """
 
     norm1: VectorNormSpec
     norm2: VectorNormSpec
@@ -100,9 +105,9 @@ def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> floa
     if isinstance(spec, MaxOf):
         return max(mnorm_eval(part, m, budget) for part in spec.parts)
     if isinstance(spec, GInd):
-        from .gind import GIndPair, gind_eval
+        from .gind import gind_eval
 
-        return gind_eval(GIndPair(spec.norm1, spec.norm2), m, budget).value
+        return gind_eval(spec, m, budget).value
     raise SpecValidationError(f"not a matrix norm descriptor: {spec!r}")
 
 

@@ -2,31 +2,18 @@
 
 Exact dispatch where the sphere has usable extreme-point structure (phase
 multiples of the basis vectors for the l1 and weighted-l1 balls and of the
-single-entry matrices for the entrywise-sum ball; the top eigenvector for l2
-with a euclidean-of-linear objective), and one derivative-free multi-start
-hill climb over the renormalized sphere, :func:`_climb`, everywhere else,
-the entrywise-max ball included.  Ascent results are honest lower bounds and
-are labeled as such.
+single-entry matrices for the entrywise-sum ball), and one derivative-free
+multi-start hill climb over the renormalized sphere, :func:`_climb`,
+everywhere else, the entrywise-max ball included.  Ascent results are honest
+lower bounds and are labeled as such.  The climb walks its starts one after
+another and scores lazily, one candidate at a time.
 
 :func:`maximize_on_polydisc` is the deterministic alternative for convex
 objectives on a polydisc {|x_j| <= r_j}, the unit ball of an l-inf or
 weighted l-inf norm: a branch-and-bound over the phase torus of its extreme
 points that scores the corners each split's boxes share once, and stops
 within 1e-9 (relative) of the maximum or at a fixed cap on scored points,
-whichever comes first.  ``gind_eval`` uses it for polyhedral domains with a
-batch codomain: the best polydisc search over the vertices of the ball of
-moduli, where a vertex with one free phase into l2 takes a closed form
-instead.  Smooth l_p domains with a batch codomain take the nonlinear
-power method in ``gind`` instead, from fixed starts and with no budget.
-:func:`maximize_on_sphere` itself keeps the climb for both.  Its one caller
-in the package is ``gind_eval``, through which the pointwise dominance
-check and the dual norms without a closed form run too.
-
-The climb walks its starts one after another and scores lazily, one
-candidate at a time.  In ``gind_eval`` the one shape of plain descriptors
-that still climbs is a MaxOf domain with a smooth part, such as
-max(l3, l1/2) -> l1.5.  It costs one objective call per candidate, 6,536
-to 13,070 candidates at n = 2..4 on the default budget.
+whichever comes first.
 """
 
 from __future__ import annotations
@@ -39,22 +26,18 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .budget import (
-    EXACT_CLOSED_FORM,
     EXACT_VERTEX,
     LOWER_BOUND,
     ComputationResult,
     OptBudget,
     default_budget,
 )
-from .core import RandomStream, hermitian_top_eig, sample_matrix, sample_vector, scaled_gram
+from .core import RandomStream, sample_matrix, sample_vector
 from .errors import HomogeneityError
 from .matrix_norms import EntrywiseSum, mnorm_eval
 from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
 
 _TINY = 1e-300
-# the start of the l2 closed form's eigen solve: a fixed stream, so that the
-# closed form reads no budget
-_L2_RNG = RandomStream(0).child(1)
 # the climb's step schedule: its first relative step, the factors after an
 # improving and a fully failed sweep, and the step below which a start stops
 _STEP_INIT = 0.5
@@ -342,7 +325,6 @@ def maximize_on_sphere(
     n: int,
     budget: OptBudget | None = None,
     *,
-    linear_l2: np.ndarray | None = None,
     objective_convex: bool = True,
     objective_homogeneous: bool = False,
     extra_seeds: Iterable[np.ndarray] = (),
@@ -350,17 +332,15 @@ def maximize_on_sphere(
     """max{ objective(x) : ||x||_domain = 1 } over x in C^n.
 
     l1 and weighted-l1 domains dispatch exactly to their vertices for convex
-    objectives.  ``linear_l2``, when given, declares objective(x) =
-    l2(linear_l2 @ x) and unlocks the closed form on l2 domains under any
-    ``Scaled``, whose eigen solve starts from a fixed stream and reads no
-    budget; without it an l2 domain climbs.
-    Everything else runs the hill climb over the renormalized sphere, seeded
-    with the basis vectors, the all-ones vector, n random phase vectors, the
-    caller's ``extra_seeds`` and ``budget.samples`` Gaussian draws, and is a
-    lower bound.  ``objective_convex`` is a caller assertion enabling vertex
-    dispatch; ``objective_convex=False`` sends l1-type domains to the climb.  ``objective_homogeneous`` is a caller assertion that
-    objective(a x) = |a| objective(x); without it, absolute homogeneity is
-    probed at 10 random points and a violation raises ``HomogeneityError``.
+    objectives.  Everything else runs the hill climb over the renormalized
+    sphere, seeded with the basis vectors, the all-ones vector, n random
+    phase vectors, the caller's ``extra_seeds`` and ``budget.samples``
+    Gaussian draws, and is a lower bound.  ``objective_convex`` is a caller
+    assertion enabling vertex dispatch; ``objective_convex=False`` sends
+    l1-type domains to the climb.  ``objective_homogeneous`` is a caller
+    assertion that objective(a x) = |a| objective(x); without it, absolute
+    homogeneity is probed at 10 random points and a violation raises
+    ``HomogeneityError``.
     The result's ``evaluations`` counts every objective call, including the
     probe's 20 when it runs.
     """
@@ -382,9 +362,6 @@ def maximize_on_sphere(
     if objective_convex and isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
         verts = [eye[j] / w for j, w in enumerate(core.weights)]
         return _best_vertex(objective, domain_eval, verts, evals)
-    if linear_l2 is not None and isinstance(core, Lp) and core.p == 2.0:
-        res = hermitian_top_eig(scaled_gram(linear_l2)[0], rng=_L2_RNG)
-        return _finish(objective, domain_eval, res.eigenvector, EXACT_CLOSED_FORM, evals + 1)
 
     pool = seed_pool(n, budget, extra_seeds)
     val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, budget, rng)

@@ -97,13 +97,15 @@ class Extracted:
     """Vector norm recovered from a matrix norm N.
 
     role 2 evaluates N on the matrix whose every column is x (exact);
-    role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }, exactly in closed form for
-    the catalog sources (EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum,
-    Spectral, max(MaxColSum, MaxRowSum), each under any Scaled) and by
-    matrix-sphere maximization otherwise, which is a lower bound at the
-    stored budget.  For the catalog sources both roles equal plain l_p
-    descriptors at each dimension (:func:`normlab.matrix_norms.concrete`),
-    which ``gind_eval`` dispatches on in their place.
+    role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }.  For the catalog sources
+    (EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum, Spectral,
+    max(MaxColSum, MaxRowSum)) and GInd sources with an l_p or weighted l_p
+    domain, each under any Scaled, both roles equal plain descriptors at
+    each dimension (:func:`normlab.matrix_norms.concrete`), so role 1 is an
+    exact closed form and ``gind_eval`` dispatches on the plain descriptors
+    in their place.  For every other source role 1 comes from matrix-sphere
+    maximization, a lower bound at the stored budget.  ``extract_pair``
+    returns both roles of one source as a ``GInd``.
     """
 
     role: int
@@ -344,7 +346,7 @@ def vnorm_dual_eval(spec: VectorNormSpec, v, budget: OptBudget | None = None) ->
         budget = OptBudget(multistarts=4, max_iters=200, samples=16 * n, seed=0)
     m = np.zeros((n, n), dtype=np.complex128)
     m[0] = np.conj(w)
-    return gind.gind_eval(gind.GIndPair(spec, Lp(1.0)), m, budget).value
+    return gind.gind_eval(gind.GInd(spec, Lp(1.0)), m, budget).value
 
 
 def sum_functional_alpha(

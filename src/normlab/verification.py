@@ -36,7 +36,6 @@ from .extraction import (
 )
 from .gind import (
     KNOWN_YES,
-    GIndPair,
     chain_compare,
     dominance_check,
     gind_eval,
@@ -45,6 +44,7 @@ from .gind import (
 from .matrix_norms import (
     EntrywiseMax,
     EntrywiseSum,
+    GInd,
     MatrixNormSpec,
     MaxColSum,
     MaxOf,
@@ -117,7 +117,7 @@ _BAND = 1e-6
 
 
 def verify_lemma21(
-    pair: GIndPair,
+    pair: GInd,
     n: int = 2,
     trials: int = 300,
     rng: RandomStream = RandomStream(0),
@@ -216,8 +216,8 @@ def _involves_extracted(spec) -> bool:
 
 
 def verify_lemma22(
-    pair_a: GIndPair,
-    pair_b: GIndPair,
+    pair_a: GInd,
+    pair_b: GInd,
     n: int = 2,
     trials: int = 200,
     rng: RandomStream = RandomStream(0),
@@ -354,7 +354,6 @@ def verify_theorem23(
     cases: list[CaseResult] = []
 
     pair = extract_pair(source, inner)
-    gpair = GIndPair(pair.norm1, pair.norm2)
     norm1 = concrete(pair.norm1, n)
 
     g = rng.child(0).generator()
@@ -391,9 +390,9 @@ def verify_theorem23(
 
     # the minimality probe below starts from the same deterministic probes,
     # so their ratios are computed once and serve both
-    fixed = _probe_ratios(source, gpair, _fixed_probes(n), outer, inner)
+    fixed = _probe_ratios(source, pair, _fixed_probes(n), outer, inner)
     drawn = _random_probes(n, trials, rng.child(1))
-    ratios = fixed + _probe_ratios(source, gpair, drawn, outer, inner)
+    ratios = fixed + _probe_ratios(source, pair, drawn, outer, inner)
     worst_ratio = 0.0
     worst_witness = None
     for r, m in ratios:
@@ -412,7 +411,7 @@ def verify_theorem23(
     # what minimality_probe(source, n, trials, outer, rng.child(2), inner)
     # returns, with the fixed probes' ratios from above
     drawn = _random_probes(n, trials, rng.child(2).child(3))
-    probe = _probe_report(fixed + _probe_ratios(source, gpair, drawn, outer, inner))
+    probe = _probe_report(fixed + _probe_ratios(source, pair, drawn, outer, inner))
     cases.append(
         CaseResult(
             description="minimality probe (gap flags possible non-minimality)",
@@ -500,7 +499,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
         for _ in range(15):
             m = sample_test_matrix(g2, dim)
             for p, closed in ((1.0, MaxColSum()), (np.inf, MaxRowSum()), (2.0, Spectral())):
-                got = gind_eval(GIndPair(Lp(p), Lp(p)), m, b).value
+                got = gind_eval(GInd(Lp(p), Lp(p)), m, b).value
                 want = mnorm_eval(closed, m)
                 worst = max(worst, abs(got - want) / max(1.0, want))
     cases.append(
@@ -512,8 +511,8 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     )
 
     # 3: a looser domain norm dominates, strictly at the all-ones matrix
-    pair_tight = GIndPair(Lp(2.0), Scaled(2.0, Lp(2.0)))
-    pair_loose = GIndPair(Lp(np.inf), Scaled(2.0, Lp(2.0)))
+    pair_tight = GInd(Lp(2.0), Scaled(2.0, Lp(2.0)))
+    pair_loose = GInd(Lp(np.inf), Scaled(2.0, Lp(2.0)))
     g3 = rng.child(2).generator()
     dominated = True
     for _ in range(30):
@@ -568,7 +567,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
             for n2 in family:
                 for _ in range(2):
                     x = sample_vector(g5, dim)
-                    rep = alpha_identity_check(GIndPair(n1, n2), x, b5)
+                    rep = alpha_identity_check(GInd(n1, n2), x, b5)
                     ok5 = ok5 and rep.holds
     cases.append(
         CaseResult(
@@ -579,7 +578,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     )
 
     # 6: the four-norm chain for a dominated pair
-    chain_pair = GIndPair(Lp(np.inf), Lp(1.0))
+    chain_pair = GInd(Lp(np.inf), Lp(1.0))
     g6 = rng.child(5).generator()
     ok6 = True
     worst_slack = np.inf

@@ -60,6 +60,47 @@ def test_usage_error_exit_2(matrix_file, capsys):
     assert run_command(["eval", "--norm", "spectral", "--matrix", "/does/not/exist"]) == 2
 
 
+_GIND_OF_SPECTRAL = '{"kind":"gind","norm1":{"kind":"spectral"},"norm2":{"kind":"lp","p":1}}'
+_SCALED_L1 = '{"kind":"scaled","gamma":2,"inner":{"kind":"lp","p":1}}'
+_MAXOF_MIXED = '{"kind":"maxof","inner":[{"kind":"lp","p":1},{"kind":"sigma"}]}'
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["eval", "--norm", "l2"], "--norm"),
+        (["eval", "--norm", _SCALED_L1], "--norm"),
+        (["eval", "--norm", _GIND_OF_SPECTRAL], "--norm"),
+        (["extract", "--norm", "l2"], "--norm"),
+        (["probe-minimality", "--norm", "l1", "--trials", "2"], "--norm"),
+        (["verify", "--suite", "theorem23", "--norm", "linf", "--trials", "2"], "--norm"),
+        (["gind", "--norm1", "spectral", "--norm2", "l1"], "--norm1"),
+        (["gind", "--norm1", "l1", "--norm2", _MAXOF_MIXED], "--norm2"),
+        (["chain", "--norm1", "l1", "--norm2", "sigma"], "--norm2"),
+        (["verify", "--suite", "lemma21", "--norm1", "spectral", "--trials", "2"], "--norm1"),
+        (["verify", "--suite", "lemma22", "--norm4", "maxcolsum", "--trials", "2"], "--norm4"),
+    ],
+)
+def test_norm_of_the_wrong_family_exit_2_before_any_output(argv, option, matrix_file, capsys):
+    # eval, extract, probe-minimality and theorem23 take a matrix norm, gind,
+    # chain and the lemma suites vector norms; the family is checked when the
+    # norm is resolved, so nothing reaches stdout
+    if argv[0] in ("eval", "gind", "chain"):
+        argv = argv + ["--matrix", matrix_file]
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{option} needs a" in err
+
+
+def test_norms_of_the_right_family_pass_the_check(matrix_file, capsys):
+    gind_matrix = '{"kind":"gind","norm1":{"kind":"lp","p":1},"norm2":' + _SCALED_L1 + "}"
+    maxof = '{"kind":"maxof","inner":[{"kind":"spectral"},{"kind":"scaled","gamma":2,"inner":{"kind":"sigma"}}]}'
+    for norm in (gind_matrix, maxof):
+        assert run_command(["eval", "--norm", norm, "--matrix", matrix_file]) == 0
+    assert run_command(["gind", "--norm1", _SCALED_L1, "--norm2", "l2", "--matrix", matrix_file]) == 0
+
+
 def test_bad_matrix_document_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")

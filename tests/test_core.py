@@ -229,3 +229,29 @@ def test_no_new_deferred_imports():
         for imported in _deferred_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     }
     assert found == DEFERRED_IMPORTS
+
+
+# the private names one normlab module imports from another, as (importing
+# module, source module, name); the list may only shrink
+PRIVATE_IMPORTS = {
+    ("verification", "extraction", "_WITNESS_TIE"),
+    ("verification", "extraction", "_fixed_probes"),
+    ("verification", "extraction", "_probe_ratios"),
+    ("verification", "extraction", "_probe_report"),
+    ("verification", "extraction", "_random_probes"),
+}
+
+
+def test_no_new_private_imports():
+    package = Path(__file__).resolve().parents[1] / "src" / "normlab"
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.update(
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert found <= PRIVATE_IMPORTS, sorted(found - PRIVATE_IMPORTS)
+    assert found == PRIVATE_IMPORTS, f"drop {sorted(PRIVATE_IMPORTS - found)} from the list"

@@ -101,6 +101,14 @@ def test_extract_norm1_closed_forms():
     )
 
 
+@pytest.mark.parametrize("budget", [None, INNER])
+def test_extract_pair_is_the_gind_of_both_roles(budget):
+    for source in (Spectral(), EntrywiseSum(), Scaled(2.0, MaxColSum()), GInd(Lp(3), Lp(1.5))):
+        pair = extract_pair(source, budget)
+        assert pair == GInd(extract_norm1(source, budget), extract_norm2(source, budget))
+        assert pair.norm1.budget == pair.norm2.budget == (budget or DEFAULT_INNER_BUDGET)
+
+
 def test_extracted_norms_satisfy_axioms():
     clear_role1_cache()
     g = RandomStream(21).generator()

@@ -25,6 +25,7 @@ from normlab import (
     LOWER_BOUND,
     EntrywiseMax,
     EntrywiseSum,
+    GInd,
     GIndPair,
     Lp,
     MaxColSum,
@@ -836,6 +837,43 @@ def test_smooth_domains_read_no_budget():
                 assert full.value.hex() == tiny.value.hex(), label
                 assert full.witness.tobytes() == tiny.witness.tobytes(), label
                 assert full.evaluations == tiny.evaluations, label
+
+
+L2_CLOSED_FORM = Path(__file__).resolve().parent / "data" / "gind_l2_closed_form.json"
+
+
+def _hex_entries(arr) -> list:
+    return [[float(z.real).hex(), float(z.imag).hex()] for z in np.asarray(arr).ravel()]
+
+
+def test_l2_closed_form_replays_recorded_bits():
+    # 200 l2 -> l2 calls recorded when the closed form was a branch of the
+    # sphere maximizer: n = 1..4, Scaled domains and codomains, the extracted
+    # Spectral pair, zero columns, rank one, Hermitian, identity and zero
+    # matrices.  The route in gind_eval must give the same value bits,
+    # witness bits, label and evaluation count, and mnorm_eval of the GInd
+    # the same value bits
+    from normlab.formats import norm_spec_from_doc
+
+    cases = json.loads(L2_CLOSED_FORM.read_text(encoding="utf-8"))["cases"]
+    assert len(cases) >= 120
+    for k, case in enumerate(cases):
+        n = case["n"]
+        flat = [complex(float.fromhex(re), float.fromhex(im)) for re, im in case["matrix"]]
+        a = np.array(flat, dtype=np.complex128).reshape(n, n)
+        spec = GInd(norm_spec_from_doc(case["norm1"]), norm_spec_from_doc(case["norm2"]))
+        res = gind_eval(spec, a)
+        label = f"case {k}: n={n} {spec}"
+        assert res.value.hex() == case["value"], label
+        assert _hex_entries(res.witness) == case["witness"], label
+        assert res.exactness == case["exactness"] == EXACT_CLOSED_FORM, label
+        assert res.evaluations == case["evaluations"], label
+        assert mnorm_eval(spec, a).hex() == res.value.hex(), label
+
+
+def test_gindpair_is_gind():
+    assert GIndPair is GInd
+    assert GIndPair(Lp(2), Lp(1)) == GInd(Lp(2), Lp(1))
 
 
 def _conjugate(p: float) -> float:

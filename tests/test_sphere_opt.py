@@ -9,11 +9,13 @@ from normlab import (
     LOWER_BOUND,
     EntrywiseMax,
     EntrywiseSum,
+    GIndPair,
     Lp,
     MaxColSum,
     OptBudget,
     Scaled,
     Spectral,
+    gind_eval,
     maximize_on_matrix_sphere,
     maximize_on_sphere,
     mnorm_eval,
@@ -39,9 +41,7 @@ def test_l1_vertex_dispatch():
 
 
 def test_l2_closed_form_dispatch():
-    res = maximize_on_sphere(
-        _l2_of(np.eye(2)), Lp(2), 2, B, linear_l2=np.eye(2)
-    )
+    res = gind_eval(GIndPair(Lp(2), Lp(2)), np.eye(2), B)
     assert res.exactness == EXACT_CLOSED_FORM
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
@@ -138,14 +138,12 @@ def test_oracle_agreement_random_instances():
         a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
         for domain_p in (1.0, 2.0, math.inf):
             for cod_p in (1.0, 2.0):
-                objective = lambda x: vnorm_eval(Lp(cod_p), a @ x)
-                res = maximize_on_sphere(
-                    objective,
-                    Lp(domain_p),
-                    2,
-                    OptBudget(multistarts=6, max_iters=400, samples=24, seed=k),
-                    linear_l2=a if cod_p == 2.0 else None,
-                )
+                budget = OptBudget(multistarts=6, max_iters=400, samples=24, seed=k)
+                if domain_p == cod_p == 2.0:  # the closed form lives in gind_eval
+                    res = gind_eval(GIndPair(Lp(2), Lp(2)), a, budget)
+                else:
+                    objective = lambda x: vnorm_eval(Lp(cod_p), a @ x)
+                    res = maximize_on_sphere(objective, Lp(domain_p), 2, budget)
                 oracle = dense_gind_oracle(a, domain_p, cod_p)
                 assert res.value == pytest.approx(oracle, rel=1e-4)
 

@@ -213,7 +213,7 @@ def _count_calls(monkeypatch, fn) -> dict:
 @pytest.mark.parametrize(
     "source, n, eigen_solves",
     [
-        (Spectral(), 2, {"normlab.sphere_opt": 20}),
+        (Spectral(), 2, {"normlab.gind": 20}),
         (EntrywiseMax(), 2, {}),
         (MaxColSum(), 3, {}),
     ],
