@@ -206,6 +206,22 @@ def _probe_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
 
 
+# the norm options each verify suite reads; giving any other is a usage error
+_SUITE_NORMS = {
+    "lemma21": ("norm1", "norm2"),
+    "lemma22": ("norm1", "norm2", "norm3", "norm4"),
+    "theorem23": ("norm",),
+    "paper-demos": (),
+}
+
+
+def _stray_norms(args) -> list[str]:
+    """The norm options given to ``verify`` that its suite does not read."""
+    names = ("norm", "norm1", "norm2", "norm3", "norm4")
+    given = (name for name in names if getattr(args, name) is not None)
+    return ["--" + name for name in given if name not in _SUITE_NORMS[args.suite]]
+
+
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--suite",
@@ -213,7 +229,7 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
         choices=["lemma21", "lemma22", "theorem23", "paper-demos"],
     )
     p.add_argument("--trials", type=_count("trial count"), default=200)
-    p.add_argument("--norm", default="spectral", help="source norm for theorem23")
+    p.add_argument("--norm", default=None, help="source norm for theorem23 (default spectral)")
     p.add_argument("--norm1", default=None, help="pair A domain norm")
     p.add_argument("--norm2", default=None, help="pair A codomain norm")
     p.add_argument("--norm3", default=None, help="pair B domain norm (lemma22)")
@@ -346,12 +362,12 @@ def _cmd_verify(args) -> int:
         pair_b = _pair_from(args, "norm3", "norm4", (Lp(float("inf")), Scaled(2.0, Lp(2.0))))
         run = functools.partial(verify_lemma22, pair_a, pair_b, args.dim, args.trials, rng, budget)
     else:
-        source = _resolve_norm(args.norm, "norm", matrix=True)
+        source = _resolve_norm("spectral" if args.norm is None else args.norm, "norm", matrix=True)
         run = functools.partial(verify_theorem23, source, args.dim, args.trials, budget, rng=rng)
 
     settings = {"seed": args.seed}
     if args.suite == "paper-demos":
-        # paper_demo_suite runs at its own n = 2 and 3 with its own budgets
+        # paper_demo_suite runs at its own n = 2 and 3 and reads no budget
         print(f"normlab verify paper-demos | seed={args.seed} dim and budget: fixed by the suite")
     else:
         _print_header(f"verify {args.suite}", args, budget)
@@ -387,8 +403,10 @@ def run_command(argv) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify" and args.suite == "paper-demos" and _budget_given(args):
-            # paper_demo_suite sets its own budgets and takes none
+            # paper_demo_suite takes no budget
             parser.error("--budget-* flags do not apply to --suite paper-demos")
+        if args.command == "verify" and (stray := _stray_norms(args)):
+            parser.error(f"--suite {args.suite} does not read {', '.join(stray)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonConvergenceError
+from .errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
 
 
 def as_vector(x) -> np.ndarray:
@@ -107,7 +107,7 @@ _START_CACHE: dict = {}
 def scaled_gram(a) -> tuple[np.ndarray, int]:
     """(B*B, e) for B = A / 2^e, so that A*A = 4^e B*B, where 2^e is the
     smallest power of two above every real and imaginary part of A (e = 0
-    for the zero matrix).  Raises :class:`NonConvergenceError` when A has a
+    for the zero matrix).  Raises :class:`NonFiniteInputError` when A has a
     non-finite entry, before forming any product.
 
     B's parts lie below 1, so B*B cannot overflow where A*A would.  Scaling
@@ -117,7 +117,7 @@ def scaled_gram(a) -> tuple[np.ndarray, int]:
     parts = np.ascontiguousarray(as_matrix(a)).view(np.float64)
     peak = float(np.abs(parts).max())
     if not math.isfinite(peak):
-        raise NonConvergenceError("eigen solve needs a finite matrix")
+        raise NonFiniteInputError("eigen solve needs a finite matrix")
     e = math.frexp(peak)[1]
     b = np.ldexp(parts, -e).view(np.complex128)
     return b.conj().T @ b, e
@@ -140,13 +140,13 @@ def _dense_eigh(h) -> tuple[np.ndarray, list[float], np.ndarray | None]:
     dense LAPACK solve (``np.linalg.eigh``), which reads one triangle of H.
 
     The zero matrix is not solved: its eigenvalues are all 0.0 and its
-    eigenvectors None.  Raises :class:`NonConvergenceError` when H has a
-    non-finite entry or the solve fails.
+    eigenvectors None.  Raises :class:`NonFiniteInputError` when H has a
+    non-finite entry and :class:`NonConvergenceError` when the solve fails.
     """
     m = as_matrix(h)
     scale = float(np.abs(m).max())
     if not math.isfinite(scale):
-        raise NonConvergenceError("eigen solve needs a finite matrix")
+        raise NonFiniteInputError("eigen solve needs a finite matrix")
     if scale == 0.0:
         return m, [0.0] * m.shape[0], None
     try:
@@ -180,9 +180,9 @@ def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
     power method's quality seeds; a spectral norm value, which reads no
     eigenvector, comes from :func:`hermitian_top_eigenvalue`.
 
-    Raises :class:`NonConvergenceError` when H has a non-finite entry or the
-    solve fails, and rejects matrices whose Hermitian deviation exceeds 1e-12
-    relative.
+    Raises :class:`NonFiniteInputError` when H has a non-finite entry and
+    :class:`NonConvergenceError` when the solve fails, and rejects matrices
+    whose Hermitian deviation exceeds 1e-12 relative.
     """
     m, lams, vecs = _dense_eigh(h)
     deviation = float(np.abs(m - m.conj().T).max())

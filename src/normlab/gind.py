@@ -31,7 +31,6 @@ from .budget import (
     LOWER_BOUND,
     ComputationResult,
     OptBudget,
-    default_budget,
 )
 from .core import RandomStream, as_matrix, hermitian_top_eig, scaled_gram
 from .errors import NonConvergenceError, NonFiniteInputError
@@ -217,8 +216,10 @@ def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
 
     Per-row conjugate-phase vectors attain row-sum type maxima; the top
     right singular vector attains euclidean ones.  Seeding never affects
-    soundness, only how quickly the ascent reaches the optimum.  A generator,
-    so the eigen solve runs only when the ascent consumes the seeds.
+    soundness, only how quickly the ascent reaches the optimum.  A generator:
+    the vertex route of :func:`maximize_on_sphere` reads no seeds, so the
+    eigen solve runs only where a pool takes them all, the power method's
+    starts and the climb's seed pool.
     """
     mods = np.abs(m)
     phases = _row_phases(m)
@@ -333,8 +334,6 @@ def gind_eval(pair: GInd, a, budget: OptBudget | None = None) -> ComputationResu
     if not np.isfinite(m).all():
         raise NonFiniteInputError("gind_eval needs a finite matrix")
     n = m.shape[0]
-    if budget is None:
-        budget = default_budget(n)
 
     g1, core1 = split_scale(concrete(pair.norm1, n))
     g2, core2 = split_scale(concrete(pair.norm2, n))

@@ -1,12 +1,14 @@
 """Maximize absolutely homogeneous objectives over norm unit spheres.
 
-Exact dispatch where the sphere has usable extreme-point structure (phase
-multiples of the basis vectors for the l1 and weighted-l1 balls and of the
-single-entry matrices for the entrywise-sum ball), and one derivative-free
-multi-start hill climb over the renormalized sphere, :func:`_climb`,
-everywhere else, the entrywise-max ball included.  Ascent results are honest
-lower bounds and are labeled as such.  The climb walks its starts one after
-another and scores lazily, one candidate at a time.
+One body, :func:`_maximize`, behind two entry points that supply the shape:
+:func:`maximize_on_sphere` over C^n and :func:`maximize_on_matrix_sphere`
+over M_n.  Exact dispatch where the sphere has usable extreme-point
+structure (phase multiples of the basis vectors for the l1 and weighted-l1
+balls and of the single-entry matrices for the entrywise-sum ball), and one
+derivative-free multi-start hill climb over the renormalized sphere,
+:func:`_climb`, everywhere else, the entrywise-max ball included.  Ascent
+results are honest lower bounds and are labeled as such.  The climb walks
+its starts one after another and scores lazily, one candidate at a time.
 
 :func:`maximize_on_polydisc` is the deterministic alternative for convex
 objectives on a polydisc {|x_j| <= r_j}, the unit ball of an l-inf or
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -58,11 +60,6 @@ def _check_homogeneity(objective, draw_point, g: np.random.Generator) -> int:
                 f"objective is not absolutely homogeneous: f(ax)={lhs!r} vs |a|f(x)={rhs!r}"
             )
     return 20
-
-
-def _rank_starts(values: Sequence[float], k: int) -> list[int]:
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    return order[:k]
 
 
 def _sphere_moves(x: np.ndarray, step: float):
@@ -117,7 +114,8 @@ def _climb(evaluate, pool: Iterable[np.ndarray], budget: OptBudget, rng: RandomS
     evals = len(seeds)
 
     best_val, best_x = -math.inf, None
-    for idx in _rank_starts([v for v, _ in seeds], budget.multistarts):
+    starts = sorted(range(len(seeds)), key=lambda i: (-seeds[i][0], i))
+    for idx in starts[: budget.multistarts]:
         val, x = seeds[idx]
         g = rng.child(100 + idx).generator()
         step = _STEP_INIT
@@ -303,20 +301,27 @@ def seed_pool(n: int, budget: OptBudget, extra_seeds: Iterable[np.ndarray] = ())
     return np.vstack([np.eye(n, dtype=np.complex128), np.ones(n), phases, *extras, gaussians])
 
 
-def _finish(objective, domain_eval, witness, exactness, evals) -> ComputationResult:
-    dn = domain_eval(witness)
-    w = witness / dn
-    return ComputationResult(
-        value=float(objective(w)), witness=w, exactness=exactness, evaluations=evals
-    )
-
-
-def _best_vertex(objective, domain_eval, verts, evals, gamma=1.0) -> ComputationResult:
-    """Exact maximum of a convex objective over a ball whose extreme points
-    are the phase multiples of ``verts / gamma``; ties go to the lowest index."""
-    vals = [objective(v / gamma) for v in verts]
-    j = max(range(len(verts)), key=lambda i: (vals[i], -i))
-    return _finish(objective, domain_eval, verts[j], EXACT_VERTEX, evals + len(verts))
+def _maximize(objective, domain_eval, sample, n, budget, homogeneous, vertices, gamma, pool):
+    """The body of both entry points: the probe unless ``homogeneous``, then
+    the best of ``vertices`` (scored at ``v / gamma``, ties to the lowest
+    index) or, when that is None, the climb from ``pool(budget)``; the
+    witness is renormalized by ``domain_eval`` and rescored.  Only the climb
+    reads the budget, so only the climb builds the default one, whose seed
+    is 0."""
+    rng = RandomStream(0 if budget is None else budget.seed)
+    evals = 0
+    if not homogeneous:
+        evals = _check_homogeneity(objective, lambda g: sample(g, n), rng.child(777).generator())
+    if vertices is not None:
+        vals = [objective(v / gamma) for v in vertices]
+        witness = vertices[max(range(len(vertices)), key=lambda i: (vals[i], -i))]
+        exactness, evals = EXACT_VERTEX, evals + len(vertices)
+    else:
+        budget = budget or default_budget(n)
+        _, witness, climbed = _climb(_on_sphere(objective, domain_eval), pool(budget), budget, rng)
+        exactness, evals = LOWER_BOUND, evals + climbed
+    w = witness / domain_eval(witness)
+    return ComputationResult(float(objective(w)), w, exactness, evals)
 
 
 def maximize_on_sphere(
@@ -344,28 +349,16 @@ def maximize_on_sphere(
     The result's ``evaluations`` counts every objective call, including the
     probe's 20 when it runs.
     """
-    if budget is None:
-        budget = default_budget(n)
-    rng = RandomStream(budget.seed)
-    evals = 0
-    if not objective_homogeneous:
-        evals = _check_homogeneity(
-            objective, lambda g: sample_vector(g, n), rng.child(777).generator()
-        )
-
     _, core = split_scale(domain_norm)
-    domain_eval = functools.partial(vnorm_eval, domain_norm)
-    eye = np.eye(n, dtype=np.complex128)
-
+    vertices = None
     if objective_convex and isinstance(core, Lp) and core.p == 1.0:
-        return _best_vertex(objective, domain_eval, list(eye), evals)
-    if objective_convex and isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
-        verts = [eye[j] / w for j, w in enumerate(core.weights)]
-        return _best_vertex(objective, domain_eval, verts, evals)
-
-    pool = seed_pool(n, budget, extra_seeds)
-    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, budget, rng)
-    return _finish(objective, domain_eval, x, LOWER_BOUND, evals + climbed)
+        vertices = list(np.eye(n, dtype=np.complex128))
+    elif objective_convex and isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
+        vertices = [e / w for e, w in zip(np.eye(n, dtype=np.complex128), core.weights)]
+    return _maximize(
+        objective, functools.partial(vnorm_eval, domain_norm), sample_vector, n, budget,
+        objective_homogeneous, vertices, 1.0, lambda b: seed_pool(n, b, extra_seeds),
+    )
 
 
 def maximize_on_matrix_sphere(
@@ -391,25 +384,17 @@ def maximize_on_matrix_sphere(
     and a violation raises ``HomogeneityError``.  ``evaluations`` counts
     every objective call, including the probe's 20 when it runs.
     """
-    if budget is None:
-        budget = default_budget(n)
-    rng = RandomStream(budget.seed)
-    evals = 0
-    if not objective_homogeneous:
-        evals = _check_homogeneity(
-            objective, lambda g: sample_matrix(g, n), rng.child(777).generator()
-        )
-
     gamma, core = split_scale(domain_norm)
-    domain_eval = functools.partial(mnorm_eval, domain_norm)
     singles = list(np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n))
 
-    if objective_convex and isinstance(core, EntrywiseSum):
-        return _best_vertex(objective, domain_eval, singles, evals, gamma)
+    def pool(b):
+        g = RandomStream(b.seed).child(0).generator()
+        eye, ones = np.eye(n, dtype=np.complex128), np.ones((n, n), dtype=np.complex128)
+        extras = _valid_seeds(extra_seeds, (n, n))
+        return [eye, *singles, ones, *extras, *(sample_matrix(g, n) for _ in range(b.samples))]
 
-    pool = [np.eye(n, dtype=np.complex128), *singles, np.ones((n, n), dtype=np.complex128)]
-    pool.extend(_valid_seeds(extra_seeds, (n, n)))
-    g = rng.child(0).generator()
-    pool.extend(sample_matrix(g, n) for _ in range(budget.samples))
-    val, x, climbed = _climb(_on_sphere(objective, domain_eval), pool, budget, rng)
-    return _finish(objective, domain_eval, x, LOWER_BOUND, evals + climbed)
+    vertices = singles if objective_convex and isinstance(core, EntrywiseSum) else None
+    return _maximize(
+        objective, functools.partial(mnorm_eval, domain_norm), sample_matrix, n, budget,
+        objective_homogeneous, vertices, gamma, pool,
+    )

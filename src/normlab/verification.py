@@ -465,8 +465,6 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     """Six demonstration cases over the norm catalog at n = 2 and 3."""
     start = time.perf_counter()
     rng = RandomStream(seed)
-    n = 2
-    budget = _suite_budget(rng.child(9).derive_seed())
     cases: list[CaseResult] = []
     ones2 = np.ones((2, 2), dtype=np.complex128)
 
@@ -495,11 +493,10 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     worst = 0.0
     for dim in (2, 3):
         g2 = rng.child(10 + dim).generator()
-        b = _suite_budget(rng.child(20 + dim).derive_seed())
         for _ in range(15):
             m = sample_test_matrix(g2, dim)
             for p, closed in ((1.0, MaxColSum()), (np.inf, MaxRowSum()), (2.0, Spectral())):
-                got = gind_eval(GInd(Lp(p), Lp(p)), m, b).value
+                got = gind_eval(GInd(Lp(p), Lp(p)), m).value
                 want = mnorm_eval(closed, m)
                 worst = max(worst, abs(got - want) / max(1.0, want))
     cases.append(
@@ -517,13 +514,11 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     dominated = True
     for _ in range(30):
         m = sample_test_matrix(g3, 2)
-        if gind_eval(pair_tight, m, budget).value > gind_eval(
-            pair_loose, m, budget
-        ).value * (1.0 + _BAND):
+        if gind_eval(pair_tight, m).value > gind_eval(pair_loose, m).value * (1.0 + _BAND):
             dominated = False
             break
-    tight_j = gind_eval(pair_tight, ones2, budget).value
-    loose_j = gind_eval(pair_loose, ones2, budget).value
+    tight_j = gind_eval(pair_tight, ones2).value
+    loose_j = gind_eval(pair_loose, ones2).value
     strict = loose_j > tight_j * (1.0 + 1e-3)
     cases.append(
         CaseResult(
@@ -535,10 +530,8 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     )
 
     # 4: non-minimality probes for the entrywise sum and max(col,row)
-    probe_sigma = minimality_probe(EntrywiseSum(), 2, 25, budget, rng.child(3))
-    probe_maxcr = minimality_probe(
-        MaxOf((MaxColSum(), MaxRowSum())), 2, 25, budget, rng.child(4)
-    )
+    probe_sigma = minimality_probe(EntrywiseSum(), 2, 25, rng=rng.child(3))
+    probe_maxcr = minimality_probe(MaxOf((MaxColSum(), MaxRowSum())), 2, 25, rng=rng.child(4))
     ok4 = (
         probe_sigma.verdict == GAP_FOUND
         and abs(probe_sigma.max_gap_ratio - np.sqrt(0.5)) <= 1e-3
@@ -562,12 +555,11 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     ok5 = True
     for dim in (2, 3):
         g5 = rng.child(30 + dim).generator()
-        b5 = _suite_budget(rng.child(40 + dim).derive_seed())
         for n1 in family:
             for n2 in family:
                 for _ in range(2):
                     x = sample_vector(g5, dim)
-                    rep = alpha_identity_check(GInd(n1, n2), x, b5)
+                    rep = alpha_identity_check(GInd(n1, n2), x)
                     ok5 = ok5 and rep.holds
     cases.append(
         CaseResult(
@@ -584,7 +576,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     worst_slack = np.inf
     for _ in range(15):
         m = sample_test_matrix(g6, 2)
-        rep = chain_compare(chain_pair, m, budget)
+        rep = chain_compare(chain_pair, m)
         ok6 = ok6 and rep.chain_holds
         worst_slack = min(worst_slack, rep.slack)
     cases.append(

@@ -133,6 +133,28 @@ def test_paper_demos_rejects_budget_flags(capsys):
     assert "paper-demos" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "suite, given, stray",
+    [
+        ("lemma21", ["--norm", '{"kind":"nope"}', "--norm3", "sigma"], "--norm, --norm3"),
+        ("lemma21", ["--norm4", "l1"], "--norm4"),
+        ("lemma22", ["--norm", "spectral"], "--norm"),
+        ("theorem23", ["--norm1", "l1"], "--norm1"),
+        ("theorem23", ["--norm2", "l1", "--norm3", "l2"], "--norm2, --norm3"),
+        ("paper-demos", ["--norm", "spectral"], "--norm"),
+        ("paper-demos", ["--norm1", "l1", "--norm2", "l2"], "--norm1, --norm2"),
+    ],
+)
+def test_verify_rejects_norm_options_its_suite_does_not_read(suite, given, stray, capsys):
+    # theorem23 reads --norm, lemma21 --norm1 and --norm2, lemma22 also
+    # --norm3 and --norm4, paper-demos none: any other is a usage error,
+    # named before anything runs, even when it would not parse
+    assert run_command(["verify", "--suite", suite, "--trials", "2", *given]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--suite {suite} does not read {stray}" in err
+
+
 def test_paper_demos_header_offers_no_override(monkeypatch, tmp_path, capsys):
     from normlab import cli
     from normlab.verification import SuiteReport
@@ -152,19 +174,21 @@ def test_paper_demos_header_offers_no_override(monkeypatch, tmp_path, capsys):
 
 
 def test_theorem23_runs_the_requested_trials(monkeypatch, capsys):
-    from normlab import cli
+    # and on the spectral norm when --norm is not given
+    from normlab import MaxColSum, Spectral, cli
     from normlab.verification import SuiteReport
 
     seen = []
 
     def stub(source, n, trials, budget, rng):
-        seen.append(trials)
+        seen.append((source, trials))
         return SuiteReport("theorem23", 0, [], 0.0)
 
     monkeypatch.setattr(cli, "verify_theorem23", stub)
-    argv = ["verify", "--suite", "theorem23", "--norm", "maxcolsum", "--dim", "2", "--trials", "100"]
+    argv = ["verify", "--suite", "theorem23", "--dim", "2", "--trials", "100"]
+    assert run_command(argv + ["--norm", "maxcolsum"]) == 0
     assert run_command(argv) == 0
-    assert seen == [100]
+    assert seen == [(MaxColSum(), 100), (Spectral(), 100)]
 
 
 def test_step_schedule_flags_are_usage_errors_exit_2(matrix_file, capsys):
@@ -351,7 +375,8 @@ GIND_L3_L15 = '{"kind": "gind", "norm1": {"kind": "lp", "p": 3}, "norm2": {"kind
 def test_default_runs_never_climb(monkeypatch, capsys):
     # no suite or CLI default reaches the sphere hill climb: the catalog and
     # g-ind sources of l_p domains have closed-form pairs, and gind pairs
-    # take vertex, closed-form, polydisc or power-method routes
+    # take vertex, closed-form, polydisc or power-method routes, so
+    # paper-demos builds no budget
     from normlab import sphere_opt
 
     def no_climb(*args, **kwargs):
@@ -359,7 +384,7 @@ def test_default_runs_never_climb(monkeypatch, capsys):
 
     monkeypatch.setattr(sphere_opt, "_climb", no_climb)
     for argv in (
-        ["verify", "--suite", "paper-demos", "--seed", "42"],
+        *(["verify", "--suite", "paper-demos", "--seed", s] for s in ("0", "7", "42", "404", "10101")),
         ["verify", "--suite", "lemma21", "--trials", "20"],
         ["verify", "--suite", "lemma22", "--trials", "20"],
         ["verify", "--suite", "theorem23", "--trials", "20"],

@@ -14,7 +14,7 @@ from normlab import (
     sample_vector,
 )
 from normlab.core import _start_vector
-from normlab.errors import DimensionMismatchError, NonConvergenceError
+from normlab.errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
 
 
 def test_mat_apply_identity():
@@ -113,7 +113,7 @@ def test_top_eig_non_finite_raises_at_once():
     for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
         h = np.array([[2, 1], [1, 2]], dtype=np.complex128)
         h[0, 0] = bad
-        with pytest.raises(NonConvergenceError, match="finite"):
+        with pytest.raises(NonFiniteInputError, match="finite"):
             hermitian_top_eig(h)
 
 
@@ -229,6 +229,22 @@ def test_no_new_deferred_imports():
         for imported in _deferred_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     }
     assert found == DEFERRED_IMPORTS
+
+
+def test_one_sphere_maximizer_body():
+    # the probe, the scorer and the climb are each called from one place, the
+    # body both sphere maximizers share, so the two shapes cannot fork again
+    package = Path(__file__).resolve().parents[1] / "src" / "normlab"
+    steps = ("_climb", "_check_homogeneity", "_on_sphere")
+    calls = {name: 0 for name in steps}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in calls:
+                    calls[name] += 1
+    assert calls == {name: 1 for name in steps}
 
 
 # the private names one normlab module imports from another, as (importing

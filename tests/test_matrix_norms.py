@@ -24,7 +24,7 @@ from normlab import (
     sample_vector,
 )
 from normlab.core import hermitian_top_eig, scaled_gram
-from normlab.errors import NonConvergenceError
+from normlab.errors import NonFiniteInputError
 
 A = [[1, 2], [3, 4]]
 
@@ -98,7 +98,7 @@ def test_spectral_value_is_the_eigen_solvers_bits():
         m = np.eye(2, dtype=np.complex128)
         m[0, 1] = bad
         # rejected before A*A is formed, so no RuntimeWarning comes first
-        with pytest.raises(NonConvergenceError, match="finite"):
+        with pytest.raises(NonFiniteInputError, match="finite"):
             mnorm_eval(Spectral(), m)
 
 

@@ -1,4 +1,7 @@
+import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,11 @@ from normlab import (
     GIndPair,
     Lp,
     MaxColSum,
+    MaxOf,
     OptBudget,
     Scaled,
     Spectral,
+    WeightedLp,
     gind_eval,
     maximize_on_matrix_sphere,
     maximize_on_sphere,
@@ -268,3 +273,68 @@ def test_budget_takes_numpy_integers_as_python_ints():
     )
     assert budget == OptBudget(multistarts=3, max_iters=9, samples=4, seed=1)
     assert {type(v) for v in vars(budget).values()} == {int}
+
+
+MAXIMIZERS = Path(__file__).resolve().parent / "data" / "sphere_maximizers.json"
+_L1_TYPE = {"l1", "wl1", "2 l1", "entrywise-sum", "2 entrywise-sum"}
+
+
+def _maximizer_cases():
+    """(label, call) for every recorded maximizer call: both entry points at
+    n = 2 and 3 (the max domains at n = 2 only), each domain once probed and once asserted homogeneous with
+    extra seeds, the l1-type domains also with ``objective_convex=False``,
+    and two climbs at n = 2 also on the default budget."""
+    for n in (2, 3):
+        g = np.random.default_rng([2903, n])
+        a = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        x = g.standard_normal(n) + 1j * g.standard_normal(n)
+        w = (2.0, 1.0, 0.5)[:n]
+        shapes = (
+            (maximize_on_sphere, _l2_of(a), [a[0], a[:, 1]], {
+                "l1": Lp(1),
+                "wl1": WeightedLp(w, 1),
+                "2 l1": Scaled(2.0, Lp(1)),
+                "linf": Lp(math.inf),
+                "l2": Lp(2),
+                "max(l3,l1/2)": MaxOf((Lp(3), Scaled(0.5, Lp(1)))),
+            }),
+            (maximize_on_matrix_sphere, lambda b, x=x: float(np.abs(b @ x).sum()), [a], {
+                "entrywise-sum": EntrywiseSum(),
+                "2 entrywise-sum": Scaled(2.0, EntrywiseSum()),
+                "entrywise-max": EntrywiseMax(),
+                "spectral": Spectral(),
+                "max(spectral,entrywise-sum)": MaxOf((Spectral(), EntrywiseSum())),
+            }),
+        )
+        for maximize, objective, seeds, domains in shapes:
+            for name, domain in domains.items():
+                if n == 3 and name.startswith("max("):
+                    continue  # the slowest climbs; n = 2 covers their route
+                variants = {
+                    "probed": {},
+                    "seeded": {"objective_homogeneous": True, "extra_seeds": seeds},
+                }
+                if name in _L1_TYPE:
+                    variants["nonconvex"] = {"objective_convex": False}
+                if n == 2 and name in ("linf", "entrywise-max"):
+                    variants["default budget"] = {"budget": None}
+                for variant, kwargs in variants.items():
+                    call = functools.partial(maximize, objective, domain, n, **{"budget": B, **kwargs})
+                    yield f"{maximize.__name__} {name} n={n} {variant}", call
+
+
+def _hex_entries(arr) -> list:
+    return [[float(z.real).hex(), float(z.imag).hex()] for z in np.asarray(arr).ravel()]
+
+
+def test_maximizers_replay_recorded_bits():
+    # value, witness, label and evaluation count of every call, bit for bit
+    golden = json.loads(MAXIMIZERS.read_text(encoding="utf-8"))
+    cases = list(_maximizer_cases())
+    assert sorted(golden) == sorted(label for label, _ in cases)
+    for label, call in cases:
+        res, want = call(), golden[label]
+        assert res.value.hex() == want["value"], label
+        assert _hex_entries(res.witness) == want["witness"], label
+        assert res.exactness == want["exactness"], label
+        assert res.evaluations == want["evaluations"], label
