@@ -54,6 +54,8 @@ from .gind import (
     dominance_check,
     gind_eval,
     mnorm_is_algebra_candidate,
+    sum_functional_alpha,
+    vnorm_dual_eval,
 )
 from .matrix_norms import (
     EntrywiseMax,
@@ -74,8 +76,6 @@ from .vector_norms import (
     VectorNormSpec,
     WeightedLp,
     split_scale,
-    sum_functional_alpha,
-    vnorm_dual_eval,
     vnorm_eval,
 )
 from .verification import (

@@ -136,14 +136,10 @@ def _budget_from(args, base: OptBudget | None = None) -> OptBudget:
     return OptBudget(seed=args.seed, **fields)
 
 
-def _budget_given(args) -> bool:
-    return any(getattr(args, f"budget_{name}") is not None for name in _BUDGET_FIELDS)
-
-
 def _explicit_budget(args) -> OptBudget | None:
     """For ``verify``: None unless the user set at least one --budget-* flag,
     and then the suite's own budget with the given fields overridden."""
-    if not _budget_given(args):
+    if all(getattr(args, name) is None for name in _BUDGET_OPTIONS):
         return None
     return _budget_from(args, THEOREM23_BUDGET if args.suite == "theorem23" else SUITE_BUDGET)
 
@@ -206,20 +202,25 @@ def _probe_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
 
 
-# the norm options each verify suite reads; giving any other is a usage error
-_SUITE_NORMS = {
-    "lemma21": ("norm1", "norm2"),
-    "lemma22": ("norm1", "norm2", "norm3", "norm4"),
-    "theorem23": ("norm",),
+# the options each verify suite reads besides --seed and --report; giving
+# any other is a usage error.  paper-demos runs at its own n = 2 and 3, its
+# own trial counts and no budget
+_BUDGET_OPTIONS = tuple("budget_" + name for name in _BUDGET_FIELDS)
+_SAMPLING = ("trials", "dim", *_BUDGET_OPTIONS)
+_VERIFY_OPTIONS = ("norm", "norm1", "norm2", "norm3", "norm4", *_SAMPLING)
+_SUITE_OPTIONS = {
+    "lemma21": ("norm1", "norm2", *_SAMPLING),
+    "lemma22": ("norm1", "norm2", "norm3", "norm4", *_SAMPLING),
+    "theorem23": ("norm", *_SAMPLING),
     "paper-demos": (),
 }
 
 
-def _stray_norms(args) -> list[str]:
-    """The norm options given to ``verify`` that its suite does not read."""
-    names = ("norm", "norm1", "norm2", "norm3", "norm4")
-    given = (name for name in names if getattr(args, name) is not None)
-    return ["--" + name for name in given if name not in _SUITE_NORMS[args.suite]]
+def _stray_options(args) -> list[str]:
+    """The options given to ``verify`` that its suite does not read."""
+    given = (name for name in _VERIFY_OPTIONS if getattr(args, name) is not None)
+    reads = _SUITE_OPTIONS[args.suite]
+    return ["--" + name.replace("_", "-") for name in given if name not in reads]
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
@@ -228,13 +229,14 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
         required=True,
         choices=["lemma21", "lemma22", "theorem23", "paper-demos"],
     )
-    p.add_argument("--trials", type=_count("trial count"), default=200)
+    p.add_argument("--trials", type=_count("trial count"), help="random trials (default 200)")
     p.add_argument("--norm", default=None, help="source norm for theorem23 (default spectral)")
     p.add_argument("--norm1", default=None, help="pair A domain norm")
     p.add_argument("--norm2", default=None, help="pair A codomain norm")
     p.add_argument("--norm3", default=None, help="pair B domain norm (lemma22)")
     p.add_argument("--norm4", default=None, help="pair B codomain norm (lemma22)")
     _add_common(p)
+    p.set_defaults(dim=None)  # None until given, so paper-demos can reject it
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -329,9 +331,10 @@ def _cmd_probe(args) -> int:
     source = _resolve_norm(args.norm, "norm", matrix=True)
     # moderate default: catalog sources with an exact extracted pair
     # (spectral, entrywise-max, maxcolsum) run no outer search, the other
-    # catalog sources run a polydisc search per probe matrix, which reads no
-    # budget, and a non-catalog source runs an ascent per probe matrix, each
-    # point of which runs a role-1 climb
+    # catalog sources run a polydisc search per probe matrix, a GInd source
+    # with an l_p, weighted l_p or polyhedral domain its own route, none of
+    # which reads the budget, and any other source runs an ascent per probe
+    # matrix, each point of which runs a role-1 climb
     outer = _budget_from(args, OptBudget(multistarts=2, max_iters=120, samples=6, seed=args.seed))
     _print_header("probe-minimality", args, outer)
     report = minimality_probe(
@@ -347,6 +350,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    args.trials = 200 if args.trials is None else args.trials
+    args.dim = 2 if args.dim is None else args.dim
     budget = _explicit_budget(args)
     rng = RandomStream(args.seed)
     # the suite's norms are resolved before anything is printed
@@ -367,7 +372,6 @@ def _cmd_verify(args) -> int:
 
     settings = {"seed": args.seed}
     if args.suite == "paper-demos":
-        # paper_demo_suite runs at its own n = 2 and 3 and reads no budget
         print(f"normlab verify paper-demos | seed={args.seed} dim and budget: fixed by the suite")
     else:
         _print_header(f"verify {args.suite}", args, budget)
@@ -402,10 +406,7 @@ def run_command(argv) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and args.suite == "paper-demos" and _budget_given(args):
-            # paper_demo_suite takes no budget
-            parser.error("--budget-* flags do not apply to --suite paper-demos")
-        if args.command == "verify" and (stray := _stray_norms(args)):
+        if args.command == "verify" and (stray := _stray_options(args)):
             parser.error(f"--suite {args.suite} does not read {', '.join(stray)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

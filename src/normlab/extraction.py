@@ -5,18 +5,19 @@ equal to x) yields ``||x||_2 = N(C_x)`` exactly, and
 ``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }``.  :func:`extract_pair` returns
 the two as ``GInd(||.||_1, ||.||_2)``, the induced norm that the paper's
 theorem says equals N when N is minimal.  For the catalog sources and GInd
-sources with an l_p or weighted l_p domain (under any ``Scaled``) role 1
-has a closed form and is exact; for every other source it comes from
+sources with an l_p, weighted l_p or polyhedral domain (under any
+``Scaled``) role 1 is exact, from the table of
+:func:`~normlab.gind.concrete`; for every other source it comes from
 matrix-sphere maximization and is a lower bound.
 
 Evaluating that induced norm and comparing it to N probes whether N can sit
 strictly above an induced norm.  The reconstruction is exact for Spectral,
 EntrywiseMax and MaxColSum sources (their pairs are plain l_p norms with an
-exact route in :func:`~normlab.gind.gind_eval`), and a GInd source's pair is
-its own up to a common scale, so the reconstruction runs the source's own
-computation; elsewhere it comes from numerical maximization and can fall
-short, so a gap flags possible non-minimality without certifying it, and
-its absence is evidence only.
+exact route in :func:`~normlab.gind.gind_eval`), and the pair of a GInd
+source in the table is its own up to a common scale, so the reconstruction
+runs the source's own computation; elsewhere it comes from numerical
+maximization and can fall short, so a gap flags possible non-minimality
+without certifying it, and its absence is evidence only.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import OptBudget, default_budget
+from .budget import OptBudget
 from .core import RandomStream, as_vector, sample_matrix
 from .errors import DimensionMismatchError
-from .gind import gind_eval
-from .matrix_norms import GInd, MatrixNormSpec, concrete, mnorm_eval
+from .gind import concrete, gind_eval, sum_functional_alpha
+from .matrix_norms import GInd, MatrixNormSpec, mnorm_eval
 from .sphere_opt import maximize_on_matrix_sphere
-from .vector_norms import Extracted, sum_functional_alpha, vnorm_eval
+from .vector_norms import Extracted, vnorm_eval
 
 # budget of the role-1 matrix-sphere climb that non-catalog sources run for
 # every point they are evaluated at, hence much smaller than an outer budget
@@ -70,9 +71,9 @@ def clear_role1_cache() -> None:
 def eval_role1(source: MatrixNormSpec, budget: OptBudget, x) -> float:
     """max{ N(C_{Ax}) : N(A) = 1 }.
 
-    Exact for the catalog sources and GInd sources with an l_p or weighted
-    l_p domain, under any ``Scaled``, through the table of
-    :func:`~normlab.matrix_norms.concrete`, without the cache or the climb; a
+    Exact for the catalog sources and GInd sources with an l_p, weighted l_p
+    or polyhedral domain, under any ``Scaled``, through the table of
+    :func:`~normlab.gind.concrete`, without the cache or the climb; a
     lower bound at the given budget, from :func:`_role1_ascent`, for every
     other source.
     """
@@ -185,8 +186,8 @@ class ProbeReport:
     strictly above the induced norm built from its own extracted pair, i.e.
     that N may not be minimal.  For Spectral, EntrywiseMax and MaxColSum
     sources the reconstruction is exact and runs no ascent, and for a GInd
-    source with an l_p or weighted l_p domain it is the very computation
-    that evaluates N, up to a common scale.  EntrywiseSum,
+    source with an l_p, weighted l_p or polyhedral domain it is the very
+    computation that evaluates N, up to a common scale.  EntrywiseSum,
     MaxRowSum and max(MaxColSum, MaxRowSum) reconstruct through the
     deterministic polydisc search, which finds the maximum to 1e-9 relative
     but reports no upper bound; every other source's reconstruction is
@@ -254,11 +255,12 @@ def minimality_probe(
     """
     if trials < 1:
         raise DimensionMismatchError("trials must be >= 1")
-    outer = budget or default_budget(n)
     inner = inner_budget or DEFAULT_INNER_BUDGET
     pair = extract_pair(source, inner)
+    # resolved once here, where gind_eval would resolve it for every matrix
+    pair = GInd(concrete(pair.norm1, n), concrete(pair.norm2, n))
     mats = _fixed_probes(n) + _random_probes(n, trials, rng.child(3))
-    return _probe_report(_probe_ratios(source, pair, mats, outer, inner))
+    return _probe_report(_probe_ratios(source, pair, mats, budget, inner))
 
 
 def _probe_report(ratios: list[tuple[float, np.ndarray]]) -> ProbeReport:

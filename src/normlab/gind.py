@@ -13,8 +13,11 @@ budget.
 
 Every supremum of a norm ratio goes through ``gind_eval``: sup ||x||_a /
 ||x||_b is ||I||_{b -> a} (:func:`dominance_check`, which decides Lemma 2.1
-in :func:`mnorm_is_algebra_candidate`), and a dual norm without a closed
-form is the induced norm of a one-row matrix into l1.
+in :func:`mnorm_is_algebra_candidate`), and the dual norm
+(:func:`vnorm_dual_eval`), where it has no closed form, is the induced norm
+of a one-row matrix into l1.  The table of extracted norms
+(:func:`concrete`) lives here too: its GInd row scales by the dual norm of
+the all-ones vector, and ``gind_eval`` reads it before choosing a route.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .budget import (
     ComputationResult,
     OptBudget,
 )
-from .core import RandomStream, as_matrix, hermitian_top_eig, scaled_gram
-from .errors import NonConvergenceError, NonFiniteInputError
+from .core import RandomStream, as_matrix, as_vector, hermitian_top_eig, scaled_gram
+from .errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
 from .matrix_norms import (
     EntrywiseMax,
     EntrywiseSum,
@@ -42,15 +45,16 @@ from .matrix_norms import (
     MaxColSum,
     MaxRowSum,
     Spectral,
-    concrete,
 )
 from .vector_norms import (
+    Extracted,
     Lp,
     MaxOf,
     Scaled,
     VectorNormSpec,
     WeightedLp,
     has_batch_form,
+    lp_of_moduli,
     norming_functionals_many,
     split_scale,
     vnorm_eval,
@@ -265,7 +269,7 @@ def _power_search(core1, core2, m: np.ndarray) -> ComputationResult:
     ``evaluations`` counts the rows scored.
     """
     n = m.shape[0]
-    q = core1.p / (core1.p - 1.0)
+    q = _conjugate_exponent(core1.p)
     if isinstance(core1, Lp):
         dual = Lp(q)
     else:
@@ -326,9 +330,9 @@ def gind_eval(pair: GInd, a, budget: OptBudget | None = None) -> ComputationResu
     evaluation.  So the extracted pairs of Spectral, EntrywiseMax and
     MaxColSum reconstruct their source exactly, those of EntrywiseSum,
     MaxRowSum and max(MaxColSum, MaxRowSum) by the polydisc search, and that
-    of a GInd source with an l_p or weighted l_p domain by the source's own
-    route, its pair up to a common scale.  A matrix with an infinite or NaN
-    entry raises :class:`~normlab.errors.NonFiniteInputError`.
+    of a GInd source with an l_p, weighted l_p or polyhedral domain by the
+    source's own route, its pair up to a common scale.  A matrix with an
+    infinite or NaN entry raises :class:`~normlab.errors.NonFiniteInputError`.
     """
     m = as_matrix(a)
     if not np.isfinite(m).all():
@@ -371,6 +375,121 @@ def gind_eval(pair: GInd, a, budget: OptBudget | None = None) -> ComputationResu
         exactness=res.exactness,
         evaluations=res.evaluations,
     )
+
+
+def _conjugate_exponent(p: float) -> float:
+    if p == 1.0:
+        return math.inf
+    if p == math.inf:
+        return 1.0
+    return p / (p - 1.0)
+
+
+def vnorm_dual_eval(spec: VectorNormSpec, v, budget: OptBudget | None = None) -> float:
+    """max{ |<v, x>| : ||x||_spec = 1 } with <v, x> = sum conj(v_i) x_i.
+
+    Closed form (the conjugate-exponent identity) for Lp and WeightedLp
+    cores.  Otherwise |<v, x>| = ||Mx||_1 for the M whose row 0 is conj(v)
+    and whose other rows are 0, so the dual is :func:`gind_eval` of M from
+    the spec to l1 at the given budget: to 1e-9 relative for a polyhedral
+    spec, a lower bound otherwise.
+    """
+    w = as_vector(v)
+    gamma, core = split_scale(spec)
+    if isinstance(core, Lp):
+        return lp_of_moduli(np.abs(w), _conjugate_exponent(core.p)) / gamma
+    if isinstance(core, WeightedLp):
+        if len(core.weights) != w.size:
+            raise DimensionMismatchError(
+                f"weighted norm has {len(core.weights)} weights, vector has {w.size}"
+            )
+        q = _conjugate_exponent(core.p)
+        return lp_of_moduli(np.abs(w) / np.asarray(core.weights), q) / gamma
+
+    n = w.size
+    if budget is None:
+        budget = OptBudget(multistarts=4, max_iters=200, samples=16 * n, seed=0)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[0] = np.conj(w)
+    return gind_eval(GInd(spec, Lp(1.0)), m, budget).value
+
+
+def sum_functional_alpha(
+    spec: VectorNormSpec, n: int, budget: OptBudget | None = None
+) -> float:
+    """max{ |sum_j y_j| : ||y||_spec = 1 }, the dual norm of the all-ones vector."""
+    return vnorm_dual_eval(spec, np.ones(n, dtype=np.complex128), budget)
+
+
+_MAX_COL_ROW = frozenset({MaxColSum(), MaxRowSum()})
+
+
+def concrete(spec, n: int):
+    """The plain vector norm on C^n that an extracted catalog norm equals.
+
+    For an ``Extracted`` norm of a catalog source (EntrywiseSum,
+    EntrywiseMax, MaxColSum, MaxRowSum, Spectral, max(MaxColSum,
+    MaxRowSum) or GInd(alpha, beta), under any ``Scaled``), returns:
+
+    ==================  ===============  ===============
+    source              role 1           role 2, N(C_x)
+    ==================  ===============  ===============
+    EntrywiseSum        n ||x||_inf      n ||x||_1
+    EntrywiseMax        ||x||_1          ||x||_inf
+    MaxColSum           ||x||_1          ||x||_1
+    MaxRowSum, max      n ||x||_inf      n ||x||_inf
+    Spectral            sqrt(n) ||x||_2  sqrt(n) ||x||_2
+    GInd(alpha, beta)   c alpha(x)       c beta(x)
+    ==================  ===============  ===============
+
+    For role 1, N(A) = 1 bounds N(C_{Ax}) by the value in the table, and a
+    phased single-entry matrix, a matrix of phases or a rank-one matrix
+    attains it.  ``Scaled(gamma, N)`` multiplies role 2 by gamma and leaves
+    role 1 unchanged.  Role 1 of the other catalog sources evaluates with
+    the float operations of :func:`normlab.extraction.eval_role1`, bit for
+    bit.
+
+    The GInd row, with alpha and beta first made plain themselves and
+    c = alpha*(1) the dual norm of the all-ones vector
+    (:func:`sum_functional_alpha`), applies when alpha's core is an Lp, a
+    WeightedLp with n weights, or polyhedral (a tree of Scaled and MaxOf
+    over l1 and l-inf parts), whatever beta.  Then c is exact: the
+    conjugate-exponent closed form, or the polydisc search, whose row-phase
+    start attains the ceiling.  C_x = x 1^T maps y to (sum_j y_j) x, so
+    N(C_x) = beta(x) alpha*(1); role 1 is at most c ||A|| alpha(x) =
+    c alpha(x) when N(A) = 1, and a rank-one A = y f* attains it, with f a
+    norming functional of x for alpha.  The induced norm of
+    (c alpha, c beta) is N again, whatever c.  Every other spec, a MaxOf
+    domain with a smooth part among them, is returned unchanged.
+    """
+    if not isinstance(spec, Extracted):
+        return spec
+    gamma, core = split_scale(spec.source)
+    if isinstance(core, MaxOf) and frozenset(core.parts) == _MAX_COL_ROW:
+        core = MaxRowSum()  # n||x||_inf >= ||x||_1, so the row sum decides both roles
+    if isinstance(core, EntrywiseSum):
+        role1, role2 = Scaled(n, Lp(math.inf)), Scaled(n, Lp(1.0))
+    elif isinstance(core, EntrywiseMax):
+        role1, role2 = Lp(1.0), Lp(math.inf)
+    elif isinstance(core, MaxColSum):
+        role1 = role2 = Lp(1.0)
+    elif isinstance(core, MaxRowSum):
+        role1 = role2 = Scaled(n, Lp(math.inf))
+    elif isinstance(core, Spectral):
+        role1 = role2 = Scaled(math.sqrt(n), Lp(2.0))
+    elif isinstance(core, GInd):
+        alpha, beta = concrete(core.norm1, n), concrete(core.norm2, n)
+        a = split_scale(alpha)[1]
+        lp = isinstance(a, Lp) or isinstance(a, WeightedLp) and len(a.weights) == n
+        if not (lp or _moduli_constraints(a, n) is not None):
+            return spec
+        c = sum_functional_alpha(alpha, n)
+        role1, role2 = Scaled(c, alpha), Scaled(c, beta)
+    else:
+        return spec
+    if spec.role == 1:
+        return role1
+    return role2 if gamma == 1.0 else Scaled(gamma, role2)
 
 
 @dataclass

@@ -13,9 +13,6 @@ batch kernels over the rows of an array: :func:`vnorm_eval_many`, bit for
 bit the values of :func:`vnorm_eval`, and :func:`norming_functionals_many`,
 each row's value and unit norming functional in one pass, which the power
 method in ``gind`` steps on.
-
-:func:`vnorm_dual_eval` has the conjugate-exponent closed form for Lp and
-WeightedLp cores; every other dual is an induced norm, left to ``gind``.
 """
 
 from __future__ import annotations
@@ -99,11 +96,11 @@ class Extracted:
     role 2 evaluates N on the matrix whose every column is x (exact);
     role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }.  For the catalog sources
     (EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum, Spectral,
-    max(MaxColSum, MaxRowSum)) and GInd sources with an l_p or weighted l_p
-    domain, each under any Scaled, both roles equal plain descriptors at
-    each dimension (:func:`normlab.matrix_norms.concrete`), so role 1 is an
-    exact closed form and ``gind_eval`` dispatches on the plain descriptors
-    in their place.  For every other source role 1 comes from matrix-sphere
+    max(MaxColSum, MaxRowSum)) and GInd sources with an l_p, weighted l_p
+    or polyhedral domain, each under any Scaled, both roles equal plain
+    descriptors at each dimension (:func:`normlab.gind.concrete`), so role 1
+    is exact and ``gind_eval`` dispatches on the plain descriptors in their
+    place.  For every other source role 1 comes from matrix-sphere
     maximization, a lower bound at the stored budget.  ``extract_pair``
     returns both roles of one source as a ``GInd``.
     """
@@ -131,7 +128,8 @@ def split_scale(spec):
     return gamma, spec
 
 
-def _lp_of_moduli(m: np.ndarray, p: float) -> float:
+def lp_of_moduli(m: np.ndarray, p: float) -> float:
+    """The l_p norm of a vector of moduli."""
     if m.size == 0:
         return 0.0
     if p == math.inf:
@@ -157,13 +155,13 @@ def vnorm_eval(spec: VectorNormSpec, x) -> float:
     if isinstance(spec, Lp):
         if spec.p == 2.0:
             return float(np.sqrt(np.vdot(v, v).real))
-        return _lp_of_moduli(np.abs(v), spec.p)
+        return lp_of_moduli(np.abs(v), spec.p)
     if isinstance(spec, WeightedLp):
         if len(spec.weights) != v.size:
             raise DimensionMismatchError(
                 f"weighted norm has {len(spec.weights)} weights, vector has {v.size}"
             )
-        return _lp_of_moduli(np.abs(v) * np.asarray(spec.weights), spec.p)
+        return lp_of_moduli(np.abs(v) * np.asarray(spec.weights), spec.p)
     if isinstance(spec, Scaled):
         return spec.gamma * vnorm_eval(spec.inner, v)
     if isinstance(spec, MaxOf):
@@ -190,7 +188,7 @@ def has_batch_form(spec) -> bool:
 
 
 def _lp_of_moduli_many(m: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise :func:`_lp_of_moduli`, operation for operation."""
+    """Row-wise :func:`lp_of_moduli`, operation for operation."""
     if p == math.inf:
         return m.max(axis=1)
     if p == 1.0:
@@ -258,7 +256,7 @@ def _lp_functionals(v: np.ndarray, w, p: float):
         vals, f = m[rows, first], np.zeros_like(m)
         f[rows, first] = 1.0 if w is None else w[first]
     else:
-        # scale out the peak, as _lp_of_moduli does, so r**p cannot overflow
+        # scale out the peak, as lp_of_moduli does, so r**p cannot overflow
         peak = m.max(axis=1)
         r = m / np.where(peak > 0.0, peak, 1.0)[:, None]
         s = r ** (p - 1.0)
@@ -308,49 +306,3 @@ def norming_functionals_many(spec: VectorNormSpec, rows) -> tuple[np.ndarray, np
             u = np.where(above[:, None], part_u, u)
         return vals, u
     raise SpecValidationError(f"no batch form for vector norm descriptor: {spec!r}")
-
-
-def _conjugate_exponent(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if p == math.inf:
-        return 1.0
-    return p / (p - 1.0)
-
-
-def vnorm_dual_eval(spec: VectorNormSpec, v, budget: OptBudget | None = None) -> float:
-    """max{ |<v, x>| : ||x||_spec = 1 } with <v, x> = sum conj(v_i) x_i.
-
-    Closed form (the conjugate-exponent identity) for Lp and WeightedLp
-    cores.  Otherwise |<v, x>| = ||Mx||_1 for the M whose row 0 is conj(v)
-    and whose other rows are 0, so the dual is :func:`~normlab.gind.gind_eval`
-    of M from the spec to l1 at the given budget: to 1e-9 relative for a
-    polyhedral spec, a lower bound otherwise.
-    """
-    w = as_vector(v)
-    gamma, core = split_scale(spec)
-    if isinstance(core, Lp):
-        return _lp_of_moduli(np.abs(w), _conjugate_exponent(core.p)) / gamma
-    if isinstance(core, WeightedLp):
-        if len(core.weights) != w.size:
-            raise DimensionMismatchError(
-                f"weighted norm has {len(core.weights)} weights, vector has {w.size}"
-            )
-        q = _conjugate_exponent(core.p)
-        return _lp_of_moduli(np.abs(w) / np.asarray(core.weights), q) / gamma
-
-    from . import gind  # deferred: gind imports this module
-
-    n = w.size
-    if budget is None:
-        budget = OptBudget(multistarts=4, max_iters=200, samples=16 * n, seed=0)
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[0] = np.conj(w)
-    return gind.gind_eval(gind.GInd(spec, Lp(1.0)), m, budget).value
-
-
-def sum_functional_alpha(
-    spec: VectorNormSpec, n: int, budget: OptBudget | None = None
-) -> float:
-    """max{ |sum_j y_j| : ||y||_spec = 1 }, the dual norm of the all-ones vector."""
-    return vnorm_dual_eval(spec, np.ones(n, dtype=np.complex128), budget)

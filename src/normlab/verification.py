@@ -37,6 +37,7 @@ from .extraction import (
 from .gind import (
     KNOWN_YES,
     chain_compare,
+    concrete,
     dominance_check,
     gind_eval,
     mnorm_is_algebra_candidate,
@@ -47,13 +48,11 @@ from .matrix_norms import (
     GInd,
     MatrixNormSpec,
     MaxColSum,
-    MaxOf,
     MaxRowSum,
     Spectral,
-    concrete,
     mnorm_eval,
 )
-from .vector_norms import Extracted, Lp, Scaled, vnorm_eval
+from .vector_norms import Lp, MaxOf, Scaled, has_batch_form, vnorm_eval
 
 PASS = "pass"
 FAIL = "fail"
@@ -205,16 +204,6 @@ def verify_lemma21(
     return SuiteReport("lemma21", rng.seed, cases, time.perf_counter() - start)
 
 
-def _involves_extracted(spec) -> bool:
-    if isinstance(spec, Extracted):
-        return True
-    if isinstance(spec, Scaled):
-        return _involves_extracted(spec.inner)
-    if isinstance(spec, MaxOf):
-        return any(_involves_extracted(p) for p in spec.parts)
-    return False
-
-
 def verify_lemma22(
     pair_a: GInd,
     pair_b: GInd,
@@ -234,10 +223,9 @@ def verify_lemma22(
     start = time.perf_counter()
     budget = budget or _suite_budget(rng.child(9).derive_seed())
     cases: list[CaseResult] = []
-    tol = _BAND if any(
-        _involves_extracted(s)
-        for s in (pair_a.norm1, pair_a.norm2, pair_b.norm1, pair_b.norm2)
-    ) else _SLACK
+    # an extracted norm is the one vector norm without a batch form
+    slots = (pair_a.norm1, pair_a.norm2, pair_b.norm1, pair_b.norm2)
+    tol = _SLACK if all(map(has_batch_form, slots)) else _BAND
 
     ref = np.ones(n, dtype=np.complex128) if reference is None else np.asarray(
         reference, dtype=np.complex128
@@ -338,12 +326,14 @@ def verify_theorem23(
     norm1-equals-norm2 check are asserted only when the probe finds no gap,
     since both are consequences of minimality.
 
-    Role 1 is resolved once per run, through
-    :func:`~normlab.matrix_norms.concrete`: for the sources in its table
-    that is the plain descriptor :func:`~normlab.extraction.eval_role1`
-    evaluates, bit for bit, and for every other source the extracted norm
-    itself.  Role 2 stays the direct N(C_x), never the table's entry, so
-    that the norm1-equals-norm2 check compares the table with N and not
+    Both roles are resolved once per run, through
+    :func:`~normlab.gind.concrete`: for the sources in its table that is
+    the plain descriptor :func:`~normlab.extraction.eval_role1` evaluates,
+    bit for bit, and for every other source the extracted norm itself.  The
+    reconstruction evaluates the resolved pair, which ``gind_eval`` would
+    otherwise resolve again for every matrix.  The axiom and
+    norm1-equals-norm2 checks keep role 2 the direct N(C_x), never the
+    table's entry, so that the latter compares the table with N and not
     with itself.
     """
     if trials < 1:
@@ -355,6 +345,7 @@ def verify_theorem23(
 
     pair = extract_pair(source, inner)
     norm1 = concrete(pair.norm1, n)
+    plain = GInd(norm1, concrete(pair.norm2, n))
 
     g = rng.child(0).generator()
     worst_axiom_1 = 0.0
@@ -390,9 +381,9 @@ def verify_theorem23(
 
     # the minimality probe below starts from the same deterministic probes,
     # so their ratios are computed once and serve both
-    fixed = _probe_ratios(source, pair, _fixed_probes(n), outer, inner)
+    fixed = _probe_ratios(source, plain, _fixed_probes(n), outer, inner)
     drawn = _random_probes(n, trials, rng.child(1))
-    ratios = fixed + _probe_ratios(source, pair, drawn, outer, inner)
+    ratios = fixed + _probe_ratios(source, plain, drawn, outer, inner)
     worst_ratio = 0.0
     worst_witness = None
     for r, m in ratios:
@@ -411,7 +402,7 @@ def verify_theorem23(
     # what minimality_probe(source, n, trials, outer, rng.child(2), inner)
     # returns, with the fixed probes' ratios from above
     drawn = _random_probes(n, trials, rng.child(2).child(3))
-    probe = _probe_report(fixed + _probe_ratios(source, pair, drawn, outer, inner))
+    probe = _probe_report(fixed + _probe_ratios(source, plain, drawn, outer, inner))
     cases.append(
         CaseResult(
             description="minimality probe (gap flags possible non-minimality)",

@@ -143,12 +143,15 @@ def test_paper_demos_rejects_budget_flags(capsys):
         ("theorem23", ["--norm2", "l1", "--norm3", "l2"], "--norm2, --norm3"),
         ("paper-demos", ["--norm", "spectral"], "--norm"),
         ("paper-demos", ["--norm1", "l1", "--norm2", "l2"], "--norm1, --norm2"),
+        ("paper-demos", ["--dim", "3", "--budget-samples", "4"], "--trials, --dim, --budget-samples"),
     ],
 )
 def test_verify_rejects_norm_options_its_suite_does_not_read(suite, given, stray, capsys):
     # theorem23 reads --norm, lemma21 --norm1 and --norm2, lemma22 also
-    # --norm3 and --norm4, paper-demos none: any other is a usage error,
-    # named before anything runs, even when it would not parse
+    # --norm3 and --norm4, and the three read --trials, --dim and --budget-*;
+    # paper-demos reads none of them, so the --trials below is named after
+    # its norms: any other is a usage error, named before anything runs,
+    # even when it would not parse
     assert run_command(["verify", "--suite", suite, "--trials", "2", *given]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -161,8 +164,8 @@ def test_paper_demos_header_offers_no_override(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cli, "paper_demo_suite", lambda seed: SuiteReport("paper-demos", seed, [], 0.0))
     out_path = tmp_path / "demos.json"
-    # the suite runs at its own n = 2 and 3, so --dim is neither shown nor recorded
-    argv = ["verify", "--suite", "paper-demos", "--dim", "3", "--seed", "9", "--report", str(out_path)]
+    # the suite runs at its own n = 2 and 3, so no dim is shown or recorded
+    argv = ["verify", "--suite", "paper-demos", "--seed", "9", "--report", str(out_path)]
     assert run_command(argv) == 0
     out = capsys.readouterr().out
     assert "dim and budget: fixed by the suite" in out
@@ -370,11 +373,17 @@ def test_console_entry_point_runs():
 
 
 GIND_L3_L15 = '{"kind": "gind", "norm1": {"kind": "lp", "p": 3}, "norm2": {"kind": "lp", "p": 1.5}}'
+# GInd(max(l1, 2 linf), l2), a polyhedral domain
+GIND_POLY_L2 = (
+    '{"kind": "gind", "norm1": {"kind": "maxof", "inner": [{"kind": "lp", "p": 1}, '
+    '{"kind": "scaled", "gamma": 2, "inner": {"kind": "lp", "p": "inf"}}]}, '
+    '"norm2": {"kind": "lp", "p": 2}}'
+)
 
 
 def test_default_runs_never_climb(monkeypatch, capsys):
     # no suite or CLI default reaches the sphere hill climb: the catalog and
-    # g-ind sources of l_p domains have closed-form pairs, and gind pairs
+    # g-ind sources of l_p and polyhedral domains have exact pairs, and gind pairs
     # take vertex, closed-form, polydisc or power-method routes, so
     # paper-demos builds no budget
     from normlab import sphere_opt
@@ -389,6 +398,8 @@ def test_default_runs_never_climb(monkeypatch, capsys):
         ["verify", "--suite", "lemma22", "--trials", "20"],
         ["verify", "--suite", "theorem23", "--trials", "20"],
         ["verify", "--suite", "theorem23", "--norm", GIND_L3_L15, "--trials", "20"],
+        *(["verify", "--suite", "theorem23", "--norm", GIND_POLY_L2, "--trials", "20", "--dim", d]
+          for d in ("2", "3")),
         ["probe-minimality", "--norm", "sigma", "--trials", "5"],
     ):
         assert run_command(argv) == 0, argv

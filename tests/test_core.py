@@ -202,11 +202,13 @@ def test_top_eig_hermitian_tolerance_boundary():
 
 
 # the imports normlab defers into function bodies to break an import cycle,
-# as (module, function, imported module); a new one is a new cycle
+# as (module, function, imported module); a new one is a new cycle.  The two
+# left are the mutual recursion of evaluating descriptors: an Extracted norm's
+# vnorm_eval calls eval_role1/eval_role2, which evaluate its matrix source,
+# and a GInd's mnorm_eval calls gind_eval, which evaluates its vector norms
 DEFERRED_IMPORTS = {
     ("matrix_norms", "mnorm_eval", "gind"),
     ("vector_norms", "vnorm_eval", "extraction"),
-    ("vector_norms", "vnorm_dual_eval", "gind"),
 }
 
 

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from normlab import (
+    LOWER_BOUND,
     EntrywiseMax,
     EntrywiseSum,
     Extracted,
@@ -25,6 +27,7 @@ from normlab import (
     alpha_identity_check,
     column_embed,
     column_replicate,
+    default_budget,
     extract_norm1,
     extract_norm2,
     extract_pair,
@@ -48,7 +51,7 @@ from normlab.extraction import (
     eval_role1,
     eval_role2,
 )
-from normlab.matrix_norms import concrete
+from normlab.gind import concrete
 
 INNER = OptBudget(multistarts=2, max_iters=30, samples=4, seed=9)
 OUTER = OptBudget(multistarts=1, max_iters=30, samples=4, seed=10)
@@ -255,6 +258,35 @@ def test_probe_no_gap_for_induced():
     assert probe.max_gap_ratio >= 1.0 - 1e-4
 
 
+def test_gind_eval_without_a_budget_climbs_at_the_default_budget():
+    # minimality_probe passes a missing budget on as None, which changes no
+    # bits: the climb builds the same default budget itself
+    pair = GInd(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(1.5))
+    a = sample_matrix(RandomStream(40).generator(), 2)
+    got = gind_eval(pair, a, None)
+    want = gind_eval(pair, a, default_budget(2))
+    assert got.exactness == want.exactness == LOWER_BOUND
+    assert got.value.hex() == want.value.hex()
+    assert got.witness.tobytes() == want.witness.tobytes()
+    assert got.evaluations == want.evaluations
+
+
+def test_paper_demo_gap_probes_build_no_budget(monkeypatch):
+    # paper-demos case 4 probes two catalog sources without a budget, and no
+    # route their reconstructions take reads one
+    def no_budget(*args, **kwargs):
+        raise AssertionError("default budget built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("normlab") and hasattr(module, "default_budget"):
+            monkeypatch.setattr(module, "default_budget", no_budget)
+    rng = RandomStream(42)
+    sigma = minimality_probe(EntrywiseSum(), 2, 25, rng=rng.child(3))
+    maxcr = minimality_probe(MaxOf((MaxColSum(), MaxRowSum())), 2, 25, rng=rng.child(4))
+    assert sigma.max_gap_ratio == pytest.approx(math.sqrt(0.5), abs=1e-3)
+    assert maxcr.max_gap_ratio == pytest.approx(0.5, abs=1e-3)
+
+
 def test_probe_trial_count_and_validation():
     with pytest.raises(DimensionMismatchError):
         minimality_probe(MaxColSum(), 2, 0, OUTER, RandomStream(0), INNER)
@@ -372,8 +404,8 @@ def test_concrete_leaves_other_specs_alone():
     for source in (
         MaxOf((EntrywiseMax(), MaxColSum())),
         MaxOf((MaxColSum(), MaxRowSum(), Spectral())),
-        # a polyhedral domain's dual has no closed form
-        GInd(MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))), Lp(2)),
+        # a MaxOf domain with a smooth part has no exact dual
+        GInd(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(1.5)),
     ):
         for spec in (extract_norm1(source, INNER), extract_norm2(source, INNER)):
             assert concrete(spec, 2) is spec
@@ -389,6 +421,13 @@ def _gind_sources(n: int):
         GInd(Scaled(0.5, WeightedLp(w, 3)), MaxOf((Lp(1), Scaled(2.0, Lp(math.inf))))),
         Scaled(0.5, GInd(Lp(2), Scaled(3.0, Lp(math.inf)))),
         GInd(Lp(math.inf), WeightedLp(w[::-1], 1.5)),
+        # polyhedral domains, and a codomain without a batch form
+        GInd(MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))), Lp(2)),
+        Scaled(0.5, GInd(
+            Scaled(3.0, MaxOf((Lp(math.inf), Scaled(0.5, Lp(1))))),
+            MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))),
+        )),
+        GInd(Lp(3), extract_norm2(Spectral())),
     ]
 
 

@@ -234,3 +234,21 @@ def test_theorem23_exact_catalog_pairs_never_climb(source, n, eigen_solves, monk
     assert climbs == {}
     assert role1 == {}
     assert eig == eigen_solves
+
+
+def test_theorem23_resolves_a_polyhedral_gind_pair_once(monkeypatch):
+    # the table gives GInd(max(l1, 2 linf), l2) the pair (c alpha, c beta),
+    # and c = alpha*(1) takes a polydisc search, so the run resolves both
+    # roles once and the reconstruction is the source's own polydisc search
+    from normlab import MaxOf, gind
+
+    climbs = _count_calls(monkeypatch, sphere_opt._climb)
+    duals = _count_calls(monkeypatch, gind.sum_functional_alpha)
+    source = GIndPair(MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))), Lp(2))
+    report = verify_theorem23(source, 2, trials=6, rng=RandomStream(12))
+    assert report.passed
+    values = {k: v for case in report.cases for k, v in case.values.items()}
+    assert values["worst_ratio"] == 1.0
+    assert values["gap_found"] == 0.0
+    assert climbs == {}
+    assert duals == {"normlab.gind": 2}
