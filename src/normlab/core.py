@@ -123,6 +123,23 @@ def scaled_gram(a) -> tuple[np.ndarray, int]:
     return b.conj().T @ b, e
 
 
+def scaled_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`scaled_gram` of every matrix of a (k, n, n) complex stack, bit
+    for bit: the stack of the B_i*B_i and the array of the e_i.  Raises
+    :class:`NonFiniteInputError` when any matrix has a non-finite entry.
+
+    The scalar form keeps its own body: the array operations that serve a
+    stack cost a lone matrix more than the product they scale.
+    """
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    peaks = np.abs(parts).max(axis=(1, 2))
+    if not np.isfinite(peaks).all():
+        raise NonFiniteInputError("eigen solve needs a finite matrix")
+    e = np.frexp(peaks)[1]
+    b = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
+    return b.conj().transpose(0, 2, 1) @ b, e
+
+
 def _start_vector(rng: RandomStream, n: int) -> np.ndarray:
     """Deterministic unit start vector for (stream, n); cached, never mutated."""
     key = (rng.seed, rng.path, n)
@@ -165,6 +182,24 @@ def hermitian_top_eigenvalue(h) -> float:
     non-finite entry or a failed solve.
     """
     return max(_dense_eigh(h)[1][-1], 0.0)
+
+
+def hermitian_top_eigenvalues(hs: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_top_eigenvalue` of every matrix of a (k, n, n) stack
+    of Gram matrices, bit for bit, from one stacked solve of the nonzero
+    ones.  Raises as the scalar form does when any matrix has a non-finite
+    entry or the solve fails.
+    """
+    if not np.isfinite(hs).all():
+        raise NonFiniteInputError("eigen solve needs a finite matrix")
+    lams = np.zeros(len(hs))
+    live = hs.any(axis=(1, 2))
+    if live.any():
+        try:
+            lams[live] = np.linalg.eigh(hs[live])[0][:, -1]
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"eigen solve failed: {exc}") from exc
+    return np.where(lams < 0.0, 0.0, lams)  # max(lam, 0.0), NaN and -0.0 kept
 
 
 def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:

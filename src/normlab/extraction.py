@@ -1,8 +1,11 @@
 """Recover the two vector norms hiding inside a matrix norm.
 
 Given a matrix norm N, the column-replication matrix C_x (every column
-equal to x) yields ``||x||_2 = N(C_x)`` exactly, and
-``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }``.  :func:`extract_pair` returns
+equal to x) yields ``||x||_2 = N(C_x)`` and
+``||x||_1 = max{ N(C_{Ax}) : N(A) = 1 }``.  Role 2 is one evaluation of N,
+exact wherever N's value is: for every source but a GInd whose value
+:func:`~normlab.gind.gind_eval` climbs for (a MaxOf domain with a smooth
+part), where it is a lower bound.  :func:`extract_pair` returns
 the two as ``GInd(||.||_1, ||.||_2)``, the induced norm that the paper's
 theorem says equals N when N is minimal.  For the catalog sources and GInd
 sources with an l_p, weighted l_p or polyhedral domain (under any
@@ -29,8 +32,8 @@ import numpy as np
 from .budget import OptBudget
 from .core import RandomStream, as_vector, sample_matrix
 from .errors import DimensionMismatchError
-from .gind import concrete, gind_eval, sum_functional_alpha
-from .matrix_norms import GInd, MatrixNormSpec, mnorm_eval
+from .gind import concrete, concrete_pair, gind_eval, sum_functional_alpha
+from .matrix_norms import GInd, MatrixNormSpec, mnorm_eval, mnorm_eval_many
 from .sphere_opt import maximize_on_matrix_sphere
 from .vector_norms import Extracted, vnorm_eval
 
@@ -57,8 +60,20 @@ def column_replicate(x) -> np.ndarray:
 
 
 def eval_role2(source: MatrixNormSpec, budget: OptBudget, x) -> float:
-    """N(C_x): exact, no optimization."""
+    """N(C_x), one :func:`~normlab.matrix_norms.mnorm_eval` at the given
+    budget: exact wherever N's value is, so for every source but a GInd
+    whose value :func:`~normlab.gind.gind_eval` climbs for (a MaxOf domain
+    with a smooth part), where it is a lower bound."""
     return mnorm_eval(source, column_replicate(x), budget)
+
+
+def eval_role2_many(source: MatrixNormSpec, budget: OptBudget, points) -> np.ndarray:
+    """:func:`eval_role2` at every row of a 2-d array, bit for bit: N over
+    the stack of the C_x (:func:`~normlab.matrix_norms.mnorm_eval_many`)."""
+    v = np.asarray(points, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] < 1:
+        raise DimensionMismatchError(f"expected a 2-d array of vectors, got shape {v.shape}")
+    return mnorm_eval_many(source, np.repeat(v[:, :, None], v.shape[1], axis=2), budget)
 
 
 _ROLE1_CACHE: dict = {}
@@ -230,10 +245,10 @@ def _random_probes(n: int, trials: int, rng: RandomStream) -> list[np.ndarray]:
 
 
 def _probe_ratios(source, pair, mats, outer, inner) -> list[tuple[float, np.ndarray]]:
-    """(reconstruction / N, A) for every probe A with N(A) >= 1e-14, in order."""
+    """(reconstruction / N, A) for every probe A with N(A) >= 1e-14, in order;
+    N at every probe in one :func:`~normlab.matrix_norms.mnorm_eval_many`."""
     ratios = []
-    for m in mats:
-        den = mnorm_eval(source, m, inner)
+    for m, den in zip(mats, mnorm_eval_many(source, mats, inner).tolist()):
         if den >= 1e-14:
             ratios.append((gind_eval(pair, m, outer).value / den, m))
     return ratios
@@ -256,9 +271,8 @@ def minimality_probe(
     if trials < 1:
         raise DimensionMismatchError("trials must be >= 1")
     inner = inner_budget or DEFAULT_INNER_BUDGET
-    pair = extract_pair(source, inner)
     # resolved once here, where gind_eval would resolve it for every matrix
-    pair = GInd(concrete(pair.norm1, n), concrete(pair.norm2, n))
+    pair = concrete_pair(extract_pair(source, inner), n)
     mats = _fixed_probes(n) + _random_probes(n, trials, rng.child(3))
     return _probe_report(_probe_ratios(source, pair, mats, budget, inner))
 

@@ -16,8 +16,9 @@ Every supremum of a norm ratio goes through ``gind_eval``: sup ||x||_a /
 in :func:`mnorm_is_algebra_candidate`), and the dual norm
 (:func:`vnorm_dual_eval`), where it has no closed form, is the induced norm
 of a one-row matrix into l1.  The table of extracted norms
-(:func:`concrete`) lives here too: its GInd row scales by the dual norm of
-the all-ones vector, and ``gind_eval`` reads it before choosing a route.
+(:func:`concrete`, and :func:`concrete_pair` for both roles at once) lives
+here too: its GInd row scales by the dual norm of the all-ones vector, and
+``gind_eval`` reads it before choosing a route.
 """
 
 from __future__ import annotations
@@ -309,8 +310,8 @@ def gind_eval(pair: GInd, a, budget: OptBudget | None = None) -> ComputationResu
     """Evaluate the generalized induced norm of A for the given pair.
 
     Extracted norms of catalog sources are first replaced by the plain
-    descriptors they equal at this dimension (:func:`concrete`), and outer
-    scales are peeled off.  The cores pick the route, first match:
+    descriptors they equal at this dimension (:func:`concrete_pair`), and
+    outer scales are peeled off.  The cores pick the route, first match:
 
     ===========================  ============================  ======  ======
     domain -> codomain core      route                         label   budget
@@ -339,8 +340,9 @@ def gind_eval(pair: GInd, a, budget: OptBudget | None = None) -> ComputationResu
         raise NonFiniteInputError("gind_eval needs a finite matrix")
     n = m.shape[0]
 
-    g1, core1 = split_scale(concrete(pair.norm1, n))
-    g2, core2 = split_scale(concrete(pair.norm2, n))
+    plain = concrete_pair(pair, n)
+    g1, core1 = split_scale(plain.norm1)
+    g2, core2 = split_scale(plain.norm2)
     scale = g2 / g1
 
     # plain and weighted l1 keep their exact vertex dispatch, and plain l_p
@@ -464,7 +466,27 @@ def concrete(spec, n: int):
     """
     if not isinstance(spec, Extracted):
         return spec
-    gamma, core = split_scale(spec.source)
+    roles = _extracted_roles(spec.source, n)
+    return spec if roles is None else roles[spec.role - 1]
+
+
+def concrete_pair(pair: GInd, n: int) -> GInd:
+    """Both norms of a pair made plain by :func:`concrete`.  When both are
+    extracted from one source, its table row is built once, so a GInd
+    source's c = alpha*(1) is computed once for the two roles."""
+    a, b = pair.norm1, pair.norm2
+    if not (isinstance(a, Extracted) or isinstance(b, Extracted)):
+        return pair
+    if isinstance(a, Extracted) and isinstance(b, Extracted) and a.source == b.source:
+        roles = _extracted_roles(a.source, n)
+        return pair if roles is None else GInd(roles[a.role - 1], roles[b.role - 1])
+    return GInd(concrete(a, n), concrete(b, n))
+
+
+def _extracted_roles(source, n: int):
+    """(role 1, role 2) of :func:`concrete`'s table for a source, or None
+    when the table has no row for it."""
+    gamma, core = split_scale(source)
     if isinstance(core, MaxOf) and frozenset(core.parts) == _MAX_COL_ROW:
         core = MaxRowSum()  # n||x||_inf >= ||x||_1, so the row sum decides both roles
     if isinstance(core, EntrywiseSum):
@@ -478,18 +500,16 @@ def concrete(spec, n: int):
     elif isinstance(core, Spectral):
         role1 = role2 = Scaled(math.sqrt(n), Lp(2.0))
     elif isinstance(core, GInd):
-        alpha, beta = concrete(core.norm1, n), concrete(core.norm2, n)
-        a = split_scale(alpha)[1]
+        plain = concrete_pair(core, n)
+        a = split_scale(plain.norm1)[1]
         lp = isinstance(a, Lp) or isinstance(a, WeightedLp) and len(a.weights) == n
         if not (lp or _moduli_constraints(a, n) is not None):
-            return spec
-        c = sum_functional_alpha(alpha, n)
-        role1, role2 = Scaled(c, alpha), Scaled(c, beta)
+            return None
+        c = sum_functional_alpha(plain.norm1, n)
+        role1, role2 = Scaled(c, plain.norm1), Scaled(c, plain.norm2)
     else:
-        return spec
-    if spec.role == 1:
-        return role1
-    return role2 if gamma == 1.0 else Scaled(gamma, role2)
+        return None
+    return role1, (role2 if gamma == 1.0 else Scaled(gamma, role2))
 
 
 @dataclass

@@ -4,6 +4,8 @@ The catalog covers the entrywise sum and max, the maximum column and row
 sums, the spectral norm, and generalized induced norms built from two vector
 norms.  ``Scaled`` and ``MaxOf`` from :mod:`normlab.vector_norms` compose
 matrix norms the same way they compose vector norms.
+:func:`mnorm_eval_many` evaluates one descriptor at every matrix of a
+stack, bit for bit the values of :func:`mnorm_eval`.
 Whether a norm is submultiplicative, and which plain vector norms its
 extracted norms equal, are decided in :mod:`normlab.gind`, which imports
 this module (:func:`~normlab.gind.mnorm_is_algebra_candidate`,
@@ -19,8 +21,14 @@ from typing import Union
 import numpy as np
 
 from .budget import OptBudget
-from .core import as_matrix, hermitian_top_eigenvalue, scaled_gram
-from .errors import SpecValidationError
+from .core import (
+    as_matrix,
+    hermitian_top_eigenvalue,
+    hermitian_top_eigenvalues,
+    scaled_gram,
+    scaled_grams,
+)
+from .errors import DimensionMismatchError, SpecValidationError
 from .vector_norms import MaxOf, Scaled, VectorNormSpec
 
 
@@ -101,4 +109,44 @@ def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> floa
         from .gind import gind_eval
 
         return gind_eval(spec, m, budget).value
+    raise SpecValidationError(f"not a matrix norm descriptor: {spec!r}")
+
+
+def mnorm_eval_many(spec: MatrixNormSpec, stack, budget: OptBudget | None = None) -> np.ndarray:
+    """Evaluate a matrix norm descriptor at every matrix of a (k, n, n) stack.
+
+    Row i equals ``mnorm_eval(spec, stack[i], budget)`` bit for bit.  The
+    catalog takes its closed forms over the whole stack, Spectral as one
+    stacked scaled Gram (:func:`~normlab.core.scaled_grams`) and one stacked
+    solve (:func:`~normlab.core.hermitian_top_eigenvalues`); Scaled and
+    MaxOf recurse, MaxOf keeping the first part that attains the max; GInd
+    evaluates matrix by matrix.  A stack holding a non-finite matrix raises
+    what ``mnorm_eval`` raises for that matrix, or gives the same inf or NaN.
+    """
+    s = np.ascontiguousarray(stack, dtype=np.complex128)
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] < 1:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {s.shape}")
+    if isinstance(spec, EntrywiseSum):
+        return np.abs(s).reshape(-1, s.shape[1] ** 2).sum(axis=1)
+    if isinstance(spec, EntrywiseMax):
+        return np.abs(s).max(axis=(1, 2))
+    if isinstance(spec, MaxColSum):
+        return np.abs(s).sum(axis=1).max(axis=1)
+    if isinstance(spec, MaxRowSum):
+        return np.abs(s).sum(axis=2).max(axis=1)
+    if isinstance(spec, Spectral):
+        h, e = scaled_grams(s)
+        with np.errstate(over="ignore"):  # ||A||_2 may exceed the largest float
+            return np.ldexp(np.sqrt(hermitian_top_eigenvalues(h)), e)
+    if isinstance(spec, Scaled):
+        return spec.gamma * mnorm_eval_many(spec.inner, s, budget)
+    if isinstance(spec, MaxOf):
+        # built-in max keeps the first of equal or unordered (NaN) values
+        best = mnorm_eval_many(spec.parts[0], s, budget)
+        for part in spec.parts[1:]:
+            vals = mnorm_eval_many(part, s, budget)
+            best = np.where(vals > best, vals, best)
+        return best
+    if isinstance(spec, GInd):
+        return np.array([mnorm_eval(spec, m, budget) for m in s], dtype=np.float64)
     raise SpecValidationError(f"not a matrix norm descriptor: {spec!r}")

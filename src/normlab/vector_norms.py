@@ -93,7 +93,9 @@ class MaxOf:
 class Extracted:
     """Vector norm recovered from a matrix norm N.
 
-    role 2 evaluates N on the matrix whose every column is x (exact);
+    role 2 evaluates N on the matrix whose every column is x, exact
+    wherever N's value is (a GInd source whose value ``gind_eval`` climbs
+    for, with a MaxOf domain with a smooth part, gives a lower bound);
     role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }.  For the catalog sources
     (EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum, Spectral,
     max(MaxColSum, MaxRowSum)) and GInd sources with an l_p, weighted l_p
@@ -148,8 +150,10 @@ def lp_of_moduli(m: np.ndarray, p: float) -> float:
 def vnorm_eval(spec: VectorNormSpec, x) -> float:
     """Evaluate a vector norm descriptor at x.
 
-    Exact for every kind except Extracted role 1 of a non-catalog source,
-    which reports the lower bound produced by its stored optimization budget.
+    Exact for every kind except an Extracted norm that climbs: role 1 of a
+    source off :func:`normlab.gind.concrete`'s table, and role 2 of a source
+    whose own value climbs (a GInd with a MaxOf domain with a smooth part).
+    Those report the lower bound produced by the stored optimization budget.
     """
     v = as_vector(x)
     if isinstance(spec, Lp):

@@ -51,7 +51,7 @@ from normlab.extraction import (
     eval_role1,
     eval_role2,
 )
-from normlab.gind import concrete
+from normlab.gind import concrete, concrete_pair
 
 INNER = OptBudget(multistarts=2, max_iters=30, samples=4, seed=9)
 OUTER = OptBudget(multistarts=1, max_iters=30, samples=4, seed=10)
@@ -447,6 +447,36 @@ def test_gind_sources_have_closed_form_pairs(n):
             assert closed >= _role1_ascent(source, INNER, x) * (1 - 1e-9), source
             want = eval_role2(source, INNER, x)
             assert vnorm_eval(role2, x) == pytest.approx(want, rel=1e-14), source
+
+
+def test_an_extracted_gind_pair_takes_one_dual_per_evaluation(monkeypatch):
+    # both roles of one GInd source share c = alpha*(1), so gind_eval on its
+    # extracted pair makes one dual search per call, and (c alpha, c beta)
+    # induce the source's own value
+    from normlab import gind
+
+    duals = []
+    dual = gind.sum_functional_alpha
+    monkeypatch.setattr(
+        gind, "sum_functional_alpha", lambda *args: duals.append(args) or dual(*args)
+    )
+    source = GInd(MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))), Lp(2))
+    m = sample_matrix(RandomStream(5).generator(), 3)
+    got = gind_eval(extract_pair(source, INNER), m).value
+    assert len(duals) == 1
+    assert got == gind_eval(source, m).value
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_concrete_pair_is_concrete_of_each_norm(n):
+    for source in _gind_sources(n) + list(CATALOG):
+        pair = extract_pair(source, INNER)
+        want = GInd(concrete(pair.norm1, n), concrete(pair.norm2, n))
+        assert concrete_pair(pair, n) == want, source
+    plain = GInd(Lp(3), extract_norm2(Spectral()))
+    assert concrete_pair(plain, 2) == GInd(Lp(3), concrete(plain.norm2, 2))
+    smooth = extract_pair(GInd(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(1.5)))
+    assert concrete_pair(smooth, 2) is smooth
 
 
 @pytest.mark.parametrize("first, second", [(3e-13, 1e-13), (2e7, 1e7)])

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlab import (
     KNOWN_NO,
@@ -24,7 +26,8 @@ from normlab import (
     sample_vector,
 )
 from normlab.core import hermitian_top_eig, scaled_gram
-from normlab.errors import NonFiniteInputError
+from normlab.errors import DimensionMismatchError, NonFiniteInputError
+from normlab.matrix_norms import mnorm_eval_many
 
 A = [[1, 2], [3, 4]]
 
@@ -100,6 +103,104 @@ def test_spectral_value_is_the_eigen_solvers_bits():
         # rejected before A*A is formed, so no RuntimeWarning comes first
         with pytest.raises(NonFiniteInputError, match="finite"):
             mnorm_eval(Spectral(), m)
+
+
+_STACK_ENTRY = st.one_of(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0j, complex(-0.0, 2.0), complex(1e-310, 0.0)]),
+)
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of n x n matrices, n = 1..4: raw, Hermitian and rank-one
+    draws, each times 1e-200, 1 or 1e200, and a zero matrix among them."""
+    n = draw(st.integers(1, 4))
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = np.array(draw(st.lists(_STACK_ENTRY, min_size=n * n, max_size=n * n)))
+        m = m.astype(np.complex128).reshape(n, n)
+        kind = draw(st.sampled_from(["raw", "hermitian", "rank-one"]))
+        if kind == "hermitian":
+            m = (m + m.conj().T) / 2.0
+        elif kind == "rank-one":
+            m = np.outer(m[:, 0], m[0].conj())
+        mats.append(m * draw(st.sampled_from([1e-200, 1.0, 1e200])))
+    mats.insert(draw(st.integers(0, len(mats))), np.zeros((n, n), dtype=np.complex128))
+    return np.array(mats)
+
+
+_STACK_SPECS = [
+    EntrywiseSum(),
+    EntrywiseMax(),
+    MaxColSum(),
+    MaxRowSum(),
+    Spectral(),
+    Scaled(0.3, Spectral()),
+    Scaled(2.0, Scaled(0.75, MaxColSum())),
+    MaxOf((MaxColSum(), MaxRowSum())),
+    MaxOf((
+        Scaled(2.0, EntrywiseMax()),
+        Spectral(),
+        MaxOf((EntrywiseSum(), Scaled(0.25, MaxRowSum()))),
+    )),
+    MaxOf((Spectral(), GInd(Lp(1), Lp(2)))),
+    GInd(Lp(2), Scaled(2.0, Lp(2))),
+]
+
+
+def _hex_rows(spec, stack):
+    """mnorm_eval at every matrix of the stack, as hex strings."""
+    return [mnorm_eval(spec, m).hex() for m in stack]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_stacks())
+def test_mnorm_eval_many_equals_mnorm_eval_row_by_row(stack):
+    for spec in _STACK_SPECS:
+        many = mnorm_eval_many(spec, stack)
+        assert many.shape == (len(stack),)
+        assert [float(v).hex() for v in many] == _hex_rows(spec, stack), spec
+
+
+def test_mnorm_eval_many_of_extreme_and_non_finite_stacks():
+    # extreme magnitudes keep the scalar values, and spectral ones come
+    # without a warning; a stack holding a non-finite matrix raises what
+    # mnorm_eval raises for it, or gives the same inf or NaN in its row
+    extreme = np.array(
+        [[[1e200, 0], [0, 1]], [[1.7e308, 0], [0, 1j]], [[1e-320, 0], [0, 1e-310]],
+         np.full((2, 2), 1e308), np.zeros((2, 2))],
+        dtype=np.complex128,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (Spectral(), Scaled(0.3, Spectral())):
+            many = mnorm_eval_many(spec, extreme)
+            assert [float(v).hex() for v in many] == _hex_rows(spec, extreme)
+    with np.errstate(over="ignore"):
+        for spec in _STACK_SPECS[:9]:
+            many = mnorm_eval_many(spec, extreme)
+            assert [float(v).hex() for v in many] == _hex_rows(spec, extreme), spec
+    for bad in (math.inf, -math.inf, math.nan, complex(0.0, math.inf)):
+        stack = np.array([np.eye(2), np.ones((2, 2)), np.eye(2)], dtype=np.complex128)
+        stack[1, 0, 1] = bad
+        with np.errstate(invalid="ignore"):
+            for spec in _STACK_SPECS:
+                try:
+                    want = _hex_rows(spec, stack)
+                except NonFiniteInputError:
+                    with pytest.raises(NonFiniteInputError, match="finite"):
+                        mnorm_eval_many(spec, stack)
+                else:
+                    assert [float(v).hex() for v in mnorm_eval_many(spec, stack)] == want
+
+
+def test_mnorm_eval_many_rejects_bad_shapes():
+    for shape in ((2, 2), (3, 2, 3), (2, 0, 0), (1, 2, 2, 2), (3,)):
+        with pytest.raises(DimensionMismatchError):
+            mnorm_eval_many(MaxColSum(), np.ones(shape))
+    for spec in _STACK_SPECS:
+        assert mnorm_eval_many(spec, np.ones((0, 3, 3))).shape == (0,)
 
 
 def test_spectral_sampled_lower_bound():

@@ -10,7 +10,10 @@ The ``t23-*`` files are ``verify --suite theorem23`` on the three sources of
 the benchmark's t23-catalog workload at two seeds, written by the code in
 which every spectral value still computed an eigenvector and every role-1
 value resolved its extracted norm afresh; they pin that neither shortcut
-moves a report byte.
+moves a report byte.  Those on ``sigma``, ``maxcr`` and GInd(l3, l1.5), and
+the ``paper-demos-*`` files, were written by the code that still evaluated
+the source norm one matrix at a time; they pin that evaluating it over
+stacks moves no report byte either.
 """
 
 import math
@@ -76,6 +79,19 @@ for _seed in (5, 2718):
             "verify", "--suite", "theorem23", "--norm", _norm, "--dim", str(_dim),
             "--seed", str(_seed), "--trials", "6",
         ]
+_G31 = '{"kind": "gind", "norm1": {"kind": "lp", "p": 3}, "norm2": {"kind": "lp", "p": 1.5}}'
+for _name, _norm, _dim in (
+    ("sigma", "sigma", 2),
+    ("maxcr", "maxcr", 3),
+    ("gind-l3-l1.5", _G31, 2),
+    ("gind-l3-l1.5", _G31, 3),
+):
+    CLI[f"t23-{_name}-n{_dim}-seed5"] = [
+        "verify", "--suite", "theorem23", "--norm", _norm, "--dim", str(_dim),
+        "--seed", "5", "--trials", "6",
+    ]
+for _seed in (0, 42, 10101, *range(9000, 9010)):
+    CLI[f"paper-demos-seed{_seed}"] = ["verify", "--suite", "paper-demos", "--seed", str(_seed)]
 
 _ELAPSED = re.compile(r'("elapsed": )[^,\n]+')
 

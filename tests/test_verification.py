@@ -239,7 +239,8 @@ def test_theorem23_exact_catalog_pairs_never_climb(source, n, eigen_solves, monk
 def test_theorem23_resolves_a_polyhedral_gind_pair_once(monkeypatch):
     # the table gives GInd(max(l1, 2 linf), l2) the pair (c alpha, c beta),
     # and c = alpha*(1) takes a polydisc search, so the run resolves both
-    # roles once and the reconstruction is the source's own polydisc search
+    # roles once, with one c, and the reconstruction is the source's own
+    # polydisc search
     from normlab import MaxOf, gind
 
     climbs = _count_calls(monkeypatch, sphere_opt._climb)
@@ -251,4 +252,27 @@ def test_theorem23_resolves_a_polyhedral_gind_pair_once(monkeypatch):
     assert values["worst_ratio"] == 1.0
     assert values["gap_found"] == 0.0
     assert climbs == {}
-    assert duals == {"normlab.gind": 2}
+    assert duals == {"normlab.gind": 1}
+
+
+@pytest.mark.parametrize(
+    "source, n, stacked",
+    [(Spectral(), 2, 5), (EntrywiseMax(), 2, 4), (MaxColSum(), 3, 5)],
+    ids=["spectral", "entrywise-max", "maxcolsum"],
+)
+def test_theorem23_and_the_probe_evaluate_the_source_over_stacks(source, n, stacked, monkeypatch):
+    # N goes over stacks, never matrix by matrix: theorem23 takes the fixed,
+    # upper-bound and probe denominators in one call each, and role 2 in one
+    # call for the axiom checks and one for the "pair coincides" case, which
+    # EntrywiseMax, not an algebra norm, skips; the probe takes one call
+    from normlab import matrix_norms, minimality_probe
+
+    scalar = _count_calls(monkeypatch, matrix_norms.mnorm_eval)
+    many = _count_calls(monkeypatch, matrix_norms.mnorm_eval_many)
+    assert verify_theorem23(source, n, trials=6, rng=RandomStream(12)).passed
+    assert scalar == {}
+    assert many == {"normlab.extraction": stacked}
+    many.clear()
+    minimality_probe(source, n, 6, rng=RandomStream(12))
+    assert scalar == {}
+    assert many == {"normlab.extraction": 1}
