@@ -20,7 +20,7 @@ from .core import RandomStream
 from .errors import NonConvergenceError, NormlabError, SpecValidationError
 from .extraction import DEFAULT_INNER_BUDGET, extract_pair, minimality_probe
 from .gind import chain_compare, gind_eval
-from .matrix_norms import GInd, mnorm_eval
+from .matrix_norms import EntrywiseMax, EntrywiseSum, GInd, MaxColSum, MaxRowSum, Spectral, mnorm_eval
 from .vector_norms import Extracted, Lp, MaxOf, Scaled, WeightedLp, vnorm_eval
 from .verification import (
     SUITE_BUDGET,
@@ -31,16 +31,17 @@ from .verification import (
     verify_theorem23,
 )
 
+# the names a norm option takes in place of a norm-spec document
 _SHORTHAND = {
-    "sigma": '{"kind": "sigma"}',
-    "entrywise-max": '{"kind": "entrywise-max"}',
-    "maxcolsum": '{"kind": "maxcolsum"}',
-    "maxrowsum": '{"kind": "maxrowsum"}',
-    "spectral": '{"kind": "spectral"}',
-    "maxcr": '{"kind": "maxof", "inner": [{"kind": "maxcolsum"}, {"kind": "maxrowsum"}]}',
-    "l1": '{"kind": "lp", "p": 1}',
-    "l2": '{"kind": "lp", "p": 2}',
-    "linf": '{"kind": "lp", "p": "inf"}',
+    "sigma": EntrywiseSum(),
+    "entrywise-max": EntrywiseMax(),
+    "maxcolsum": MaxColSum(),
+    "maxrowsum": MaxRowSum(),
+    "spectral": Spectral(),
+    "maxcr": MaxOf((MaxColSum(), MaxRowSum())),
+    "l1": Lp(1.0),
+    "l2": Lp(2.0),
+    "linf": Lp(float("inf")),
 }
 
 
@@ -63,16 +64,16 @@ def _resolve_norm(text: str, option: str, matrix: bool):
     """Shorthand name, inline JSON, or @file containing JSON, of a matrix
     norm (``matrix``) or a vector norm; a norm of the other family is
     rejected here, before the command prints anything, naming ``--option``."""
-    given = text
     if text in _SHORTHAND:
-        text = _SHORTHAND[text]
+        spec = _SHORTHAND[text]
     elif text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    spec = formats.parse_norm_spec(text)
+            spec = formats.parse_norm_spec(fh.read())
+    else:
+        spec = formats.parse_norm_spec(text)
     if not _in_family(spec, matrix):
         family = "matrix" if matrix else "vector"
-        raise SpecValidationError(f"--{option} needs a {family} norm, got {given!r}")
+        raise SpecValidationError(f"--{option} needs a {family} norm, got {text!r}")
     return spec
 
 

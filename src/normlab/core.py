@@ -26,6 +26,34 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+# a modulus at or below 2^-1024 has no finite reciprocal
+_NO_RECIPROCAL = 2.0 ** -1024
+
+
+def phase_divisors(
+    z: np.ndarray, nonzero: np.ndarray, mods: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(z', s) with z' / s the phase z / |z| of every nonzero entry of z, and
+    s = 1 elsewhere; ``mods`` is |z| and ``nonzero`` the mask mods > 0.
+    Both are z and |z| as they stand, except at an entry whose modulus has
+    no finite reciprocal: that entry is scaled by 2^600, exactly, and s is
+    the modulus of the scaled entry."""
+    safe = np.where(nonzero, mods, 1.0)
+    if safe.min(initial=1.0) > _NO_RECIPROCAL:
+        return z, safe
+    z = np.where(safe <= _NO_RECIPROCAL, z * 2.0 ** 600, z)
+    return z, np.where(nonzero, np.abs(z), 1.0)
+
+
+def conj_phases(z: np.ndarray) -> np.ndarray:
+    """conj(z_j) / |z_j| entrywise for a complex array, and 1 where z_j = 0:
+    the unimodular w with w_j z_j = |z_j| (:func:`phase_divisors`)."""
+    mods = np.abs(z)
+    nonzero = mods > 0
+    z, safe = phase_divisors(z, nonzero, mods)
+    return np.where(nonzero, np.conj(z) / safe, 1.0)
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square 2-d complex matrix of dimension >= 1."""
     m = np.asarray(a, dtype=np.complex128)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, as_vector, sample_matrix
+from .core import RandomStream, as_vector, conj_phases, sample_matrix
 from .errors import DimensionMismatchError
 from .gind import concrete, concrete_pair, gind_eval, sum_functional_alpha
 from .matrix_norms import GInd, MatrixNormSpec, mnorm_eval, mnorm_eval_many
@@ -116,9 +116,7 @@ def _role1_ascent(source: MatrixNormSpec, budget: OptBudget, v: np.ndarray) -> f
     if hit is not None:
         return hit
 
-    mods = np.abs(v)
-    row = np.where(mods > 0, np.conj(v) / np.where(mods > 0, mods, 1.0), 1.0)
-    aligned_rows = np.tile(row.astype(np.complex128), (n, 1))
+    aligned_rows = np.tile(conj_phases(v), (n, 1))
     unit = v / np.linalg.norm(v)
     informed = [
         np.ones((n, n), dtype=np.complex128),

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import re
-from typing import get_args
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .matrix_norms import (
     EntrywiseMax,
     EntrywiseSum,
     GInd,
-    MatrixNormSpec,
     MaxColSum,
     MaxRowSum,
     Spectral,
@@ -33,20 +31,14 @@ from .vector_norms import (
     Lp,
     MaxOf,
     Scaled,
-    VectorNormSpec,
     WeightedLp,
 )
 from .verification import SuiteReport
 
 SCHEMA_VERSION = 1
-_NORM_SPECS = get_args(VectorNormSpec) + get_args(MatrixNormSpec)
 
 
 # --- norm-spec documents ---------------------------------------------------
-
-def _p_to_doc(p: float):
-    return "inf" if p == math.inf else p
-
 
 def _number(value, locus: str) -> float:
     """A JSON number as a float; booleans, strings, null and integers too
@@ -72,42 +64,6 @@ def _p_from_doc(value, locus: str) -> float:
     return _number(value, locus)
 
 
-def norm_spec_to_doc(spec) -> dict:
-    """Encode a vector or matrix norm descriptor as a tagged tree."""
-    if isinstance(spec, Lp):
-        return {"kind": "lp", "p": _p_to_doc(spec.p)}
-    if isinstance(spec, WeightedLp):
-        return {"kind": "weighted-lp", "weights": list(spec.weights), "p": _p_to_doc(spec.p)}
-    if isinstance(spec, Scaled):
-        return {"kind": "scaled", "gamma": spec.gamma, "inner": norm_spec_to_doc(spec.inner)}
-    if isinstance(spec, MaxOf):
-        return {"kind": "maxof", "inner": [norm_spec_to_doc(p) for p in spec.parts]}
-    if isinstance(spec, EntrywiseSum):
-        return {"kind": "sigma"}
-    if isinstance(spec, EntrywiseMax):
-        return {"kind": "entrywise-max"}
-    if isinstance(spec, MaxColSum):
-        return {"kind": "maxcolsum"}
-    if isinstance(spec, MaxRowSum):
-        return {"kind": "maxrowsum"}
-    if isinstance(spec, Spectral):
-        return {"kind": "spectral"}
-    if isinstance(spec, GInd):
-        return {
-            "kind": "gind",
-            "norm1": norm_spec_to_doc(spec.norm1),
-            "norm2": norm_spec_to_doc(spec.norm2),
-        }
-    if isinstance(spec, Extracted):
-        return {
-            "kind": "extracted",
-            "role": spec.role,
-            "source": norm_spec_to_doc(spec.source),
-            "budget": _encode(spec.budget),
-        }
-    raise DocumentParseError(f"cannot encode norm descriptor {spec!r}")
-
-
 def _require(doc: dict, field: str, locus: str, read=None):
     """``doc[field]``, passed through ``read(value, locus of the field)``
     when given."""
@@ -116,70 +72,44 @@ def _require(doc: dict, field: str, locus: str, read=None):
     return doc[field] if read is None else read(doc[field], f"{locus}.{field}")
 
 
+def norm_spec_to_doc(spec) -> dict:
+    """Encode a vector or matrix norm descriptor as a tagged tree."""
+    kind = _KIND_OF.get(type(spec))
+    if kind is None:
+        raise DocumentParseError(f"cannot encode norm descriptor {spec!r}")
+    doc = {"kind": kind}
+    for field, attr, (encode, _) in _KINDS[kind][1]:
+        doc[field] = encode(getattr(spec, attr))
+    return doc
+
+
 def norm_spec_from_doc(doc, locus: str = "$"):
-    """Decode a tagged tree into a norm descriptor, validating as it goes."""
+    """Decode a tagged tree into a norm descriptor, validating as it goes:
+    each field in table order at its own locus, then the descriptor's own
+    invariants at ``locus``."""
     if not isinstance(doc, dict):
         raise DocumentParseError(f"expected an object, got {type(doc).__name__}", locus)
     kind = _require(doc, "kind", locus)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise DocumentParseError(f"unknown norm kind {kind!r}", locus)
+    cls, fields = _KINDS[kind]
+    values = {attr: _require(doc, field, locus, decode) for field, attr, (_, decode) in fields}
     try:
-        if kind == "lp":
-            return Lp(_require(doc, "p", locus, _p_from_doc))
-        if kind == "weighted-lp":
-            weights = _require(doc, "weights", locus)
-            if not isinstance(weights, list):
-                raise DocumentParseError("weights must be a list", f"{locus}.weights")
-            return WeightedLp(
-                tuple(_number(w, f"{locus}.weights[{i}]") for i, w in enumerate(weights)),
-                _require(doc, "p", locus, _p_from_doc),
-            )
-        if kind == "scaled":
-            return Scaled(
-                _require(doc, "gamma", locus, _number),
-                norm_spec_from_doc(_require(doc, "inner", locus), f"{locus}.inner"),
-            )
-        if kind == "maxof":
-            inner = _require(doc, "inner", locus)
-            if not isinstance(inner, list) or not inner:
-                raise DocumentParseError("maxof needs a nonempty list", f"{locus}.inner")
-            return MaxOf(
-                tuple(
-                    norm_spec_from_doc(part, f"{locus}.inner[{i}]")
-                    for i, part in enumerate(inner)
-                )
-            )
-        if kind == "sigma":
-            return EntrywiseSum()
-        if kind == "entrywise-max":
-            return EntrywiseMax()
-        if kind == "maxcolsum":
-            return MaxColSum()
-        if kind == "maxrowsum":
-            return MaxRowSum()
-        if kind == "spectral":
-            return Spectral()
-        if kind == "gind":
-            return GInd(
-                norm_spec_from_doc(_require(doc, "norm1", locus), f"{locus}.norm1"),
-                norm_spec_from_doc(_require(doc, "norm2", locus), f"{locus}.norm2"),
-            )
-        if kind == "extracted":
-            return Extracted(
-                _require(doc, "role", locus, _integer),
-                norm_spec_from_doc(_require(doc, "source", locus), f"{locus}.source"),
-                budget_from_doc(_require(doc, "budget", locus), f"{locus}.budget"),
-            )
+        return cls(**values)
     except SpecValidationError as exc:
         raise DocumentParseError(str(exc), locus) from exc
-    raise DocumentParseError(f"unknown norm kind {kind!r}", locus)
+
+
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentParseError(f"invalid JSON: {exc}") from exc
 
 
 def parse_norm_spec(text: str):
     """Parse a JSON norm-spec document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentParseError(f"invalid JSON: {exc}") from exc
-    return norm_spec_from_doc(doc)
+    return norm_spec_from_doc(_json(text))
 
 
 def print_norm_spec(spec) -> str:
@@ -197,6 +127,50 @@ def budget_from_doc(doc, locus: str = "$") -> OptBudget:
         })
     except SpecValidationError as exc:
         raise DocumentParseError(str(exc), locus) from exc
+
+
+def _items(read, message: str, least: int):
+    """The decoder of a list field of at least ``least`` items, each item
+    read by ``read(item, its locus)``; ``message`` reports any other value."""
+    def decode(value, locus: str) -> tuple:
+        if not isinstance(value, list) or len(value) < least:
+            raise DocumentParseError(message, locus)
+        return tuple(read(item, f"{locus}[{i}]") for i, item in enumerate(value))
+    return decode
+
+
+_P = (lambda p: "inf" if p == math.inf else p, _p_from_doc)
+_SPEC = (norm_spec_to_doc, norm_spec_from_doc)
+_WEIGHTS = (list, _items(_number, "weights must be a list", 0))
+_PARTS = (
+    lambda parts: [norm_spec_to_doc(part) for part in parts],
+    _items(norm_spec_from_doc, "maxof needs a nonempty list", 1),
+)
+
+# The one definition of the norm-spec document: each ``kind`` tag, the
+# descriptor class it names, and that class's (document field, attribute,
+# codec) triples, where a codec is (encode an attribute, decode a field at
+# its locus).  Fields are written and read in this order, so a document with
+# several faults reports the first field's.
+_KINDS = {
+    "lp": (Lp, (("p", "p", _P),)),
+    "weighted-lp": (WeightedLp, (("weights", "weights", _WEIGHTS), ("p", "p", _P))),
+    "scaled": (Scaled, (("gamma", "gamma", (lambda g: g, _number)), ("inner", "inner", _SPEC))),
+    "maxof": (MaxOf, (("inner", "parts", _PARTS),)),
+    "sigma": (EntrywiseSum, ()),
+    "entrywise-max": (EntrywiseMax, ()),
+    "maxcolsum": (MaxColSum, ()),
+    "maxrowsum": (MaxRowSum, ()),
+    "spectral": (Spectral, ()),
+    "gind": (GInd, (("norm1", "norm1", _SPEC), ("norm2", "norm2", _SPEC))),
+    "extracted": (Extracted, (
+        ("role", "role", (lambda role: role, _integer)),
+        ("source", "source", _SPEC),
+        ("budget", "budget", (dataclasses.asdict, budget_from_doc)),
+    )),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
+_NORM_SPECS = tuple(_KIND_OF)
 
 
 # --- matrix documents ------------------------------------------------------
@@ -227,30 +201,38 @@ def parse_complex_literal(text: str, locus: str = "literal") -> complex:
     raise DocumentParseError(f"malformed complex literal {text!r}", locus)
 
 
-def matrix_from_csv(text: str) -> np.ndarray:
-    """Parse a CSV of complex literals into a square matrix."""
-    rows: list[list[complex]] = []
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        rows.append(
-            [
-                parse_complex_literal(cell, f"row {i + 1}, column {j + 1}")
-                for j, cell in enumerate(cells)
-            ]
-        )
-    if not rows:
-        raise DocumentParseError("matrix document is empty")
-    width = len(rows[0])
+def _square_matrix(rows, parse_row, row_locus, locus: str | None = None) -> np.ndarray:
+    """The square matrix of a list of rows, each a list of as many cells as
+    the first, checked before ``parse_row(i, row)`` reads its complex cells;
+    a fault in row i is reported at ``row_locus(i)``, a nonsquare shape at
+    ``locus``."""
+    parsed = []
     for i, row in enumerate(rows):
-        if len(row) != width:
+        if not isinstance(row, list):
+            raise DocumentParseError("row must be a list", row_locus(i))
+        if parsed and len(row) != len(parsed[0]):
             raise DocumentParseError(
-                f"ragged row: expected {width} cells, got {len(row)}", f"row {i + 1}"
+                f"ragged row: expected {len(parsed[0])} cells, got {len(row)}", row_locus(i)
             )
-    if len(rows) != width:
-        raise DocumentParseError(f"matrix must be square, got {len(rows)}x{width}")
-    return np.asarray(rows, dtype=np.complex128)
+        parsed.append(parse_row(i, row))
+    if not parsed:
+        raise DocumentParseError("matrix document is empty")
+    if len(parsed) != len(parsed[0]):
+        raise DocumentParseError(
+            f"matrix must be square, got {len(parsed)}x{len(parsed[0])}", locus
+        )
+    return np.asarray(parsed, dtype=np.complex128)
+
+
+def matrix_from_csv(text: str) -> np.ndarray:
+    """Parse a CSV of complex literals into a square matrix; every cell is
+    read before the shape is checked."""
+    rows = [
+        [parse_complex_literal(cell, f"row {i + 1}, column {j + 1}")
+         for j, cell in enumerate(line.split(","))]
+        for i, line in enumerate(text.splitlines()) if line.strip()
+    ]
+    return _square_matrix(rows, lambda i, row: row, lambda i: f"row {i + 1}")
 
 
 def _cell_from_doc(cell, locus: str) -> complex:
@@ -262,29 +244,18 @@ def _cell_from_doc(cell, locus: str) -> complex:
 
 
 def matrix_from_doc(doc, locus: str = "$") -> np.ndarray:
+    """The matrix of a ``{"rows": [[cell, ...], ...]}`` document; a row's
+    cells are read after its type and width are checked."""
     if not isinstance(doc, dict) or "rows" not in doc:
         raise DocumentParseError("matrix document needs a 'rows' field", locus)
     rows = doc["rows"]
     if not isinstance(rows, list) or not rows:
         raise DocumentParseError("'rows' must be a nonempty list", f"{locus}.rows")
-    parsed = []
-    width = None
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise DocumentParseError("row must be a list", f"{locus}.rows[{i}]")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DocumentParseError(
-                f"ragged row: expected {width} cells, got {len(row)}",
-                f"{locus}.rows[{i}]",
-            )
-        parsed.append(
-            [_cell_from_doc(c, f"{locus}.rows[{i}][{j}]") for j, c in enumerate(row)]
-        )
-    if len(parsed) != width:
-        raise DocumentParseError(f"matrix must be square, got {len(parsed)}x{width}", locus)
-    return np.asarray(parsed, dtype=np.complex128)
+
+    def cells(i: int, row: list) -> list:
+        return [_cell_from_doc(c, f"{locus}.rows[{i}][{j}]") for j, c in enumerate(row)]
+
+    return _square_matrix(rows, cells, lambda i: f"{locus}.rows[{i}]", locus)
 
 
 def load_matrix_text(text: str) -> np.ndarray:
@@ -293,15 +264,7 @@ def load_matrix_text(text: str) -> np.ndarray:
     The finiteness check sits here, at the input boundary, and not in
     ``core.as_matrix``, which every norm kernel call passes through.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentParseError(f"invalid JSON: {exc}") from exc
-        m = matrix_from_doc(doc)
-    else:
-        m = matrix_from_csv(text)
+    m = matrix_from_doc(_json(text)) if text.lstrip().startswith("{") else matrix_from_csv(text)
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         i, j = bad[0]

@@ -36,7 +36,7 @@ from .budget import (
     ComputationResult,
     OptBudget,
 )
-from .core import RandomStream, as_matrix, as_vector, hermitian_top_eig, scaled_gram
+from .core import RandomStream, as_matrix, as_vector, conj_phases, hermitian_top_eig, scaled_gram
 from .errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
 from .matrix_norms import (
     EntrywiseMax,
@@ -72,14 +72,6 @@ _L2_RNG = RandomStream(0).child(1)
 
 # the earlier name of the pair descriptor, kept for callers that build it
 GIndPair = GInd
-
-
-def _row_phases(m: np.ndarray) -> np.ndarray:
-    """Row i holds the phases conj(a_ij)/|a_ij|, and 1 where a_ij = 0: the
-    unimodular x that makes (Ax)_i = sum_j |a_ij|."""
-    mods = np.abs(m)
-    nonzero = mods > 0
-    return np.where(nonzero, np.conj(m) / np.where(nonzero, mods, 1.0), 1.0).astype(np.complex128)
 
 
 def _moduli_constraints(spec, n: int, gamma: float = 1.0):
@@ -183,7 +175,8 @@ def _polyhedral_search(core2, m: np.ndarray, vertices) -> ComputationResult:
     exceed the best value so far is skipped.  The best value wins, ties to
     the lowest vertex; evaluations add up."""
     n = m.shape[0]
-    phases, mods = _row_phases(m), np.abs(m)
+    # row i of the phases is the unimodular x that makes (Ax)_i = sum_j |a_ij|
+    phases, mods = conj_phases(m), np.abs(m)
     # the codomain's weights folded into the columns, when it is euclidean
     euclid = None
     if isinstance(core2, Lp) and core2.p == 2.0:
@@ -227,7 +220,7 @@ def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
     starts and the climb's seed pool.
     """
     mods = np.abs(m)
-    phases = _row_phases(m)
+    phases = conj_phases(m)
     for i in range(m.shape[0]):
         if mods[i].max() > 0:
             yield phases[i]

@@ -18,13 +18,14 @@ method in ``gind`` steps on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .budget import OptBudget
-from .core import as_vector
+from .core import as_vector, phase_divisors
 from .errors import DimensionMismatchError, SpecValidationError
 
 if TYPE_CHECKING:  # matrix_norms imports this module; annotation only
@@ -130,6 +131,48 @@ def split_scale(spec):
     return gamma, spec
 
 
+# the sums of squares whose square root is the l2 norm as they stand: the
+# normal finite ones
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+
+
+def _vdot_squares(v: np.ndarray) -> float:
+    return np.vdot(v, v).real
+
+
+def _squares(m: np.ndarray) -> float:
+    return np.sum(m * m)
+
+
+def _root_of_squares(x: np.ndarray, squares) -> float:
+    """The l2 norm sqrt(squares(x)) of a 1-d array x.  Where that sum of
+    squares is not a normal finite number, it is taken again of x / 2^e,
+    with 2^e the smallest power of two above every real and imaginary part,
+    as in :func:`~normlab.core.scaled_gram`, and the root scaled back.  So a
+    finite x neither overflows nor underflows, every normal sum keeps its
+    bits, and an x with an inf or NaN entry (e = 0) keeps its plain value."""
+    sq = squares(x)
+    if _TINY <= sq <= _HUGE:
+        return math.sqrt(sq)
+    parts = np.ascontiguousarray(x).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    root = math.sqrt(squares(np.ldexp(parts, -e).view(x.dtype)))
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:  # the norm is above the largest float
+        return math.inf
+
+
+def _roots_of_squares(sq: np.ndarray, rows: np.ndarray, squares) -> np.ndarray:
+    """Row-wise :func:`_root_of_squares`, given each row's sum of squares;
+    only the rows whose sum is not normal and finite are taken again."""
+    roots = np.sqrt(sq)
+    if not (_TINY <= sq.min(initial=_HUGE) and sq.max(initial=_TINY) <= _HUGE):
+        for i in np.flatnonzero(~((sq >= _TINY) & (sq <= _HUGE))):
+            roots[i] = _root_of_squares(rows[i], squares)
+    return roots
+
+
 def lp_of_moduli(m: np.ndarray, p: float) -> float:
     """The l_p norm of a vector of moduli."""
     if m.size == 0:
@@ -139,7 +182,7 @@ def lp_of_moduli(m: np.ndarray, p: float) -> float:
     if p == 1.0:
         return float(m.sum())
     if p == 2.0:
-        return float(np.sqrt(np.sum(m * m)))
+        return _root_of_squares(m, _squares)
     peak = float(m.max())
     if peak == 0.0:
         return 0.0
@@ -158,7 +201,7 @@ def vnorm_eval(spec: VectorNormSpec, x) -> float:
     v = as_vector(x)
     if isinstance(spec, Lp):
         if spec.p == 2.0:
-            return float(np.sqrt(np.vdot(v, v).real))
+            return _root_of_squares(v, _vdot_squares)
         return lp_of_moduli(np.abs(v), spec.p)
     if isinstance(spec, WeightedLp):
         if len(spec.weights) != v.size:
@@ -198,7 +241,7 @@ def _lp_of_moduli_many(m: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return m.sum(axis=1)
     if p == 2.0:
-        return np.sqrt((m * m).sum(axis=1))
+        return _roots_of_squares((m * m).sum(axis=1), m, _squares)
     peak = m.max(axis=1)
     live = peak != 0.0  # NaN peaks stay live and propagate, as in the scalar form
     safe = np.where(live, peak, 1.0)[:, None]
@@ -221,11 +264,10 @@ def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
     if isinstance(spec, Lp):
         if spec.p == 2.0:
             # the stacked row-times-column product reproduces vdot's rounding
-            # on finite rows; vdot may give NaN where it gives inf
+            # where its sum is normal and finite; the other rows, which take
+            # vdot again, include those where it gives NaN and vdot inf
             sq = (v.conj()[:, None, :] @ v[:, :, None])[:, 0, 0].real
-            for i in np.flatnonzero(~np.isfinite(sq)):
-                sq[i] = np.vdot(v[i], v[i]).real
-            return np.sqrt(sq)
+            return _roots_of_squares(sq, v, _vdot_squares)
         return _lp_of_moduli_many(np.abs(v), spec.p)
     if isinstance(spec, WeightedLp):
         if len(spec.weights) != v.shape[1]:
@@ -271,7 +313,8 @@ def _lp_functionals(v: np.ndarray, w, p: float):
         f = s * (rho / np.maximum(total, 1.0))[:, None]
         if w is not None:
             f *= w
-    return vals, v * (f / np.where(mods > 0.0, mods, 1.0))
+    v, safe = phase_divisors(v, mods > 0.0, mods)
+    return vals, v * (f / safe)
 
 
 def norming_functionals_many(spec: VectorNormSpec, rows) -> tuple[np.ndarray, np.ndarray]:

@@ -101,6 +101,35 @@ def test_norms_of_the_right_family_pass_the_check(matrix_file, capsys):
     assert run_command(["gind", "--norm1", _SCALED_L1, "--norm2", "l2", "--matrix", matrix_file]) == 0
 
 
+# the documents the short names stood for when they were JSON text
+_SHORT_NAME_DOCUMENTS = {
+    "sigma": '{"kind": "sigma"}',
+    "entrywise-max": '{"kind": "entrywise-max"}',
+    "maxcolsum": '{"kind": "maxcolsum"}',
+    "maxrowsum": '{"kind": "maxrowsum"}',
+    "spectral": '{"kind": "spectral"}',
+    "maxcr": '{"kind": "maxof", "inner": [{"kind": "maxcolsum"}, {"kind": "maxrowsum"}]}',
+    "l1": '{"kind": "lp", "p": 1}',
+    "l2": '{"kind": "lp", "p": 2}',
+    "linf": '{"kind": "lp", "p": "inf"}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHORT_NAME_DOCUMENTS))
+def test_a_short_name_reports_as_its_document(name, matrix_file, tmp_path, capsys):
+    assert set(cli._SHORTHAND) == set(_SHORT_NAME_DOCUMENTS)
+    reports = []
+    for norm in (name, _SHORT_NAME_DOCUMENTS[name]):
+        path = tmp_path / "report.json"
+        if name in ("l1", "l2", "linf"):
+            argv = ["gind", "--norm1", norm, "--norm2", norm]
+        else:
+            argv = ["eval", "--norm", norm]
+        assert run_command(argv + ["--matrix", matrix_file, "--report", str(path)]) == 0
+        reports.append(path.read_text())
+    assert reports[0] == reports[1]
+
+
 def test_bad_matrix_document_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")

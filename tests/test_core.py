@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from normlab import (
     sample_matrix,
     sample_vector,
 )
-from normlab.core import _start_vector
+from normlab.core import _start_vector, conj_phases
 from normlab.errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
 
 
@@ -160,6 +161,23 @@ def test_top_eig_repeated_top_projects_start_vector():
     assert res.eigenvalue == 1.0
     assert np.allclose(res.eigenvector, expected, rtol=0.0, atol=1e-15)
     assert res.residual <= 1e-15
+
+
+def test_conj_phases_of_entries_without_a_finite_reciprocal():
+    # |z| <= 2^-1024 has no finite reciprocal: such an entry is scaled by
+    # 2^600 first; every other entry is divided as it stands, bit for bit
+    z = np.array(
+        [3 + 4j, 0, -2.5e-308 + 1e-320j, 1e-300j, 1e-310, -1e-310j, 3e-320 - 4e-320j, 5e-324],
+        dtype=np.complex128,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = conj_phases(z)
+    assert w[1] == 1.0
+    plain = [0, 2, 3]
+    assert np.array_equal(w[plain], np.conj(z[plain]) / np.abs(z[plain]))
+    assert np.allclose(np.abs(w), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(w[4:], [1.0, 1j, 0.6 + 0.8j, 1.0], rtol=0, atol=1e-15)
 
 
 def test_randomstream_identical_draws():

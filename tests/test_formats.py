@@ -1,5 +1,6 @@
 import json
 import math
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from normlab import (
     dominance_check,
     extract_norm1,
 )
-from normlab import formats
+from normlab import Extracted, formats
 from normlab.errors import DocumentParseError
+from normlab.matrix_norms import MatrixNormSpec
+from normlab.vector_norms import VectorNormSpec
 from normlab.verification import paper_demo_suite
 
 
@@ -54,6 +57,92 @@ def test_spec_documents_round_trip(spec):
     assert formats.norm_spec_from_doc(doc) == spec
     # and through actual JSON text
     assert formats.parse_norm_spec(formats.print_norm_spec(spec)) == spec
+
+
+_BUDGETS = st.builds(
+    OptBudget,
+    multistarts=st.integers(1, 64),
+    max_iters=st.integers(1, 1000),
+    samples=st.integers(1, 256),
+    seed=st.integers(0, 2**63),
+)
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+_P = st.one_of(st.just(math.inf), st.floats(min_value=1.0, max_value=1e6))
+
+
+def _descriptors(depth: int, matrix: bool):
+    """Descriptor trees of one family: its leaves under Scaled and MaxOf,
+    with GInd (matrix) or Extracted (vector) leaves nesting ``depth`` deep."""
+    if matrix:
+        leaves = st.sampled_from([EntrywiseSum(), EntrywiseMax(), MaxColSum(), MaxRowSum(), Spectral()])
+        if depth:
+            leaves |= st.builds(GInd, _descriptors(depth - 1, False), _descriptors(depth - 1, False))
+    else:
+        leaves = st.builds(Lp, _P) | st.builds(
+            WeightedLp, st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple), _P
+        )
+        if depth:
+            leaves |= st.builds(
+                Extracted, st.sampled_from([1, 2]), _descriptors(depth - 1, True), _BUDGETS
+            )
+    return st.recursive(
+        leaves,
+        lambda inner: st.builds(Scaled, _POSITIVE, inner)
+        | st.lists(inner, min_size=1, max_size=3).map(lambda parts: MaxOf(tuple(parts))),
+        max_leaves=4,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_descriptors(2, False) | _descriptors(2, True))
+def test_random_descriptor_trees_round_trip(spec):
+    assert formats.norm_spec_from_doc(formats.norm_spec_to_doc(spec)) == spec
+    assert formats.parse_norm_spec(formats.print_norm_spec(spec)) == spec
+
+
+def test_every_descriptor_class_has_one_kind_row():
+    classes = [cls for cls, _ in formats._KINDS.values()]
+    assert len(classes) == len(set(classes))
+    assert set(classes) == set(get_args(VectorNormSpec) + get_args(MatrixNormSpec))
+
+
+def test_a_field_of_the_wrong_type_fails_at_its_locus():
+    # every field of every kind, at the top of a document and nested in one
+    budget = OptBudget(multistarts=2, max_iters=40, samples=6, seed=0)
+    one_per_kind = [
+        Lp(2), WeightedLp((1.0, 2.0), 3), Scaled(2.0, Lp(1)), MaxOf((Lp(1), Lp(2))),
+        EntrywiseSum(), EntrywiseMax(), MaxColSum(), MaxRowSum(), Spectral(),
+        GInd(Lp(1), Lp(2)), Extracted(1, Spectral(), budget),
+    ]
+    assert {formats.norm_spec_to_doc(s)["kind"] for s in one_per_kind} == set(formats._KINDS)
+    for spec in one_per_kind:
+        doc = formats.norm_spec_to_doc(spec)
+        for field in set(doc) - {"kind"}:
+            for wrong in ("x", None, True):
+                bad = dict(doc, **{field: wrong})
+                for text, locus in (
+                    (bad, f"$.{field}"),
+                    ({"kind": "scaled", "gamma": 1.0, "inner": bad}, f"$.inner.{field}"),
+                ):
+                    with pytest.raises(DocumentParseError) as info:
+                        formats.norm_spec_from_doc(text)
+                    assert info.value.locus == locus, (spec, field, wrong)
+    # with every field wrong, the format's first field reports, whatever the
+    # order of the document's own keys (here the format's order reversed)
+    for kind, fields in (
+        ("weighted-lp", ("p", "weights")),
+        ("scaled", ("inner", "gamma")),
+        ("gind", ("norm2", "norm1")),
+        ("extracted", ("budget", "source", "role")),
+    ):
+        with pytest.raises(DocumentParseError) as info:
+            formats.norm_spec_from_doc(dict(dict.fromkeys(fields, "x"), kind=kind))
+        assert info.value.locus == f"$.{fields[-1]}"
+    # a kind tag that is not a string is an unknown kind, as is an unknown string
+    for kind in ([1], 3, None, {"kind": "lp"}, "frobenius"):
+        with pytest.raises(DocumentParseError, match="unknown norm kind") as info:
+            formats.norm_spec_from_doc({"kind": kind, "p": 2})
+        assert info.value.locus == "$"
 
 
 def test_parse_norm_spec_examples():
@@ -132,6 +221,35 @@ def test_csv_parsing_examples():
         formats.matrix_from_csv("1,2,3\n4,5,6\n")
     with pytest.raises(DocumentParseError, match="malformed"):
         formats.matrix_from_csv("1,2\n3,4x\n")
+
+
+@pytest.mark.parametrize(
+    "text, message, locus",
+    [
+        # CSV: every cell is read before the shape is checked, and a ragged
+        # row is numbered among the rows that are not blank
+        ("1,2\n3\n4,x\n", "malformed complex literal 'x'", "row 3, column 2"),
+        ("1,x\n3\n", "malformed complex literal 'x'", "row 1, column 2"),
+        ("1,2\n\n3\n", "ragged row: expected 2 cells, got 1", "row 2"),
+        ("1,2,3\n4\n", "ragged row: expected 3 cells, got 1", "row 2"),
+        ("1,2,3\n4,5,x\n", "malformed complex literal 'x'", "row 2, column 3"),
+        ("\n\n", "matrix document is empty", None),
+        # JSON: a row's type and width are checked before its cells are read
+        ('{"rows": [[1, "x"], [1]]}', "expected a number, got 'x'", "$.rows[0][1]"),
+        ('{"rows": [[1, 2], [1, "x", 3]]}', "ragged row: expected 2 cells, got 3", "$.rows[1]"),
+        ('{"rows": [[1, 2], 5, [1, "x"]]}', "row must be a list", "$.rows[1]"),
+        ('{"rows": [[1, 2], [1, 2], [1]]}', "ragged row: expected 2 cells, got 1", "$.rows[2]"),
+        ('{"rows": [[1, 2, 3], [1, "x", 3]]}', "expected a number, got 'x'", "$.rows[1][1]"),
+        ('{"rows": [[1, 2], [1, NaN, 3]]}', "ragged row: expected 2 cells, got 3", "$.rows[1]"),
+        ('{"rows": [[], [1]]}', "ragged row: expected 0 cells, got 1", "$.rows[1]"),
+        ('{"rows": [[]]}', "matrix must be square, got 1x0", "$"),
+    ],
+)
+def test_matrix_documents_with_two_faults_report_the_first(text, message, locus):
+    with pytest.raises(DocumentParseError) as info:
+        formats.load_matrix_text(text)
+    assert str(info.value) == (f"{message} (at {locus})" if locus else message)
+    assert info.value.locus == locus
 
 
 def test_complex_literal_grammar():

@@ -455,7 +455,7 @@ def test_skipped_vertices_never_change_the_result():
                     res = sphere_opt.maximize_on_polydisc(
                         lambda xs: np.asarray([vnorm_eval(codomain, a[:, s] @ x) for x in xs]),
                         v[s],
-                        v[s] * gind._row_phases(a)[:, s],
+                        v[s] * core.conj_phases(a)[:, s],
                         vnorm_eval(codomain, np.abs(a[:, s]) @ v[s]),
                     )
                     evals += res.evaluations
@@ -664,7 +664,7 @@ def test_each_round_scores_the_parents_grids(n):
         objective = lambda xs: calls.append(len(xs)) or np.abs(xs @ a.T).sum(axis=1)
         r = np.ones(n)
         res = sphere_opt.maximize_on_polydisc(
-            objective, r, gind._row_phases(a), vnorm_eval(Lp(1), np.abs(a) @ r)
+            objective, r, core.conj_phases(a), vnorm_eval(Lp(1), np.abs(a) @ r)
         )
         assert calls[:2] == [n, 9**d]
         grid = 33 if d == 1 else 5**d
@@ -687,6 +687,34 @@ def test_non_finite_matrices_are_rejected(pair, bad):
     with pytest.raises(NonFiniteInputError) as info:
         gind_eval(pair, [[bad, 0], [0, 1]], B)
     assert isinstance(info.value, NormlabError) and isinstance(info.value, ValueError)
+
+
+_BIG = [[1e200, 0], [0, 1]]
+_SUBNORMAL = [[0, 0], [0, 1e-310]]
+
+
+@pytest.mark.parametrize(
+    "pair, a, value, label",
+    [
+        # l2 sums of squares that overflow or underflow are scaled first
+        (GInd(Lp(2), Lp(2)), _BIG, 1e200, EXACT_CLOSED_FORM),
+        (GInd(Lp(1), Lp(2)), _BIG, 1e200, EXACT_VERTEX),
+        (GInd(Lp(math.inf), Lp(2)), _BIG, 1e200, LOWER_BOUND),
+        (GInd(Lp(1), Lp(2)), [[1e-200, 0], [0, 1e-200]], 1e-200, EXACT_VERTEX),
+        # the phase of an entry whose modulus has no finite reciprocal
+        (GInd(Lp(math.inf), Lp(1)), _SUBNORMAL, 1e-310, LOWER_BOUND),
+        (GInd(Lp(3), Lp(1.5)), _SUBNORMAL, 1e-310, LOWER_BOUND),
+        (GInd(Lp(math.inf), Lp(1)), [[1e-310]], 1e-310, LOWER_BOUND),
+        (GInd(MaxOf((Lp(1), Scaled(2.0, Lp(math.inf)))), Lp(2)), [[1e-310]], 5e-311, LOWER_BOUND),
+    ],
+)
+def test_extreme_finite_entries_read_their_values(pair, a, value, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gind_eval(pair, a, B)
+    assert (res.value, res.exactness) == (value, label)
+    if a is _BIG:
+        assert mnorm_eval(Spectral(), a) == res.value
 
 
 # smooth l_p domains, 1 < p < inf: the nonlinear power method

@@ -146,6 +146,7 @@ _STACK_SPECS = [
     )),
     MaxOf((Spectral(), GInd(Lp(1), Lp(2)))),
     GInd(Lp(2), Scaled(2.0, Lp(2))),
+    GInd(Lp(math.inf), Lp(1)),
 ]
 
 

@@ -158,6 +158,63 @@ def test_vnorm_eval_many_equals_vnorm_eval_row_by_row(rows):
                 assert got == want or (math.isnan(got) and math.isnan(want)), (spec, row)
 
 
+def test_l2_values_hold_for_finite_extreme_entries():
+    # a sum of squares that is not a normal finite number is taken again of
+    # the vector scaled by a power of two, so finite entries give the norm; a
+    # normal sum keeps its bits, and a vector with an inf or NaN entry its
+    # unscaled value.  Plain l2 sums with vdot, which never warns; the batch
+    # and moduli forms square with numpy, which warns when a square overflows
+    w = (1.0, 2.0)
+    rows = np.array([[1e200, 0], [1e-200, 0], [3e-320, 4e-320], [3, 4], [0, 0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, want in zip(rows, (1e200, 1e-200, 5e-320, 5.0, 0.0)):
+            assert vnorm_eval(Lp(2), x) == want
+        assert vnorm_eval(Lp(2), [3e200, 4e200j]) == pytest.approx(5e200, rel=1e-15)
+        assert vnorm_eval(Lp(2), [1.5e308, 1.5e308]) == math.inf
+        # vdot's own value, NaN for an inf entry as for a NaN one
+        assert math.isnan(vnorm_eval(Lp(2), [math.inf, 1]))
+        assert math.isnan(vnorm_eval(Lp(2), [math.nan, 1]))
+    with np.errstate(over="ignore"):
+        for x, want in zip(rows, (1e200, 1e-200, 5e-320, 5.0, 0.0)):
+            assert vnorm_dual_eval(Lp(2), x) == want
+        assert list(vnorm_eval_many(Lp(2), rows)) == [1e200, 1e-200, 5e-320, 5.0, 0.0]
+        assert vnorm_eval_many(Lp(2), np.zeros((0, 2))).shape == (0,)
+        assert vnorm_eval_many(WeightedLp(w, 2), np.zeros((0, 2))).shape == (0,)
+        assert vnorm_eval(WeightedLp(w, 2), [1e200, 1e200]) == pytest.approx(math.sqrt(5) * 1e200, rel=1e-15)
+        assert vnorm_eval(WeightedLp(w, 2), [0, 1e-200]) == 2e-200
+        assert list(vnorm_eval_many(WeightedLp(w, 2), rows)) == [
+            vnorm_eval(WeightedLp(w, 2), x) for x in rows
+        ]
+    g = np.random.default_rng(97)
+    for n in (1, 2, 3, 4):
+        scale = 10.0 ** g.uniform(-150, 150, (50, 1))
+        normal = scale * (g.standard_normal((50, n)) + 1j * g.standard_normal((50, n)))
+        for x, got in zip(normal, vnorm_eval_many(Lp(2), normal)):
+            assert vnorm_eval(Lp(2), x) == got == float(np.sqrt(np.vdot(x, x).real))
+            assert vnorm_eval(WeightedLp(w[:1] * n, 2), x) == float(np.sqrt(np.sum(np.abs(x) ** 2)))
+
+
+def test_norming_functionals_of_subnormal_rows():
+    # 1/|y_j| overflows on a subnormal entry: its phase is taken of the entry
+    # scaled by 2^600, so the functional stays unit and attains the norm
+    g = np.random.default_rng(61)
+    for n in (1, 2, 3):
+        rows = 1e-310 * (g.standard_normal((4, n)) + 1j * g.standard_normal((4, n)))
+        rows[0, : n - 1] = 0.0  # zero entries, in a row that is not zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in _batch_specs(n):
+                assert norming_functionals_many(spec, rows[:0])[1].shape == (0, n)
+                vals, funcs = norming_functionals_many(spec, rows)
+                assert vals == pytest.approx(vnorm_eval_many(spec, rows), rel=1e-12), spec
+                maxof = isinstance(split_scale(spec)[1], MaxOf)
+                for y, val, u in zip(rows, vals, funcs):
+                    assert np.vdot(u, y).real == pytest.approx(val, rel=1e-9), spec
+                    dual = vnorm_dual_eval(spec, u)
+                    assert dual <= 1.0 + 1e-13 if maxof else dual == pytest.approx(1.0, rel=1e-13)
+
+
 def test_vnorm_eval_many_rejects_what_it_cannot_batch():
     from normlab import Extracted, MaxColSum, OptBudget
 
