@@ -53,6 +53,7 @@ from .gind import (
     chain_compare,
     dominance_check,
     gind_eval,
+    gind_eval_many,
     mnorm_is_algebra_candidate,
     sum_functional_alpha,
     vnorm_dual_eval,

@@ -54,6 +54,26 @@ def conj_phases(z: np.ndarray) -> np.ndarray:
     return np.where(nonzero, np.conj(z) / safe, 1.0)
 
 
+def power_of_two_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2^e, e) for a real or complex array x, with 2^e the smallest power
+    of two above every real and imaginary part (e = 0 for a zero x and for
+    an x with an inf or NaN entry).  The scaling is exact, and the scaled
+    parts lie below 1, so its products and sums of squares neither overflow
+    nor, for the largest part, underflow."""
+    parts = np.ascontiguousarray(x).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    return np.ldexp(parts, -e).view(x.dtype), e
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """vdot(a_i, b_i) for every row of two (k, n) complex arrays, as one
+    stacked row-times-column product.  It reproduces vdot's rounding
+    wherever the result is finite; where a product overflows it gives inf or
+    NaN, without a warning, and may read NaN where vdot reads inf."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square 2-d complex matrix of dimension >= 1."""
     m = np.asarray(a, dtype=np.complex128)
@@ -230,6 +250,40 @@ def hermitian_top_eigenvalues(hs: np.ndarray) -> np.ndarray:
     return np.where(lams < 0.0, 0.0, lams)  # max(lam, 0.0), NaN and -0.0 kept
 
 
+def _top_projection(start: np.ndarray, lams: list[float], vecs: np.ndarray) -> np.ndarray:
+    """The unit projection of ``start`` onto the top eigenspace of a solve's
+    ascending eigenvalues and eigenvectors: spanned by every eigenvector
+    whose eigenvalue lies within 1e-12 ||H||_2 of the largest."""
+    lam = lams[-1]
+    top = vecs[:, bisect.bisect_left(lams, lam - _TOP_CLUSTER * max(lam, -lams[0])):]
+    coeffs = start.dot(top.conj())
+    weight = math.sqrt(np.vdot(coeffs, coeffs).real)
+    return top.dot(coeffs / weight) if weight > 0.0 else vecs[:, -1]
+
+
+def hermitian_top_eigenvectors(hs: np.ndarray, rng: RandomStream = RandomStream(0)) -> np.ndarray:
+    """The eigenvector of :func:`hermitian_top_eig` for every matrix of a
+    (k, n, n) stack of Gram matrices, bit for bit, as the rows of a (k, n)
+    array, from one stacked solve; a zero matrix gets the start vector.
+    Like :func:`hermitian_top_eigenvalues` it does not check that H is
+    Hermitian, and it raises as that does.  Each projection onto a top
+    eigenspace is the scalar form's, matrix by matrix: at a few matrices a
+    stack it costs less than the array operations that would serve it.
+    """
+    if not np.isfinite(hs).all():
+        raise NonFiniteInputError("eigen solve needs a finite matrix")
+    start = _start_vector(rng, hs.shape[1])
+    try:
+        lams, vecs = np.linalg.eigh(hs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigen solve failed: {exc}") from exc
+    out = np.empty(hs.shape[:2], dtype=np.complex128)
+    # the scalar form does not solve a zero matrix
+    for i, (live, row) in enumerate(zip(hs.any(axis=(1, 2)).tolist(), lams.tolist())):
+        out[i] = _top_projection(start, row, vecs[i]) if live else start
+    return out
+
+
 def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
     """Largest eigenpair of a Hermitian PSD matrix by one dense solve.
 
@@ -257,9 +311,6 @@ def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
     if vecs is None:
         return EigResult(0.0, start, 1, 0.0)
     lam = lams[-1]
-    top = vecs[:, bisect.bisect_left(lams, lam - _TOP_CLUSTER * max(lam, -lams[0])):]
-    coeffs = start.dot(top.conj())
-    weight = math.sqrt(np.vdot(coeffs, coeffs).real)
-    v = top.dot(coeffs / weight) if weight > 0.0 else vecs[:, -1]
+    v = _top_projection(start, lams, vecs)
     r = m.dot(v) - lam * v
     return EigResult(max(lam, 0.0), v, 1, math.sqrt(np.vdot(r, r).real))

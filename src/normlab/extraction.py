@@ -25,14 +25,16 @@ without certifying it, and its absence is evidence only.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, as_vector, conj_phases, sample_matrix
+from .core import RandomStream, as_vector, conj_phases, power_of_two_scaled, sample_matrix
 from .errors import DimensionMismatchError
-from .gind import concrete, concrete_pair, gind_eval, sum_functional_alpha
+from .gind import concrete, concrete_pair, gind_eval, gind_eval_many, sum_functional_alpha
 from .matrix_norms import GInd, MatrixNormSpec, mnorm_eval, mnorm_eval_many
 from .sphere_opt import maximize_on_matrix_sphere
 from .vector_norms import Extracted, vnorm_eval
@@ -117,7 +119,14 @@ def _role1_ascent(source: MatrixNormSpec, budget: OptBudget, v: np.ndarray) -> f
         return hit
 
     aligned_rows = np.tile(conj_phases(v), (n, 1))
-    unit = v / np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if norm < sys.float_info.min or not math.isfinite(norm):
+        # the sum of squares of a tiny or huge x under- or overflowed
+        scaled = power_of_two_scaled(v)[0]
+        unit = scaled / np.linalg.norm(scaled)
+    else:
+        unit = v / norm
     informed = [
         np.ones((n, n), dtype=np.complex128),
         aligned_rows,  # every row conj-phased to x: sends x to l1(x) * ones
@@ -244,12 +253,15 @@ def _random_probes(n: int, trials: int, rng: RandomStream) -> list[np.ndarray]:
 
 def _probe_ratios(source, pair, mats, outer, inner) -> list[tuple[float, np.ndarray]]:
     """(reconstruction / N, A) for every probe A with N(A) >= 1e-14, in order;
-    N at every probe in one :func:`~normlab.matrix_norms.mnorm_eval_many`."""
-    ratios = []
-    for m, den in zip(mats, mnorm_eval_many(source, mats, inner).tolist()):
-        if den >= 1e-14:
-            ratios.append((gind_eval(pair, m, outer).value / den, m))
-    return ratios
+    N at every probe in one :func:`~normlab.matrix_norms.mnorm_eval_many`,
+    and the reconstruction at the kept ones in one
+    :func:`~normlab.gind.gind_eval_many`."""
+    dens = mnorm_eval_many(source, mats, inner).tolist()
+    kept = [(m, den) for m, den in zip(mats, dens) if den >= 1e-14]
+    if not kept:
+        return []
+    found = gind_eval_many(pair, [m for m, _ in kept], outer)
+    return [(res.value / den, m) for (m, den), res in zip(kept, found)]
 
 
 def minimality_probe(

@@ -1,15 +1,25 @@
 """Generalized induced norms, the four-norm comparison chain and Lemma 2.1.
 
-``gind_eval`` computes max{ ||Ax||_2 : ||x||_1 = 1 } for a pair of vector
-norms, a :class:`~normlab.matrix_norms.GInd`.  Outer scale factors are
+``gind_eval_many`` computes max{ ||Ax||_2 : ||x||_1 = 1 } for a pair of
+vector norms, a :class:`~normlab.matrix_norms.GInd`, at every matrix of a
+stack, and ``gind_eval`` is its stack of one.  Outer scale factors are
 peeled off exactly (scaling either norm by gamma scales the induced value by
 1/gamma resp. gamma), so proportional pairs evaluate through the identical
-core computation.  The route is chosen by the two cores, in one place: l2
-to l2 is the top singular value, polyhedral domains with a batch codomain
-get the best polydisc search over the vertices of the ball of moduli,
-smooth l_p domains with a batch codomain the nonlinear power method, and
-every other pair goes to the sphere maximizer.  Only its climb reads a
-budget.
+core computation.  The route is chosen by the two cores, in one place and
+once per stack, and the routes with a batch codomain take the stack as a
+whole where they can:
+
+====================  ============================================  =================
+domain -> codomain    route                                         over the stack
+====================  ============================================  =================
+l2 -> l2              top singular vector (:func:`_l2_closed_form`)  one solve for all
+smooth l_p -> batch   nonlinear power method                        matrix by matrix
+l1 -> batch           best basis vertex (:func:`_vertex_search`)     one scoring call
+polyhedral -> batch   polydisc search over the ball's vertices      vertex by vertex
+anything else         the sphere maximizer                          matrix by matrix
+====================  ============================================  =================
+
+Only the sphere maximizer's climb reads a budget.
 
 Every supremum of a norm ratio goes through ``gind_eval``: sup ||x||_a /
 ||x||_b is ||I||_{b -> a} (:func:`dominance_check`, which decides Lemma 2.1
@@ -18,11 +28,14 @@ in :func:`mnorm_is_algebra_candidate`), and the dual norm
 of a one-row matrix into l1.  The table of extracted norms
 (:func:`concrete`, and :func:`concrete_pair` for both roles at once) lives
 here too: its GInd row scales by the dual norm of the all-ones vector, and
-``gind_eval`` reads it before choosing a route.
+``gind_eval_many`` reads it before choosing a route.  So does the chain's
+one rule (:func:`chain_report`), which :func:`chain_compare` and the paper
+demos apply to the four values of :func:`chain_pairs`.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,11 +45,22 @@ import numpy as np
 
 from .budget import (
     EXACT_CLOSED_FORM,
+    EXACT_VERTEX,
     LOWER_BOUND,
     ComputationResult,
     OptBudget,
 )
-from .core import RandomStream, as_matrix, as_vector, conj_phases, hermitian_top_eig, scaled_gram
+from .core import (
+    RandomStream,
+    as_matrix,
+    as_vector,
+    conj_phases,
+    hermitian_top_eig,
+    hermitian_top_eigenvectors,
+    row_vdots,
+    scaled_gram,
+    scaled_grams,
+)
 from .errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
 from .matrix_norms import (
     EntrywiseMax,
@@ -61,7 +85,7 @@ from .vector_norms import (
     vnorm_eval,
     vnorm_eval_many,
 )
-from .sphere_opt import maximize_on_polydisc, maximize_on_sphere
+from .sphere_opt import l1_vertices, maximize_on_polydisc, maximize_on_sphere, reaches_ceiling
 
 _SEED_RNG = RandomStream(0x91ED5EED)
 # the power method's phase starts
@@ -69,6 +93,7 @@ _PHASE_RNG = RandomStream(0)
 # the start of the l2 -> l2 eigen solve: a fixed stream, so that the closed
 # form reads no budget
 _L2_RNG = RandomStream(0).child(1)
+_L2 = Lp(2.0)
 
 # the earlier name of the pair descriptor, kept for callers that build it
 GIndPair = GInd
@@ -154,59 +179,124 @@ def _ball_vertices(core, rows, caps) -> list[np.ndarray]:
     return list(points[~(above & (strictly | earlier)).any(axis=1)])
 
 
-def _two_column_l2(core2, ms: np.ndarray, cols: np.ndarray, r: np.ndarray) -> ComputationResult:
-    """max N2(ms x) over |x_j| <= r_j for two columns and an l2 or weighted
-    l2 codomain, whose weighted columns are ``cols``.  ||r_0 a_0 +
-    r_1 e^{it} a_1||^2 = r_0^2 ||a_0||^2 + r_1^2 ||a_1||^2 +
-    2 r_0 r_1 Re(e^{it} <a_0, a_1>) peaks where the cross term is real and
-    positive, at x = (r_0, r_1 phase(<a_1, a_0>)), phase 1 for orthogonal
-    columns.  The witness is scored with ``vnorm_eval``; one evaluation."""
-    inner = complex(np.vdot(cols[:, 1], cols[:, 0]))
-    x = np.array([r[0], r[1] * (inner / abs(inner) if inner else 1.0)], dtype=np.complex128)
-    return ComputationResult(vnorm_eval(core2, ms @ x), x, LOWER_BOUND, 1)
+def _two_column_l2(core2, ms: np.ndarray, cols: np.ndarray, r: np.ndarray) -> list:
+    """max N2(A_S x) over |x_j| <= r_j for two columns and an l2 or weighted
+    l2 codomain, for every matrix A_S of a (k, n, 2) stack, whose weighted
+    columns are ``cols``.  ||r_0 a_0 + r_1 e^{it} a_1||^2 = r_0^2 ||a_0||^2 +
+    r_1^2 ||a_1||^2 + 2 r_0 r_1 Re(e^{it} <a_0, a_1>) peaks where the cross
+    term is real and positive, at x = (r_0, r_1 phase(<a_1, a_0>)), phase 1
+    for orthogonal columns.  The witnesses are scored in one
+    :func:`vnorm_eval_many` call; one evaluation each."""
+    phases = []
+    for i, z in enumerate(row_vdots(cols[:, :, 1], cols[:, :, 0]).tolist()):
+        if not cmath.isfinite(z):  # where row_vdots may read NaN for vdot's inf
+            z = complex(np.vdot(cols[i, :, 1], cols[i, :, 0]))
+        # Python's complex division, whose bits numpy's does not keep
+        phases.append(z / abs(z) if z else 1.0)
+    x = np.empty((len(ms), 2), dtype=np.complex128)
+    x[:, 0] = r[0]
+    x[:, 1] = r[1] * np.array(phases, dtype=np.complex128)
+    vals = vnorm_eval_many(core2, (ms @ x[:, :, None])[:, :, 0])
+    return [ComputationResult(v, w, LOWER_BOUND, 1) for v, w in zip(vals.tolist(), x)]
 
 
-def _polyhedral_search(core2, m: np.ndarray, vertices) -> ComputationResult:
-    """max N2(Ax) over the union of the polydiscs {|x_j| <= v_j}, per vertex
-    on its support: with two coordinates and an l2 or weighted l2 codomain
-    the closed form :func:`_two_column_l2`, otherwise one
-    :func:`~normlab.sphere_opt.maximize_on_polydisc` from the row-phase
-    points and with ceiling N2(|A_S| v_S).  A vertex whose ceiling does not
-    exceed the best value so far is skipped.  The best value wins, ties to
-    the lowest vertex; evaluations add up."""
-    n = m.shape[0]
-    # row i of the phases is the unimodular x that makes (Ax)_i = sum_j |a_ij|
-    phases, mods = conj_phases(m), np.abs(m)
+def _polydisc_search(core2, ms: np.ndarray, r: np.ndarray, starts: np.ndarray, ceilings) -> list:
+    """:func:`~normlab.sphere_opt.maximize_on_polydisc` of x -> N2(A_S x)
+    over |x_j| <= r_j, for every matrix A_S of a (k, n, c) stack with its
+    start rows and ceiling.  The starts of the whole stack are scored in one
+    :func:`vnorm_eval_many` call; a matrix whose best start reaches its
+    ceiling keeps it, as the search would, and only the others search, one
+    matrix at a time."""
+    k, rows = starts.shape[:2]
+    images = starts @ ms.transpose(0, 2, 1)
+    vals = vnorm_eval_many(core2, images.reshape(k * rows, -1)).reshape(k, rows)
+    found = []
+    for i, (j, ceiling) in enumerate(zip(vals.argmax(axis=1).tolist(), ceilings)):
+        best = float(vals[i, j])
+        if reaches_ceiling(best, ceiling):
+            found.append(ComputationResult(best, starts[i, j], LOWER_BOUND, rows))
+        else:
+            # the search replays no scalar walk, so one product serves the batch
+            objective = lambda xs, m=ms[i]: vnorm_eval_many(core2, xs @ m.T)
+            found.append(maximize_on_polydisc(objective, r, starts[i], ceiling))
+    return found
+
+
+def _polyhedral_search(core2, s: np.ndarray, vertices) -> list[ComputationResult]:
+    """max N2(Ax) over the union of the polydiscs {|x_j| <= v_j}, for every
+    matrix of a (k, n, n) stack, vertex by vertex on its support: with two
+    coordinates and an l2 or weighted l2 codomain the closed form
+    :func:`_two_column_l2`, otherwise :func:`_polydisc_search` from the
+    row-phase points and with ceiling N2(|A_S| v_S), each over the matrices
+    whose ceiling exceeds their best value so far; the others skip the
+    vertex.  The best value wins, ties to the lowest vertex; evaluations add
+    up."""
+    k, n = s.shape[:2]
+    mods, phases = np.abs(s), None
     # the codomain's weights folded into the columns, when it is euclidean
     euclid = None
     if isinstance(core2, Lp) and core2.p == 2.0:
-        euclid = m
+        euclid = s
     elif isinstance(core2, WeightedLp) and core2.p == 2.0 and len(core2.weights) == n:
-        euclid = np.asarray(core2.weights)[:, None] * m
-    best, witness, evals = -math.inf, None, 0
+        euclid = np.asarray(core2.weights)[:, None] * s
+    best, witness, evals = [-math.inf] * k, [None] * k, [0] * k
     for v in vertices:
         support = np.flatnonzero(v)
-        # a full support keeps the matrix itself, so l-inf cores search
+        # a full support keeps the matrices themselves, so l-inf cores search
         # with the very arrays they always did
         cols = slice(None) if support.size == n else support
-        ms, r = m[:, cols], v[cols]
+        r = v[cols]
         # batch codomains are absolute and monotone, so N2(Ax) <= N2(|A| r)
         # on the polydisc, with equality for an l-inf codomain at a row start
-        ceiling = vnorm_eval(core2, mods[:, cols] @ r)
-        if ceiling <= best:
-            continue  # this polydisc cannot beat the best so far
+        ceilings = vnorm_eval_many(core2, mods[:, :, cols] @ r).tolist()
+        # the others cannot beat their best so far
+        live = [i for i in range(k) if not ceilings[i] <= best[i]]
+        if not live:
+            continue
+        # every matrix live, as a lone one always is, takes views of the stack
+        sel = slice(None) if len(live) == k else live
+        ms = s[sel][:, :, cols]
         if euclid is not None and support.size == 2:
-            res = _two_column_l2(core2, ms, euclid[:, support], r)
+            found = _two_column_l2(core2, ms, euclid[sel][:, :, support], r)
         else:
-            # the search replays no scalar walk, so one product serves the batch
-            res = maximize_on_polydisc(
-                lambda xs: vnorm_eval_many(core2, xs @ ms.T), r, r * phases[:, cols], ceiling
-            )
-        evals += res.evaluations
-        if witness is None or res.value > best:
-            best, witness = res.value, np.zeros(n, dtype=np.complex128)
-            witness[cols] = res.witness
-    return ComputationResult(best, witness, LOWER_BOUND, evals)
+            if phases is None:
+                # row i is the unimodular x that makes (Ax)_i = sum_j |a_ij|
+                phases = conj_phases(s)
+            starts = r * phases[sel][:, :, cols]
+            found = _polydisc_search(core2, ms, r, starts, [ceilings[i] for i in live])
+        for i, res in zip(live, found):
+            evals[i] += res.evaluations
+            if witness[i] is None or res.value > best[i]:
+                best[i], witness[i] = res.value, np.zeros(n, dtype=np.complex128)
+                witness[i][cols] = res.witness
+    return [ComputationResult(b, w, LOWER_BOUND, e) for b, w, e in zip(best, witness, evals)]
+
+
+def _vertex_search(core1, core2, s: np.ndarray, vertices: np.ndarray) -> list:
+    """max N2(Ax) on an l1 or weighted-l1 sphere into a batch codomain, for
+    every matrix of a (k, n, n) stack: the vertex route of
+    :func:`~normlab.sphere_opt.maximize_on_sphere`, bit for bit.  Every
+    matrix's best vertex, ties to the lowest, from one
+    :func:`vnorm_eval_many` call over all its columns, renormalized by N1
+    and rescored; exact, n evaluations each."""
+    k, n = s.shape[:2]
+    vals = vnorm_eval_many(core2, np.swapaxes(s @ vertices.T, 1, 2).reshape(k * n, n))
+    w = (vertices / vnorm_eval_many(core1, vertices)[:, None])[vals.reshape(k, n).argmax(axis=1)]
+    got = vnorm_eval_many(core2, (s @ w[:, :, None])[:, :, 0])
+    return [ComputationResult(v, x, EXACT_VERTEX, n) for v, x in zip(got.tolist(), w)]
+
+
+def _l2_closed_form(s: np.ndarray) -> list[ComputationResult]:
+    """max ||Ax||_2 on the l2 sphere for every matrix of a (k, n, n) stack:
+    the top eigenvector of A*A from a fixed start, from one stacked scaled
+    Gram and one stacked solve, rescaled so that l2 reads 1 at it, and
+    ||Aw||_2; exact, one evaluation each."""
+    v = hermitian_top_eigenvectors(scaled_grams(s)[0], _L2_RNG)
+    # each v is a unit vector, so its sum of squares is normal, and its root
+    # is vnorm_eval's l2 value bit for bit
+    w = v / np.sqrt(row_vdots(v, v).real)[:, None]
+    vals = vnorm_eval_many(_L2, (s @ w[:, :, None])[:, :, 0])
+    return [ComputationResult(x, y, EXACT_CLOSED_FORM, 1) for x, y in zip(vals.tolist(), w)]
 
 
 def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
@@ -299,77 +389,99 @@ def _power_search(core1, core2, m: np.ndarray) -> ComputationResult:
     return ComputationResult(vnorm_eval(core2, m @ w), w, LOWER_BOUND, evals)
 
 
-def gind_eval(pair: GInd, a, budget: OptBudget | None = None) -> ComputationResult:
-    """Evaluate the generalized induced norm of A for the given pair.
+def gind_eval_many(
+    pair: GInd, stack, budget: OptBudget | None = None
+) -> list[ComputationResult]:
+    """Evaluate the generalized induced norm of every matrix of a (k, n, n)
+    stack for the given pair, one result per matrix.
 
-    Extracted norms of catalog sources are first replaced by the plain
-    descriptors they equal at this dimension (:func:`concrete_pair`), and
-    outer scales are peeled off.  The cores pick the route, first match:
+    Extracted norms of catalog sources are first replaced, once for the
+    stack, by the plain descriptors they equal at this dimension
+    (:func:`concrete_pair`), and outer scales are peeled off.  The cores
+    pick one route for the whole stack, first match:
 
-    ===========================  ============================  ======  ======
-    domain -> codomain core      route                         label   budget
-    ===========================  ============================  ======  ======
-    l2 -> l2                     top eigenvector of A*A        exact   no
-    l_p, 1 < p < inf -> batch    :func:`_power_search`         lower   no
-    polyhedral -> batch          :func:`_polyhedral_search`    lower   no
-    l1 -> any                    sphere maximizer, vertices    exact   no
-    anything else                sphere maximizer, ascent      lower   yes
-    ===========================  ============================  ======  ======
+    ==========================  =============================  =====  ======  =========
+    domain -> codomain core     route                          label  budget  the stack
+    ==========================  =============================  =====  ======  =========
+    l2 -> l2                    top eigenvector of A*A         exact  no      at once
+    l_p, 1 < p < inf -> batch   :func:`_power_search`          lower  no      by matrix
+    l1 -> batch                 :func:`_vertex_search`         exact  no      at once
+    polyhedral -> batch         :func:`_polyhedral_search`     lower  no      by vertex
+    anything else               sphere maximizer               lower  yes     by matrix
+    ==========================  =============================  =====  ======  =========
 
     "batch" is a codomain with a batch form (:func:`has_batch_form`); l_p
     and l1 include WeightedLp cores with n weights; "polyhedral" is a tree
     of Scaled and MaxOf over l1 and l-inf parts, such as l-inf or
     max(l1, 2 l-inf).  The l2 closed form solves the eigenproblem of A*A
     from a fixed start (its top eigenvector is the maximizer) and makes one
-    evaluation.  So the extracted pairs of Spectral, EntrywiseMax and
-    MaxColSum reconstruct their source exactly, those of EntrywiseSum,
-    MaxRowSum and max(MaxColSum, MaxRowSum) by the polydisc search, and that
-    of a GInd source with an l_p, weighted l_p or polyhedral domain by the
-    source's own route, its pair up to a common scale.  A matrix with an
-    infinite or NaN entry raises :class:`~normlab.errors.NonFiniteInputError`.
+    evaluation.  The polyhedral route scores each vertex's ceilings and
+    starts over the stack, and only the matrices whose start misses the
+    ceiling search their polydisc, one at a time.  The sphere maximizer
+    takes an l1 domain into any other codomain to its vertices, exactly, and
+    climbs from a budget everywhere else.  So the extracted pairs of
+    Spectral, EntrywiseMax and MaxColSum reconstruct their source exactly,
+    those of EntrywiseSum, MaxRowSum and max(MaxColSum, MaxRowSum) by the
+    polydisc search, and that of a GInd source with an l_p, weighted l_p or
+    polyhedral domain by the source's own route, its pair up to a common
+    scale.  Result i is ``gind_eval(pair, stack[i], budget)`` bit for bit.
+    A stack with an infinite or NaN entry raises
+    :class:`~normlab.errors.NonFiniteInputError`.
     """
-    m = as_matrix(a)
-    if not np.isfinite(m).all():
+    s = np.ascontiguousarray(stack, dtype=np.complex128)
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] < 1:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {s.shape}")
+    if not np.isfinite(s).all():
         raise NonFiniteInputError("gind_eval needs a finite matrix")
-    n = m.shape[0]
+    n = s.shape[1]
+    if not len(s):
+        return []
 
     plain = concrete_pair(pair, n)
     g1, core1 = split_scale(plain.norm1)
     g2, core2 = split_scale(plain.norm2)
-    scale = g2 / g1
-
-    # plain and weighted l1 keep their exact vertex dispatch, and plain l_p
-    # cores with 1 < p < inf have no polytope for a ball of moduli
-    plain = isinstance(core1, (Lp, WeightedLp)) and core1.p != math.inf
-    smooth = plain and core1.p > 1.0 and (isinstance(core1, Lp) or len(core1.weights) == n)
-    constraints = None if plain else _moduli_constraints(core1, n)
-    if core1 == core2 == Lp(2.0):
-        # the top eigenvector of A*A, rescaled so that l2 reads 1 at it
-        v = hermitian_top_eig(scaled_gram(m)[0], rng=_L2_RNG).eigenvector
-        w = v / vnorm_eval(core1, v)
-        res = ComputationResult(vnorm_eval(core2, m @ w), w, EXACT_CLOSED_FORM, 1)
-    elif smooth and has_batch_form(core2):
-        res = _power_search(core1, core2, m)
-    elif constraints is not None and has_batch_form(core2):
-        res = _polyhedral_search(core2, m, _ball_vertices(core1, *constraints))
+    batch = has_batch_form(core2)
+    smooth = isinstance(core1, (Lp, WeightedLp)) and 1.0 < core1.p < math.inf
+    if core1 == core2 == _L2:
+        found = _l2_closed_form(s)
+    elif batch and smooth and (isinstance(core1, Lp) or len(core1.weights) == n):
+        found = [_power_search(core1, core2, m) for m in s]
+    elif batch and (vertices := l1_vertices(core1, n)) is not None:
+        found = _vertex_search(core1, core2, s, vertices)
+    elif batch and (constraints := _moduli_constraints(core1, n)) is not None:
+        found = _polyhedral_search(core2, s, _ball_vertices(core1, *constraints))
     else:
-        res = maximize_on_sphere(
-            lambda x: vnorm_eval(core2, m @ x),
-            core1,
-            n,
-            budget,
-            objective_convex=True,
-            # N2(A(ax)) = |a| N2(Ax): core2 is a norm descriptor validated at construction
-            objective_homogeneous=True,
-            extra_seeds=_quality_seeds(m),
+        found = [
+            maximize_on_sphere(
+                lambda x, m=m: vnorm_eval(core2, m @ x),
+                core1,
+                n,
+                budget,
+                objective_convex=True,
+                # N2(A(ax)) = |a| N2(Ax): core2 is a norm descriptor validated at construction
+                objective_homogeneous=True,
+                extra_seeds=_quality_seeds(m),
+            )
+            for m in s
+        ]
+    scale = g2 / g1
+    return [
+        ComputationResult(
+            value=scale * res.value,
+            witness=res.witness if g1 == 1.0 else res.witness / g1,
+            exactness=res.exactness,
+            evaluations=res.evaluations,
         )
-    witness = res.witness if g1 == 1.0 else res.witness / g1
-    return ComputationResult(
-        value=scale * res.value,
-        witness=witness,
-        exactness=res.exactness,
-        evaluations=res.evaluations,
-    )
+        for res in found
+    ]
+
+
+def gind_eval(pair: GInd, a, budget: OptBudget | None = None) -> ComputationResult:
+    """Evaluate the generalized induced norm of A for the given pair: the one
+    result of :func:`gind_eval_many` for the stack of A alone, whose
+    docstring gives the routes.  A matrix with an infinite or NaN entry
+    raises :class:`~normlab.errors.NonFiniteInputError`."""
+    return gind_eval_many(pair, as_matrix(a)[None], budget)[0]
 
 
 def _conjugate_exponent(p: float) -> float:
@@ -525,6 +637,21 @@ class ChainReport:
 _CHAIN_SLACK = 1e-9
 
 
+def chain_pairs(pair: GInd) -> tuple[GInd, GInd, GInd, GInd]:
+    """The four pairs of :class:`ChainReport`'s values, in the order v21,
+    v11, v22, v12."""
+    a, b = pair.norm1, pair.norm2
+    return GInd(b, a), GInd(a, a), GInd(b, b), pair
+
+
+def chain_report(v21: float, v11: float, v22: float, v12: float) -> ChainReport:
+    """The chain report of the four values: v21 <= v11 <= v12 and
+    v21 <= v22 <= v12, each up to 1e-9 relative slack."""
+    slack = min(v11 - v21, v12 - v11, v22 - v21, v12 - v22)
+    holds = slack >= -_CHAIN_SLACK * max(1.0, v12)
+    return ChainReport(v21=v21, v11=v11, v22=v22, v12=v12, chain_holds=holds, slack=slack)
+
+
 def chain_compare(pair: GInd, a, budget: OptBudget | None = None) -> ChainReport:
     """Compute all four domain/codomain combinations and check the chain.
 
@@ -532,13 +659,7 @@ def chain_compare(pair: GInd, a, budget: OptBudget | None = None) -> ChainReport
     computation runs regardless and reports what it finds.
     """
     m = as_matrix(a)
-    v12 = gind_eval(pair, m, budget).value
-    v21 = gind_eval(GInd(pair.norm2, pair.norm1), m, budget).value
-    v11 = gind_eval(GInd(pair.norm1, pair.norm1), m, budget).value
-    v22 = gind_eval(GInd(pair.norm2, pair.norm2), m, budget).value
-    slack = min(v11 - v21, v12 - v11, v22 - v21, v12 - v22)
-    holds = slack >= -_CHAIN_SLACK * max(1.0, v12)
-    return ChainReport(v21=v21, v11=v11, v22=v22, v12=v12, chain_holds=holds, slack=slack)
+    return chain_report(*(gind_eval(p, m, budget).value for p in chain_pairs(pair)))
 
 
 @dataclass

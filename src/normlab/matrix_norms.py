@@ -120,8 +120,12 @@ def mnorm_eval_many(spec: MatrixNormSpec, stack, budget: OptBudget | None = None
     stacked scaled Gram (:func:`~normlab.core.scaled_grams`) and one stacked
     solve (:func:`~normlab.core.hermitian_top_eigenvalues`); Scaled and
     MaxOf recurse, MaxOf keeping the first part that attains the max; GInd
-    evaluates matrix by matrix.  A stack holding a non-finite matrix raises
-    what ``mnorm_eval`` raises for that matrix, or gives the same inf or NaN.
+    evaluates matrix by matrix, each a stack of one for
+    :func:`~normlab.gind.gind_eval_many`, through ``mnorm_eval``'s import of
+    ``gind`` (this module imports nothing else from it); a caller that holds
+    a GInd evaluates the whole stack with ``gind_eval_many``.  A stack
+    holding a non-finite matrix raises what ``mnorm_eval`` raises for that
+    matrix, or gives the same inf or NaN.
     """
     s = np.ascontiguousarray(stack, dtype=np.complex128)
     if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] < 1:

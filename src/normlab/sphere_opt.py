@@ -195,6 +195,13 @@ def _turns(q: int, h: float) -> np.ndarray:
     return np.exp(1j * h * j) * np.where(j % 2, 1.0 / math.cos(h), 1.0)
 
 
+def reaches_ceiling(value: float, ceiling: float) -> bool:
+    """Whether a value found on a polydisc lies within 1e-12 (relative) of
+    an upper bound on it, where :func:`maximize_on_polydisc` stops before
+    searching."""
+    return value >= ceiling * (1.0 - _CEILING_TOL)
+
+
 def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> ComputationResult:
     """max{ f(x) : |x_j| <= r_j } by branch-and-bound on the phase torus.
 
@@ -229,7 +236,7 @@ def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> Compu
     k = int(np.argmax(vals))
     best, witness = float(vals[k]), points[k]
     evals = len(points)
-    if best >= ceiling * (1.0 - _CEILING_TOL):
+    if reaches_ceiling(best, ceiling):
         return ComputationResult(best, witness, LOWER_BOUND, evals)
 
     d = r.size - 1
@@ -324,6 +331,18 @@ def _maximize(objective, domain_eval, sample, n, budget, homogeneous, vertices, 
     return ComputationResult(float(objective(w)), w, exactness, evals)
 
 
+def l1_vertices(core, n: int) -> np.ndarray | None:
+    """The vertices e_j / w_j of the unit ball of an l1 or weighted-l1 core
+    with n weights in C^n, as the rows of an array (w = 1 for plain l1),
+    whose phase multiples are its extreme points; None for every other
+    core."""
+    if isinstance(core, Lp) and core.p == 1.0:
+        return np.eye(n, dtype=np.complex128)
+    if isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
+        return np.eye(n, dtype=np.complex128) / np.asarray(core.weights)[:, None]
+    return None
+
+
 def maximize_on_sphere(
     objective: Callable[[np.ndarray], float],
     domain_norm,
@@ -349,12 +368,7 @@ def maximize_on_sphere(
     The result's ``evaluations`` counts every objective call, including the
     probe's 20 when it runs.
     """
-    _, core = split_scale(domain_norm)
-    vertices = None
-    if objective_convex and isinstance(core, Lp) and core.p == 1.0:
-        vertices = list(np.eye(n, dtype=np.complex128))
-    elif objective_convex and isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
-        vertices = [e / w for e, w in zip(np.eye(n, dtype=np.complex128), core.weights)]
+    vertices = l1_vertices(split_scale(domain_norm)[1], n) if objective_convex else None
     return _maximize(
         objective, functools.partial(vnorm_eval, domain_norm), sample_vector, n, budget,
         objective_homogeneous, vertices, 1.0, lambda b: seed_pool(n, b, extra_seeds),

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .budget import OptBudget
-from .core import as_vector, phase_divisors
+from .core import as_vector, phase_divisors, power_of_two_scaled, row_vdots
 from .errors import DimensionMismatchError, SpecValidationError
 
 if TYPE_CHECKING:  # matrix_norms imports this module; annotation only
@@ -140,8 +140,10 @@ def _vdot_squares(v: np.ndarray) -> float:
     return np.vdot(v, v).real
 
 
-def _squares(m: np.ndarray) -> float:
-    return np.sum(m * m)
+@np.errstate(over="ignore")  # an overflowing sum is taken again, scaled
+def _squares(m: np.ndarray):
+    """The sum of squares of a vector of moduli, or of each row of an array."""
+    return np.sum(m * m, axis=-1)
 
 
 def _root_of_squares(x: np.ndarray, squares) -> float:
@@ -154,9 +156,8 @@ def _root_of_squares(x: np.ndarray, squares) -> float:
     sq = squares(x)
     if _TINY <= sq <= _HUGE:
         return math.sqrt(sq)
-    parts = np.ascontiguousarray(x).view(np.float64)
-    e = math.frexp(float(np.abs(parts).max()))[1]
-    root = math.sqrt(squares(np.ldexp(parts, -e).view(x.dtype)))
+    scaled, e = power_of_two_scaled(x)
+    root = math.sqrt(squares(scaled))
     try:
         return math.ldexp(root, e)
     except OverflowError:  # the norm is above the largest float
@@ -167,7 +168,11 @@ def _roots_of_squares(sq: np.ndarray, rows: np.ndarray, squares) -> np.ndarray:
     """Row-wise :func:`_root_of_squares`, given each row's sum of squares;
     only the rows whose sum is not normal and finite are taken again."""
     roots = np.sqrt(sq)
-    if not (_TINY <= sq.min(initial=_HUGE) and sq.max(initial=_TINY) <= _HUGE):
+    if len(sq) <= 16:  # a few sums are checked faster one by one than by two reductions
+        normal = all(_TINY <= x <= _HUGE for x in sq.tolist())
+    else:
+        normal = _TINY <= sq.min() and sq.max() <= _HUGE
+    if not normal:
         for i in np.flatnonzero(~((sq >= _TINY) & (sq <= _HUGE))):
             roots[i] = _root_of_squares(rows[i], squares)
     return roots
@@ -241,7 +246,7 @@ def _lp_of_moduli_many(m: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return m.sum(axis=1)
     if p == 2.0:
-        return _roots_of_squares((m * m).sum(axis=1), m, _squares)
+        return _roots_of_squares(_squares(m), m, _squares)
     peak = m.max(axis=1)
     live = peak != 0.0  # NaN peaks stay live and propagate, as in the scalar form
     safe = np.where(live, peak, 1.0)[:, None]
@@ -263,11 +268,10 @@ def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 2-d array of vectors, got shape {v.shape}")
     if isinstance(spec, Lp):
         if spec.p == 2.0:
-            # the stacked row-times-column product reproduces vdot's rounding
-            # where its sum is normal and finite; the other rows, which take
-            # vdot again, include those where it gives NaN and vdot inf
-            sq = (v.conj()[:, None, :] @ v[:, :, None])[:, 0, 0].real
-            return _roots_of_squares(sq, v, _vdot_squares)
+            # row_vdots reproduces vdot's rounding where its sum is normal and
+            # finite; the other rows, which take vdot again, include those
+            # where it gives NaN and vdot inf
+            return _roots_of_squares(row_vdots(v, v).real, v, _vdot_squares)
         return _lp_of_moduli_many(np.abs(v), spec.p)
     if isinstance(spec, WeightedLp):
         if len(spec.weights) != v.shape[1]:

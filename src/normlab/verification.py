@@ -7,6 +7,14 @@ suites compose public operations of the other modules, with one exception:
 pieces of :mod:`normlab.extraction` (its probe matrices, ratios and
 report), so that the fixed probes' ratios serve both its upper-bound case
 and its probe.
+
+The paper demos draw each case's matrices first and evaluate each induced
+norm over the list in one :func:`~normlab.gind.gind_eval_many` call: case 2
+one per norm and dimension, case 3 its two pairs over the 30 draws and the
+all-ones matrix, then whether any draw breaks the domination, and case 6
+the four pairs of :func:`~normlab.gind.chain_pairs` over its 15 draws,
+judged draw by draw by :func:`~normlab.gind.chain_report`, the rule of
+:func:`~normlab.gind.chain_compare`.
 """
 
 from __future__ import annotations
@@ -37,10 +45,12 @@ from .extraction import (
 )
 from .gind import (
     KNOWN_YES,
-    chain_compare,
+    chain_pairs,
+    chain_report,
     concrete_pair,
     dominance_check,
     gind_eval,
+    gind_eval_many,
     mnorm_is_algebra_candidate,
 )
 from .matrix_norms import (
@@ -508,11 +518,10 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     for dim in (2, 3):
         g2 = rng.child(10 + dim).generator()
         mats = np.array([sample_test_matrix(g2, dim) for _ in range(15)])
-        wants = [mnorm_eval_many(closed, mats).tolist() for _, closed in induced]
-        for m, row in zip(mats, zip(*wants)):
-            for (p, _), want in zip(induced, row):
-                got = gind_eval(GInd(Lp(p), Lp(p)), m).value
-                worst = max(worst, abs(got - want) / max(1.0, want))
+        for p, closed in induced:
+            wants = mnorm_eval_many(closed, mats).tolist()
+            for res, want in zip(gind_eval_many(GInd(Lp(p), Lp(p)), mats), wants):
+                worst = max(worst, abs(res.value - want) / max(1.0, want))
     cases.append(
         CaseResult(
             description="column/row/euclidean operator norms recovered as induced norms",
@@ -525,14 +534,12 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     pair_tight = GInd(Lp(2.0), Scaled(2.0, Lp(2.0)))
     pair_loose = GInd(Lp(np.inf), Scaled(2.0, Lp(2.0)))
     g3 = rng.child(2).generator()
-    dominated = True
-    for _ in range(30):
-        m = sample_test_matrix(g3, 2)
-        if gind_eval(pair_tight, m).value > gind_eval(pair_loose, m).value * (1.0 + _BAND):
-            dominated = False
-            break
-    tight_j = gind_eval(pair_tight, ones2).value
-    loose_j = gind_eval(pair_loose, ones2).value
+    # the 30 draws and, last, the all-ones matrix
+    mats = np.array([sample_test_matrix(g3, 2) for _ in range(30)] + [ones2])
+    tight = [res.value for res in gind_eval_many(pair_tight, mats)]
+    loose = [res.value for res in gind_eval_many(pair_loose, mats)]
+    dominated = all(t <= s * (1.0 + _BAND) for t, s in zip(tight[:-1], loose[:-1]))
+    tight_j, loose_j = tight[-1], loose[-1]
     strict = loose_j > tight_j * (1.0 + 1e-3)
     cases.append(
         CaseResult(
@@ -584,13 +591,14 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     )
 
     # 6: the four-norm chain for a dominated pair
-    chain_pair = GInd(Lp(np.inf), Lp(1.0))
     g6 = rng.child(5).generator()
+    mats = np.array([sample_test_matrix(g6, 2) for _ in range(15)])
+    # chain_compare at every draw, each of the four pairs over the stack
+    values = [gind_eval_many(p, mats) for p in chain_pairs(GInd(Lp(np.inf), Lp(1.0)))]
     ok6 = True
     worst_slack = np.inf
-    for _ in range(15):
-        m = sample_test_matrix(g6, 2)
-        rep = chain_compare(chain_pair, m)
+    for found in zip(*values):
+        rep = chain_report(*(res.value for res in found))
         ok6 = ok6 and rep.chain_holds
         worst_slack = min(worst_slack, rep.slack)
     cases.append(

@@ -132,8 +132,8 @@ def test_gind_mix_ascent_shapes_keep_their_label_and_witness_checks(tmp_path):
 def test_traced_l2_closed_form_counts_eigen_solves():
     # the tracer reads ``EigResult.iterations`` after every eigen solve; a
     # missing field would break only traced benchmark runs.  A spectral norm
-    # value solves without an eigenvector, past the traced name; the l2 -> l2
-    # induced norm reads the eigenvector and solves through it
+    # value and the l2 -> l2 induced norm solve over stacks, past the traced
+    # name; the power method's spectral seed solves through it, once
     from normlab import GIndPair, Lp, gind_eval
 
     a = np.array([[1.0 + 0.5j, -2.0], [0.25j, 1.5]])
@@ -141,6 +141,8 @@ def test_traced_l2_closed_form_counts_eigen_solves():
     t.install()
     try:
         value = gind_eval(GIndPair(Lp(2), Lp(2)), a).value
+        assert "core.hermitian_top_eig" not in t.totals
+        gind_eval(GIndPair(Lp(3), Lp(1.5)), a)
     finally:
         t.uninstall()
     assert abs(value - np.linalg.norm(a, 2)) <= 1e-14 * value

@@ -14,7 +14,7 @@ from normlab import (
     sample_matrix,
     sample_vector,
 )
-from normlab.core import _start_vector, conj_phases
+from normlab.core import _start_vector, conj_phases, hermitian_top_eigenvectors
 from normlab.errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
 
 
@@ -163,6 +163,31 @@ def test_top_eig_repeated_top_projects_start_vector():
     assert res.residual <= 1e-15
 
 
+def test_top_eigenvectors_of_a_stack_are_the_scalar_ones(monkeypatch):
+    # one stacked solve, and every row is hermitian_top_eig's eigenvector bit
+    # for bit: zero matrices and repeated top eigenvalues included
+    g = RandomStream(23).generator()
+    rng = RandomStream(5)
+    for n in (1, 2, 3, 4):
+        mats = [sample_matrix(g, n) for _ in range(6)]
+        u = np.linalg.qr(sample_matrix(g, n))[0]
+        mats += [np.zeros((n, n)), np.eye(n), u @ np.diag([2.0] * (n - 1) + [1.0]) @ u.conj().T]
+        hs = np.array([m.conj().T @ m for m in mats])
+        for h, v in zip(hs, hermitian_top_eigenvectors(hs, rng)):
+            assert v.tobytes() == hermitian_top_eig(h, rng=rng).eigenvector.tobytes()
+    assert hermitian_top_eigenvectors(np.zeros((0, 2, 2), dtype=np.complex128)).shape == (0, 2)
+    bad = np.array([np.eye(2), [[1, 0], [0, np.nan]]], dtype=np.complex128)
+    with pytest.raises(NonFiniteInputError, match="finite"):
+        hermitian_top_eigenvectors(bad)
+
+    def failing(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NonConvergenceError, match="eigen solve failed"):
+        hermitian_top_eigenvectors(np.eye(2, dtype=np.complex128)[None])
+
+
 def test_conj_phases_of_entries_without_a_finite_reciprocal():
     # |z| <= 2^-1024 has no finite reciprocal: such an entry is scaled by
     # 2^600 first; every other entry is divided as it stands, bit for bit
@@ -251,12 +276,10 @@ def test_no_new_deferred_imports():
     assert found == DEFERRED_IMPORTS
 
 
-def test_one_sphere_maximizer_body():
-    # the probe, the scorer and the climb are each called from one place, the
-    # body both sphere maximizers share, so the two shapes cannot fork again
+def _call_sites(names) -> dict:
+    """How many calls to each of the named functions the package makes."""
     package = Path(__file__).resolve().parents[1] / "src" / "normlab"
-    steps = ("_climb", "_check_homogeneity", "_on_sphere")
-    calls = {name: 0 for name in steps}
+    calls = {name: 0 for name in names}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
@@ -264,7 +287,22 @@ def test_one_sphere_maximizer_body():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in calls:
                     calls[name] += 1
-    assert calls == {name: 1 for name in steps}
+    return calls
+
+
+def test_one_sphere_maximizer_body():
+    # the probe, the scorer and the climb are each called from one place, the
+    # body both sphere maximizers share, so the two shapes cannot fork again
+    steps = ("_climb", "_check_homogeneity", "_on_sphere")
+    assert _call_sites(steps) == {name: 1 for name in steps}
+
+
+def test_one_body_per_induced_norm_route():
+    # the closed form, the polyhedral search and the power method are each
+    # called from one place, the route choice of gind_eval_many, so no scalar
+    # route body can come back beside the one that serves a stack
+    routes = ("_l2_closed_form", "_polyhedral_search", "_power_search")
+    assert _call_sites(routes) == {name: 1 for name in routes}
 
 
 # the private names one normlab module imports from another, as (importing

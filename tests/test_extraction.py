@@ -351,6 +351,21 @@ def test_role1_ascent_matches_the_table():
                 assert table * (1 - 1e-9) <= climbed <= table * (1 + 1e-12), (source, n)
 
 
+def test_role1_ascent_seeds_tiny_and_huge_points():
+    # the climb's unit seed x / ||x||_2 is built from x scaled by a power of
+    # two where ||x||_2 under- or overflows, so a subnormal x reads its value
+    # at the unit point times its scale, without a warning
+    clear_role1_cache()
+    source = MaxOf((Spectral(), EntrywiseSum()))
+    budget = OptBudget(multistarts=1, max_iters=20, samples=2, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_role1(source, budget, [1, 0]) == 2.0
+        assert eval_role1(source, budget, [1e-310, 0]) == 2e-310
+        huge = eval_role1(source, budget, [1e300, 1e300])
+        assert huge == 1e300 * eval_role1(source, budget, [1, 1])
+
+
 def test_role1_cache_hits():
     clear_role1_cache()
     x = np.array([1.0 + 0.5j, -2.0], dtype=np.complex128)

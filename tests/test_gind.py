@@ -31,6 +31,7 @@ from normlab import (
     MaxColSum,
     MaxOf,
     MaxRowSum,
+    DimensionMismatchError,
     NonFiniteInputError,
     NormlabError,
     OptBudget,
@@ -40,8 +41,10 @@ from normlab import (
     WeightedLp,
     chain_compare,
     default_budget,
+    extract_norm2,
     extract_pair,
     gind_eval,
+    gind_eval_many,
     mnorm_eval,
     sample_matrix,
     sample_vector,
@@ -448,7 +451,7 @@ def test_skipped_vertices_never_change_the_result():
             for codomain in (Lp(2), Lp(1.5)):
                 a = _complex(g, n)
                 verts = _vertices(domain, n)
-                got = gind._polyhedral_search(codomain, a, verts)
+                got = gind._polyhedral_search(codomain, a[None], verts)[0]
                 best, evals = None, 0
                 for v in verts:
                     s = np.flatnonzero(v)
@@ -1134,3 +1137,96 @@ def test_maxof_smooth_climb_keeps_its_bits(n, cut, zero_row):
     assert res.evaluations == evaluations
     assert hashlib.sha256(res.witness.tobytes()).hexdigest() == witness
     assert res.exactness == LOWER_BOUND
+
+
+# the stack form: gind_eval_many picks a route once for a list of matrices
+
+
+_SMALL = OptBudget(multistarts=1, max_iters=20, samples=2, seed=7)
+_OFF_CATALOG = MaxOf((EntrywiseMax(), MaxColSum()))
+# routes that evaluate an off-catalog extracted norm or climb: fewer matrices
+_SLOW = ("l1 vertices, no batch codomain", "weighted l1 vertices, no batch codomain", "climb",
+         "extracted, off the catalog")
+
+
+def _stack_pairs(n: int) -> dict:
+    """A pair for each route, and each shape of route, of gind_eval_many."""
+    w = (2.0, 1.0, 0.5, 1.25)[:n]
+    mixed = MaxOf((Lp(1), Scaled(2.0, Lp(INF))))
+    role2 = extract_norm2(_OFF_CATALOG, _SMALL)
+    return {
+        "closed form": GInd(Lp(2), Scaled(2.0, Lp(2))),
+        "l1 vertices": GInd(Lp(1), Lp(1.5)),
+        "weighted l1 vertices": GInd(Scaled(0.5, WeightedLp(w, 1)), Lp(2)),
+        "l1 vertices, no batch codomain": GInd(Lp(1), role2),
+        "weighted l1 vertices, no batch codomain": GInd(WeightedLp(w, 1), role2),
+        "one polydisc, start at the ceiling": GInd(Scaled(3.0, Lp(INF)), Lp(INF)),
+        "one polydisc, searched": GInd(Lp(INF), Lp(1)),
+        "polydiscs, two columns into l2": GInd(mixed, Lp(2)),
+        "polydiscs, two columns into weighted l2": GInd(mixed, WeightedLp(w, 2)),
+        "polydiscs, searched": GInd(mixed, Lp(1.5)),
+        "power method": GInd(WeightedLp(w, 3), Lp(1.5)),
+        "climb": GInd(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(2)),
+        "extracted, catalog": extract_pair(Spectral()),
+        "extracted, a polydisc source": extract_pair(EntrywiseSum()),
+        "extracted, a gind source": extract_pair(GInd(Lp(3), Lp(1.5))),
+        "extracted, off the catalog": extract_pair(_OFF_CATALOG, _SMALL),
+    }
+
+
+def _same_result(got, want, label):
+    assert float(got.value).hex() == float(want.value).hex(), label
+    assert got.witness.tobytes() == want.witness.tobytes(), label
+    assert (got.exactness, got.evaluations) == (want.exactness, want.evaluations), label
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gind_eval_many_is_gind_eval_at_every_matrix(n, monkeypatch):
+    # field for field and bit for bit, on every route: the zero, identity
+    # and all-ones matrices, a Hermitian one with a repeated top eigenvalue
+    # and random ones; a stack of one and an empty stack.  The polydisc
+    # routes also see stacks in which only some matrices pass a vertex
+    sizes = []
+    for name in ("_two_column_l2", "_polydisc_search"):
+
+        def counted(core2, ms, *args, real=getattr(gind, name)):
+            sizes.append(len(ms))
+            return real(core2, ms, *args)
+
+        monkeypatch.setattr(gind, name, counted)
+    g = np.random.default_rng([61, n])
+    u = np.linalg.qr(_complex(g, n))[0]
+    repeated = u @ np.diag([2.0] * (n - 1) + [1.0]) @ u.conj().T
+    mats = [np.zeros((n, n)), np.eye(n), np.ones((n, n)), repeated]
+    mats += [_complex(g, n), _complex(g, n), 3.0 * _complex(g, n), 0.5 * _complex(g, n)]
+    for label, pair in _stack_pairs(n).items():
+        stack = np.array(mats[:3] + mats[4:5] if label in _SLOW else mats, dtype=np.complex128)
+        got = gind_eval_many(pair, stack, _SMALL)
+        assert len(got) == len(stack), label
+        for res, a in zip(got, stack):
+            _same_result(res, gind_eval(pair, a, _SMALL), label)
+        _same_result(gind_eval_many(pair, stack[-1:], _SMALL)[0], got[-1], label)
+        assert gind_eval_many(pair, stack[:0], _SMALL) == []
+    if n >= 3:
+        assert any(0 < size < len(mats) for size in sizes)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_gind_eval_many_rejects_a_non_finite_matrix_as_gind_eval_does(bad):
+    stack = np.array([np.eye(2), [[bad, 0], [0, 1]]], dtype=np.complex128)
+    for label, pair in _stack_pairs(2).items():
+        with pytest.raises(NonFiniteInputError) as many:
+            gind_eval_many(pair, stack, _SMALL)
+        with pytest.raises(NonFiniteInputError) as one:
+            gind_eval(pair, stack[1], _SMALL)
+        assert str(many.value) == str(one.value), label
+
+
+def test_gind_eval_many_takes_a_stack_of_square_matrices():
+    pair = GInd(Lp(1), Lp(2))
+    for shape in ((2, 2), (1, 2, 3), (1, 0, 0), (2, 2, 2, 2)):
+        with pytest.raises(DimensionMismatchError):
+            gind_eval_many(pair, np.zeros(shape))
+    # a list of matrices is a stack
+    mats = [np.eye(2), np.ones((2, 2))]
+    assert [r.value for r in gind_eval_many(pair, mats)] == [gind_eval(pair, m).value for m in mats]

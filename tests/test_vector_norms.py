@@ -162,8 +162,8 @@ def test_l2_values_hold_for_finite_extreme_entries():
     # a sum of squares that is not a normal finite number is taken again of
     # the vector scaled by a power of two, so finite entries give the norm; a
     # normal sum keeps its bits, and a vector with an inf or NaN entry its
-    # unscaled value.  Plain l2 sums with vdot, which never warns; the batch
-    # and moduli forms square with numpy, which warns when a square overflows
+    # unscaled value.  No form warns: plain l2 sums with vdot, and the batch
+    # and moduli forms square with numpy where an overflow is not reported
     w = (1.0, 2.0)
     rows = np.array([[1e200, 0], [1e-200, 0], [3e-320, 4e-320], [3, 4], [0, 0]], dtype=complex)
     with warnings.catch_warnings():
@@ -175,7 +175,12 @@ def test_l2_values_hold_for_finite_extreme_entries():
         # vdot's own value, NaN for an inf entry as for a NaN one
         assert math.isnan(vnorm_eval(Lp(2), [math.inf, 1]))
         assert math.isnan(vnorm_eval(Lp(2), [math.nan, 1]))
-    with np.errstate(over="ignore"):
+        # a square that overflows, in the batch form and in the weighted one
+        assert list(vnorm_eval_many(Lp(2), [[1e200, 0]])) == [1e200]
+        assert list(vnorm_eval_many(Lp(2), [[1.5e308, 1.5e308]])) == [math.inf]
+        assert list(vnorm_eval_many(WeightedLp(w, 2), [[1e200, 1e200]])) == [
+            vnorm_eval(WeightedLp(w, 2), [1e200, 1e200])
+        ]
         for x, want in zip(rows, (1e200, 1e-200, 5e-320, 5.0, 0.0)):
             assert vnorm_dual_eval(Lp(2), x) == want
         assert list(vnorm_eval_many(Lp(2), rows)) == [1e200, 1e-200, 5e-320, 5.0, 0.0]

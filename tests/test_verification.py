@@ -182,6 +182,20 @@ def test_paper_demo_gap_probes_are_exact_at_seed_1355706853():
     assert abs(values["max_col_row_ratio"] - 0.5) <= 1e-12
 
 
+def test_paper_demos_evaluate_induced_norms_over_stacks(monkeypatch):
+    # cases 2, 3 and 6 and the gap probes of case 4 take one gind_eval_many
+    # per pair and list of matrices: 3 norms at 2 dimensions, 2 pairs, 4
+    # chain pairs and 2 probes.  Only case 5 evaluates matrix by matrix, one
+    # column replication for each of its 64 points, each a stack of one
+    from normlab import gind
+
+    induced = _count_calls(monkeypatch, gind.gind_eval)
+    induced_many = _count_calls(monkeypatch, gind.gind_eval_many)
+    assert paper_demo_suite(42).passed
+    assert induced == {"normlab.extraction": 64}
+    assert induced_many == {"normlab.verification": 12, "normlab.extraction": 2, "normlab.gind": 64}
+
+
 def test_failures_would_carry_witnesses():
     # every fail case in any suite must attach a witness; exercise the
     # reporting path through the undominated lemma21 search where the
@@ -213,7 +227,7 @@ def _count_calls(monkeypatch, fn) -> dict:
 @pytest.mark.parametrize(
     "source, n, eigen_solves",
     [
-        (Spectral(), 2, {"normlab.gind": 20}),
+        (Spectral(), 2, {"normlab.gind": 3}),
         (EntrywiseMax(), 2, {}),
         (MaxColSum(), 3, {}),
     ],
@@ -223,17 +237,20 @@ def test_theorem23_exact_catalog_pairs_never_climb(source, n, eigen_solves, monk
     # their extracted pairs are plain descriptors with an exact dispatch, so
     # no reconstruction or probe call may fall through to the hill climb.
     # Role 1 is resolved once per run, so no value goes through eval_role1;
-    # spectral values solve for no eigenvector, so the only eigenpair solves
-    # are the l2 -> l2 closed forms of the reconstruction, one for each of
-    # the 8 fixed and 2 x 6 random probes
+    # spectral values solve for no eigenvector, so the only eigenvector
+    # solves are the l2 -> l2 closed forms of the reconstruction, one
+    # stacked solve for each list of probes: the 8 fixed and 2 x 6 random
+    # ones, and no matrix by matrix
     climbs = _count_calls(monkeypatch, sphere_opt._climb)
     role1 = _count_calls(monkeypatch, extraction.eval_role1)
     eig = _count_calls(monkeypatch, core.hermitian_top_eig)
+    stacked = _count_calls(monkeypatch, core.hermitian_top_eigenvectors)
     report = verify_theorem23(source, n, trials=6, rng=RandomStream(12))
     assert report.passed
     assert climbs == {}
     assert role1 == {}
-    assert eig == eigen_solves
+    assert eig == {}
+    assert stacked == eigen_solves
 
 
 def test_theorem23_resolves_a_polyhedral_gind_pair_once(monkeypatch):
@@ -264,15 +281,24 @@ def test_theorem23_and_the_probe_evaluate_the_source_over_stacks(source, n, stac
     # N goes over stacks, never matrix by matrix: theorem23 takes the fixed,
     # upper-bound and probe denominators in one call each, and role 2 in one
     # call for the axiom checks and one for the "pair coincides" case, which
-    # EntrywiseMax, not an algebra norm, skips; the probe takes one call
-    from normlab import matrix_norms, minimality_probe
+    # EntrywiseMax, not an algebra norm, skips; the probe takes one call.  So
+    # does the reconstruction: one gind_eval_many per list of probes, and no
+    # scalar gind_eval
+    from normlab import gind, matrix_norms, minimality_probe
 
     scalar = _count_calls(monkeypatch, matrix_norms.mnorm_eval)
     many = _count_calls(monkeypatch, matrix_norms.mnorm_eval_many)
+    induced = _count_calls(monkeypatch, gind.gind_eval)
+    induced_many = _count_calls(monkeypatch, gind.gind_eval_many)
     assert verify_theorem23(source, n, trials=6, rng=RandomStream(12)).passed
     assert scalar == {}
     assert many == {"normlab.extraction": stacked}
+    assert induced == {}
+    assert induced_many == {"normlab.extraction": 3}
     many.clear()
+    induced_many.clear()
     minimality_probe(source, n, 6, rng=RandomStream(12))
     assert scalar == {}
     assert many == {"normlab.extraction": 1}
+    assert induced == {}
+    assert induced_many == {"normlab.extraction": 1}
