@@ -41,7 +41,11 @@ def phase_divisors(
     safe = np.where(nonzero, mods, 1.0)
     if safe.min(initial=1.0) > _NO_RECIPROCAL:
         return z, safe
-    z = np.where(safe <= _NO_RECIPROCAL, z * 2.0 ** 600, z)
+    # only those entries are scaled, so that a large entry beside them cannot
+    # overflow
+    small = safe <= _NO_RECIPROCAL
+    z = z.copy()
+    z[small] *= 2.0 ** 600
     return z, np.where(nonzero, np.abs(z), 1.0)
 
 

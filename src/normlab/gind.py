@@ -85,7 +85,7 @@ from .vector_norms import (
     vnorm_eval,
     vnorm_eval_many,
 )
-from .sphere_opt import l1_vertices, maximize_on_polydisc, maximize_on_sphere, reaches_ceiling
+from .sphere_opt import l1_vertices, maximize_on_polydisc, maximize_on_sphere
 
 _SEED_RNG = RandomStream(0x91ED5EED)
 # the power method's phase starts
@@ -182,7 +182,8 @@ def _ball_vertices(core, rows, caps) -> list[np.ndarray]:
 def _two_column_l2(core2, ms: np.ndarray, cols: np.ndarray, r: np.ndarray) -> list:
     """max N2(A_S x) over |x_j| <= r_j for two columns and an l2 or weighted
     l2 codomain, for every matrix A_S of a (k, n, 2) stack, whose weighted
-    columns are ``cols``.  ||r_0 a_0 + r_1 e^{it} a_1||^2 = r_0^2 ||a_0||^2 +
+    columns are ``cols``, with its row of radii in the (k, 2) array ``r``.
+    ||r_0 a_0 + r_1 e^{it} a_1||^2 = r_0^2 ||a_0||^2 +
     r_1^2 ||a_1||^2 + 2 r_0 r_1 Re(e^{it} <a_0, a_1>) peaks where the cross
     term is real and positive, at x = (r_0, r_1 phase(<a_1, a_0>)), phase 1
     for orthogonal columns.  The witnesses are scored in one
@@ -194,8 +195,8 @@ def _two_column_l2(core2, ms: np.ndarray, cols: np.ndarray, r: np.ndarray) -> li
         # Python's complex division, whose bits numpy's does not keep
         phases.append(z / abs(z) if z else 1.0)
     x = np.empty((len(ms), 2), dtype=np.complex128)
-    x[:, 0] = r[0]
-    x[:, 1] = r[1] * np.array(phases, dtype=np.complex128)
+    x[:, 0] = r[:, 0]
+    x[:, 1] = r[:, 1] * np.array(phases, dtype=np.complex128)
     vals = vnorm_eval_many(core2, (ms @ x[:, :, None])[:, :, 0])
     return [ComputationResult(v, w, LOWER_BOUND, 1) for v, w in zip(vals.tolist(), x)]
 
@@ -204,21 +205,18 @@ def _polydisc_search(core2, ms: np.ndarray, r: np.ndarray, starts: np.ndarray, c
     """:func:`~normlab.sphere_opt.maximize_on_polydisc` of x -> N2(A_S x)
     over |x_j| <= r_j, for every matrix A_S of a (k, n, c) stack with its
     start rows and ceiling.  The starts of the whole stack are scored in one
-    :func:`vnorm_eval_many` call; a matrix whose best start reaches its
-    ceiling keeps it, as the search would, and only the others search, one
-    matrix at a time."""
+    :func:`vnorm_eval_many` call, and each matrix's search begins from its
+    best start, ties to the first; one whose best start reaches its ceiling
+    keeps it."""
     k, rows = starts.shape[:2]
     images = starts @ ms.transpose(0, 2, 1)
     vals = vnorm_eval_many(core2, images.reshape(k * rows, -1)).reshape(k, rows)
     found = []
     for i, (j, ceiling) in enumerate(zip(vals.argmax(axis=1).tolist(), ceilings)):
-        best = float(vals[i, j])
-        if reaches_ceiling(best, ceiling):
-            found.append(ComputationResult(best, starts[i, j], LOWER_BOUND, rows))
-        else:
-            # the search replays no scalar walk, so one product serves the batch
-            objective = lambda xs, m=ms[i]: vnorm_eval_many(core2, xs @ m.T)
-            found.append(maximize_on_polydisc(objective, r, starts[i], ceiling))
+        start = ComputationResult(float(vals[i, j]), starts[i, j], LOWER_BOUND, rows)
+        # the search replays no scalar walk, so one product serves the batch
+        objective = lambda xs, m=ms[i]: vnorm_eval_many(core2, xs @ m.T)
+        found.append(maximize_on_polydisc(objective, r, start, ceiling))
     return found
 
 
@@ -229,8 +227,9 @@ def _polyhedral_search(core2, s: np.ndarray, vertices) -> list[ComputationResult
     :func:`_two_column_l2`, otherwise :func:`_polydisc_search` from the
     row-phase points and with ceiling N2(|A_S| v_S), each over the matrices
     whose ceiling exceeds their best value so far; the others skip the
-    vertex.  The best value wins, ties to the lowest vertex; evaluations add
-    up."""
+    vertex.  The ceilings, and the closed forms, of every vertex and matrix
+    are each taken in one call.  The best value wins, ties to the lowest
+    vertex; evaluations add up."""
     k, n = s.shape[:2]
     mods, phases = np.abs(s), None
     # the codomain's weights folded into the columns, when it is euclidean
@@ -239,31 +238,44 @@ def _polyhedral_search(core2, s: np.ndarray, vertices) -> list[ComputationResult
         euclid = s
     elif isinstance(core2, WeightedLp) and core2.p == 2.0 and len(core2.weights) == n:
         euclid = np.asarray(core2.weights)[:, None] * s
+    supports = [np.flatnonzero(v) for v in vertices]
+    # a full support keeps the matrices themselves, so l-inf cores search
+    # with the very arrays they always did
+    columns = [slice(None) if support.size == n else support for support in supports]
+    # batch codomains are absolute and monotone, so N2(Ax) <= N2(|A| r) on
+    # the polydisc, with equality for an l-inf codomain at a row start; the
+    # ceilings of every vertex in one call
+    products = [mods[:, :, cols] @ v[cols] for v, cols in zip(vertices, columns)]
+    every = vnorm_eval_many(core2, np.concatenate(products)).reshape(len(vertices), k).tolist()
+    # and, into l2, the closed forms of every two-coordinate vertex in one
+    # call; a matrix that skips such a vertex leaves its result unread
+    closed = {}
+    pairs = [j for j, support in enumerate(supports) if support.size == 2]
+    if euclid is not None and pairs:
+        found = _two_column_l2(
+            core2,
+            np.concatenate([s[:, :, columns[j]] for j in pairs]),
+            np.concatenate([euclid[:, :, supports[j]] for j in pairs]),
+            np.repeat([vertices[j][columns[j]] for j in pairs], k, axis=0),
+        )
+        closed = {j: found[b * k : (b + 1) * k] for b, j in enumerate(pairs)}
     best, witness, evals = [-math.inf] * k, [None] * k, [0] * k
-    for v in vertices:
-        support = np.flatnonzero(v)
-        # a full support keeps the matrices themselves, so l-inf cores search
-        # with the very arrays they always did
-        cols = slice(None) if support.size == n else support
-        r = v[cols]
-        # batch codomains are absolute and monotone, so N2(Ax) <= N2(|A| r)
-        # on the polydisc, with equality for an l-inf codomain at a row start
-        ceilings = vnorm_eval_many(core2, mods[:, :, cols] @ r).tolist()
+    for j, (v, cols, ceilings) in enumerate(zip(vertices, columns, every)):
         # the others cannot beat their best so far
         live = [i for i in range(k) if not ceilings[i] <= best[i]]
         if not live:
             continue
-        # every matrix live, as a lone one always is, takes views of the stack
-        sel = slice(None) if len(live) == k else live
-        ms = s[sel][:, :, cols]
-        if euclid is not None and support.size == 2:
-            found = _two_column_l2(core2, ms, euclid[sel][:, :, support], r)
+        if j in closed:
+            found = [closed[j][i] for i in live]
         else:
             if phases is None:
                 # row i is the unimodular x that makes (Ax)_i = sum_j |a_ij|
                 phases = conj_phases(s)
+            # every matrix live, as a lone one always is, takes views of the stack
+            sel = slice(None) if len(live) == k else live
+            r = v[cols]
             starts = r * phases[sel][:, :, cols]
-            found = _polydisc_search(core2, ms, r, starts, [ceilings[i] for i in live])
+            found = _polydisc_search(core2, s[sel][:, :, cols], r, starts, [ceilings[i] for i in live])
         for i, res in zip(live, found):
             evals[i] += res.evaluations
             if witness[i] is None or res.value > best[i]:
@@ -292,9 +304,10 @@ def _l2_closed_form(s: np.ndarray) -> list[ComputationResult]:
     Gram and one stacked solve, rescaled so that l2 reads 1 at it, and
     ||Aw||_2; exact, one evaluation each."""
     v = hermitian_top_eigenvectors(scaled_grams(s)[0], _L2_RNG)
-    # each v is a unit vector, so its sum of squares is normal, and its root
-    # is vnorm_eval's l2 value bit for bit
-    w = v / np.sqrt(row_vdots(v, v).real)[:, None]
+    # each v is a unit vector, so its sum of squares, as one stacked
+    # row-times-column product, is vdot's and normal, and its root is
+    # vnorm_eval's l2 value bit for bit
+    w = v / np.sqrt((v.conj()[:, None, :] @ v[:, :, None])[:, 0, 0].real)[:, None]
     vals = vnorm_eval_many(_L2, (s @ w[:, :, None])[:, :, 0])
     return [ComputationResult(x, y, EXACT_CLOSED_FORM, 1) for x, y in zip(vals.tolist(), w)]
 
@@ -416,10 +429,11 @@ def gind_eval_many(
     max(l1, 2 l-inf).  The l2 closed form solves the eigenproblem of A*A
     from a fixed start (its top eigenvector is the maximizer) and makes one
     evaluation.  The polyhedral route scores each vertex's ceilings and
-    starts over the stack, and only the matrices whose start misses the
-    ceiling search their polydisc, one at a time.  The sphere maximizer
-    takes an l1 domain into any other codomain to its vertices, exactly, and
-    climbs from a budget everywhere else.  So the extracted pairs of
+    starts over the stack, and each matrix searches its polydisc from its
+    best start, one at a time, ending at once where that start reaches the
+    ceiling.  The sphere maximizer takes an l1 domain into any other
+    codomain to its vertices, exactly, and climbs from a budget everywhere
+    else.  So the extracted pairs of
     Spectral, EntrywiseMax and MaxColSum reconstruct their source exactly,
     those of EntrywiseSum, MaxRowSum and max(MaxColSum, MaxRowSum) by the
     polydisc search, and that of a GInd source with an l_p, weighted l_p or

@@ -82,9 +82,9 @@ def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> floa
     top eigenvalue of A*A from one dense Hermitian solve that computes no
     eigenvector (:func:`~normlab.core.hermitian_top_eigenvalue`), with A
     scaled by a power of two first (:func:`~normlab.core.scaled_gram`), so
-    that a finite A has a finite value; GInd delegates to
-    the g-ind engine and reports that engine's (possibly lower-bound) value
-    at ``budget``.
+    that a finite A has a finite value; GInd is :func:`mnorm_eval_many` of
+    the stack of A alone, the g-ind engine's (possibly lower-bound) value at
+    ``budget``.
     """
     m = as_matrix(a)
     if isinstance(spec, EntrywiseSum):
@@ -106,9 +106,7 @@ def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> floa
     if isinstance(spec, MaxOf):
         return max(mnorm_eval(part, m, budget) for part in spec.parts)
     if isinstance(spec, GInd):
-        from .gind import gind_eval
-
-        return gind_eval(spec, m, budget).value
+        return float(mnorm_eval_many(spec, m[None], budget)[0])
     raise SpecValidationError(f"not a matrix norm descriptor: {spec!r}")
 
 
@@ -120,12 +118,11 @@ def mnorm_eval_many(spec: MatrixNormSpec, stack, budget: OptBudget | None = None
     stacked scaled Gram (:func:`~normlab.core.scaled_grams`) and one stacked
     solve (:func:`~normlab.core.hermitian_top_eigenvalues`); Scaled and
     MaxOf recurse, MaxOf keeping the first part that attains the max; GInd
-    evaluates matrix by matrix, each a stack of one for
-    :func:`~normlab.gind.gind_eval_many`, through ``mnorm_eval``'s import of
-    ``gind`` (this module imports nothing else from it); a caller that holds
-    a GInd evaluates the whole stack with ``gind_eval_many``.  A stack
-    holding a non-finite matrix raises what ``mnorm_eval`` raises for that
-    matrix, or gives the same inf or NaN.
+    takes the whole stack to :func:`~normlab.gind.gind_eval_many`, which
+    picks its route once, through this function's import of ``gind`` (the
+    module imports nothing else from it; ``mnorm_eval`` of a GInd is its
+    stack of one).  A stack holding a non-finite matrix raises what
+    ``mnorm_eval`` raises for that matrix, or gives the same inf or NaN.
     """
     s = np.ascontiguousarray(stack, dtype=np.complex128)
     if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] < 1:
@@ -152,5 +149,7 @@ def mnorm_eval_many(spec: MatrixNormSpec, stack, budget: OptBudget | None = None
             best = np.where(vals > best, vals, best)
         return best
     if isinstance(spec, GInd):
-        return np.array([mnorm_eval(spec, m, budget) for m in s], dtype=np.float64)
+        from .gind import gind_eval_many
+
+        return np.array([res.value for res in gind_eval_many(spec, s, budget)], dtype=np.float64)
     raise SpecValidationError(f"not a matrix norm descriptor: {spec!r}")

@@ -195,26 +195,22 @@ def _turns(q: int, h: float) -> np.ndarray:
     return np.exp(1j * h * j) * np.where(j % 2, 1.0 / math.cos(h), 1.0)
 
 
-def reaches_ceiling(value: float, ceiling: float) -> bool:
-    """Whether a value found on a polydisc lies within 1e-12 (relative) of
-    an upper bound on it, where :func:`maximize_on_polydisc` stops before
-    searching."""
-    return value >= ceiling * (1.0 - _CEILING_TOL)
-
-
-def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> ComputationResult:
+def maximize_on_polydisc(
+    objective_many, radii, start: ComputationResult, ceiling: float
+) -> ComputationResult:
     """max{ f(x) : |x_j| <= r_j } by branch-and-bound on the phase torus.
 
     ``objective_many`` maps a 2-d array of points to the values of a convex,
     absolutely homogeneous f.  Convexity puts the maximum on the extreme
-    points x_j = r_j exp(i theta_j), and homogeneity fixes theta_0 = 0.  The
-    caller's ``starts`` (rows) are scored first; if the best reaches
+    points x_j = r_j exp(i theta_j), and homogeneity fixes theta_0 = 0.
+    ``start`` is the best of the caller's starting points: its value, the
+    point, and the rows the caller scored to find it.  If its value reaches
     ``ceiling``, an upper bound on f over the polydisc, within 1e-12
-    relative, the search ends there.  Otherwise the boxes of phases are
-    searched round by round.  The arc [c - h, c + h] lies in the triangle
-    with vertices exp(i(c -+ h)) and exp(ic)/cos h, so by convexity the
-    largest value over a box's 3**d vertex combinations bounds f on the box,
-    and its endpoint combinations are feasible points.  Each round splits
+    relative, the search ends there and returns it.  Otherwise the boxes of
+    phases are searched round by round.  The arc [c - h, c + h] lies in the
+    triangle with vertices exp(i(c -+ h)) and exp(ic)/cos h, so by convexity
+    the largest value over a box's 3**d vertex combinations bounds f on the
+    box, and its endpoint combinations are feasible points.  Each round splits
     every live box q ways per coordinate; the q**d children share ends and
     apexes, 2q + 1 distinct points per coordinate, so the round scores the
     parent's (2q+1)**d grid once and takes each child's bound as the max
@@ -230,15 +226,11 @@ def maximize_on_polydisc(objective_many, radii, starts, ceiling: float) -> Compu
     lower bound; ``evaluations`` counts the rows scored, the caller's starts
     included.  No random draws: equal inputs give equal bits.
     """
-    r = np.asarray(radii, dtype=np.float64)
-    points = np.asarray(starts, dtype=np.complex128)
-    vals = objective_many(points)
-    k = int(np.argmax(vals))
-    best, witness = float(vals[k]), points[k]
-    evals = len(points)
-    if reaches_ceiling(best, ceiling):
-        return ComputationResult(best, witness, LOWER_BOUND, evals)
+    best, witness, evals = start.value, start.witness, start.evaluations
+    if best >= ceiling * (1.0 - _CEILING_TOL):
+        return start
 
+    r = np.asarray(radii, dtype=np.float64)
     d = r.size - 1
     axes = np.arange(d)
     centers, half, q = np.full((1, d), np.pi), np.pi, 4

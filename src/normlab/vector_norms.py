@@ -168,11 +168,7 @@ def _roots_of_squares(sq: np.ndarray, rows: np.ndarray, squares) -> np.ndarray:
     """Row-wise :func:`_root_of_squares`, given each row's sum of squares;
     only the rows whose sum is not normal and finite are taken again."""
     roots = np.sqrt(sq)
-    if len(sq) <= 16:  # a few sums are checked faster one by one than by two reductions
-        normal = all(_TINY <= x <= _HUGE for x in sq.tolist())
-    else:
-        normal = _TINY <= sq.min() and sq.max() <= _HUGE
-    if not normal:
+    if not (_TINY <= sq.min(initial=_HUGE) and sq.max(initial=_TINY) <= _HUGE):
         for i in np.flatnonzero(~((sq >= _TINY) & (sq <= _HUGE))):
             roots[i] = _root_of_squares(rows[i], squares)
     return roots

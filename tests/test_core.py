@@ -205,6 +205,16 @@ def test_conj_phases_of_entries_without_a_finite_reciprocal():
     assert np.allclose(w[4:], [1.0, 1j, 0.6 + 0.8j, 1.0], rtol=0, atol=1e-15)
 
 
+def test_conj_phases_of_tiny_entries_beside_huge_ones():
+    # only the tiny entries are scaled, so a huge one beside them does not
+    # overflow, in one matrix or across a stack
+    z = np.array([[[1e-310, 2e200j], [0, 0]], [[0, -1.7e308], [-1e-310j, 0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = conj_phases(z)
+    assert np.allclose(w, [[[1, -1j], [1, 1]], [[1, -1], [1j, 1]]], rtol=0, atol=1e-15)
+
+
 def test_randomstream_identical_draws():
     a = RandomStream(123).generator().standard_normal(5)
     b = RandomStream(123).generator().standard_normal(5)
@@ -250,7 +260,7 @@ def test_top_eig_hermitian_tolerance_boundary():
 # vnorm_eval calls eval_role1/eval_role2, which evaluate its matrix source,
 # and a GInd's mnorm_eval calls gind_eval, which evaluates its vector norms
 DEFERRED_IMPORTS = {
-    ("matrix_norms", "mnorm_eval", "gind"),
+    ("matrix_norms", "mnorm_eval_many", "gind"),
     ("vector_norms", "vnorm_eval", "extraction"),
 }
 

@@ -22,6 +22,7 @@ from _oracles import (
 from normlab import (
     EXACT_CLOSED_FORM,
     EXACT_VERTEX,
+    ComputationResult,
     LOWER_BOUND,
     EntrywiseMax,
     EntrywiseSum,
@@ -439,6 +440,15 @@ def test_ball_vertices_of_weighted_scaled_and_nested_cores():
                 assert not any((u >= v).all() and (u > v).any() for u in verts)
 
 
+def _polydisc_from_starts(objective_many, radii, starts, ceiling):
+    """maximize_on_polydisc from the best of ``starts``, ties to the first,
+    scored by the same objective."""
+    vals = objective_many(starts)
+    k = int(np.argmax(vals))
+    start = ComputationResult(float(vals[k]), starts[k], LOWER_BOUND, len(starts))
+    return sphere_opt.maximize_on_polydisc(objective_many, radii, start, ceiling)
+
+
 def test_skipped_vertices_never_change_the_result():
     # a vertex whose ceiling N2(|A_S| v_S) does not exceed the best value so
     # far cannot win, so the union equals the search of every vertex; into
@@ -455,7 +465,7 @@ def test_skipped_vertices_never_change_the_result():
                 best, evals = None, 0
                 for v in verts:
                     s = np.flatnonzero(v)
-                    res = sphere_opt.maximize_on_polydisc(
+                    res = _polydisc_from_starts(
                         lambda xs: np.asarray([vnorm_eval(codomain, a[:, s] @ x) for x in xs]),
                         v[s],
                         v[s] * core.conj_phases(a)[:, s],
@@ -542,19 +552,20 @@ def test_linf_domains_never_climb(monkeypatch):
 
 def _count_search_calls(monkeypatch) -> list:
     """Rebind ``gind.maximize_on_polydisc`` so that each search appends
-    [free phases, objective calls] to the returned list."""
+    [free phases, objective calls] to the returned list; the caller's
+    scoring of its starts counts as one call."""
     searches = []
     real = gind.maximize_on_polydisc
 
-    def counting(objective_many, radii, starts, ceiling):
-        entry = [len(radii) - 1, 0]
+    def counting(objective_many, radii, start, ceiling):
+        entry = [len(radii) - 1, 1]
         searches.append(entry)
 
         def objective(xs):
             entry[1] += 1
             return objective_many(xs)
 
-        return real(objective, radii, starts, ceiling)
+        return real(objective, radii, start, ceiling)
 
     monkeypatch.setattr(gind, "maximize_on_polydisc", counting)
     return searches
@@ -666,7 +677,7 @@ def test_each_round_scores_the_parents_grids(n):
         calls = []
         objective = lambda xs: calls.append(len(xs)) or np.abs(xs @ a.T).sum(axis=1)
         r = np.ones(n)
-        res = sphere_opt.maximize_on_polydisc(
+        res = _polydisc_from_starts(
             objective, r, core.conj_phases(a), vnorm_eval(Lp(1), np.abs(a) @ r)
         )
         assert calls[:2] == [n, 9**d]
@@ -900,6 +911,45 @@ def test_l2_closed_form_replays_recorded_bits():
         assert res.exactness == case["exactness"] == EXACT_CLOSED_FORM, label
         assert res.evaluations == case["evaluations"], label
         assert mnorm_eval(spec, a).hex() == res.value.hex(), label
+
+
+ROUTE_BITS = Path(__file__).resolve().parent / "data" / "gind_route_bits.json"
+
+
+def test_stacked_routes_replay_recorded_bits():
+    # 376 calls recorded when every route took one matrix a call: the plain
+    # and weighted l1 vertex routes, the two-column l2 closed form, and the
+    # polydisc route with starts at their ceiling and with searches, at
+    # n = 1..4 on random, real, zero, identity, all-ones and Hermitian
+    # matrices.  gind_eval, and gind_eval_many over each pair's matrices at
+    # once, must give the same value bits, witness bits, label and
+    # evaluation count
+    from normlab.formats import norm_spec_from_doc
+
+    doc = json.loads(ROUTE_BITS.read_text(encoding="utf-8"))
+    matrices = [
+        np.array([complex(float.fromhex(re), float.fromhex(im)) for re, im in flat])
+        for flat in doc["matrices"]
+    ]
+    groups: dict = {}
+    for case in doc["cases"]:
+        key = (case["n"], json.dumps(case["norm1"]), json.dumps(case["norm2"]))
+        groups.setdefault(key, []).append(case)
+    assert {case["route"] for case in doc["cases"]} == {
+        "vertex", "weighted-vertex", "two-column", "polydisc-ceiling", "polydisc-search"
+    }
+    assert sum(case["evaluations"] > 3 * case["n"] for case in doc["cases"]) >= 20
+    for (n, norm1, norm2), cases in groups.items():
+        spec = GInd(norm_spec_from_doc(json.loads(norm1)), norm_spec_from_doc(json.loads(norm2)))
+        stack = np.array([matrices[case["matrix"]].reshape(n, n) for case in cases])
+        many = gind_eval_many(spec, stack)
+        for a, got, case in zip(stack, many, cases):
+            label = f"{case['route']}: n={n} {spec} matrix {case['matrix']}"
+            for res in (gind_eval(spec, a), got):
+                assert res.value.hex() == case["value"], label
+                assert _hex_entries(res.witness) == case["witness"], label
+                assert res.exactness == case["exactness"], label
+                assert res.evaluations == case["evaluations"], label
 
 
 def test_gindpair_is_gind():

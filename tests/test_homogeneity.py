@@ -95,11 +95,8 @@ def _probe_polydisc_objectives(monkeypatch) -> list[int]:
 def test_gind_objectives_are_homogeneous(monkeypatch, n):
     # on the l-inf domain, codomains with a batch form go to the polydisc
     # search, the two off-catalog extracted ones to the sphere climb; at
-    # n = 2, 2 l2 takes the two-column closed form, which calls no objective.
-    # A start that reaches its ceiling ends before the search is called, so
-    # every start is sent to it here, and each objective is probed
+    # n = 2, 2 l2 takes the two-column closed form, which calls no objective
     monkeypatch.setattr(extraction, "_ROLE1_CACHE", {})
-    monkeypatch.setattr(gind, "reaches_ceiling", lambda value, ceiling: False)
     on_sphere = _probe_objectives(monkeypatch, gind, "maximize_on_sphere", sample_vector)
     on_polydisc = _probe_polydisc_objectives(monkeypatch)
     g = RandomStream(33, (n,)).generator()

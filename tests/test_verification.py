@@ -302,3 +302,23 @@ def test_theorem23_and_the_probe_evaluate_the_source_over_stacks(source, n, stac
     assert many == {"normlab.extraction": 1}
     assert induced == {}
     assert induced_many == {"normlab.extraction": 1}
+
+
+def test_theorem23_evaluates_a_gind_source_over_stacks(monkeypatch):
+    # a GInd source's N is gind_eval_many over each stack, through
+    # mnorm_eval_many (its deferred import reads the name from gind), and
+    # the reconstruction one call per list of probes: no mnorm_eval, and
+    # the only scalar gind_eval calls are Lemma 2.1's two dominance checks,
+    # each at the identity.  gind_eval_many is read from gind 7 times: the
+    # 5 stacks of N (the fixed, upper-bound and probe denominators, and role
+    # 2 twice) and the 2 stacks of one of those checks
+    from normlab import gind, matrix_norms
+
+    scalar = _count_calls(monkeypatch, matrix_norms.mnorm_eval)
+    induced = _count_calls(monkeypatch, gind.gind_eval)
+    induced_many = _count_calls(monkeypatch, gind.gind_eval_many)
+    source = GIndPair(Lp(3), Lp(1.5))
+    assert verify_theorem23(source, 2, trials=6, rng=RandomStream(12)).passed
+    assert scalar == {}
+    assert induced == {"normlab.gind": 2}
+    assert induced_many == {"normlab.gind": 7, "normlab.extraction": 3}
