@@ -178,16 +178,9 @@ def _eval_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, dim=False)
 
 
-def _gind_args(p: argparse.ArgumentParser) -> None:
+def _pair_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--norm1", required=True, help="domain vector norm")
     p.add_argument("--norm2", required=True, help="codomain vector norm")
-    p.add_argument("--matrix", required=True)
-    _add_common(p, dim=False)
-
-
-def _chain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--norm1", required=True)
-    p.add_argument("--norm2", required=True)
     p.add_argument("--matrix", required=True)
     _add_common(p, dim=False)
 
@@ -393,8 +386,8 @@ def _cmd_verify(args) -> int:
 # subcommand -> (help, the function that adds its arguments, its runner)
 _COMMANDS = {
     "eval": ("evaluate a matrix norm on a matrix file", _eval_args, _cmd_eval),
-    "gind": ("generalized induced norm of a matrix", _gind_args, _cmd_gind),
-    "chain": ("the four mixed operator norms of a pair", _chain_args, _cmd_chain),
+    "gind": ("generalized induced norm of a matrix", _pair_args, _cmd_gind),
+    "chain": ("the four mixed operator norms of a pair", _pair_args, _cmd_chain),
     "extract": ("recover the vector-norm pair of a matrix norm", _extract_args, _cmd_extract),
     "probe-minimality": ("search for a reconstruction gap", _probe_args, _cmd_probe),
     "verify": ("run a property suite", _verify_args, _cmd_verify),

@@ -3,8 +3,9 @@
 Vectors and matrices are plain ``numpy`` arrays with dtype ``complex128``;
 the helpers here validate shapes and keep every random draw reproducible.
 Top eigenpairs come from one dense LAPACK solve, phase-aligned to a seeded
-start vector so that they do not depend on LAPACK's phase convention; a top
-eigenvalue alone comes from the same solve, without the eigenvector.
+start vector so that they do not depend on LAPACK's phase convention.  The
+solve takes a stack of matrices, and a lone matrix is a stack of one; top
+eigenvalues alone come from the same solve, without the eigenvectors.
 """
 
 from __future__ import annotations
@@ -156,32 +157,17 @@ _TOP_CLUSTER = 1e-12
 _START_CACHE: dict = {}
 
 
-def scaled_gram(a) -> tuple[np.ndarray, int]:
-    """(B*B, e) for B = A / 2^e, so that A*A = 4^e B*B, where 2^e is the
-    smallest power of two above every real and imaginary part of A (e = 0
-    for the zero matrix).  Raises :class:`NonFiniteInputError` when A has a
-    non-finite entry, before forming any product.
-
-    B's parts lie below 1, so B*B cannot overflow where A*A would.  Scaling
-    by a power of two is exact: wherever A*A neither overflows nor
-    underflows, B*B is A*A / 4^e bit for bit.
-    """
-    parts = np.ascontiguousarray(as_matrix(a)).view(np.float64)
-    peak = float(np.abs(parts).max())
-    if not math.isfinite(peak):
-        raise NonFiniteInputError("eigen solve needs a finite matrix")
-    e = math.frexp(peak)[1]
-    b = np.ldexp(parts, -e).view(np.complex128)
-    return b.conj().T @ b, e
-
-
 def scaled_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`scaled_gram` of every matrix of a (k, n, n) complex stack, bit
-    for bit: the stack of the B_i*B_i and the array of the e_i.  Raises
-    :class:`NonFiniteInputError` when any matrix has a non-finite entry.
+    """(B_i*B_i, e_i) for every matrix A_i of a (k, n, n) complex stack, as
+    a stack of Gram matrices and an integer array: B_i = A_i / 2^e_i, so
+    that A_i*A_i = 4^e_i B_i*B_i, where 2^e_i is the smallest power of two
+    above every real and imaginary part of A_i (e_i = 0 for a zero matrix).
+    Raises :class:`NonFiniteInputError` when any matrix has a non-finite
+    entry, before forming any product; a lone matrix is a stack of one.
 
-    The scalar form keeps its own body: the array operations that serve a
-    stack cost a lone matrix more than the product they scale.
+    B_i's parts lie below 1, so B_i*B_i cannot overflow where A_i*A_i
+    would.  Scaling by a power of two is exact: wherever A_i*A_i neither
+    overflows nor underflows, B_i*B_i is A_i*A_i / 4^e_i bit for bit.
     """
     parts = np.ascontiguousarray(stack).view(np.float64)
     peaks = np.abs(parts).max(axis=(1, 2))
@@ -204,53 +190,30 @@ def _start_vector(rng: RandomStream, n: int) -> np.ndarray:
     return v
 
 
-def _dense_eigh(h) -> tuple[np.ndarray, list[float], np.ndarray | None]:
-    """(H, its eigenvalues in ascending order, its eigenvectors) from one
-    dense LAPACK solve (``np.linalg.eigh``), which reads one triangle of H.
-
-    The zero matrix is not solved: its eigenvalues are all 0.0 and its
-    eigenvectors None.  Raises :class:`NonFiniteInputError` when H has a
-    non-finite entry and :class:`NonConvergenceError` when the solve fails.
-    """
-    m = as_matrix(h)
-    scale = float(np.abs(m).max())
-    if not math.isfinite(scale):
+def _eigh(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of every matrix of a (k, n, n) stack, the
+    eigenvalues ascending, from one dense LAPACK solve (``np.linalg.eigh``),
+    which reads one triangle of each matrix.  Raises
+    :class:`NonFiniteInputError` when a matrix has a non-finite entry and
+    :class:`NonConvergenceError` when the solve fails."""
+    if not np.isfinite(hs).all():
         raise NonFiniteInputError("eigen solve needs a finite matrix")
-    if scale == 0.0:
-        return m, [0.0] * m.shape[0], None
     try:
-        lams, vecs = np.linalg.eigh(m)
+        return np.linalg.eigh(hs)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigen solve failed: {exc}") from exc
-    return m, lams.tolist(), vecs
-
-
-def hermitian_top_eigenvalue(h) -> float:
-    """max(lambda_top, 0) of a Hermitian PSD matrix H, without an eigenvector.
-
-    The bits of ``hermitian_top_eig(h).eigenvalue``, from the same solve,
-    for an H that is Hermitian by construction (a Gram matrix): H is not
-    checked for it.  Raises as :func:`hermitian_top_eig` does on a
-    non-finite entry or a failed solve.
-    """
-    return max(_dense_eigh(h)[1][-1], 0.0)
 
 
 def hermitian_top_eigenvalues(hs: np.ndarray) -> np.ndarray:
-    """:func:`hermitian_top_eigenvalue` of every matrix of a (k, n, n) stack
-    of Gram matrices, bit for bit, from one stacked solve of the nonzero
-    ones.  Raises as the scalar form does when any matrix has a non-finite
+    """max(lambda_top, 0) of every matrix of a (k, n, n) stack of Gram
+    matrices, without an eigenvector: the bits of
+    ``hermitian_top_eig(h).eigenvalue`` for each, from one stacked solve;
+    a zero matrix reads 0.0.  It does not check that H is Hermitian, and
+    raises as :func:`hermitian_top_eig` does when a matrix has a non-finite
     entry or the solve fails.
     """
-    if not np.isfinite(hs).all():
-        raise NonFiniteInputError("eigen solve needs a finite matrix")
-    lams = np.zeros(len(hs))
-    live = hs.any(axis=(1, 2))
-    if live.any():
-        try:
-            lams[live] = np.linalg.eigh(hs[live])[0][:, -1]
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"eigen solve failed: {exc}") from exc
+    # LAPACK solves each matrix on its own, so a zero one leaves the others' bits
+    lams = np.where(hs.any(axis=(1, 2)), _eigh(hs)[0][:, -1], 0.0)
     return np.where(lams < 0.0, 0.0, lams)  # max(lam, 0.0), NaN and -0.0 kept
 
 
@@ -271,18 +234,14 @@ def hermitian_top_eigenvectors(hs: np.ndarray, rng: RandomStream = RandomStream(
     array, from one stacked solve; a zero matrix gets the start vector.
     Like :func:`hermitian_top_eigenvalues` it does not check that H is
     Hermitian, and it raises as that does.  Each projection onto a top
-    eigenspace is the scalar form's, matrix by matrix: at a few matrices a
-    stack it costs less than the array operations that would serve it.
+    eigenspace is :func:`hermitian_top_eig`'s, matrix by matrix: at a few
+    matrices a stack it costs less than the array operations that would
+    serve it.
     """
-    if not np.isfinite(hs).all():
-        raise NonFiniteInputError("eigen solve needs a finite matrix")
     start = _start_vector(rng, hs.shape[1])
-    try:
-        lams, vecs = np.linalg.eigh(hs)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigen solve failed: {exc}") from exc
+    lams, vecs = _eigh(hs)
     out = np.empty(hs.shape[:2], dtype=np.complex128)
-    # the scalar form does not solve a zero matrix
+    # hermitian_top_eig does not solve a zero matrix
     for i, (live, row) in enumerate(zip(hs.any(axis=(1, 2)).tolist(), lams.tolist())):
         out[i] = _top_projection(start, row, vecs[i]) if live else start
     return out
@@ -292,29 +251,35 @@ def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
     """Largest eigenpair of a Hermitian PSD matrix by one dense solve.
 
     The caller supplies H = A*A (or any Hermitian PSD matrix).  The
-    eigenvalues come from LAPACK (``np.linalg.eigh``).  The eigenvector is
-    the unit projection of the start vector of ``rng`` onto the top
-    eigenspace, spanned by every eigenvector whose eigenvalue lies within
-    1e-12 ||H||_2 of the largest, so the pair does not depend on LAPACK's
-    phase convention and ``vdot(start, v)`` is real and positive.  Both of
-    its callers are in :mod:`normlab.gind`: the l2 -> l2 closed form and the
-    power method's quality seeds; a spectral norm value, which reads no
-    eigenvector, comes from :func:`hermitian_top_eigenvalue`.
+    eigenvalues come from LAPACK (``np.linalg.eigh``); the zero matrix is
+    not solved, its eigenvalue is 0.0 and its eigenvector the start vector.
+    The eigenvector is the unit projection of the start vector of ``rng``
+    onto the top eigenspace, spanned by every eigenvector whose eigenvalue
+    lies within 1e-12 ||H||_2 of the largest, so the pair does not depend on
+    LAPACK's phase convention and ``vdot(start, v)`` is real and positive.
+    Its one caller is the power method's spectral seed in
+    :mod:`normlab.gind`; the l2 -> l2 closed form takes the eigenvectors of
+    a stack (:func:`hermitian_top_eigenvectors`) and a spectral norm value
+    the eigenvalues (:func:`hermitian_top_eigenvalues`).
 
     Raises :class:`NonFiniteInputError` when H has a non-finite entry and
     :class:`NonConvergenceError` when the solve fails, and rejects matrices
     whose Hermitian deviation exceeds 1e-12 relative.
     """
-    m, lams, vecs = _dense_eigh(h)
+    m = as_matrix(h)
+    live = bool(m.any())
+    if live:
+        lams, vecs = _eigh(m[None])
     deviation = float(np.abs(m - m.conj().T).max())
     if deviation > _HERMITIAN_TOL * max(1.0, float(np.abs(m).max())):
         raise DimensionMismatchError(
             f"matrix is not Hermitian: deviation {deviation:.3e}"
         )
     start = _start_vector(rng, m.shape[0])
-    if vecs is None:
+    if not live:
         return EigResult(0.0, start, 1, 0.0)
+    lams = lams[0].tolist()
     lam = lams[-1]
-    v = _top_projection(start, lams, vecs)
+    v = _top_projection(start, lams, vecs[0])
     r = m.dot(v) - lam * v
     return EigResult(max(lam, 0.0), v, 1, math.sqrt(np.vdot(r, r).real))

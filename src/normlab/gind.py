@@ -58,7 +58,6 @@ from .core import (
     hermitian_top_eig,
     hermitian_top_eigenvectors,
     row_vdots,
-    scaled_gram,
     scaled_grams,
 )
 from .errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
@@ -192,8 +191,13 @@ def _two_column_l2(core2, ms: np.ndarray, cols: np.ndarray, r: np.ndarray) -> li
     for i, z in enumerate(row_vdots(cols[:, :, 1], cols[:, :, 0]).tolist()):
         if not cmath.isfinite(z):  # where row_vdots may read NaN for vdot's inf
             z = complex(np.vdot(cols[i, :, 1], cols[i, :, 0]))
-        # Python's complex division, whose bits numpy's does not keep
-        phases.append(z / abs(z) if z else 1.0)
+        try:
+            # Python's complex division, whose bits numpy's does not keep
+            phases.append(z / abs(z) if z else 1.0)
+        except OverflowError:
+            # finite parts whose modulus exceeds the largest float: both are
+            # large, so halving them is exact
+            phases.append(z / 2.0 / abs(z / 2.0))
     x = np.empty((len(ms), 2), dtype=np.complex128)
     x[:, 0] = r[:, 0]
     x[:, 1] = r[:, 1] * np.array(phases, dtype=np.complex128)
@@ -329,7 +333,7 @@ def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
             yield phases[i]
     if mods.max() > 0:
         try:
-            eig = hermitian_top_eig(scaled_gram(m)[0], rng=_SEED_RNG)
+            eig = hermitian_top_eig(scaled_grams(m[None])[0][0], rng=_SEED_RNG)
         except NonConvergenceError:
             return  # no spectral seed; the ascent still runs from the others
         yield eig.eigenvector

@@ -5,7 +5,7 @@ sums, the spectral norm, and generalized induced norms built from two vector
 norms.  ``Scaled`` and ``MaxOf`` from :mod:`normlab.vector_norms` compose
 matrix norms the same way they compose vector norms.
 :func:`mnorm_eval_many` evaluates one descriptor at every matrix of a
-stack, bit for bit the values of :func:`mnorm_eval`.
+stack, and :func:`mnorm_eval` is its stack of one.
 Whether a norm is submultiplicative, and which plain vector norms its
 extracted norms equal, are decided in :mod:`normlab.gind`, which imports
 this module (:func:`~normlab.gind.mnorm_is_algebra_candidate`,
@@ -14,20 +14,13 @@ this module (:func:`~normlab.gind.mnorm_is_algebra_candidate`,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .budget import OptBudget
-from .core import (
-    as_matrix,
-    hermitian_top_eigenvalue,
-    hermitian_top_eigenvalues,
-    scaled_gram,
-    scaled_grams,
-)
+from .core import as_matrix, hermitian_top_eigenvalues, scaled_grams
 from .errors import DimensionMismatchError, SpecValidationError
 from .vector_norms import MaxOf, Scaled, VectorNormSpec
 
@@ -76,53 +69,26 @@ MatrixNormSpec = Union[
 
 
 def mnorm_eval(spec: MatrixNormSpec, a, budget: OptBudget | None = None) -> float:
-    """Evaluate a matrix norm descriptor at A.
-
-    Closed forms throughout the catalog; Spectral is the square root of the
-    top eigenvalue of A*A from one dense Hermitian solve that computes no
-    eigenvector (:func:`~normlab.core.hermitian_top_eigenvalue`), with A
-    scaled by a power of two first (:func:`~normlab.core.scaled_gram`), so
-    that a finite A has a finite value; GInd is :func:`mnorm_eval_many` of
-    the stack of A alone, the g-ind engine's (possibly lower-bound) value at
-    ``budget``.
-    """
-    m = as_matrix(a)
-    if isinstance(spec, EntrywiseSum):
-        return float(np.abs(m).sum())
-    if isinstance(spec, EntrywiseMax):
-        return float(np.abs(m).max())
-    if isinstance(spec, MaxColSum):
-        return float(np.abs(m).sum(axis=0).max())
-    if isinstance(spec, MaxRowSum):
-        return float(np.abs(m).sum(axis=1).max())
-    if isinstance(spec, Spectral):
-        h, e = scaled_gram(m)
-        try:
-            return math.ldexp(math.sqrt(hermitian_top_eigenvalue(h)), e)
-        except OverflowError:  # ||A||_2 of a finite A may exceed the largest float
-            return math.inf
-    if isinstance(spec, Scaled):
-        return spec.gamma * mnorm_eval(spec.inner, m, budget)
-    if isinstance(spec, MaxOf):
-        return max(mnorm_eval(part, m, budget) for part in spec.parts)
-    if isinstance(spec, GInd):
-        return float(mnorm_eval_many(spec, m[None], budget)[0])
-    raise SpecValidationError(f"not a matrix norm descriptor: {spec!r}")
+    """Evaluate a matrix norm descriptor at A: :func:`mnorm_eval_many` of
+    the stack of A alone, which raises what it raises."""
+    return float(mnorm_eval_many(spec, as_matrix(a)[None], budget)[0])
 
 
 def mnorm_eval_many(spec: MatrixNormSpec, stack, budget: OptBudget | None = None) -> np.ndarray:
     """Evaluate a matrix norm descriptor at every matrix of a (k, n, n) stack.
 
-    Row i equals ``mnorm_eval(spec, stack[i], budget)`` bit for bit.  The
-    catalog takes its closed forms over the whole stack, Spectral as one
-    stacked scaled Gram (:func:`~normlab.core.scaled_grams`) and one stacked
-    solve (:func:`~normlab.core.hermitian_top_eigenvalues`); Scaled and
-    MaxOf recurse, MaxOf keeping the first part that attains the max; GInd
-    takes the whole stack to :func:`~normlab.gind.gind_eval_many`, which
-    picks its route once, through this function's import of ``gind`` (the
-    module imports nothing else from it; ``mnorm_eval`` of a GInd is its
-    stack of one).  A stack holding a non-finite matrix raises what
-    ``mnorm_eval`` raises for that matrix, or gives the same inf or NaN.
+    The catalog takes its closed forms over the whole stack.  Spectral is
+    the square root of the top eigenvalue of A*A, from one stacked Gram of
+    the matrices scaled by powers of two (:func:`~normlab.core.scaled_grams`),
+    so that a finite A has a finite value, and one stacked solve that reads
+    no eigenvector (:func:`~normlab.core.hermitian_top_eigenvalues`); it
+    raises :class:`~normlab.errors.NonFiniteInputError` when a matrix has a
+    non-finite entry, where the other closed forms give inf or NaN.  Scaled
+    and MaxOf recurse, MaxOf keeping the first part that attains the max.
+    GInd takes the whole stack to :func:`~normlab.gind.gind_eval_many`, the
+    g-ind engine's (possibly lower-bound) values at ``budget``, which picks
+    its route once, through this function's import of ``gind`` (the module
+    imports nothing else from it).
     """
     s = np.ascontiguousarray(stack, dtype=np.complex128)
     if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] < 1:
@@ -142,7 +108,7 @@ def mnorm_eval_many(spec: MatrixNormSpec, stack, budget: OptBudget | None = None
     if isinstance(spec, Scaled):
         return spec.gamma * mnorm_eval_many(spec.inner, s, budget)
     if isinstance(spec, MaxOf):
-        # built-in max keeps the first of equal or unordered (NaN) values
+        # the first part wins ties and unordered (NaN) values, as built-in max
         best = mnorm_eval_many(spec.parts[0], s, budget)
         for part in spec.parts[1:]:
             vals = mnorm_eval_many(part, s, budget)

@@ -149,8 +149,8 @@ def _squares(m: np.ndarray):
 def _root_of_squares(x: np.ndarray, squares) -> float:
     """The l2 norm sqrt(squares(x)) of a 1-d array x.  Where that sum of
     squares is not a normal finite number, it is taken again of x / 2^e,
-    with 2^e the smallest power of two above every real and imaginary part,
-    as in :func:`~normlab.core.scaled_gram`, and the root scaled back.  So a
+    with 2^e the smallest power of two above every real and imaginary part
+    (:func:`~normlab.core.power_of_two_scaled`), and the root scaled back.  So a
     finite x neither overflows nor underflows, every normal sum keeps its
     bits, and an x with an inf or NaN entry (e = 0) keeps its plain value."""
     sq = squares(x)

@@ -45,6 +45,16 @@ def test_gind_command(matrix_file, capsys):
     assert "exact_vertex" in out
 
 
+def test_gind_command_on_an_inner_product_without_a_finite_modulus(tmp_path, capsys):
+    # the two columns' inner product has finite parts and a modulus above
+    # the largest float; the value is 1.3e154 (sqrt(2) + 1)
+    path = tmp_path / "big.csv"
+    path.write_text("1.3e154+1.3e154i,1.3e154\n0,0\n")
+    code = run_command(["gind", "--norm1", "linf", "--norm2", "l2", "--matrix", str(path)])
+    assert code == 0
+    assert "value: 3.138477631" in capsys.readouterr().out
+
+
 def test_chain_command(matrix_file, capsys):
     code = run_command(
         ["chain", "--norm1", "linf", "--norm2", "l1", "--matrix", matrix_file]

@@ -315,6 +315,24 @@ def test_one_body_per_induced_norm_route():
     assert _call_sites(routes) == {name: 1 for name in routes}
 
 
+def test_one_body_per_matrix_norm_kernel():
+    # the eigen solve has one call site, which the eigenvalues of a stack,
+    # its eigenvectors and a lone eigenpair share, and mnorm_eval dispatches
+    # on no descriptor class: it is the stack of one of mnorm_eval_many
+    assert _call_sites(("eigh",)) == {"eigh": 1}
+    path = Path(__file__).resolve().parents[1] / "src" / "normlab" / "matrix_norms.py"
+    (body,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "mnorm_eval"
+    ]
+    assert not [
+        node
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+    ]
+
+
 # the private names one normlab module imports from another, as (importing
 # module, source module, name); the list may only shrink
 PRIVATE_IMPORTS = {

@@ -731,6 +731,17 @@ def test_extreme_finite_entries_read_their_values(pair, a, value, label):
         assert mnorm_eval(Spectral(), a) == res.value
 
 
+def test_two_column_l2_phase_of_an_inner_product_without_a_finite_modulus():
+    # <a_1, a_0> = 1.69e308 (1 + i) has finite parts, but its modulus
+    # exceeds the largest float: its phase is that of its half
+    a = np.array([[1.3e154 * (1 + 1j), 1.3e154], [0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gind_eval(GInd(Lp(math.inf), Lp(2)), a, B)
+    assert res.value == pytest.approx(1.3e154 * (math.sqrt(2) + 1), rel=1e-15)
+    assert vnorm_eval(Lp(2), a @ res.witness) == res.value
+
+
 # smooth l_p domains, 1 < p < inf: the nonlinear power method
 
 

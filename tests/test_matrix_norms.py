@@ -20,12 +20,13 @@ from normlab import (
     RandomStream,
     Scaled,
     Spectral,
+    gind_eval,
     mnorm_eval,
     mnorm_is_algebra_candidate,
     sample_matrix,
     sample_vector,
 )
-from normlab.core import hermitian_top_eig, scaled_gram
+from normlab.core import hermitian_top_eig, scaled_grams
 from normlab.errors import DimensionMismatchError, NonFiniteInputError
 from normlab.matrix_norms import mnorm_eval_many
 
@@ -92,8 +93,8 @@ def test_spectral_value_is_the_eigen_solvers_bits():
                 np.zeros((n, n), dtype=np.complex128),
                 1e200 * a,
             ):
-                h, e = scaled_gram(m)
-                want = math.ldexp(math.sqrt(hermitian_top_eig(h).eigenvalue), e)
+                h, e = scaled_grams(m[None])
+                want = math.ldexp(math.sqrt(hermitian_top_eig(h[0]).eigenvalue), int(e[0]))
                 assert mnorm_eval(Spectral(), m).hex() == want.hex()
                 checked += 1
     assert checked >= 200
@@ -150,9 +151,45 @@ _STACK_SPECS = [
 ]
 
 
+def _reference_value(spec, m):
+    """The value of spec at one matrix from per-class scalar formulas that
+    share no array code with mnorm_eval_many: a reference for its stacked
+    closed forms.  Spectral scales A by a power of two, forms one 2-D Gram
+    and solves it alone (the zero matrix reads 0.0 unsolved); MaxOf keeps
+    the first of equal or NaN values, as built-in max does."""
+    if isinstance(spec, EntrywiseSum):
+        return float(np.abs(m).sum())
+    if isinstance(spec, EntrywiseMax):
+        return float(np.abs(m).max())
+    if isinstance(spec, MaxColSum):
+        return float(np.abs(m).sum(axis=0).max())
+    if isinstance(spec, MaxRowSum):
+        return float(np.abs(m).sum(axis=1).max())
+    if isinstance(spec, Spectral):
+        parts = np.ascontiguousarray(m).view(np.float64)
+        peak = float(np.abs(parts).max())
+        if not math.isfinite(peak):
+            raise NonFiniteInputError("eigen solve needs a finite matrix")
+        e = math.frexp(peak)[1]
+        b = np.ldexp(parts, -e).view(np.complex128)
+        h = b.conj().T @ b
+        lam = max(float(np.linalg.eigh(h)[0][-1]), 0.0) if h.any() else 0.0
+        try:
+            return math.ldexp(math.sqrt(lam), e)
+        except OverflowError:
+            return math.inf
+    if isinstance(spec, Scaled):
+        return spec.gamma * _reference_value(spec.inner, m)
+    if isinstance(spec, MaxOf):
+        return max(_reference_value(part, m) for part in spec.parts)
+    if isinstance(spec, GInd):
+        return gind_eval(spec, m).value
+    raise AssertionError(spec)
+
+
 def _hex_rows(spec, stack):
-    """mnorm_eval at every matrix of the stack, as hex strings."""
-    return [mnorm_eval(spec, m).hex() for m in stack]
+    """The reference value at every matrix of the stack, as hex strings."""
+    return [_reference_value(spec, np.ascontiguousarray(m)).hex() for m in stack]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
