@@ -6,15 +6,14 @@ stack, and ``gind_eval`` is its stack of one.  Outer scale factors are
 peeled off exactly (scaling either norm by gamma scales the induced value by
 1/gamma resp. gamma), so proportional pairs evaluate through the identical
 core computation.  The route is chosen by the two cores, in one place and
-once per stack, and the routes with a batch codomain take the stack as a
-whole where they can:
+once per stack, and the routes take the stack as a whole where they can:
 
 ====================  ============================================  =================
 domain -> codomain    route                                         over the stack
 ====================  ============================================  =================
 l2 -> l2              top singular vector (:func:`_l2_closed_form`)  one solve for all
 smooth l_p -> batch   nonlinear power method                        matrix by matrix
-l1 -> batch           best basis vertex (:func:`_vertex_search`)     one scoring call
+l1 -> any             best basis vertex (:func:`_vertex_search`)     one scoring call
 polyhedral -> batch   polydisc search over the ball's vertices      vertex by vertex
 anything else         the sphere maximizer                          matrix by matrix
 ====================  ============================================  =================
@@ -35,7 +34,6 @@ demos apply to the four values of :func:`chain_pairs`.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,6 +55,7 @@ from .core import (
     conj_phases,
     hermitian_top_eig,
     hermitian_top_eigenvectors,
+    power_of_two_scaled,
     row_vdots,
     scaled_grams,
 )
@@ -189,15 +188,13 @@ def _two_column_l2(core2, ms: np.ndarray, cols: np.ndarray, r: np.ndarray) -> li
     :func:`vnorm_eval_many` call; one evaluation each."""
     phases = []
     for i, z in enumerate(row_vdots(cols[:, :, 1], cols[:, :, 0]).tolist()):
-        if not cmath.isfinite(z):  # where row_vdots may read NaN for vdot's inf
-            z = complex(np.vdot(cols[i, :, 1], cols[i, :, 0]))
-        try:
-            # Python's complex division, whose bits numpy's does not keep
-            phases.append(z / abs(z) if z else 1.0)
-        except OverflowError:
-            # finite parts whose modulus exceeds the largest float: both are
-            # large, so halving them is exact
-            phases.append(z / 2.0 / abs(z / 2.0))
+        if not math.isfinite(math.hypot(z.real, z.imag)):
+            # the product or its modulus overflowed: only its phase is read,
+            # which scaling each column by a power of two keeps
+            a, b = (power_of_two_scaled(cols[i, :, j])[0] for j in (1, 0))
+            z = complex(np.vdot(a, b))
+        # Python's complex division, whose bits numpy's does not keep
+        phases.append(z / abs(z) if z else 1.0)
     x = np.empty((len(ms), 2), dtype=np.complex128)
     x[:, 0] = r[:, 0]
     x[:, 1] = r[:, 1] * np.array(phases, dtype=np.complex128)
@@ -289,7 +286,7 @@ def _polyhedral_search(core2, s: np.ndarray, vertices) -> list[ComputationResult
 
 
 def _vertex_search(core1, core2, s: np.ndarray, vertices: np.ndarray) -> list:
-    """max N2(Ax) on an l1 or weighted-l1 sphere into a batch codomain, for
+    """max N2(Ax) on an l1 or weighted-l1 sphere into any codomain, for
     every matrix of a (k, n, n) stack: the vertex route of
     :func:`~normlab.sphere_opt.maximize_on_sphere`, bit for bit.  Every
     matrix's best vertex, ties to the lowest, from one
@@ -321,10 +318,7 @@ def _quality_seeds(m: np.ndarray) -> Iterator[np.ndarray]:
 
     Per-row conjugate-phase vectors attain row-sum type maxima; the top
     right singular vector attains euclidean ones.  Seeding never affects
-    soundness, only how quickly the ascent reaches the optimum.  A generator:
-    the vertex route of :func:`maximize_on_sphere` reads no seeds, so the
-    eigen solve runs only where a pool takes them all, the power method's
-    starts and the climb's seed pool.
+    soundness, only how quickly the ascent reaches the optimum.
     """
     mods = np.abs(m)
     phases = conj_phases(m)
@@ -422,22 +416,21 @@ def gind_eval_many(
     ==========================  =============================  =====  ======  =========
     l2 -> l2                    top eigenvector of A*A         exact  no      at once
     l_p, 1 < p < inf -> batch   :func:`_power_search`          lower  no      by matrix
-    l1 -> batch                 :func:`_vertex_search`         exact  no      at once
+    l1 -> any                   :func:`_vertex_search`         exact  no      at once
     polyhedral -> batch         :func:`_polyhedral_search`     lower  no      by vertex
     anything else               sphere maximizer               lower  yes     by matrix
     ==========================  =============================  =====  ======  =========
 
-    "batch" is a codomain with a batch form (:func:`has_batch_form`); l_p
-    and l1 include WeightedLp cores with n weights; "polyhedral" is a tree
-    of Scaled and MaxOf over l1 and l-inf parts, such as l-inf or
-    max(l1, 2 l-inf).  The l2 closed form solves the eigenproblem of A*A
-    from a fixed start (its top eigenvector is the maximizer) and makes one
-    evaluation.  The polyhedral route scores each vertex's ceilings and
-    starts over the stack, and each matrix searches its polydisc from its
-    best start, one at a time, ending at once where that start reaches the
-    ceiling.  The sphere maximizer takes an l1 domain into any other
-    codomain to its vertices, exactly, and climbs from a budget everywhere
-    else.  So the extracted pairs of
+    "batch" is a codomain of Lp and WeightedLp parts under Scaled and MaxOf
+    (:func:`has_batch_form`), which has norming functionals and is monotone
+    in the moduli; l_p and l1 include WeightedLp cores with n weights;
+    "polyhedral" is a tree of Scaled and MaxOf over l1 and l-inf parts, such
+    as l-inf or max(l1, 2 l-inf).  The l2 closed form solves the
+    eigenproblem of A*A from a fixed start (its top eigenvector is the
+    maximizer) and makes one evaluation.  The polyhedral route scores each
+    vertex's ceilings and starts over the stack, and each matrix searches
+    its polydisc from its best start, one at a time, ending at once where
+    that start reaches the ceiling.  So the extracted pairs of
     Spectral, EntrywiseMax and MaxColSum reconstruct their source exactly,
     those of EntrywiseSum, MaxRowSum and max(MaxColSum, MaxRowSum) by the
     polydisc search, and that of a GInd source with an l_p, weighted l_p or
@@ -464,7 +457,7 @@ def gind_eval_many(
         found = _l2_closed_form(s)
     elif batch and smooth and (isinstance(core1, Lp) or len(core1.weights) == n):
         found = [_power_search(core1, core2, m) for m in s]
-    elif batch and (vertices := l1_vertices(core1, n)) is not None:
+    elif (vertices := l1_vertices(core1, n)) is not None:
         found = _vertex_search(core1, core2, s, vertices)
     elif batch and (constraints := _moduli_constraints(core1, n)) is not None:
         found = _polyhedral_search(core2, s, _ball_vertices(core1, *constraints))
@@ -522,14 +515,14 @@ def vnorm_dual_eval(spec: VectorNormSpec, v, budget: OptBudget | None = None) ->
     w = as_vector(v)
     gamma, core = split_scale(spec)
     if isinstance(core, Lp):
-        return lp_of_moduli(np.abs(w), _conjugate_exponent(core.p)) / gamma
+        return float(lp_of_moduli(np.abs(w)[None], _conjugate_exponent(core.p))[0]) / gamma
     if isinstance(core, WeightedLp):
         if len(core.weights) != w.size:
             raise DimensionMismatchError(
                 f"weighted norm has {len(core.weights)} weights, vector has {w.size}"
             )
         q = _conjugate_exponent(core.p)
-        return lp_of_moduli(np.abs(w) / np.asarray(core.weights), q) / gamma
+        return float(lp_of_moduli((np.abs(w) / np.asarray(core.weights))[None], q)[0]) / gamma
 
     n = w.size
     if budget is None:

@@ -1,18 +1,18 @@
 """Declarative vector norms on C^n.
 
 A norm is described by a small immutable tree (:class:`Lp`, :class:`Scaled`,
-:class:`MaxOf`, :class:`WeightedLp`, :class:`Extracted`) and evaluated by
-:func:`vnorm_eval`.  Keeping the descriptors a closed datatype lets the
+:class:`MaxOf`, :class:`WeightedLp`, :class:`Extracted`) and evaluated at
+every row of an array by :func:`vnorm_eval_many`, of which :func:`vnorm_eval`
+is the one-row case.  Keeping the descriptors a closed datatype lets the
 optimizers dispatch on structure and lets documents round-trip exactly.
 
 :class:`Scaled` and :class:`MaxOf` are structural combinators: the family
 (vector or matrix) is decided by the leaves they wrap.
 
-Descriptors built from Lp and WeightedLp under Scaled and MaxOf have two
-batch kernels over the rows of an array: :func:`vnorm_eval_many`, bit for
-bit the values of :func:`vnorm_eval`, and :func:`norming_functionals_many`,
-each row's value and unit norming functional in one pass, which the power
-method in ``gind`` steps on.
+Descriptors built from Lp and WeightedLp under Scaled and MaxOf
+(:func:`has_batch_form`) also have :func:`norming_functionals_many`, each
+row's value and unit norming functional in one pass, which the power method
+in ``gind`` steps on.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ class Extracted:
 
     role 2 evaluates N on the matrix whose every column is x, exact
     wherever N's value is (a GInd source whose value ``gind_eval`` climbs
-    for, with a MaxOf domain with a smooth part, gives a lower bound);
-    role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }.  For the catalog sources
+    for, with a MaxOf domain with a smooth part, gives a lower bound), and
+    :func:`vnorm_eval_many` takes N once over the stack of those matrices;
+    role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }, one point at a time.  For the catalog sources
     (EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum, Spectral,
     max(MaxColSum, MaxRowSum)) and GInd sources with an l_p, weighted l_p
     or polyhedral domain, each under any Scaled, both roles equal plain
@@ -174,58 +175,37 @@ def _roots_of_squares(sq: np.ndarray, rows: np.ndarray, squares) -> np.ndarray:
     return roots
 
 
-def lp_of_moduli(m: np.ndarray, p: float) -> float:
-    """The l_p norm of a vector of moduli."""
-    if m.size == 0:
-        return 0.0
+def lp_of_moduli(m: np.ndarray, p: float) -> np.ndarray:
+    """The l_p norm of every row of a 2-d array of moduli."""
     if p == math.inf:
-        return float(m.max())
+        return m.max(axis=1)
     if p == 1.0:
-        return float(m.sum())
+        return m.sum(axis=1)
     if p == 2.0:
-        return _root_of_squares(m, _squares)
-    peak = float(m.max())
-    if peak == 0.0:
-        return 0.0
+        return _roots_of_squares(_squares(m), m, _squares)
     # scale out the peak so m**p cannot overflow for large p
-    return peak * float(np.sum((m / peak) ** p) ** (1.0 / p))
+    peak = m.max(axis=1)
+    live = peak != 0.0  # NaN peaks stay live and propagate
+    safe = np.where(live, peak, 1.0)[:, None]
+    sums = ((m / safe) ** p).sum(axis=1)
+    # the root of a Python float is libm's pow, cheaper than numpy's array
+    # power, which can differ from it in the last bit
+    root = np.array([s ** (1.0 / p) for s in sums.tolist()])
+    return np.where(live, peak * root, 0.0)
 
 
 def vnorm_eval(spec: VectorNormSpec, x) -> float:
-    """Evaluate a vector norm descriptor at x.
-
-    Exact for every kind except an Extracted norm that climbs: role 1 of a
-    source off :func:`normlab.gind.concrete`'s table, and role 2 of a source
-    whose own value climbs (a GInd with a MaxOf domain with a smooth part).
-    Those report the lower bound produced by the stored optimization budget.
-    """
-    v = as_vector(x)
-    if isinstance(spec, Lp):
-        if spec.p == 2.0:
-            return _root_of_squares(v, _vdot_squares)
-        return lp_of_moduli(np.abs(v), spec.p)
-    if isinstance(spec, WeightedLp):
-        if len(spec.weights) != v.size:
-            raise DimensionMismatchError(
-                f"weighted norm has {len(spec.weights)} weights, vector has {v.size}"
-            )
-        return lp_of_moduli(np.abs(v) * np.asarray(spec.weights), spec.p)
-    if isinstance(spec, Scaled):
-        return spec.gamma * vnorm_eval(spec.inner, v)
-    if isinstance(spec, MaxOf):
-        return max(vnorm_eval(part, v) for part in spec.parts)
-    if isinstance(spec, Extracted):
-        from . import extraction  # deferred: extraction sits above this module
-
-        if spec.role == 2:
-            return extraction.eval_role2(spec.source, spec.budget, v)
-        return extraction.eval_role1(spec.source, spec.budget, v)
-    raise SpecValidationError(f"not a vector norm descriptor: {spec!r}")
+    """Evaluate a vector norm descriptor at x: :func:`vnorm_eval_many` of
+    the one-row array of x, which raises what it raises."""
+    return float(vnorm_eval_many(spec, as_vector(x)[None])[0])
 
 
 def has_batch_form(spec) -> bool:
-    """True when :func:`vnorm_eval_many` evaluates ``spec``: Lp and WeightedLp
-    under any tree of Scaled and MaxOf."""
+    """True for Lp and WeightedLp under any tree of Scaled and MaxOf: the
+    descriptors that have norming functionals
+    (:func:`norming_functionals_many`) and are monotone in the moduli, which
+    the power method and the polyhedral route of ``gind`` need.  False
+    wherever an Extracted leaf sits."""
     if isinstance(spec, (Lp, WeightedLp)):
         return True
     if isinstance(spec, Scaled):
@@ -235,29 +215,18 @@ def has_batch_form(spec) -> bool:
     return False
 
 
-def _lp_of_moduli_many(m: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise :func:`lp_of_moduli`, operation for operation."""
-    if p == math.inf:
-        return m.max(axis=1)
-    if p == 1.0:
-        return m.sum(axis=1)
-    if p == 2.0:
-        return _roots_of_squares(_squares(m), m, _squares)
-    peak = m.max(axis=1)
-    live = peak != 0.0  # NaN peaks stay live and propagate, as in the scalar form
-    safe = np.where(live, peak, 1.0)[:, None]
-    sums = ((m / safe) ** p).sum(axis=1)
-    # the array power differs from the scalar one in the last bit; the root
-    # of a Python float is the same libm pow as the scalar form's, but cheaper
-    root = np.array([s ** (1.0 / p) for s in sums.tolist()])
-    return np.where(live, peak * root, 0.0)
-
-
 def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
     """Evaluate a vector norm descriptor at every row of a 2-d array.
 
-    Row i equals ``vnorm_eval(spec, rows[i])`` bit for bit, for every spec
-    with :func:`has_batch_form`; other specs raise SpecValidationError.
+    Exact for every kind except an Extracted norm that climbs: role 1 of a
+    source off :func:`normlab.gind.concrete`'s table, and role 2 of a source
+    whose own value climbs (a GInd with a MaxOf domain with a smooth part).
+    Those report the lower bound produced by the stored optimization budget.
+    Scaled and MaxOf recurse, MaxOf keeping the first part that attains the
+    max.  Role 2 of an Extracted norm is N over the stack of every row's
+    C_x (:func:`~normlab.extraction.eval_role2_many`), and role 1 is
+    :func:`~normlab.extraction.eval_role1` at each row in turn, through this
+    function's import of ``extraction``.
     """
     v = np.asarray(rows, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] < 1:
@@ -268,13 +237,13 @@ def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
             # finite; the other rows, which take vdot again, include those
             # where it gives NaN and vdot inf
             return _roots_of_squares(row_vdots(v, v).real, v, _vdot_squares)
-        return _lp_of_moduli_many(np.abs(v), spec.p)
+        return lp_of_moduli(np.abs(v), spec.p)
     if isinstance(spec, WeightedLp):
         if len(spec.weights) != v.shape[1]:
             raise DimensionMismatchError(
                 f"weighted norm has {len(spec.weights)} weights, vector has {v.shape[1]}"
             )
-        return _lp_of_moduli_many(np.abs(v) * np.asarray(spec.weights), spec.p)
+        return lp_of_moduli(np.abs(v) * np.asarray(spec.weights), spec.p)
     if isinstance(spec, Scaled):
         return spec.gamma * vnorm_eval_many(spec.inner, v)
     if isinstance(spec, MaxOf):
@@ -284,7 +253,14 @@ def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
             vals = vnorm_eval_many(part, v)
             best = np.where(vals > best, vals, best)
         return best
-    raise SpecValidationError(f"no batch form for vector norm descriptor: {spec!r}")
+    if isinstance(spec, Extracted):
+        from . import extraction  # deferred: extraction sits above this module
+
+        if spec.role == 2:
+            return extraction.eval_role2_many(spec.source, spec.budget, v)
+        role1 = [extraction.eval_role1(spec.source, spec.budget, x) for x in v]
+        return np.array(role1, dtype=np.float64)
+    raise SpecValidationError(f"not a vector norm descriptor: {spec!r}")
 
 
 def _lp_functionals(v: np.ndarray, w, p: float):

@@ -235,7 +235,7 @@ def verify_lemma22(
     start = time.perf_counter()
     budget = budget or _suite_budget(rng.child(9).derive_seed())
     cases: list[CaseResult] = []
-    # an extracted norm is the one vector norm without a batch form
+    # a slot with an extracted norm (no batch form) may read a lower bound
     slots = (pair_a.norm1, pair_a.norm2, pair_b.norm1, pair_b.norm2)
     tol = _SLACK if all(map(has_batch_form, slots)) else _BAND
 
@@ -325,16 +325,11 @@ def _reduced(budget: OptBudget) -> OptBudget:
 
 
 def _roles_at(norm1, source, inner: OptBudget, points) -> tuple[list[float], list[float]]:
-    """The resolved role 1 and role 2 = N(C_x) at every point.  Role 2 is
-    one :func:`~normlab.extraction.eval_role2_many`; role 1 is one
-    :func:`vnorm_eval_many` where it has a batch form, and one
-    :func:`vnorm_eval` per point otherwise."""
+    """The resolved role 1 and role 2 = N(C_x) at every point, one
+    :func:`vnorm_eval_many` and one
+    :func:`~normlab.extraction.eval_role2_many`."""
     v = np.array(points)
-    if has_batch_form(norm1):
-        role1 = vnorm_eval_many(norm1, v).tolist()
-    else:
-        role1 = [vnorm_eval(norm1, x) for x in v]
-    return role1, eval_role2_many(source, inner, v).tolist()
+    return vnorm_eval_many(norm1, v).tolist(), eval_role2_many(source, inner, v).tolist()
 
 
 def _worst_axiom_deviation(values: list[float], scales: list[float]) -> float:

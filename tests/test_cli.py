@@ -55,6 +55,16 @@ def test_gind_command_on_an_inner_product_without_a_finite_modulus(tmp_path, cap
     assert "value: 3.138477631" in capsys.readouterr().out
 
 
+def test_gind_command_on_an_overflowing_inner_product(tmp_path, capsys):
+    # the two columns' inner product overflows, in vdot too; the value is
+    # 2e160
+    path = tmp_path / "big.csv"
+    path.write_text("1e160,1e160\n0,0\n")
+    code = run_command(["gind", "--norm1", "linf", "--norm2", "l2", "--matrix", str(path)])
+    assert code == 0
+    assert "value: 2e+160" in capsys.readouterr().out
+
+
 def test_chain_command(matrix_file, capsys):
     code = run_command(
         ["chain", "--norm1", "linf", "--norm2", "l1", "--matrix", matrix_file]

@@ -257,11 +257,12 @@ def test_top_eig_hermitian_tolerance_boundary():
 # the imports normlab defers into function bodies to break an import cycle,
 # as (module, function, imported module); a new one is a new cycle.  The two
 # left are the mutual recursion of evaluating descriptors: an Extracted norm's
-# vnorm_eval calls eval_role1/eval_role2, which evaluate its matrix source,
-# and a GInd's mnorm_eval calls gind_eval, which evaluates its vector norms
+# vnorm_eval_many calls eval_role1/eval_role2_many, which evaluate its matrix
+# source, and a GInd's mnorm_eval_many calls gind_eval_many, which evaluates
+# its vector norms
 DEFERRED_IMPORTS = {
     ("matrix_norms", "mnorm_eval_many", "gind"),
-    ("vector_norms", "vnorm_eval", "extraction"),
+    ("vector_norms", "vnorm_eval_many", "extraction"),
 }
 
 
@@ -315,22 +316,33 @@ def test_one_body_per_induced_norm_route():
     assert _call_sites(routes) == {name: 1 for name in routes}
 
 
+def _isinstance_calls(module: str, function: str) -> list:
+    """The isinstance calls in the body of one function of the package."""
+    path = Path(__file__).resolve().parents[1] / "src" / "normlab" / f"{module}.py"
+    (body,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return [
+        node
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+    ]
+
+
 def test_one_body_per_matrix_norm_kernel():
     # the eigen solve has one call site, which the eigenvalues of a stack,
     # its eigenvectors and a lone eigenpair share, and mnorm_eval dispatches
     # on no descriptor class: it is the stack of one of mnorm_eval_many
     assert _call_sites(("eigh",)) == {"eigh": 1}
-    path = Path(__file__).resolve().parents[1] / "src" / "normlab" / "matrix_norms.py"
-    (body,) = [
-        node
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and node.name == "mnorm_eval"
-    ]
-    assert not [
-        node
-        for node in ast.walk(body)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-    ]
+    assert not _isinstance_calls("matrix_norms", "mnorm_eval")
+
+
+def test_one_body_per_vector_norm_kernel():
+    # vnorm_eval dispatches on no descriptor class: it is the one-row case of
+    # vnorm_eval_many, which evaluates every descriptor
+    assert not _isinstance_calls("vector_norms", "vnorm_eval")
 
 
 # the private names one normlab module imports from another, as (importing

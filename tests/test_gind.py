@@ -742,6 +742,24 @@ def test_two_column_l2_phase_of_an_inner_product_without_a_finite_modulus():
     assert vnorm_eval(Lp(2), a @ res.witness) == res.value
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[[1e160, 1e160], [0, 0]], [[1e160, 1e160j], [0, 0]], [[1e160, 1e160], [1e160, -1e160]]],
+    ids=["parallel", "phased", "orthogonal"],
+)
+def test_two_column_l2_phase_of_an_overflowing_inner_product(a):
+    # <a_1, a_0> overflows to an infinite or NaN part, in vdot too, though
+    # the norm, 2e160 each time, is finite: its phase is that of the inner
+    # product of the columns scaled by powers of two
+    a = np.array(a, dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gind_eval(GInd(Lp(math.inf), Lp(2)), a, B)
+        assert res.value == pytest.approx(2e160, rel=1e-15)
+        assert vnorm_eval(Lp(math.inf), res.witness) == 1.0
+        assert vnorm_eval(Lp(2), a @ res.witness) == res.value
+
+
 # smooth l_p domains, 1 < p < inf: the nonlinear power method
 
 
@@ -961,6 +979,34 @@ def test_stacked_routes_replay_recorded_bits():
                 assert _hex_entries(res.witness) == case["witness"], label
                 assert res.exactness == case["exactness"], label
                 assert res.evaluations == case["evaluations"], label
+
+
+L1_EXTRACTED_CODOMAINS = Path(__file__).resolve().parent / "data" / "gind_l1_extracted_codomains.json"
+
+
+def test_l1_domains_into_extracted_codomains_replay_recorded_bits(monkeypatch):
+    # 12 calls recorded when an l1, weighted-l1 or scaled-l1 domain into a
+    # codomain with an Extracted leaf took the sphere maximizer's vertex
+    # route, at n = 2: role 2 of an off-table source, of a table source under
+    # Scaled, beside l2 under MaxOf, and role 1 of an off-table source.  The
+    # vertex route of gind_eval_many must give the same value bits, witness
+    # bits, label and evaluation count, without the sphere maximizer
+    from normlab.formats import norm_spec_from_doc
+
+    def no_sphere_maximizer(*args, **kwargs):
+        raise AssertionError("an l1 domain reached maximize_on_sphere")
+
+    monkeypatch.setattr(gind, "maximize_on_sphere", no_sphere_maximizer)
+    cases = json.loads(L1_EXTRACTED_CODOMAINS.read_text(encoding="utf-8"))["cases"]
+    assert len(cases) == 12
+    for case in cases:
+        spec = GInd(norm_spec_from_doc(case["norm1"]), norm_spec_from_doc(case["norm2"]))
+        a = np.array([complex(float.fromhex(re), float.fromhex(im)) for re, im in case["matrix"]])
+        res = gind_eval(spec, a.reshape(2, 2))
+        assert res.value.hex() == case["value"], spec
+        assert _hex_entries(res.witness) == case["witness"], spec
+        assert res.exactness == case["exactness"] == EXACT_VERTEX, spec
+        assert res.evaluations == case["evaluations"], spec
 
 
 def test_gindpair_is_gind():

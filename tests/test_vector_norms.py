@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -146,16 +147,63 @@ def _batch_specs(n):
     ]
 
 
+def _reference_root(x: np.ndarray, squares) -> float:
+    """sqrt(squares(x)), taken again of x / 2^e and scaled back where that
+    sum is not a normal finite number, 2^e the smallest power of two above
+    every real and imaginary part of x."""
+    with np.errstate(over="ignore"):
+        sq = squares(x)
+    if sys.float_info.min <= sq <= sys.float_info.max:
+        return math.sqrt(sq)
+    parts = np.ascontiguousarray(x).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    root = math.sqrt(squares(np.ldexp(parts, -e).view(x.dtype)))
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        return math.inf
+
+
+def _reference_value(spec, x) -> float:
+    """The value of a descriptor of Lp and WeightedLp under Scaled and MaxOf
+    at one vector, by scalar formulas: l2 the root of vdot's sum of squares,
+    other p the sum over the peak-scaled moduli, WeightedLp the weighted
+    moduli, and Scaled and MaxOf through Python arithmetic and built-in max."""
+    v = np.asarray(x, dtype=np.complex128)
+    if isinstance(spec, Scaled):
+        return spec.gamma * _reference_value(spec.inner, v)
+    if isinstance(spec, MaxOf):
+        return max(_reference_value(part, v) for part in spec.parts)
+    if isinstance(spec, Lp) and spec.p == 2.0:
+        return _reference_root(v, lambda u: np.vdot(u, u).real)
+    m = np.abs(v) if isinstance(spec, Lp) else np.abs(v) * np.asarray(spec.weights)
+    if spec.p == math.inf:
+        return float(m.max())
+    if spec.p == 1.0:
+        return float(m.sum())
+    if spec.p == 2.0:
+        return _reference_root(m, lambda u: np.sum(u * u))
+    peak = float(m.max())
+    if peak == 0.0:
+        return 0.0
+    return peak * float(np.sum((m / peak) ** spec.p) ** (1.0 / spec.p))
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_batches())
 def test_vnorm_eval_many_equals_vnorm_eval_row_by_row(rows):
+    # both kernels against the scalar formulas, bit for bit
     with np.errstate(all="ignore"):
         for spec in _batch_specs(rows.shape[1]):
             assert has_batch_form(spec)
             many = vnorm_eval_many(spec, rows)
             for row, got in zip(rows, many):
-                want = vnorm_eval(spec, row)
-                assert got == want or (math.isnan(got) and math.isnan(want)), (spec, row)
+                want = _reference_value(spec, row)
+                assert _same(got, want) and _same(vnorm_eval(spec, row), want), (spec, row)
 
 
 def test_l2_values_hold_for_finite_extreme_entries():
@@ -179,7 +227,7 @@ def test_l2_values_hold_for_finite_extreme_entries():
         assert list(vnorm_eval_many(Lp(2), [[1e200, 0]])) == [1e200]
         assert list(vnorm_eval_many(Lp(2), [[1.5e308, 1.5e308]])) == [math.inf]
         assert list(vnorm_eval_many(WeightedLp(w, 2), [[1e200, 1e200]])) == [
-            vnorm_eval(WeightedLp(w, 2), [1e200, 1e200])
+            _reference_value(WeightedLp(w, 2), [1e200, 1e200])
         ]
         for x, want in zip(rows, (1e200, 1e-200, 5e-320, 5.0, 0.0)):
             assert vnorm_dual_eval(Lp(2), x) == want
@@ -189,7 +237,7 @@ def test_l2_values_hold_for_finite_extreme_entries():
         assert vnorm_eval(WeightedLp(w, 2), [1e200, 1e200]) == pytest.approx(math.sqrt(5) * 1e200, rel=1e-15)
         assert vnorm_eval(WeightedLp(w, 2), [0, 1e-200]) == 2e-200
         assert list(vnorm_eval_many(WeightedLp(w, 2), rows)) == [
-            vnorm_eval(WeightedLp(w, 2), x) for x in rows
+            _reference_value(WeightedLp(w, 2), x) for x in rows
         ]
     g = np.random.default_rng(97)
     for n in (1, 2, 3, 4):
@@ -221,12 +269,12 @@ def test_norming_functionals_of_subnormal_rows():
 
 
 def test_vnorm_eval_many_rejects_what_it_cannot_batch():
-    from normlab import Extracted, MaxColSum, OptBudget
+    from normlab import Extracted, MaxColSum, OptBudget, Spectral
 
     spec = MaxOf((Lp(2), Extracted(2, MaxColSum(), OptBudget())))
     assert not has_batch_form(spec)
-    with pytest.raises(SpecValidationError):
-        vnorm_eval_many(spec, np.ones((2, 3)))
+    with pytest.raises(SpecValidationError, match="not a vector norm descriptor"):
+        vnorm_eval_many(Spectral(), np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
         vnorm_eval_many(Lp(2), np.ones(3))
     with pytest.raises(DimensionMismatchError):
@@ -237,6 +285,32 @@ def test_vnorm_eval_many_rejects_what_it_cannot_batch():
         norming_functionals_many(Lp(2), np.ones(3))
     with pytest.raises(DimensionMismatchError):
         norming_functionals_many(WeightedLp((1.0, 2.0), 3), np.ones((2, 3)))
+
+
+def test_vnorm_eval_many_evaluates_extracted_leaves():
+    # role 2 is N over the stack of the C_x and role 1 a climb at each row
+    # (its source is off the table), bit for bit the scalar role
+    # evaluations, with a zero row and with no rows
+    from normlab import EntrywiseMax, Extracted, MaxColSum, OptBudget, Spectral, extraction
+
+    budget = OptBudget(multistarts=1, max_iters=12, samples=2, seed=7)
+    off_table = MaxOf((EntrywiseMax(), MaxColSum()))
+    role2 = MaxOf((Lp(2), Extracted(2, Spectral(), budget)))
+    role1 = Scaled(2.0, Extracted(1, off_table, budget))
+    g = np.random.default_rng(41)
+    rows = g.standard_normal((3, 2)) + 1j * g.standard_normal((3, 2))
+    rows[1] = 0.0
+    extraction.clear_role1_cache()
+    got2, got1 = vnorm_eval_many(role2, rows).tolist(), vnorm_eval_many(role1, rows).tolist()
+    extraction.clear_role1_cache()
+    assert got2 == [
+        max(_reference_value(Lp(2), x), extraction.eval_role2(Spectral(), budget, x)) for x in rows
+    ]
+    assert got1 == [2.0 * extraction.eval_role1(off_table, budget, x) for x in rows]
+    assert got2[1] == got1[1] == 0.0
+    for spec, got in ((role2, got2), (role1, got1)):
+        assert [vnorm_eval(spec, x) for x in rows] == got
+        assert vnorm_eval_many(spec, rows[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
