@@ -36,6 +36,7 @@ from .extraction import (
     AlphaIdentityReport,
     ProbeReport,
     alpha_identity_check,
+    alpha_identity_checks,
     column_embed,
     column_replicate,
     extract_norm1,

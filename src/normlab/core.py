@@ -79,6 +79,14 @@ def row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def as_rows(x) -> np.ndarray:
+    """Coerce to a 2-d complex array of vectors of dimension >= 1, one per row."""
+    v = np.asarray(x, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] < 1:
+        raise DimensionMismatchError(f"expected a 2-d array of vectors, got shape {v.shape}")
+    return v
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square 2-d complex matrix of dimension >= 1."""
     m = np.asarray(a, dtype=np.complex128)
@@ -125,14 +133,25 @@ class RandomStream:
         return int(seq.generate_state(1, np.uint64)[0])
 
 
+_SQRT2 = np.sqrt(2.0)
+
+
+def complex_normals(parts: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians from real standard normals: ``parts[0]``
+    holds the real parts and ``parts[1]`` the imaginary ones."""
+    return (parts[0] + 1j * parts[1]) / _SQRT2
+
+
 def sample_vector(g: np.random.Generator, n: int) -> np.ndarray:
-    """Standard complex Gaussian vector."""
-    return (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2.0)
+    """Standard complex Gaussian vector: the real parts, then the imaginary
+    parts, from one draw."""
+    return complex_normals(g.standard_normal((2, n)))
 
 
 def sample_matrix(g: np.random.Generator, n: int) -> np.ndarray:
-    """Matrix with independent standard complex Gaussian entries."""
-    return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
+    """Matrix with independent standard complex Gaussian entries: the real
+    parts, then the imaginary parts, from one draw."""
+    return complex_normals(g.standard_normal((2, n, n)))
 
 
 @dataclass

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, as_vector, conj_phases, power_of_two_scaled, sample_matrix
+from .core import RandomStream, as_rows, as_vector, conj_phases, power_of_two_scaled, sample_matrix
 from .errors import DimensionMismatchError
-from .gind import concrete, concrete_pair, gind_eval, gind_eval_many, sum_functional_alpha
+from .gind import concrete, concrete_pair, gind_eval_many, sum_functional_alpha
 from .matrix_norms import GInd, MatrixNormSpec, mnorm_eval, mnorm_eval_many
 from .sphere_opt import maximize_on_matrix_sphere
-from .vector_norms import Extracted, vnorm_eval
+from .vector_norms import Extracted, vnorm_eval_many
 
 # budget of the role-1 matrix-sphere climb that non-catalog sources run for
 # every point they are evaluated at, hence much smaller than an outer budget
@@ -72,9 +72,7 @@ def eval_role2(source: MatrixNormSpec, budget: OptBudget, x) -> float:
 def eval_role2_many(source: MatrixNormSpec, budget: OptBudget, points) -> np.ndarray:
     """:func:`eval_role2` at every row of a 2-d array, bit for bit: N over
     the stack of the C_x (:func:`~normlab.matrix_norms.mnorm_eval_many`)."""
-    v = np.asarray(points, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[1] < 1:
-        raise DimensionMismatchError(f"expected a 2-d array of vectors, got shape {v.shape}")
+    v = as_rows(points)
     return mnorm_eval_many(source, np.repeat(v[:, :, None], v.shape[1], axis=2), budget)
 
 
@@ -86,21 +84,25 @@ def clear_role1_cache() -> None:
 
 
 def eval_role1(source: MatrixNormSpec, budget: OptBudget, x) -> float:
-    """max{ N(C_{Ax}) : N(A) = 1 }.
+    """max{ N(C_{Ax}) : N(A) = 1 }: the one row of :func:`eval_role1_many`."""
+    return float(eval_role1_many(source, budget, as_vector(x)[None])[0])
 
-    Exact for the catalog sources and GInd sources with an l_p, weighted l_p
-    or polyhedral domain, under any ``Scaled``, through the table of
-    :func:`~normlab.gind.concrete`, without the cache or the climb; a
-    lower bound at the given budget, from :func:`_role1_ascent`, for every
-    other source.
-    """
-    v = as_vector(x)
-    if not np.any(v):
-        return 0.0
-    spec = concrete(extract_norm1(source, budget), v.size)
-    if not isinstance(spec, Extracted):
-        return vnorm_eval(spec, v)
-    return _role1_ascent(source, budget, v)
+
+def eval_role1_many(source: MatrixNormSpec, budget: OptBudget, points) -> np.ndarray:
+    """max{ N(C_{Ax}) : N(A) = 1 } at every row of a 2-d array, 0.0 at a
+    zero row.  Exact for the catalog sources and GInd sources with an l_p,
+    weighted l_p or polyhedral domain, under any ``Scaled``: the table of
+    :func:`~normlab.gind.concrete` is read once, and the plain norm it gives
+    is evaluated at every row in one call, without the cache or the climb.
+    Every other source takes :func:`_role1_ascent` row by row, a lower bound
+    at the given budget."""
+    v = as_rows(points)
+    spec = concrete(extract_norm1(source, budget), v.shape[1])
+    live = v.any(axis=1)
+    if isinstance(spec, Extracted):
+        role1 = [_role1_ascent(source, budget, x) if on else 0.0 for x, on in zip(v, live.tolist())]
+        return np.array(role1, dtype=np.float64)
+    return np.where(live, vnorm_eval_many(spec, v), 0.0)
 
 
 def _role1_ascent(source: MatrixNormSpec, budget: OptBudget, v: np.ndarray) -> float:
@@ -180,17 +182,27 @@ _ALPHA_TOL = 1e-6
 def alpha_identity_check(
     pair: GInd, x, budget: OptBudget | None = None
 ) -> AlphaIdentityReport:
-    """Check the column-replication identity for a norm pair at x.
+    """Check the column-replication identity for a norm pair at x: the one
+    report of :func:`alpha_identity_checks`."""
+    return alpha_identity_checks(pair, as_vector(x)[None], budget)[0]
 
-    lhs applies the induced norm to C_x; rhs multiplies the sum-functional
-    constant of the domain norm by the codomain norm of x.
-    """
-    v = as_vector(x)
-    n = v.size
-    lhs = gind_eval(pair, column_replicate(v), budget).value
-    rhs = sum_functional_alpha(pair.norm1, n, budget) * vnorm_eval(pair.norm2, v)
-    holds = abs(lhs - rhs) <= _ALPHA_TOL * max(lhs, rhs) + 1e-12
-    return AlphaIdentityReport(lhs=lhs, rhs=rhs, holds=holds)
+
+def alpha_identity_checks(
+    pair: GInd, points, budget: OptBudget | None = None
+) -> list[AlphaIdentityReport]:
+    """Check the column-replication identity for a norm pair at every row x
+    of a 2-d array.  lhs applies the induced norm to C_x, over the stack of
+    every row's C_x in one :func:`~normlab.gind.gind_eval_many`; rhs
+    multiplies the sum-functional constant of the domain norm, taken once,
+    by the codomain norm of x."""
+    v = as_rows(points)
+    found = gind_eval_many(pair, np.repeat(v[:, :, None], v.shape[1], axis=2), budget)
+    alpha = sum_functional_alpha(pair.norm1, v.shape[1], budget)
+    reports = []
+    for res, rhs in zip(found, (alpha * vnorm_eval_many(pair.norm2, v)).tolist()):
+        holds = abs(res.value - rhs) <= _ALPHA_TOL * max(res.value, rhs) + 1e-12
+        reports.append(AlphaIdentityReport(lhs=res.value, rhs=rhs, holds=holds))
+    return reports
 
 
 GAP_FOUND = "gap_found"

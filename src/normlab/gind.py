@@ -8,15 +8,15 @@ peeled off exactly (scaling either norm by gamma scales the induced value by
 core computation.  The route is chosen by the two cores, in one place and
 once per stack, and the routes take the stack as a whole where they can:
 
-====================  ============================================  =================
+====================  ============================================  ====================
 domain -> codomain    route                                         over the stack
-====================  ============================================  =================
+====================  ============================================  ====================
 l2 -> l2              top singular vector (:func:`_l2_closed_form`)  one solve for all
 smooth l_p -> batch   nonlinear power method                        matrix by matrix
 l1 -> any             best basis vertex (:func:`_vertex_search`)     one scoring call
-polyhedral -> batch   polydisc search over the ball's vertices      vertex by vertex
+polyhedral -> batch   polydisc search over the ball's vertices      lockstep per vertex
 anything else         the sphere maximizer                          matrix by matrix
-====================  ============================================  =================
+====================  ============================================  ====================
 
 Only the sphere maximizer's climb reads a budget.
 
@@ -34,6 +34,7 @@ demos apply to the four values of :func:`chain_pairs`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -205,20 +206,18 @@ def _two_column_l2(core2, ms: np.ndarray, cols: np.ndarray, r: np.ndarray) -> li
 def _polydisc_search(core2, ms: np.ndarray, r: np.ndarray, starts: np.ndarray, ceilings) -> list:
     """:func:`~normlab.sphere_opt.maximize_on_polydisc` of x -> N2(A_S x)
     over |x_j| <= r_j, for every matrix A_S of a (k, n, c) stack with its
-    start rows and ceiling.  The starts of the whole stack are scored in one
-    :func:`vnorm_eval_many` call, and each matrix's search begins from its
-    best start, ties to the first; one whose best start reaches its ceiling
-    keeps it."""
+    start rows and ceiling, in one lockstep search.  The starts of the whole
+    stack are scored in one :func:`vnorm_eval_many` call, and each matrix's
+    search begins from its best start, ties to the first; one whose best
+    start reaches its ceiling keeps it."""
     k, rows = starts.shape[:2]
     images = starts @ ms.transpose(0, 2, 1)
     vals = vnorm_eval_many(core2, images.reshape(k * rows, -1)).reshape(k, rows)
-    found = []
-    for i, (j, ceiling) in enumerate(zip(vals.argmax(axis=1).tolist(), ceilings)):
-        start = ComputationResult(float(vals[i, j]), starts[i, j], LOWER_BOUND, rows)
-        # the search replays no scalar walk, so one product serves the batch
-        objective = lambda xs, m=ms[i]: vnorm_eval_many(core2, xs @ m.T)
-        found.append(maximize_on_polydisc(objective, r, start, ceiling))
-    return found
+    found = [
+        ComputationResult(float(vals[i, j]), starts[i, j], LOWER_BOUND, rows)
+        for i, j in enumerate(vals.argmax(axis=1).tolist())
+    ]
+    return maximize_on_polydisc(functools.partial(vnorm_eval_many, core2), r, found, ceilings, ms)
 
 
 def _polyhedral_search(core2, s: np.ndarray, vertices) -> list[ComputationResult]:
@@ -428,9 +427,9 @@ def gind_eval_many(
     as l-inf or max(l1, 2 l-inf).  The l2 closed form solves the
     eigenproblem of A*A from a fixed start (its top eigenvector is the
     maximizer) and makes one evaluation.  The polyhedral route scores each
-    vertex's ceilings and starts over the stack, and each matrix searches
-    its polydisc from its best start, one at a time, ending at once where
-    that start reaches the ceiling.  So the extracted pairs of
+    vertex's ceilings and starts over the stack, and the matrices search
+    their polydiscs in lockstep, each from its best start, a matrix ending
+    at once where that start reaches the ceiling.  So the extracted pairs of
     Spectral, EntrywiseMax and MaxColSum reconstruct their source exactly,
     those of EntrywiseSum, MaxRowSum and max(MaxColSum, MaxRowSum) by the
     polydisc search, and that of a GInd source with an l_p, weighted l_p or

@@ -15,7 +15,9 @@ objectives on a polydisc {|x_j| <= r_j}, the unit ball of an l-inf or
 weighted l-inf norm: a branch-and-bound over the phase torus of its extreme
 points that scores the corners each split's boxes share once, and stops
 within 1e-9 (relative) of the maximum or at a fixed cap on scored points,
-whichever comes first.
+whichever comes first.  It takes a stack of matrices and runs the searches
+of x -> f(Ax) for all of them in lockstep, with one objective call per
+chunk.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .budget import (
     OptBudget,
     default_budget,
 )
-from .core import RandomStream, sample_matrix, sample_vector
+from .core import RandomStream, complex_normals, sample_matrix, sample_vector
 from .errors import HomogeneityError
 from .matrix_norms import EntrywiseSum, mnorm_eval
 from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
@@ -166,98 +168,158 @@ _CEILING_TOL = 1e-12
 
 
 @functools.lru_cache(maxsize=None)
-def _split_tables(d: int, q: int):
-    """The index tables of a q-way split of a box in d free phases.
+def _round_tables(d: int, t: int):
+    """The tables of round t of a search in d free phases.  Round 0 splits
+    one box of half-width pi 4 ways per coordinate; each later round splits
+    boxes of half-width h, the one before's half-width over its q, 16 ways
+    with one free phase and 2 ways with more.
 
     Per coordinate the children share 2q + 1 points: arc ends at even
     positions 0, 2, ..., 2q and the children's apexes at odd ones.  Returns
     the parent's grid of (2q+1)**d points as rows of per-coordinate
     positions, each child's 3**d grid points as flat indices into that grid
-    (q**d rows), the grid points that are ends in every coordinate, and the
-    children's centre offsets in units of the parent's half-width.
+    (q**d rows), the grid points that are ends in every coordinate, the
+    children's centres relative to their parent's, and the 2q + 1 points of
+    a split arc relative to its centre on the unit circle: ends exp(ijh) at
+    even j, apexes exp(ijh) / cos h at odd j, for j = -q..q and h = half / q.
     """
+    half, q = np.pi, 4
+    for _ in range(t):
+        half, q = half / q, (16 if d == 1 else 2)
     grid = np.array(list(itertools.product(range(2 * q + 1), repeat=d)), dtype=np.intp)
     kids = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.intp)
     corners = np.array(list(itertools.product(range(3), repeat=d)), dtype=np.intp)
-    grid, kids, corners = (t.reshape(-1, d) for t in (grid, kids, corners))
+    grid, kids, corners = (a.reshape(-1, d) for a in (grid, kids, corners))
     place = (2 * q + 1) ** np.arange(d - 1, -1, -1)
     children = (2 * kids[:, None, :] + corners[None]) @ place
     ends = np.flatnonzero((grid % 2 == 0).all(axis=1))
-    return grid, children, ends, (2 * kids + 1) / q - 1.0
-
-
-@functools.lru_cache(maxsize=None)
-def _turns(q: int, h: float) -> np.ndarray:
-    """The 2q + 1 points of a split arc of half-width qh relative to its
-    centre, on the unit circle: ends exp(ijh) at even j, apexes exp(ijh) /
-    cos h at odd j, for j = -q..q."""
+    h = half / q
     j = np.arange(-q, q + 1)
-    return np.exp(1j * h * j) * np.where(j % 2, 1.0 / math.cos(h), 1.0)
+    turns = np.exp(1j * h * j) * np.where(j % 2, 1.0 / math.cos(h), 1.0)
+    return grid, children, ends, half * ((2 * kids + 1) / q - 1.0), turns
 
 
-def maximize_on_polydisc(
-    objective_many, radii, start: ComputationResult, ceiling: float
-) -> ComputationResult:
-    """max{ f(x) : |x_j| <= r_j } by branch-and-bound on the phase torus.
+def maximize_on_polydisc(objective_many, radii, starts, ceilings, maps) -> list:
+    """max{ f(A_i x) : |x_j| <= r_j } by branch-and-bound on the phase torus,
+    for every matrix A_i of a (k, m, c) stack ``maps``.
 
-    ``objective_many`` maps a 2-d array of points to the values of a convex,
-    absolutely homogeneous f.  Convexity puts the maximum on the extreme
-    points x_j = r_j exp(i theta_j), and homogeneity fixes theta_0 = 0.
-    ``start`` is the best of the caller's starting points: its value, the
-    point, and the rows the caller scored to find it.  If its value reaches
-    ``ceiling``, an upper bound on f over the polydisc, within 1e-12
-    relative, the search ends there and returns it.  Otherwise the boxes of
-    phases are searched round by round.  The arc [c - h, c + h] lies in the
-    triangle with vertices exp(i(c -+ h)) and exp(ic)/cos h, so by convexity
-    the largest value over a box's 3**d vertex combinations bounds f on the
-    box, and its endpoint combinations are feasible points.  Each round splits
-    every live box q ways per coordinate; the q**d children share ends and
-    apexes, 2q + 1 distinct points per coordinate, so the round scores the
-    parent's (2q+1)**d grid once and takes each child's bound as the max
-    over its 3**d grid points.  The first round splits the whole torus, one
-    box of half-width pi, 4 ways; later rounds split 16 ways with one free
-    coordinate, so a search makes a handful of objective calls, and 2 ways
-    with d >= 2, where q**d children would cost more in rows than they save
-    in calls.  Children whose bound is within 1e-9 (relative) of the best
-    feasible value are dropped, the rest are the next round's parents, until
-    none is left or the row cap is reached.
+    ``objective_many`` maps a 2-d array of images A_i x to the values of a
+    convex, absolutely homogeneous f.  Convexity puts the maximum on the
+    extreme points x_j = r_j exp(i theta_j), and homogeneity fixes
+    theta_0 = 0.  ``starts[i]`` is the best of the caller's starting points
+    for A_i: its value, the point, and the rows the caller scored to find
+    it.  If its value reaches ``ceilings[i]``, an upper bound on f(A_i x)
+    over the polydisc, within 1e-12 relative, that search ends there and
+    returns it.  Otherwise the boxes of phases are searched round by round.
+    The arc [c - h, c + h] lies in the triangle with vertices exp(i(c -+ h))
+    and exp(ic)/cos h, so by convexity the largest value over a box's 3**d
+    vertex combinations bounds f on the box, and its endpoint combinations
+    are feasible points.  Each round splits every live box q ways per
+    coordinate; the q**d children share ends and apexes, 2q + 1 distinct
+    points per coordinate, so the round scores the parent's (2q+1)**d grid
+    once and takes each child's bound as the max over its 3**d grid points.
+    The first round splits the whole torus, one box of half-width pi, 4
+    ways; later rounds split 16 ways with one free coordinate, so a search
+    makes a handful of objective calls, and 2 ways with d >= 2, where q**d
+    children would cost more in rows than they save in calls.  Children
+    whose bound is within 1e-9 (relative) of the best feasible value are
+    dropped, the rest are the next round's parents, until none is left or
+    the row cap is reached.
 
-    The result is the best feasible point found and its value, labelled a
-    lower bound; ``evaluations`` counts the rows scored, the caller's starts
-    included.  No random draws: equal inputs give equal bits.
+    The k searches run in lockstep: a round's split depends only on its
+    number, each call of at most 2,048 rows takes one product per matrix and
+    one objective call for all, and each search keeps its own best, witness,
+    count and row cap, so result i has the bits of A_i's search alone, and a
+    lone search is a stack of one.
+
+    Result i is the best feasible point found for A_i and its value,
+    labelled a lower bound; ``evaluations`` counts the rows scored, the
+    caller's starts included.  No random draws: equal inputs give equal
+    bits.
     """
-    best, witness, evals = start.value, start.witness, start.evaluations
-    if best >= ceiling * (1.0 - _CEILING_TOL):
-        return start
-
+    found = list(starts)
+    d = len(radii) - 1
+    runs = [
+        _Run(i, res, d, maps[i].T)
+        for i, (res, top) in enumerate(zip(found, ceilings))
+        if not res.value >= top * (1.0 - _CEILING_TOL)
+    ]
     r = np.asarray(radii, dtype=np.float64)
-    d = r.size - 1
-    axes = np.arange(d)
-    centers, half, q = np.full((1, d), np.pi), np.pi, 4
-    while len(centers) and evals + len(centers) * (2 * q + 1) ** d <= _POLYDISC_CAP:
-        grid, children, ends, splits = _split_tables(d, q)
-        h = half / q
-        turns = _turns(q, h) * r[1:, None]
-        per_parent = len(grid)
-        parents_per_chunk = max(1, _POLYDISC_CHUNK // per_parent)
-        uppers = np.empty((len(centers), len(children)))
-        for lo in range(0, len(centers), parents_per_chunk):
-            chunk = centers[lo : lo + parents_per_chunk]
-            rows = np.empty((len(chunk), per_parent, d + 1), dtype=np.complex128)
-            rows[..., 0] = r[0]
-            rows[..., 1:] = (np.exp(1j * chunk)[..., None] * turns)[:, axes, grid]
-            vals = objective_many(rows.reshape(-1, d + 1)).reshape(len(chunk), per_parent)
-            uppers[lo : lo + len(chunk)] = vals[:, children].max(axis=2)
-            at_ends = vals[:, ends]
-            k = int(np.argmax(at_ends))
-            if at_ends.flat[k] > best:
+    axes, r_free = np.arange(d), r[1:, None]
+    # every call's images, written piece by piece: a call takes at most
+    # _POLYDISC_CHUNK rows, or one parent's grid, at most 9**d rows
+    images = np.empty((max(_POLYDISC_CHUNK, 9**d), maps.shape[1]), dtype=np.complex128)
+
+    def score(pieces, filled):
+        """One objective call for the pieces' images, the first ``filled``
+        rows of ``images``, one gather of their children's bounds, and each
+        piece's (run, its parents lo:hi, their rows) best end point."""
+        vals = objective_many(images[:filled]).reshape(-1, per_parent)
+        tops = vals[:, children].max(axis=2)
+        at_ends = vals[:, ends]
+        at = 0
+        for run, lo, hi, rows in pieces:
+            own = slice(at, at + hi - lo)
+            at = own.stop
+            run.uppers[lo:hi] = tops[own]
+            mine = at_ends[own]
+            k = mine.argmax()
+            if mine.flat[k] > run.best:
                 parent, end = divmod(k, len(ends))
-                best, witness = float(at_ends.flat[k]), rows[parent, ends[end]].copy()
-        evals += len(centers) * per_parent
-        live = uppers > best * (1.0 + _POLYDISC_TOL)
-        centers = (centers[:, None, :] + half * splits)[live]
-        half, q = h, (16 if d == 1 else 2)
-    return ComputationResult(best, witness, LOWER_BOUND, evals)
+                run.best, run.witness = float(mine.flat[k]), rows[parent, ends[end]].copy()
+
+    t = 0
+    while runs:
+        grid, children, ends, offsets, turns = _round_tables(d, t)
+        per_parent = len(grid)
+        turns = turns * r_free
+        # every live run's parents in turn, scored in calls of at most ``step``
+        step = max(1, _POLYDISC_CHUNK // per_parent)
+        pieces, room, live_runs = [], step, []
+        for run in runs:
+            centers, lo = run.centers, 0
+            # a search ends when no box is live or its round would pass the cap
+            if not len(centers) or run.evals + len(centers) * per_parent > _POLYDISC_CAP:
+                found[run.index] = ComputationResult(run.best, run.witness, LOWER_BOUND, run.evals)
+                continue
+            live_runs.append(run)
+            run.uppers = np.empty((len(centers), len(children)))
+            while lo < len(centers):
+                hi = min(len(centers), lo + room)
+                rows = np.empty((hi - lo, per_parent, d + 1), dtype=np.complex128)
+                rows[..., 0] = r[0]
+                rows[..., 1:] = (np.exp(1j * centers[lo:hi])[..., None] * turns)[:, axes, grid]
+                at = (step - room) * per_parent
+                out = images[at : at + (hi - lo) * per_parent]
+                np.matmul(rows.reshape(-1, d + 1), run.map_t, out)
+                pieces.append((run, lo, hi, rows))
+                room -= hi - lo
+                lo = hi
+                if not room:
+                    score(pieces, step * per_parent)
+                    pieces, room = [], step
+        if pieces:
+            score(pieces, (step - room) * per_parent)
+        runs = live_runs
+        for run in runs:
+            run.evals += len(run.centers) * per_parent
+            live = run.uppers > run.best * (1.0 + _POLYDISC_TOL)
+            run.centers = (run.centers[:, None, :] + offsets)[live]
+        t += 1
+    return found
+
+
+class _Run:
+    """One search of :func:`maximize_on_polydisc` and its state: its result's
+    index, best, witness, rows scored, live boxes' centres, matrix transpose
+    and, in the round under way, its children's bounds."""
+
+    __slots__ = ("index", "best", "witness", "evals", "centers", "map_t", "uppers")
+
+    def __init__(self, index: int, start: ComputationResult, d: int, map_t):
+        self.index, self.map_t = index, map_t
+        self.best, self.witness, self.evals = start.value, start.witness, start.evaluations
+        self.centers = np.full((1, d), np.pi)
 
 
 def _on_sphere(objective, domain_eval):
@@ -296,7 +358,7 @@ def seed_pool(n: int, budget: OptBudget, extra_seeds: Iterable[np.ndarray] = ())
     phases = np.exp(2j * np.pi * g.random((n, n)))
     extras = _valid_seeds(extra_seeds, (n,))
     draws = g.standard_normal((budget.samples, 2, n))
-    gaussians = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+    gaussians = complex_normals(draws.swapaxes(0, 1))
     return np.vstack([np.eye(n, dtype=np.complex128), np.ones(n), phases, *extras, gaussians])
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .budget import OptBudget
-from .core import as_vector, phase_divisors, power_of_two_scaled, row_vdots
+from .core import as_rows, as_vector, phase_divisors, power_of_two_scaled, row_vdots
 from .errors import DimensionMismatchError, SpecValidationError
 
 if TYPE_CHECKING:  # matrix_norms imports this module; annotation only
@@ -98,15 +98,16 @@ class Extracted:
     wherever N's value is (a GInd source whose value ``gind_eval`` climbs
     for, with a MaxOf domain with a smooth part, gives a lower bound), and
     :func:`vnorm_eval_many` takes N once over the stack of those matrices;
-    role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }, one point at a time.  For the catalog sources
+    role 1 evaluates sup{ N(C_{Ax}) : N(A) = 1 }.  For the catalog sources
     (EntrywiseSum, EntrywiseMax, MaxColSum, MaxRowSum, Spectral,
     max(MaxColSum, MaxRowSum)) and GInd sources with an l_p, weighted l_p
     or polyhedral domain, each under any Scaled, both roles equal plain
     descriptors at each dimension (:func:`normlab.gind.concrete`), so role 1
-    is exact and ``gind_eval`` dispatches on the plain descriptors in their
-    place.  For every other source role 1 comes from matrix-sphere
-    maximization, a lower bound at the stored budget.  ``extract_pair``
-    returns both roles of one source as a ``GInd``.
+    is exact, :func:`vnorm_eval_many` evaluates the plain descriptor over
+    all its rows, and ``gind_eval`` dispatches on the plain descriptors in
+    their place.  For every other source role 1 comes from matrix-sphere
+    maximization, one point at a time, a lower bound at the stored budget.
+    ``extract_pair`` returns both roles of one source as a ``GInd``.
     """
 
     role: int
@@ -224,13 +225,12 @@ def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
     Those report the lower bound produced by the stored optimization budget.
     Scaled and MaxOf recurse, MaxOf keeping the first part that attains the
     max.  Role 2 of an Extracted norm is N over the stack of every row's
-    C_x (:func:`~normlab.extraction.eval_role2_many`), and role 1 is
-    :func:`~normlab.extraction.eval_role1` at each row in turn, through this
+    C_x (:func:`~normlab.extraction.eval_role2_many`), and role 1 reads
+    :func:`normlab.gind.concrete`'s table once for the array
+    (:func:`~normlab.extraction.eval_role1_many`), both through this
     function's import of ``extraction``.
     """
-    v = np.asarray(rows, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[1] < 1:
-        raise DimensionMismatchError(f"expected a 2-d array of vectors, got shape {v.shape}")
+    v = as_rows(rows)
     if isinstance(spec, Lp):
         if spec.p == 2.0:
             # row_vdots reproduces vdot's rounding where its sum is normal and
@@ -258,8 +258,7 @@ def vnorm_eval_many(spec: VectorNormSpec, rows) -> np.ndarray:
 
         if spec.role == 2:
             return extraction.eval_role2_many(spec.source, spec.budget, v)
-        role1 = [extraction.eval_role1(spec.source, spec.budget, x) for x in v]
-        return np.array(role1, dtype=np.float64)
+        return extraction.eval_role1_many(spec.source, spec.budget, v)
     raise SpecValidationError(f"not a vector norm descriptor: {spec!r}")
 
 
@@ -306,9 +305,7 @@ def norming_functionals_many(spec: VectorNormSpec, rows) -> tuple[np.ndarray, np
     max.  The values take a vectorized root, so they may differ from
     :func:`vnorm_eval_many`'s in the last few bits.
     """
-    v = np.asarray(rows, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[1] < 1:
-        raise DimensionMismatchError(f"expected a 2-d array of vectors, got shape {v.shape}")
+    v = as_rows(rows)
     if isinstance(spec, Lp):
         return _lp_functionals(v, None, spec.p)
     if isinstance(spec, WeightedLp):

@@ -11,9 +11,12 @@ and its probe.
 The paper demos draw each case's matrices first and evaluate each induced
 norm over the list in one :func:`~normlab.gind.gind_eval_many` call: case 2
 one per norm and dimension, case 3 its two pairs over the 30 draws and the
-all-ones matrix, then whether any draw breaks the domination, and case 6
-the four pairs of :func:`~normlab.gind.chain_pairs` over its 15 draws,
-judged draw by draw by :func:`~normlab.gind.chain_report`, the rule of
+all-ones matrix, then whether any draw breaks the domination, case 5 each
+pair's two points at each dimension, drawn in turn and checked in one
+:func:`~normlab.extraction.alpha_identity_checks` (one call over the stack
+of their C_x), and case 6 the four pairs of
+:func:`~normlab.gind.chain_pairs` over its 15 draws, judged draw by draw by
+:func:`~normlab.gind.chain_report`, the rule of
 :func:`~normlab.gind.chain_compare`.
 """
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, sample_matrix, sample_vector
+from .core import RandomStream, complex_normals, sample_matrix, sample_vector
 from .errors import DimensionMismatchError
 from .extraction import (
     _WITNESS_TIE,
@@ -36,7 +39,7 @@ from .extraction import (
     _random_probes,
     GAP_FOUND,
     NO_GAP_FOUND,
-    alpha_identity_check,
+    alpha_identity_checks,
     column_embed,
     column_replicate,
     eval_role2_many,
@@ -100,17 +103,20 @@ def sample_test_matrix(g: np.random.Generator, n: int) -> np.ndarray:
     """Random matrix: raw Gaussian, Hermitian-symmetrized, or rank-one.
 
     Rank-one draws have a single nonzero singular value and symmetrized ones
-    real eigenvalues: two structured families beside the generic draw.
+    real eigenvalues: two structured families beside the generic draw.  A
+    rank-one draw takes u v* from one draw of 2n^2 + 4n normals, whose
+    first 2n^2, the generic matrix's, it discards: the stream and the bits
+    of a matrix and two vectors drawn in turn.
     """
     kind = int(g.integers(3))
-    a = sample_matrix(g, n)
-    if kind == 1:
-        return (a + a.conj().T) / 2.0
     if kind == 2:
-        u = sample_vector(g, n)
-        v = sample_vector(g, n)
-        return np.outer(u, v.conj())
-    return a
+        z = g.standard_normal(2 * n * n + 4 * n)[2 * n * n :].reshape(2, 2, n)
+        u, v = complex_normals(z.swapaxes(0, 1))
+        # np.outer's own operand shapes: at n = 1, a (1, 1) by (1,) product
+        # rounds differently in the last bit
+        return u[:, None] * v.conj()[None, :]
+    a = sample_matrix(g, n)
+    return (a + a.conj().T) / 2.0 if kind == 1 else a
 
 
 # the budgets the suites run when given none, each run with its own seed;
@@ -566,17 +572,16 @@ def paper_demo_suite(seed: int) -> SuiteReport:
         )
     )
 
-    # 5: column-replication identity
+    # 5: column-replication identity, each pair's two points in one check
     family = [Lp(1.0), Lp(2.0), Lp(np.inf), Scaled(2.0, Lp(2.0))]
     ok5 = True
     for dim in (2, 3):
         g5 = rng.child(30 + dim).generator()
         for n1 in family:
             for n2 in family:
-                for _ in range(2):
-                    x = sample_vector(g5, dim)
-                    rep = alpha_identity_check(GInd(n1, n2), x)
-                    ok5 = ok5 and rep.holds
+                points = [sample_vector(g5, dim) for _ in range(2)]
+                reports = alpha_identity_checks(GInd(n1, n2), points)
+                ok5 = ok5 and all(rep.holds for rep in reports)
     cases.append(
         CaseResult(
             description="column replication scales the codomain norm by the sum-functional constant",

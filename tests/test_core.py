@@ -50,6 +50,18 @@ def test_mat_apply_linearity():
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
+def test_samplers_are_the_two_call_forms():
+    # one draw of the real parts, then the imaginary ones: the bits and the
+    # stream state of drawing each part in its own call
+    for n in (1, 2, 3, 4, 7):
+        for sampler, shape in ((sample_vector, (n,)), (sample_matrix, (n, n))):
+            g, h = np.random.default_rng([1915, n]), np.random.default_rng([1915, n])
+            for _ in range(300):
+                want = (h.standard_normal(shape) + 1j * h.standard_normal(shape)) / np.sqrt(2.0)
+                assert sampler(g, n).tobytes() == want.tobytes(), (sampler.__name__, n)
+            assert g.bit_generator.state == h.bit_generator.state, (sampler.__name__, n)
+
+
 def test_top_eig_identity():
     res = hermitian_top_eig(np.eye(2))
     assert res.eigenvalue == pytest.approx(1.0, abs=1e-10)

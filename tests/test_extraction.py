@@ -52,6 +52,7 @@ from normlab.extraction import (
     eval_role2,
 )
 from normlab.gind import concrete, concrete_pair
+from normlab.vector_norms import vnorm_eval_many
 
 INNER = OptBudget(multistarts=2, max_iters=30, samples=4, seed=9)
 OUTER = OptBudget(multistarts=1, max_iters=30, samples=4, seed=10)
@@ -210,6 +211,65 @@ def test_alpha_identity_random_pairs():
                     x = sample_vector(g, n)
                     rep = alpha_identity_check(GIndPair(n1, n2), x, OUTER)
                     assert rep.holds, (n1, n2, rep.lhs, rep.rhs)
+
+
+def test_alpha_identity_checks_take_each_pair_once(monkeypatch):
+    # every point's C_x in one gind_eval_many and the constant in one
+    # sum_functional_alpha; each report is the lone check's formula, bit
+    # for bit: the induced norm of C_x against alpha*(1) times the codomain
+    # norm of x, a zero point included
+    from normlab import extraction, gind
+
+    g = RandomStream(28).generator()
+    half = MaxOf((Lp(1), Scaled(2.0, Lp(math.inf))))
+    family = [Lp(1), Lp(2), Lp(math.inf), Scaled(2.0, Lp(2)), half]
+    for n in (2, 3):
+        points = [sample_vector(g, n) for _ in range(3)] + [np.zeros(n)]
+        for n1 in family:
+            for n2 in family:
+                pair = GIndPair(n1, n2)
+                want = []
+                for x in points:
+                    lhs = gind_eval(pair, column_replicate(x), OUTER).value
+                    want.append((lhs, gind.sum_functional_alpha(n1, n, OUTER) * vnorm_eval(n2, x)))
+                calls = []
+                for name in ("gind_eval_many", "sum_functional_alpha"):
+                    real = getattr(extraction, name)
+                    counted = lambda *a, real=real, name=name: calls.append(name) or real(*a)
+                    monkeypatch.setattr(extraction, name, counted)
+                reports = extraction.alpha_identity_checks(pair, points, OUTER)
+                monkeypatch.undo()
+                assert sorted(calls) == ["gind_eval_many", "sum_functional_alpha"]
+                assert [(r.lhs, r.rhs) for r in reports] == want, (n1, n2)
+                assert all(r.holds for r in reports), (n1, n2)
+    with pytest.raises(DimensionMismatchError):
+        extraction.alpha_identity_checks(GIndPair(Lp(1), Lp(1)), np.ones(3))
+
+
+def test_role1_of_a_polyhedral_gind_source_reads_the_table_once(monkeypatch):
+    # k rows resolve concrete's table once, one sum_functional_alpha, and
+    # evaluate the plain norm it gives at every row, bit for bit as row by
+    # row; a zero row reads 0.0
+    from normlab import gind
+
+    g = RandomStream(29).generator()
+    half = MaxOf((Lp(1), Scaled(2.0, Lp(math.inf))))
+    for source in (GInd(Lp(math.inf), Lp(1.5)), GInd(half, Lp(3))):
+        for n in (2, 3):
+            rows = np.array([sample_vector(g, n) for _ in range(5)] + [np.zeros(n)])
+            plain = concrete(extract_norm1(source, INNER), n)
+            want = [vnorm_eval(plain, x) for x in rows[:-1]] + [0.0]
+            alphas = []
+            real = gind.sum_functional_alpha
+            counted = lambda *a: alphas.append(1) or real(*a)
+            monkeypatch.setattr(gind, "sum_functional_alpha", counted)
+            spec = extract_norm1(source, INNER)
+            lone, many = vnorm_eval(spec, rows[0]), vnorm_eval_many(spec, rows)
+            monkeypatch.undo()
+            assert len(alphas) == 2
+            assert [float(v).hex() for v in many] == [float(v).hex() for v in want]
+            assert float(lone).hex() == float(want[0]).hex()
+            assert [eval_role1(source, INNER, x) for x in rows] == many.tolist()
 
 
 def test_probe_sigma_gap():

@@ -440,13 +440,13 @@ def test_ball_vertices_of_weighted_scaled_and_nested_cores():
                 assert not any((u >= v).all() and (u > v).any() for u in verts)
 
 
-def _polydisc_from_starts(objective_many, radii, starts, ceiling):
-    """maximize_on_polydisc from the best of ``starts``, ties to the first,
-    scored by the same objective."""
-    vals = objective_many(starts)
+def _polydisc_from_starts(objective_many, a, radii, starts, ceiling):
+    """maximize_on_polydisc of x -> f(a x), a stack of one, from the best of
+    ``starts``, ties to the first, scored by the same objective of images."""
+    vals = objective_many(starts @ a.T)
     k = int(np.argmax(vals))
     start = ComputationResult(float(vals[k]), starts[k], LOWER_BOUND, len(starts))
-    return sphere_opt.maximize_on_polydisc(objective_many, radii, start, ceiling)
+    return sphere_opt.maximize_on_polydisc(objective_many, radii, [start], [ceiling], a[None])[0]
 
 
 def test_skipped_vertices_never_change_the_result():
@@ -466,7 +466,8 @@ def test_skipped_vertices_never_change_the_result():
                 for v in verts:
                     s = np.flatnonzero(v)
                     res = _polydisc_from_starts(
-                        lambda xs: np.asarray([vnorm_eval(codomain, a[:, s] @ x) for x in xs]),
+                        lambda ys: np.asarray([vnorm_eval(codomain, y) for y in ys]),
+                        a[:, s],
                         v[s],
                         v[s] * core.conj_phases(a)[:, s],
                         vnorm_eval(codomain, np.abs(a[:, s]) @ v[s]),
@@ -551,13 +552,14 @@ def test_linf_domains_never_climb(monkeypatch):
 
 
 def _count_search_calls(monkeypatch) -> list:
-    """Rebind ``gind.maximize_on_polydisc`` so that each search appends
-    [free phases, objective calls] to the returned list; the caller's
-    scoring of its starts counts as one call."""
+    """Rebind ``gind.maximize_on_polydisc`` so that each call, the lockstep
+    search of every live matrix at one vertex, appends [free phases,
+    objective calls] to the returned list; the caller's scoring of its
+    starts counts as one call.  A lone matrix's call is one search."""
     searches = []
     real = gind.maximize_on_polydisc
 
-    def counting(objective_many, radii, start, ceiling):
+    def counting(objective_many, radii, *args):
         entry = [len(radii) - 1, 1]
         searches.append(entry)
 
@@ -565,7 +567,7 @@ def _count_search_calls(monkeypatch) -> list:
             entry[1] += 1
             return objective_many(xs)
 
-        return real(objective, radii, start, ceiling)
+        return real(objective, radii, *args)
 
     monkeypatch.setattr(gind, "maximize_on_polydisc", counting)
     return searches
@@ -675,10 +677,10 @@ def test_each_round_scores_the_parents_grids(n):
     for _ in range(5):
         a = _complex(g, n)
         calls = []
-        objective = lambda xs: calls.append(len(xs)) or np.abs(xs @ a.T).sum(axis=1)
+        objective = lambda ys: calls.append(len(ys)) or np.abs(ys).sum(axis=1)
         r = np.ones(n)
         res = _polydisc_from_starts(
-            objective, r, core.conj_phases(a), vnorm_eval(Lp(1), np.abs(a) @ r)
+            objective, a, r, core.conj_phases(a), vnorm_eval(Lp(1), np.abs(a) @ r)
         )
         assert calls[:2] == [n, 9**d]
         grid = 33 if d == 1 else 5**d
@@ -1337,3 +1339,41 @@ def test_gind_eval_many_takes_a_stack_of_square_matrices():
     # a list of matrices is a stack
     mats = [np.eye(2), np.ones((2, 2))]
     assert [r.value for r in gind_eval_many(pair, mats)] == [gind_eval(pair, m).value for m in mats]
+
+
+def _mixed_stack(g: np.random.Generator, n: int) -> np.ndarray:
+    """The zero matrix, a rank-one C_x, a nonnegative matrix (whose row-phase
+    start reaches its ceiling), the identity, a Hermitian matrix and two
+    random ones."""
+    x = g.standard_normal(n) + 1j * g.standard_normal(n)
+    h = _complex(g, n)
+    mats = [np.zeros((n, n)), np.repeat(x[:, None], n, axis=1), np.abs(_complex(g, n))]
+    mats += [np.eye(n), h + h.conj().T, _complex(g, n), _complex(g, n)]
+    return np.array(mats, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_searches_keep_every_matrix_bits(n, monkeypatch):
+    # row i of a mixed stack is gind_eval at matrix i field for field, the
+    # zero matrix beside moving ones included, on the power method and on
+    # the polydisc search, whose stack runs every matrix in lockstep: one
+    # call per vertex, fewer than its matrices make one at a time
+    half = MaxOf((Lp(1), Scaled(2.0, Lp(INF))))
+    weighted = WeightedLp((0.5, 2.0, 1.0, 1.5)[:n], 3)
+    power = [GInd(Lp(3), Lp(1.5)), GInd(Lp(2), Lp(1)), GInd(weighted, half)]
+    polydisc = [GInd(Lp(INF), Lp(1)), GInd(Lp(INF), Lp(1.5)), GInd(half, Lp(1))]
+    searches = []
+    real = gind.maximize_on_polydisc
+    monkeypatch.setattr(
+        gind, "maximize_on_polydisc", lambda *args: searches.append(1) or real(*args)
+    )
+    stack = _mixed_stack(np.random.default_rng([1913, n]), n)
+    for pair in power + polydisc:
+        searches.clear()
+        got = gind_eval_many(pair, stack)
+        together = len(searches)
+        searches.clear()
+        for res, a in zip(got, stack):
+            _same_result(res, gind_eval(pair, a), f"{pair} n={n}")
+        if pair in polydisc:
+            assert 0 < together < len(searches), f"{pair} n={n}"

@@ -23,7 +23,7 @@ from normlab import (
 )
 from normlab import core, extraction, sphere_opt
 from normlab.errors import DimensionMismatchError
-from normlab.verification import FAIL, INCONCLUSIVE, PASS
+from normlab.verification import FAIL, INCONCLUSIVE, PASS, sample_test_matrix
 
 
 def _statuses(report):
@@ -185,15 +185,64 @@ def test_paper_demo_gap_probes_are_exact_at_seed_1355706853():
 def test_paper_demos_evaluate_induced_norms_over_stacks(monkeypatch):
     # cases 2, 3 and 6 and the gap probes of case 4 take one gind_eval_many
     # per pair and list of matrices: 3 norms at 2 dimensions, 2 pairs, 4
-    # chain pairs and 2 probes.  Only case 5 evaluates matrix by matrix, one
-    # column replication for each of its 64 points, each a stack of one
+    # chain pairs and 2 probes.  Case 5 checks each pair's two points at
+    # each dimension in one alpha_identity_checks, 32 stacks of two C_x, and
+    # no case evaluates a lone matrix
     from normlab import gind
 
     induced = _count_calls(monkeypatch, gind.gind_eval)
     induced_many = _count_calls(monkeypatch, gind.gind_eval_many)
     assert paper_demo_suite(42).passed
-    assert induced == {"normlab.extraction": 64}
-    assert induced_many == {"normlab.verification": 12, "normlab.extraction": 2, "normlab.gind": 64}
+    assert induced == {}
+    assert induced_many == {"normlab.verification": 12, "normlab.extraction": 2 + 32}
+
+
+def test_paper_demos_work_counts(monkeypatch):
+    # the suite's deterministic work, bounded by this version's counts: the
+    # polydisc searches of one vertex run every matrix in lockstep (175
+    # objective calls when each matrix searched alone), the power method
+    # makes 80 norming-functional calls, one matrix at a time, and case 5
+    # checks two points per call (78 gind_eval_many calls with one per
+    # point)
+    from normlab import gind
+
+    objective_calls, kernel_calls = [], []
+    search, kernel = gind.maximize_on_polydisc, gind.norming_functionals_many
+
+    def counted_search(objective_many, *args):
+        return search(lambda xs: objective_calls.append(1) or objective_many(xs), *args)
+
+    monkeypatch.setattr(gind, "maximize_on_polydisc", counted_search)
+    monkeypatch.setattr(
+        gind, "norming_functionals_many", lambda *a: kernel_calls.append(1) or kernel(*a)
+    )
+    induced_many = _count_calls(monkeypatch, gind.gind_eval_many)
+    assert paper_demo_suite(42).passed
+    assert len(objective_calls) <= 10
+    assert len(kernel_calls) <= 80
+    assert sum(induced_many.values()) <= 46
+
+
+def test_sample_test_matrix_is_the_two_call_form():
+    # a rank-one draw takes the discarded matrix and both vectors in one
+    # draw, with the bits and the stream state of drawing them in turn
+    def two_calls(g, n):
+        kind = int(g.integers(3))
+        a = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
+        if kind == 1:
+            return (a + a.conj().T) / 2.0
+        if kind == 2:
+            u, v = (
+                (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2.0) for _ in range(2)
+            )
+            return np.outer(u, v.conj())
+        return a
+
+    for n in (1, 2, 3, 4):
+        g, h = np.random.default_rng([1914, n]), np.random.default_rng([1914, n])
+        for _ in range(300):
+            assert sample_test_matrix(g, n).tobytes() == two_calls(h, n).tobytes(), n
+        assert g.bit_generator.state == h.bit_generator.state, n
 
 
 def test_failures_would_carry_witnesses():
