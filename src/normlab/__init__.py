@@ -20,8 +20,10 @@ from .core import (
     as_vector,
     hermitian_top_eig,
     mat_apply,
+    sample_matrices,
     sample_matrix,
     sample_vector,
+    sample_vectors,
 )
 from .errors import (
     DimensionMismatchError,

@@ -142,16 +142,40 @@ def complex_normals(parts: np.ndarray) -> np.ndarray:
     return (parts[0] + 1j * parts[1]) / _SQRT2
 
 
+def check_sizes(n: int, count: int, least: int = 0) -> None:
+    """Raise :class:`DimensionMismatchError` unless the dimension n >= 1 and
+    the count, of samples or of trials, is at least ``least``."""
+    if n < 1 or count < least:
+        raise DimensionMismatchError(f"need n >= 1 and count >= {least}, got {n} and {count}")
+
+
+def sample_vectors(g: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` standard complex Gaussian vectors of C^n as the rows of a
+    (count, n) array, from one draw: each vector's real parts, then its
+    imaginary parts, with the bits and the stream state of drawing each part
+    of each vector in its own call."""
+    check_sizes(n, count)
+    return complex_normals(g.standard_normal((count, 2, n)).swapaxes(0, 1))
+
+
+def sample_matrices(g: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` matrices with independent standard complex Gaussian entries
+    as a (count, n, n) stack, from one draw, laid out as in
+    :func:`sample_vectors`."""
+    check_sizes(n, count)
+    return complex_normals(g.standard_normal((count, 2, n, n)).swapaxes(0, 1))
+
+
 def sample_vector(g: np.random.Generator, n: int) -> np.ndarray:
-    """Standard complex Gaussian vector: the real parts, then the imaginary
-    parts, from one draw."""
-    return complex_normals(g.standard_normal((2, n)))
+    """Standard complex Gaussian vector: the one row of
+    :func:`sample_vectors`."""
+    return sample_vectors(g, n, 1)[0]
 
 
 def sample_matrix(g: np.random.Generator, n: int) -> np.ndarray:
-    """Matrix with independent standard complex Gaussian entries: the real
-    parts, then the imaginary parts, from one draw."""
-    return complex_normals(g.standard_normal((2, n, n)))
+    """Matrix with independent standard complex Gaussian entries: the one
+    matrix of :func:`sample_matrices`."""
+    return sample_matrices(g, n, 1)[0]
 
 
 @dataclass

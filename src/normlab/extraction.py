@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, as_rows, as_vector, conj_phases, power_of_two_scaled, sample_matrix
+from .core import (
+    RandomStream, as_rows, as_vector, check_sizes, conj_phases, power_of_two_scaled, sample_matrices
+)
 from .errors import DimensionMismatchError
 from .gind import concrete, concrete_pair, gind_eval_many, sum_functional_alpha
 from .matrix_norms import GInd, MatrixNormSpec, mnorm_eval, mnorm_eval_many
@@ -258,9 +260,8 @@ def _fixed_probes(n: int) -> list[np.ndarray]:
 
 
 def _random_probes(n: int, trials: int, rng: RandomStream) -> list[np.ndarray]:
-    """``trials`` complex Gaussian matrices drawn from ``rng``."""
-    g = rng.generator()
-    return [sample_matrix(g, n) for _ in range(trials)]
+    """``trials`` complex Gaussian matrices drawn from ``rng`` in one call."""
+    return list(sample_matrices(rng.generator(), n, trials))
 
 
 def _probe_ratios(source, pair, mats, outer, inner) -> list[tuple[float, np.ndarray]]:
@@ -290,8 +291,7 @@ def minimality_probe(
     probes plus ``trials`` random matrices and reports the minimum ratio,
     with the lowest-index probe within 1e-12 (relative) of it as witness.
     """
-    if trials < 1:
-        raise DimensionMismatchError("trials must be >= 1")
+    check_sizes(n, trials, 1)
     inner = inner_budget or DEFAULT_INNER_BUDGET
     # resolved once here, where gind_eval would resolve it for every matrix
     pair = concrete_pair(extract_pair(source, inner), n)

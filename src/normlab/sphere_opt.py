@@ -36,7 +36,7 @@ from .budget import (
     OptBudget,
     default_budget,
 )
-from .core import RandomStream, complex_normals, sample_matrix, sample_vector
+from .core import RandomStream, sample_matrices, sample_matrix, sample_vector, sample_vectors
 from .errors import HomogeneityError
 from .matrix_norms import EntrywiseSum, mnorm_eval
 from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
@@ -352,13 +352,11 @@ def seed_pool(n: int, budget: OptBudget, extra_seeds: Iterable[np.ndarray] = ())
     complex Gaussian draws, the random ones from stream 0 of
     ``budget.seed``."""
     g = RandomStream(budget.seed).child(0).generator()
-    # one draw for the phase vectors and one for every Gaussian seed: the
-    # bits and the stream state of n g.random(n) and budget.samples
-    # sample_vector calls
+    # one draw for the phase vectors: the bits and the stream state of n
+    # g.random(n) calls
     phases = np.exp(2j * np.pi * g.random((n, n)))
     extras = _valid_seeds(extra_seeds, (n,))
-    draws = g.standard_normal((budget.samples, 2, n))
-    gaussians = complex_normals(draws.swapaxes(0, 1))
+    gaussians = sample_vectors(g, n, budget.samples)
     return np.vstack([np.eye(n, dtype=np.complex128), np.ones(n), phases, *extras, gaussians])
 
 
@@ -459,7 +457,7 @@ def maximize_on_matrix_sphere(
         g = RandomStream(b.seed).child(0).generator()
         eye, ones = np.eye(n, dtype=np.complex128), np.ones((n, n), dtype=np.complex128)
         extras = _valid_seeds(extra_seeds, (n, n))
-        return [eye, *singles, ones, *extras, *(sample_matrix(g, n) for _ in range(b.samples))]
+        return [eye, *singles, ones, *extras, *sample_matrices(g, n, b.samples)]
 
     vertices = singles if objective_convex and isinstance(core, EntrywiseSum) else None
     return _maximize(

@@ -8,13 +8,15 @@ pieces of :mod:`normlab.extraction` (its probe matrices, ratios and
 report), so that the fixed probes' ratios serve both its upper-bound case
 and its probe.
 
-The paper demos draw each case's matrices first and evaluate each induced
-norm over the list in one :func:`~normlab.gind.gind_eval_many` call: case 2
-one per norm and dimension, case 3 its two pairs over the 30 draws and the
+Every sample set is drawn in stream order and shaped as one stack
+(:func:`sample_test_matrices`, :func:`~normlab.core.sample_vectors`).  The
+paper demos draw each case's matrices first and evaluate each induced norm
+over the list in one :func:`~normlab.gind.gind_eval_many` call: case 2 one
+per norm and dimension, case 3 its two pairs over the 30 draws and the
 all-ones matrix, then whether any draw breaks the domination, case 5 each
-pair's two points at each dimension, drawn in turn and checked in one
-:func:`~normlab.extraction.alpha_identity_checks` (one call over the stack
-of their C_x), and case 6 the four pairs of
+pair's two points at each dimension, all drawn at once and checked a pair
+at a time in one :func:`~normlab.extraction.alpha_identity_checks` (one call
+over the stack of their C_x), and case 6 the four pairs of
 :func:`~normlab.gind.chain_pairs` over its 15 draws, judged draw by draw by
 :func:`~normlab.gind.chain_report`, the rule of
 :func:`~normlab.gind.chain_compare`.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import OptBudget
-from .core import RandomStream, complex_normals, sample_matrix, sample_vector
+from .core import RandomStream, check_sizes, complex_normals, sample_vectors
 from .errors import DimensionMismatchError
 from .extraction import (
     _WITNESS_TIE,
@@ -52,7 +54,6 @@ from .gind import (
     chain_report,
     concrete_pair,
     dominance_check,
-    gind_eval,
     gind_eval_many,
     mnorm_is_algebra_candidate,
 )
@@ -99,24 +100,39 @@ class SuiteReport:
         return all(c.status != FAIL for c in self.cases)
 
 
-def sample_test_matrix(g: np.random.Generator, n: int) -> np.ndarray:
-    """Random matrix: raw Gaussian, Hermitian-symmetrized, or rank-one.
+def sample_test_matrices(g: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` random matrices as a (count, n, n) stack, each a raw
+    Gaussian, Hermitian-symmetrized, or rank-one draw.
 
     Rank-one draws have a single nonzero singular value and symmetrized ones
-    real eigenvalues: two structured families beside the generic draw.  A
-    rank-one draw takes u v* from one draw of 2n^2 + 4n normals, whose
-    first 2n^2, the generic matrix's, it discards: the stream and the bits
-    of a matrix and two vectors drawn in turn.
+    real eigenvalues: two structured families beside the generic draw.  Each
+    sample draws its kind, a matrix's real then imaginary parts, and for a
+    rank-one kind those of u and then v, whose u v* replaces the matrix.  The
+    draws go into one buffer in stream order, and the stack is shaped from
+    it at once, with the bits and the stream state of one call per part.
     """
-    kind = int(g.integers(3))
-    if kind == 2:
-        z = g.standard_normal(2 * n * n + 4 * n)[2 * n * n :].reshape(2, 2, n)
-        u, v = complex_normals(z.swapaxes(0, 1))
-        # np.outer's own operand shapes: at n = 1, a (1, 1) by (1,) product
-        # rounds differently in the last bit
-        return u[:, None] * v.conj()[None, :]
-    a = sample_matrix(g, n)
-    return (a + a.conj().T) / 2.0 if kind == 1 else a
+    check_sizes(n, count)
+    # each sample's normals as rows of n: the matrix's real rows, its
+    # imaginary rows, then the real and imaginary parts of u and of v; every
+    # sample's u and v are shaped, so those a sample does not draw read 0
+    flat = np.zeros((count, (2 * n + 4) * n))
+    raw = flat.reshape(count, 2 * n + 4, n)
+    kinds = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        kinds[i] = kind = g.integers(3)
+        g.standard_normal(out=flat[i] if kind == 2 else flat[i, : 2 * n * n])
+    re, im = [*range(n), 2 * n, 2 * n + 2], [*range(n, 2 * n), 2 * n + 1, 2 * n + 3]
+    z = complex_normals(raw[:, [re, im]].swapaxes(0, 1))
+    a, u, v = z[:, :n], z[:, n, :, None], z[:, n + 1, None, :]
+    kinds = kinds[:, None, None]
+    sym = np.where(kinds == 1, (a + a.conj().swapaxes(1, 2)) / 2.0, a)
+    return np.where(kinds == 2, u * v.conj(), sym)
+
+
+def sample_test_matrix(g: np.random.Generator, n: int) -> np.ndarray:
+    """Random matrix: raw Gaussian, Hermitian-symmetrized, or rank-one; the
+    one matrix of :func:`sample_test_matrices`."""
+    return sample_test_matrices(g, n, 1)[0]
 
 
 # the budgets the suites run when given none, each run with its own seed;
@@ -144,8 +160,12 @@ def verify_lemma21(
 
     When dominance holds, random products must respect the product bound;
     when it fails, a concrete product violation is hunted down starting from
-    column replications of the dominance counterexample.
+    column replications of the dominance counterexample.  Every matrix is
+    drawn first, and :func:`~normlab.gind.gind_eval_many` takes the A's, the
+    B's and the products, or the candidates and then, one A at a time, its
+    products with every candidate.
     """
+    check_sizes(n, trials, 1)
     start = time.perf_counter()
     budget = budget or _suite_budget(rng.child(9).derive_seed())
     cases: list[CaseResult] = []
@@ -160,20 +180,19 @@ def verify_lemma21(
         )
     )
 
-    norm = lambda m: gind_eval(pair, m, budget).value
+    norms = lambda mats: [res.value for res in gind_eval_many(pair, mats, budget)]
     g = rng.child(1).generator()
     if dom.dominated:
+        draws = sample_test_matrices(g, n, 2 * trials)
+        a, b = draws[0::2], draws[1::2]
         worst = 0.0
         worst_pair = None
-        for _ in range(trials):
-            a = sample_test_matrix(g, n)
-            b = sample_test_matrix(g, n)
-            na, nb = norm(a), norm(b)
+        for i, (na, nb, nab) in enumerate(zip(norms(a), norms(b), norms(a @ b))):
             if na * nb < 1e-12:
                 continue
-            ratio = norm(a @ b) / (na * nb)
+            ratio = nab / (na * nb)
             if ratio > worst:
-                worst, worst_pair = ratio, [a, b]
+                worst, worst_pair = ratio, [a[i], b[i]]
         if worst <= 1.0 + _SLACK:
             status = PASS
         elif worst <= 1.0 + _BAND:
@@ -190,19 +209,18 @@ def verify_lemma21(
         )
     else:
         x0 = dom.counterexample
-        candidates = [column_replicate(x0)]
-        candidates.extend(column_embed(x0, j) for j in range(n))
-        candidates.append(np.eye(n, dtype=np.complex128))
-        candidates.append(np.ones((n, n), dtype=np.complex128))
-        candidates.extend(sample_test_matrix(g, n) for _ in range(8))
+        embeds = [column_embed(x0, j) for j in range(n)]
+        fixed = np.array([column_replicate(x0), *embeds, np.eye(n), np.ones((n, n))], dtype=complex)
+        candidates = np.concatenate([fixed, sample_test_matrices(g, n, 8)])
+        single = norms(candidates)
         found = None
         best = 0.0
-        for a in candidates:
-            for b in candidates:
-                na, nb = norm(a), norm(b)
+        # the first product above the bound ends the hunt
+        for a, na in zip(candidates, single):
+            for b, nb, nab in zip(candidates, single, norms(a @ candidates)):
                 if na * nb < 1e-12:
                     continue
-                ratio = norm(a @ b) / (na * nb)
+                ratio = nab / (na * nb)
                 if ratio > best:
                     best, found = ratio, [a, b]
                 if ratio > 1.0 + _SLACK:
@@ -236,8 +254,12 @@ def verify_lemma22(
     Estimates the scale from a reference point, tests proportionality of
     both slots at random points, and cross-checks induced values on random
     matrices.  "fail" is reserved for the inconsistent combination of
-    proportional norms and a differing induced value.
+    proportional norms and a differing induced value.  Points and matrices
+    are drawn first; each slot goes over the points in one
+    :func:`vnorm_eval_many`, each pair over the matrices in one
+    :func:`~normlab.gind.gind_eval_many`.
     """
+    check_sizes(n, trials, 1)
     start = time.perf_counter()
     budget = budget or _suite_budget(rng.child(9).derive_seed())
     cases: list[CaseResult] = []
@@ -260,12 +282,11 @@ def verify_lemma22(
         )
     )
 
-    g = rng.child(1).generator()
+    points = sample_vectors(rng.child(1).generator(), n, trials)
     worst_dev = 0.0
-    for _ in range(trials):
-        x = sample_vector(g, n)
-        for sa, sb in ((pair_a.norm1, pair_b.norm1), (pair_a.norm2, pair_b.norm2)):
-            va, vb = vnorm_eval(sa, x), vnorm_eval(sb, x)
+    for sa, sb in ((pair_a.norm1, pair_b.norm1), (pair_a.norm2, pair_b.norm2)):
+        values = zip(vnorm_eval_many(sa, points).tolist(), vnorm_eval_many(sb, points).tolist())
+        for va, vb in values:
             worst_dev = max(worst_dev, abs(va - gamma_hat * vb) / max(1.0, abs(va)))
     proportional = worst_dev <= tol
     cases.append(
@@ -276,13 +297,12 @@ def verify_lemma22(
         )
     )
 
-    g2 = rng.child(2).generator()
-    mats = [np.eye(n, dtype=np.complex128), np.ones((n, n), dtype=np.complex128)]
-    mats.extend(sample_test_matrix(g2, n) for _ in range(max(1, trials // 4)))
+    drawn = sample_test_matrices(rng.child(2).generator(), n, max(1, trials // 4))
+    mats = np.concatenate([np.eye(n)[None], np.ones((1, n, n)), drawn])
     scored = []
-    for m in mats:
-        va = gind_eval(pair_a, m, budget).value
-        vb = gind_eval(pair_b, m, budget).value
+    found = zip(gind_eval_many(pair_a, mats, budget), gind_eval_many(pair_b, mats, budget))
+    for m, (ra, rb) in zip(mats, found):
+        va, vb = ra.value, rb.value
         scored.append((abs(va - vb) / max(1.0, va, vb), m, va, vb))
     worst_diff = max(rel for rel, *_ in scored)
     diff_witness = None
@@ -377,8 +397,7 @@ def verify_theorem23(
     where it has a batch form, as N is over each list of probe matrices
     (:func:`~normlab.matrix_norms.mnorm_eval_many`).
     """
-    if trials < 1:
-        raise DimensionMismatchError("trials must be >= 1")
+    check_sizes(n, trials, 1)
     start = time.perf_counter()
     outer = budget or _suite_budget(rng.child(9).derive_seed(), THEOREM23_BUDGET)
     inner = _reduced(outer)
@@ -388,15 +407,19 @@ def verify_theorem23(
     plain = concrete_pair(pair, n)
     norm1 = plain.norm1
 
+    # the raw draws of x and y, then of |a| and arg a, interleave; the
+    # points are shaped from them at once
     g = rng.child(0).generator()
-    points = []
-    scales = []
-    for _ in range(12):
-        x = sample_vector(g, n)
-        y = sample_vector(g, n)
-        a = complex((0.3 + 2.7 * g.random()) * np.exp(2j * np.pi * g.random()))
-        points += [x, y, a * x, x + y]
-        scales.append(abs(a))
+    raw = np.empty((12, 4 * n))
+    mod_phase = np.empty((12, 2))
+    for i in range(12):
+        g.standard_normal(out=raw[i])
+        g.random(out=mod_phase[i])
+    x, y = complex_normals(raw.reshape(12, 2, 2, n).transpose(2, 1, 0, 3))
+    a = (0.3 + 2.7 * mod_phase[:, :1]) * np.exp(2j * np.pi * mod_phase[:, 1:])
+    points = np.stack([x, y, a * x, x + y], axis=1).reshape(48, n)
+    # Python's abs: numpy's complex modulus may differ in the last bit
+    scales = [abs(z) for z in a[:, 0].tolist()]
     role1, role2 = _roles_at(norm1, source, inner, points)
     worst_axiom_1 = _worst_axiom_deviation(role1, scales)
     worst_axiom_2 = _worst_axiom_deviation(role2, scales)
@@ -473,8 +496,7 @@ def verify_theorem23(
         )
 
     if mnorm_is_algebra_candidate(source) == KNOWN_YES and probe.verdict == NO_GAP_FOUND:
-        g3 = rng.child(3).generator()
-        points = [sample_vector(g3, n) for _ in range(60)]
+        points = sample_vectors(rng.child(3).generator(), n, 60)
         worst_eq = 0.0
         for v1, v2 in zip(*_roles_at(norm1, source, inner, points)):
             worst_eq = max(worst_eq, abs(v1 - v2) / max(1.0, v1, v2))
@@ -498,7 +520,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
 
     # 1: entrywise sum is submultiplicative, entrywise max is not
     g = rng.child(0).generator()
-    draws = np.array([sample_test_matrix(g, 2) for _ in range(400)])
+    draws = sample_test_matrices(g, 2, 400)
     a, b = draws[0::2], draws[1::2]
     sigma = [mnorm_eval_many(EntrywiseSum(), m).tolist() for m in (a @ b, a, b)]
     sigma_ok = not any(ab > na * nb * (1.0 + _SLACK) for ab, na, nb in zip(*sigma))
@@ -518,7 +540,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     induced = ((1.0, MaxColSum()), (np.inf, MaxRowSum()), (2.0, Spectral()))
     for dim in (2, 3):
         g2 = rng.child(10 + dim).generator()
-        mats = np.array([sample_test_matrix(g2, dim) for _ in range(15)])
+        mats = sample_test_matrices(g2, dim, 15)
         for p, closed in induced:
             wants = mnorm_eval_many(closed, mats).tolist()
             for res, want in zip(gind_eval_many(GInd(Lp(p), Lp(p)), mats), wants):
@@ -536,7 +558,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     pair_loose = GInd(Lp(np.inf), Scaled(2.0, Lp(2.0)))
     g3 = rng.child(2).generator()
     # the 30 draws and, last, the all-ones matrix
-    mats = np.array([sample_test_matrix(g3, 2) for _ in range(30)] + [ones2])
+    mats = np.concatenate([sample_test_matrices(g3, 2, 30), ones2[None]])
     tight = [res.value for res in gind_eval_many(pair_tight, mats)]
     loose = [res.value for res in gind_eval_many(pair_loose, mats)]
     dominated = all(t <= s * (1.0 + _BAND) for t, s in zip(tight[:-1], loose[:-1]))
@@ -576,12 +598,11 @@ def paper_demo_suite(seed: int) -> SuiteReport:
     family = [Lp(1.0), Lp(2.0), Lp(np.inf), Scaled(2.0, Lp(2.0))]
     ok5 = True
     for dim in (2, 3):
-        g5 = rng.child(30 + dim).generator()
-        for n1 in family:
-            for n2 in family:
-                points = [sample_vector(g5, dim) for _ in range(2)]
-                reports = alpha_identity_checks(GInd(n1, n2), points)
-                ok5 = ok5 and all(rep.holds for rep in reports)
+        # g5 draws nothing else, so every pair's points are drawn at once
+        points = sample_vectors(rng.child(30 + dim).generator(), dim, 2 * len(family) ** 2)
+        for i, (n1, n2) in enumerate((n1, n2) for n1 in family for n2 in family):
+            reports = alpha_identity_checks(GInd(n1, n2), points[2 * i : 2 * i + 2])
+            ok5 = ok5 and all(rep.holds for rep in reports)
     cases.append(
         CaseResult(
             description="column replication scales the codomain norm by the sum-functional constant",
@@ -592,7 +613,7 @@ def paper_demo_suite(seed: int) -> SuiteReport:
 
     # 6: the four-norm chain for a dominated pair
     g6 = rng.child(5).generator()
-    mats = np.array([sample_test_matrix(g6, 2) for _ in range(15)])
+    mats = sample_test_matrices(g6, 2, 15)
     # chain_compare at every draw, each of the four pairs over the stack
     values = [gind_eval_many(p, mats) for p in chain_pairs(GInd(Lp(np.inf), Lp(1.0)))]
     ok6 = True

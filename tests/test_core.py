@@ -11,8 +11,10 @@ from normlab import (
     RandomStream,
     hermitian_top_eig,
     mat_apply,
+    sample_matrices,
     sample_matrix,
     sample_vector,
+    sample_vectors,
 )
 from normlab.core import _start_vector, conj_phases, hermitian_top_eigenvectors
 from normlab.errors import DimensionMismatchError, NonConvergenceError, NonFiniteInputError
@@ -61,6 +63,40 @@ def test_samplers_are_the_two_call_forms():
                 assert sampler(g, n).tobytes() == want.tobytes(), (sampler.__name__, n)
             assert g.bit_generator.state == h.bit_generator.state, (sampler.__name__, n)
 
+
+
+def test_stacked_samplers_are_the_two_call_forms():
+    # count samples shaped from one draw: the bits and the stream state of
+    # drawing each part of each sample in its own call
+    for n in (1, 2, 3, 4, 7):
+        for count in (0, 1, 2, 5, 400):
+            for sampler, shape in ((sample_vectors, (n,)), (sample_matrices, (n, n))):
+                g = np.random.default_rng([1916, n, count])
+                h = np.random.default_rng([1916, n, count])
+                got = sampler(g, n, count)
+                want = [
+                    (h.standard_normal(shape) + 1j * h.standard_normal(shape)) / np.sqrt(2.0)
+                    for _ in range(count)
+                ]
+                assert got.shape == (count, *shape)
+                assert [m.tobytes() for m in got] == [w.tobytes() for w in want], (n, count)
+                assert g.bit_generator.state == h.bit_generator.state, (sampler.__name__, n)
+
+
+def test_samplers_reject_bad_sizes_before_drawing():
+    g = np.random.default_rng(0)
+    state = g.bit_generator.state
+    for draw in (
+        lambda: sample_vector(g, 0),
+        lambda: sample_vector(g, -1),
+        lambda: sample_matrix(g, 0),
+        lambda: sample_vectors(g, 0, 3),
+        lambda: sample_vectors(g, 2, -1),
+        lambda: sample_matrices(g, 2, -1),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            draw()
+    assert g.bit_generator.state == state
 
 def test_top_eig_identity():
     res = hermitian_top_eig(np.eye(2))

@@ -13,7 +13,11 @@ value resolved its extracted norm afresh; they pin that neither shortcut
 moves a report byte.  Those on ``sigma``, ``maxcr`` and GInd(l3, l1.5), and
 the ``paper-demos-*`` files, were written by the code that still evaluated
 the source norm one matrix at a time; they pin that evaluating it over
-stacks moves no report byte either.
+stacks moves no report byte either.  The ``lemma21-*`` files (a dominated
+pair at n = 2 and 3, and a non-dominated pair, which takes the
+product-violation hunt) and the ``lemma22-*`` files (a proportional and a
+non-proportional pair) were written by the code that still drew every
+sample and evaluated every induced norm one at a time.
 """
 
 import math
@@ -90,6 +94,17 @@ for _name, _norm, _dim in (
         "verify", "--suite", "theorem23", "--norm", _norm, "--dim", str(_dim),
         "--seed", "5", "--trials", "6",
     ]
+for _stem, _pairs in (
+    ("lemma21-dominated", ["--norm1", "linf", "--norm2", "l1"]),
+    ("lemma21-undominated", ["--norm1", "l1", "--norm2", "linf"]),
+    ("lemma22-proportional", []),
+    ("lemma22-unproportional", ["--norm1", "l2", "--norm2", "l1", "--norm3", "linf", "--norm4", "l1"]),
+):
+    for _dim in (2, 3) if _stem == "lemma21-dominated" else (2,):
+        CLI[f"{_stem}-n{_dim}-seed11"] = [
+            "verify", "--suite", _stem.split("-")[0], *_pairs, "--dim", str(_dim),
+            "--seed", "11", "--trials", "40",
+        ]
 for _seed in (0, 42, 10101, *range(9000, 9010)):
     CLI[f"paper-demos-seed{_seed}"] = ["verify", "--suite", "paper-demos", "--seed", str(_seed)]
 

@@ -23,7 +23,14 @@ from normlab import (
 )
 from normlab import core, extraction, sphere_opt
 from normlab.errors import DimensionMismatchError
-from normlab.verification import FAIL, INCONCLUSIVE, PASS, sample_test_matrix
+from normlab.extraction import minimality_probe
+from normlab.verification import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    sample_test_matrices,
+    sample_test_matrix,
+)
 
 
 def _statuses(report):
@@ -244,6 +251,98 @@ def test_sample_test_matrix_is_the_two_call_form():
             assert sample_test_matrix(g, n).tobytes() == two_calls(h, n).tobytes(), n
         assert g.bit_generator.state == h.bit_generator.state, n
 
+
+
+def _test_matrix_in_parts(g, n) -> tuple[int, np.ndarray]:
+    """(kind, matrix) of one test-matrix draw, each part drawn in its own call."""
+    kind = int(g.integers(3))
+    re, im = g.standard_normal((n, n)), g.standard_normal((n, n))
+    a = (re + 1j * im) / np.sqrt(2.0)
+    if kind == 1:
+        return kind, (a + a.conj().T) / 2.0
+    if kind == 2:
+        u, v = ((g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2.0) for _ in range(2))
+        return kind, np.outer(u, v.conj())
+    return kind, a
+
+
+def test_sample_test_matrices_are_the_two_call_forms():
+    # each sample's kind and normals drawn in stream order, shaped at once:
+    # the bits and the stream state of drawing each part in its own call
+    for n in (1, 2, 3, 4, 7):
+        for count in (0, 1, 2, 5, 400):
+            g, h = np.random.default_rng([1917, n, count]), np.random.default_rng([1917, n, count])
+            got = sample_test_matrices(g, n, count)
+            want = [_test_matrix_in_parts(h, n) for _ in range(count)]
+            assert got.shape == (count, n, n)
+            assert [m.tobytes() for m in got] == [w.tobytes() for _, w in want], (n, count)
+            assert g.bit_generator.state == h.bit_generator.state, (n, count)
+            if count == 400:
+                assert {kind for kind, _ in want} == {0, 1, 2}
+
+
+def _dominated():
+    return GIndPair(Lp(math.inf), Lp(1))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: verify_lemma21(_dominated(), 2, trials=0),
+        lambda g: verify_lemma21(_dominated(), 0, trials=5),
+        lambda g: verify_lemma22(_dominated(), _dominated(), 2, trials=0),
+        lambda g: verify_lemma22(_dominated(), _dominated(), 0, trials=5),
+        lambda g: verify_theorem23(Spectral(), 0),
+        lambda g: verify_theorem23(Spectral(), 2, trials=0),
+        lambda g: minimality_probe(Spectral(), 0, 2),
+        lambda g: minimality_probe(Spectral(), 2, 0),
+        lambda g: sample_test_matrix(g, 0),
+        lambda g: sample_test_matrices(g, 2, -1),
+    ],
+    ids=[
+        "lemma21-trials", "lemma21-dim", "lemma22-trials", "lemma22-dim", "theorem23-dim",
+        "theorem23-trials", "probe-dim", "probe-trials", "test-matrix-dim", "test-matrices-count",
+    ],
+)
+def test_bad_sizes_are_rejected_before_drawing(run, monkeypatch):
+    monkeypatch.setattr(RandomStream, "generator", lambda self: pytest.fail("drew first"))
+    g = np.random.default_rng(0)
+    state = g.bit_generator.state
+    with pytest.raises(DimensionMismatchError):
+        run(g)
+    assert g.bit_generator.state == state
+
+
+def test_sample_sets_are_shaped_at_once(monkeypatch):
+    # every sample set is drawn in stream order and shaped as one stack:
+    # one complex_normals per set, where one per sample made 593 calls in
+    # the demos and 96 in this theorem23 run
+    shaped = _count_calls(monkeypatch, core.complex_normals)
+    assert paper_demo_suite(42).passed
+    assert sum(shaped.values()) <= 16
+    shaped.clear()
+    assert verify_theorem23(Spectral(), 2, trials=6, rng=RandomStream(5)).passed
+    assert sum(shaped.values()) <= 6
+
+
+def test_lemma_suites_evaluate_over_stacks(monkeypatch):
+    # lemma21 evaluates the A's, the B's and the products each in one
+    # gind_eval_many, and lemma22 each pair over its matrices in one; the
+    # only lone gind_eval is lemma21's dominance check, at the identity
+    from normlab import gind
+
+    lone = _count_calls(monkeypatch, gind.gind_eval)
+    many = _count_calls(monkeypatch, gind.gind_eval_many)
+    assert verify_lemma21(_dominated(), 2, trials=300).passed
+    assert lone == {"normlab.gind": 1}
+    assert many.get("normlab.verification", 0) <= 3
+    lone.clear()
+    many.clear()
+    pair_a = GIndPair(Scaled(3.0, Lp(math.inf)), Scaled(6.0, Lp(2)))
+    pair_b = GIndPair(Lp(math.inf), Scaled(2.0, Lp(2)))
+    assert verify_lemma22(pair_a, pair_b, 2, trials=200).passed
+    assert lone == {}
+    assert many.get("normlab.verification", 0) <= 2
 
 def test_failures_would_carry_witnesses():
     # every fail case in any suite must attach a witness; exercise the
