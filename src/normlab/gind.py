@@ -93,6 +93,15 @@ _PHASE_RNG = RandomStream(0)
 # form reads no budget
 _L2_RNG = RandomStream(0).child(1)
 _L2 = Lp(2.0)
+# a matrix whose largest real or imaginary part exceeds this is evaluated
+# scaled by a power of two.  Below it no route overflows with unweighted
+# cores and n <= 2**10: every product a route forms is linear in A, a sum
+# of at most n**2 terms |a_ij| |x_j| with |a_ij| at most sqrt(2) times the
+# largest part and |x_j| <= sqrt(2) (at a polydisc apex of the l-inf ball;
+# unit points and norming functionals of l_p cores have |x_j| <= 1), so it
+# stays below 2**1000 * 2**21 < 2**1023.  The l2 kernels scale their own
+# sums of squares.
+_SCALE_ABOVE = 2.0**1000
 
 # the earlier name of the pair descriptor, kept for callers that build it
 GIndPair = GInd
@@ -435,14 +444,31 @@ def gind_eval_many(
     polydisc search, and that of a GInd source with an l_p, weighted l_p or
     polyhedral domain by the source's own route, its pair up to a common
     scale.  Result i is ``gind_eval(pair, stack[i], budget)`` bit for bit.
-    A stack with an infinite or NaN entry raises
+    A matrix with a real or imaginary part above 2**1000 is evaluated over
+    the power of two above its largest part and its value scaled back, inf
+    above the largest float.  A stack with an infinite or NaN entry raises
     :class:`~normlab.errors.NonFiniteInputError`.
     """
     s = np.ascontiguousarray(stack, dtype=np.complex128)
     if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] < 1:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {s.shape}")
-    if not np.isfinite(s).all():
+    # one reduction checks every entry and finds the largest part
+    parts = np.abs(s.view(np.float64))
+    peak = parts.max(initial=0.0)
+    if not math.isfinite(peak):
         raise NonFiniteInputError("gind_eval needs a finite matrix")
+    if peak > _SCALE_ABOVE:
+        # each matrix above the threshold is taken over 2**e, its parts
+        # below 1, and its value scaled back: inf above the largest float
+        peaks = parts.max(axis=(1, 2))
+        shifts = np.where(peaks > _SCALE_ABOVE, np.frexp(peaks)[1], 0)
+        scaled = np.ldexp(s.view(np.float64), -shifts[:, None, None]).view(s.dtype)
+        found = gind_eval_many(pair, scaled, budget)
+        with np.errstate(over="ignore"):
+            values = np.ldexp([res.value for res in found], shifts).tolist()
+        for res, value in zip(found, values):
+            res.value = value
+        return found
     n = s.shape[1]
     if not len(s):
         return []

@@ -16,8 +16,10 @@ weighted l-inf norm: a branch-and-bound over the phase torus of its extreme
 points that scores the corners each split's boxes share once, and stops
 within 1e-9 (relative) of the maximum or at a fixed cap on scored points,
 whichever comes first.  It takes a stack of matrices and runs the searches
-of x -> f(Ax) for all of them in lockstep, with one objective call per
-chunk.
+of x -> f(Ax) for all of them in lockstep: a round's array work, from the
+grid points to the next round's boxes, is done once for every search, and
+each search keeps only its own best, count and cap, so result i has the
+bits of its lone search.
 """
 
 from __future__ import annotations
@@ -175,13 +177,14 @@ def _round_tables(d: int, t: int):
     with one free phase and 2 ways with more.
 
     Per coordinate the children share 2q + 1 points: arc ends at even
-    positions 0, 2, ..., 2q and the children's apexes at odd ones.  Returns
-    the parent's grid of (2q+1)**d points as rows of per-coordinate
-    positions, each child's 3**d grid points as flat indices into that grid
-    (q**d rows), the grid points that are ends in every coordinate, the
-    children's centres relative to their parent's, and the 2q + 1 points of
-    a split arc relative to its centre on the unit circle: ends exp(ijh) at
-    even j, apexes exp(ijh) / cos h at odd j, for j = -q..q and h = half / q.
+    positions 0, 2, ..., 2q and the children's apexes at odd ones; relative
+    to a centre on the unit circle they are exp(ijh) at even j and
+    exp(ijh) / cos h at odd j, for j = -q..q and h = half / q.  Returns the
+    parent's grid of (2q+1)**d points as rows of d + 1 unit factors, 1 for
+    the fixed coordinate and those points for the free ones, each child's
+    3**d grid points as flat indices into that grid (q**d rows), the grid
+    points that are ends in every coordinate, and the children's centres
+    relative to their parent's, 0 in the fixed coordinate.
     """
     half, q = np.pi, 4
     for _ in range(t):
@@ -196,7 +199,11 @@ def _round_tables(d: int, t: int):
     h = half / q
     j = np.arange(-q, q + 1)
     turns = np.exp(1j * h * j) * np.where(j % 2, 1.0 / math.cos(h), 1.0)
-    return grid, children, ends, half * ((2 * kids + 1) / q - 1.0), turns
+    units = np.ones((len(grid), d + 1), dtype=np.complex128)
+    units[:, 1:] = turns[grid]
+    offsets = np.zeros((len(kids), d + 1))
+    offsets[:, 1:] = half * ((2 * kids + 1) / q - 1.0)
+    return units, children, ends, offsets
 
 
 def maximize_on_polydisc(objective_many, radii, starts, ceilings, maps) -> list:
@@ -226,11 +233,17 @@ def maximize_on_polydisc(objective_many, radii, starts, ceilings, maps) -> list:
     dropped, the rest are the next round's parents, until none is left or
     the row cap is reached.
 
-    The k searches run in lockstep: a round's split depends only on its
-    number, each call of at most 2,048 rows takes one product per matrix and
-    one objective call for all, and each search keeps its own best, witness,
-    count and row cap, so result i has the bits of A_i's search alone, and a
-    lone search is a stack of one.
+    The k searches run in lockstep, since a round's split depends only on
+    its number.  The live boxes of every search are the rows of one array,
+    search after search, and a round's array work is done once for all of
+    them: the grid rows, the objective, the children's bounds and end
+    points, the pruning and the next round's centres.  Rows are built and
+    scored at most 2,048 at a time, or one parent's grid, and each search
+    takes its images with one product over its own piece of those rows.
+    Each search keeps its own best, witness, rows scored, live-box count
+    and row cap as scalars, and takes a piece's first best end point only
+    when it is strictly better, so result i has the bits of A_i's search
+    alone, and a lone search is a stack of one.
 
     Result i is the best feasible point found for A_i and its value,
     labelled a lower bound; ``evaluations`` counts the rows scored, the
@@ -239,87 +252,74 @@ def maximize_on_polydisc(objective_many, radii, starts, ceilings, maps) -> list:
     """
     found = list(starts)
     d = len(radii) - 1
-    runs = [
-        _Run(i, res, d, maps[i].T)
-        for i, (res, top) in enumerate(zip(found, ceilings))
-        if not res.value >= top * (1.0 - _CEILING_TOL)
+    # the searches under way: result index, matrix transpose, best, witness
+    # and rows scored; search j's live boxes are rows bounds[j]:bounds[j + 1]
+    # of ``centres``, with the fixed phase 0 in front
+    ids = [
+        i for i, (res, top) in enumerate(zip(found, ceilings)) if not res.value >= top * (1.0 - _CEILING_TOL)
     ]
+    maps_t = [maps[i].T for i in ids]
+    best = [found[i].value for i in ids]
+    witness = [found[i].witness for i in ids]
+    evals = [found[i].evaluations for i in ids]
+    bounds = list(range(len(ids) + 1))
+    centres = np.zeros((len(ids), d + 1))
+    centres[:, 1:] = np.pi
     r = np.asarray(radii, dtype=np.float64)
-    axes, r_free = np.arange(d), r[1:, None]
-    # every call's images, written piece by piece: a call takes at most
-    # _POLYDISC_CHUNK rows, or one parent's grid, at most 9**d rows
-    images = np.empty((max(_POLYDISC_CHUNK, 9**d), maps.shape[1]), dtype=np.complex128)
-
-    def score(pieces, filled):
-        """One objective call for the pieces' images, the first ``filled``
-        rows of ``images``, one gather of their children's bounds, and each
-        piece's (run, its parents lo:hi, their rows) best end point."""
-        vals = objective_many(images[:filled]).reshape(-1, per_parent)
-        tops = vals[:, children].max(axis=2)
-        at_ends = vals[:, ends]
-        at = 0
-        for run, lo, hi, rows in pieces:
-            own = slice(at, at + hi - lo)
-            at = own.stop
-            run.uppers[lo:hi] = tops[own]
-            mine = at_ends[own]
-            k = mine.argmax()
-            if mine.flat[k] > run.best:
-                parent, end = divmod(k, len(ends))
-                run.best, run.witness = float(mine.flat[k]), rows[parent, ends[end]].copy()
-
+    # one call's rows and images: at most _POLYDISC_CHUNK rows, or one
+    # parent's grid, at most 9**d rows (33 with one free phase)
+    rows = np.empty((max(_POLYDISC_CHUNK, 9**d, 33), d + 1), dtype=np.complex128)
+    images = np.empty((len(rows), maps.shape[1]), dtype=np.complex128)
     t = 0
-    while runs:
-        grid, children, ends, offsets, turns = _round_tables(d, t)
-        per_parent = len(grid)
-        turns = turns * r_free
-        # every live run's parents in turn, scored in calls of at most ``step``
-        step = max(1, _POLYDISC_CHUNK // per_parent)
-        pieces, room, live_runs = [], step, []
-        for run in runs:
-            centers, lo = run.centers, 0
-            # a search ends when no box is live or its round would pass the cap
-            if not len(centers) or run.evals + len(centers) * per_parent > _POLYDISC_CAP:
-                found[run.index] = ComputationResult(run.best, run.witness, LOWER_BOUND, run.evals)
-                continue
-            live_runs.append(run)
-            run.uppers = np.empty((len(centers), len(children)))
-            while lo < len(centers):
-                hi = min(len(centers), lo + room)
-                rows = np.empty((hi - lo, per_parent, d + 1), dtype=np.complex128)
-                rows[..., 0] = r[0]
-                rows[..., 1:] = (np.exp(1j * centers[lo:hi])[..., None] * turns)[:, axes, grid]
-                at = (step - room) * per_parent
-                out = images[at : at + (hi - lo) * per_parent]
-                np.matmul(rows.reshape(-1, d + 1), run.map_t, out)
-                pieces.append((run, lo, hi, rows))
-                room -= hi - lo
-                lo = hi
-                if not room:
-                    score(pieces, step * per_parent)
-                    pieces, room = [], step
-        if pieces:
-            score(pieces, (step - room) * per_parent)
-        runs = live_runs
-        for run in runs:
-            run.evals += len(run.centers) * per_parent
-            live = run.uppers > run.best * (1.0 + _POLYDISC_TOL)
-            run.centers = (run.centers[:, None, :] + offsets)[live]
-        t += 1
+    while ids:
+        units, children, ends, offsets = _round_tables(d, t)
+        per = len(units)
+        # a search ends when no box is live or its round would pass the cap
+        after = [e + (hi - lo) * per for e, lo, hi in zip(evals, bounds, bounds[1:])]
+        on = [j for j, e in enumerate(after) if bounds[j] < bounds[j + 1] and e <= _POLYDISC_CAP]
+        if len(on) < len(ids):
+            for j in set(range(len(ids))).difference(on):
+                found[ids[j]] = ComputationResult(best[j], witness[j], LOWER_BOUND, evals[j])
+            if not on:
+                break
+            sizes = [bounds[j + 1] - bounds[j] for j in on]
+            if sum(sizes) < len(centres):  # the cap stopped a search with live boxes
+                centres = centres[np.repeat(np.isin(np.arange(len(ids)), on), np.diff(bounds))]
+            bounds = list(itertools.accumulate(sizes, initial=0))
+            ids, maps_t, best, witness, after = (
+                [s[j] for j in on] for s in (ids, maps_t, best, witness, after)
+            )
+        total, step = bounds[-1], max(1, _POLYDISC_CHUNK // per)
+        uppers, floors = np.empty((total, len(children))), np.empty(total)
+        phases, grid = np.exp(1j * centres)[:, None, :], units * r
+        j = 0
+        # ``step`` parents a call; search j's piece of it, a:b, takes its own product
+        for lo in range(0, total, step):
+            hi = min(total, lo + step)
+            np.multiply(phases[lo:hi], grid, out=rows[: (hi - lo) * per].reshape(hi - lo, per, d + 1))
+            pieces, a = [], lo
+            while a < hi:
+                b = min(hi, bounds[j + 1])
+                out = slice((a - lo) * per, (b - lo) * per)
+                np.matmul(rows[out], maps_t[j], images[out])
+                pieces.append((j, a - lo, b))
+                j, a = j + (b == bounds[j + 1]), b
+            vals = objective_many(images[: (hi - lo) * per]).reshape(-1, per)
+            uppers[lo:hi] = vals[:, children].max(axis=2)
+            at_ends = vals.take(ends, axis=1)
+            for s, a, b in pieces:
+                mine = at_ends[a : b - lo]
+                k = mine.argmax()
+                if mine.flat[k] > best[s]:
+                    parent, end = divmod(k, len(ends))
+                    best[s], witness[s] = float(mine.flat[k]), rows[(a + parent) * per + ends[end]].copy()
+                if b == bounds[s + 1]:
+                    floors[bounds[s] : b] = best[s] * (1.0 + _POLYDISC_TOL)
+        parents, kids = (uppers > floors[:, None]).nonzero()
+        centres = centres.take(parents, axis=0) + offsets.take(kids, axis=0)
+        bounds = parents.searchsorted(bounds).tolist()
+        evals, t = after, t + 1
     return found
-
-
-class _Run:
-    """One search of :func:`maximize_on_polydisc` and its state: its result's
-    index, best, witness, rows scored, live boxes' centres, matrix transpose
-    and, in the round under way, its children's bounds."""
-
-    __slots__ = ("index", "best", "witness", "evals", "centers", "map_t", "uppers")
-
-    def __init__(self, index: int, start: ComputationResult, d: int, map_t):
-        self.index, self.map_t = index, map_t
-        self.best, self.witness, self.evals = start.value, start.witness, start.evaluations
-        self.centers = np.full((1, d), np.pi)
 
 
 def _on_sphere(objective, domain_eval):

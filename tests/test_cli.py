@@ -65,6 +65,15 @@ def test_gind_command_on_an_overflowing_inner_product(tmp_path, capsys):
     assert "value: 2e+160" in capsys.readouterr().out
 
 
+def test_gind_command_on_a_norm_above_the_largest_float(tmp_path, capsys):
+    # every entry is finite; the norm, 3e308, is not
+    path = tmp_path / "big.csv"
+    path.write_text("1.5e308,1.5e308\n1.5e308,-1.5e308\n")
+    code = run_command(["gind", "--norm1", "linf", "--norm2", "l2", "--matrix", str(path)])
+    assert code == 0
+    assert "value: inf" in capsys.readouterr().out
+
+
 def test_chain_command(matrix_file, capsys):
     code = run_command(
         ["chain", "--norm1", "linf", "--norm2", "l1", "--matrix", matrix_file]

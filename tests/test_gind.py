@@ -733,6 +733,44 @@ def test_extreme_finite_entries_read_their_values(pair, a, value, label):
         assert mnorm_eval(Spectral(), a) == res.value
 
 
+_NEAR_MAX = [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        GInd(Lp(INF), Lp(1)),  # polydisc search
+        GInd(Lp(INF), Lp(1.5)),  # polydisc search
+        GInd(Lp(INF), Lp(2)),  # two-column closed form
+        GInd(MaxOf((Lp(1), Scaled(2.0, Lp(INF)))), Lp(1)),  # polydiscs of two vertices
+        GInd(WeightedLp((1.0, 2.0), INF), Lp(3)),  # weighted polydisc search
+        GInd(Lp(3), Lp(1.5)),  # power method
+        GInd(Lp(2), Lp(1)),  # power method
+        GInd(Lp(1), Lp(2)),  # vertex
+        GInd(Lp(2), Lp(2)),  # closed form
+        GInd(MaxOf((Lp(3), Scaled(0.5, Lp(1)))), Lp(2)),  # climb
+    ],
+)
+def test_norms_above_the_largest_float_read_inf(pair):
+    # a finite matrix near the float max whose norm exceeds the largest
+    # float reads inf on every route, with no warning (the suite makes
+    # RuntimeWarnings errors), also in a stack beside matrices it leaves
+    # as they are
+    assert gind_eval(pair, _NEAR_MAX, B).value == math.inf
+    stack = np.array([np.eye(2), _NEAR_MAX, 1e300 * np.ones((2, 2))], dtype=np.complex128)
+    got = gind_eval_many(pair, stack, B)
+    assert got[1].value == math.inf
+    for res, a in zip(got[::2], stack[::2]):
+        _same_result(res, gind_eval(pair, a, B), str(pair))
+
+
+def test_a_scaled_matrix_keeps_its_finite_value():
+    # l1 -> l-inf reads the largest modulus, 1.5e308, exactly, from the
+    # matrix scaled by 2**-1024
+    res = gind_eval(GInd(Lp(1), Lp(INF)), _NEAR_MAX, B)
+    assert (res.value, res.exactness) == (1.5e308, EXACT_VERTEX)
+
+
 def test_two_column_l2_phase_of_an_inner_product_without_a_finite_modulus():
     # <a_1, a_0> = 1.69e308 (1 + i) has finite parts, but its modulus
     # exceeds the largest float: its phase is that of its half
@@ -1377,3 +1415,36 @@ def test_stacked_searches_keep_every_matrix_bits(n, monkeypatch):
             _same_result(res, gind_eval(pair, a), f"{pair} n={n}")
         if pair in polydisc:
             assert 0 < together < len(searches), f"{pair} n={n}"
+
+
+def test_stacked_searches_keep_their_bits_across_calls_and_at_the_cap(monkeypatch):
+    # with small chunks and a small row cap, a search's boxes straddle two
+    # objective calls and some searches stop at the cap beside searches that
+    # go on; row i of the stack is still the lone search of matrix i, field
+    # for field.  A round that a lone search scores in two calls holds more
+    # boxes than a call takes, so in the stack too they straddle two calls
+    monkeypatch.setattr(sphere_opt, "_POLYDISC_CHUNK", 64)
+    events = []
+    tables = sphere_opt._round_tables
+    monkeypatch.setattr(sphere_opt, "_round_tables", lambda *a: events.append("round") or tables(*a))
+    real = gind.maximize_on_polydisc
+
+    def logged(objective_many, *args):
+        return real(lambda xs: events.append("call") or objective_many(xs), *args)
+
+    monkeypatch.setattr(gind, "maximize_on_polydisc", logged)
+    straddled = capped = 0
+    cap = sphere_opt._POLYDISC_CAP
+    for n in (2, 3, 4):
+        stack = _mixed_stack(np.random.default_rng([1913, n]), n)
+        for pair in (GInd(Lp(INF), Lp(1)), GInd(Lp(INF), Lp(1.5))):
+            uncapped = [gind_eval(pair, a).evaluations for a in stack]
+            monkeypatch.setattr(sphere_opt, "_POLYDISC_CAP", 2_000)
+            got = gind_eval_many(pair, stack)
+            for res, a, full in zip(got, stack, uncapped):
+                events.clear()
+                _same_result(res, gind_eval(pair, a), f"{pair} n={n}")
+                straddled += "call,call" in ",".join(events)
+                capped += res.evaluations < full
+            monkeypatch.setattr(sphere_opt, "_POLYDISC_CAP", cap)
+    assert straddled and capped

@@ -325,6 +325,25 @@ def test_sample_sets_are_shaped_at_once(monkeypatch):
     assert sum(shaped.values()) <= 6
 
 
+def test_lemma21_polydisc_work_counts(monkeypatch):
+    # the deterministic work of lemma21 on l-inf -> l1 at n = 2, whose three
+    # stacks of 300 take one polydisc search each: its objective calls and
+    # the rows its searches score, their starts included, pinned exactly
+    from normlab import gind
+
+    calls, rows = [], []
+    search = gind.maximize_on_polydisc
+
+    def counted(objective_many, *args):
+        found = search(lambda xs: calls.append(1) or objective_many(xs), *args)
+        rows.extend(res.evaluations for res in found)
+        return found
+
+    monkeypatch.setattr(gind, "maximize_on_polydisc", counted)
+    verify_lemma21(GIndPair(Lp(math.inf), Lp(1)), 2, trials=300)
+    assert (len(calls), len(rows), sum(rows)) == (73, 900, 140_676)
+
+
 def test_lemma_suites_evaluate_over_stacks(monkeypatch):
     # lemma21 evaluates the A's, the B's and the products each in one
     # gind_eval_many, and lemma22 each pair over its matrices in one; the
