@@ -300,8 +300,9 @@ def hermitian_top_eig(h, rng: RandomStream = RandomStream(0)) -> EigResult:
     onto the top eigenspace, spanned by every eigenvector whose eigenvalue
     lies within 1e-12 ||H||_2 of the largest, so the pair does not depend on
     LAPACK's phase convention and ``vdot(start, v)`` is real and positive.
-    Its one caller is the power method's spectral seed in
-    :mod:`normlab.gind`; the l2 -> l2 closed form takes the eigenvectors of
+    Its one caller is the spectral seed of :mod:`normlab.gind`'s
+    ``_quality_seeds``, which seeds the power method and the sphere climb of
+    ``gind_eval_many``; the l2 -> l2 closed form takes the eigenvectors of
     a stack (:func:`hermitian_top_eigenvectors`) and a spectral norm value
     the eigenvalues (:func:`hermitian_top_eigenvalues`).
 

@@ -141,7 +141,6 @@ def _role1_ascent(source: MatrixNormSpec, budget: OptBudget, v: np.ndarray) -> f
         source,
         n,
         budget,
-        objective_convex=True,
         # N(C_{(aB)x}) = |a| N(C_{Bx}): source is a norm descriptor validated at construction
         objective_homogeneous=True,
         extra_seeds=informed,

@@ -84,7 +84,7 @@ from .vector_norms import (
     vnorm_eval,
     vnorm_eval_many,
 )
-from .sphere_opt import l1_vertices, maximize_on_polydisc, maximize_on_sphere
+from .sphere_opt import maximize_on_polydisc, maximize_on_sphere
 
 _SEED_RNG = RandomStream(0x91ED5EED)
 # the power method's phase starts
@@ -293,10 +293,23 @@ def _polyhedral_search(core2, s: np.ndarray, vertices) -> list[ComputationResult
     return [ComputationResult(b, w, LOWER_BOUND, e) for b, w, e in zip(best, witness, evals)]
 
 
+def l1_vertices(core, n: int) -> np.ndarray | None:
+    """The vertices e_j / w_j of the unit ball of an l1 or weighted-l1 core
+    with n weights in C^n, as the rows of an array (w = 1 for plain l1),
+    whose phase multiples are its extreme points; None for every other
+    core."""
+    if isinstance(core, Lp) and core.p == 1.0:
+        return np.eye(n, dtype=np.complex128)
+    if isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
+        return np.eye(n, dtype=np.complex128) / np.asarray(core.weights)[:, None]
+    return None
+
+
 def _vertex_search(core1, core2, s: np.ndarray, vertices: np.ndarray) -> list:
     """max N2(Ax) on an l1 or weighted-l1 sphere into any codomain, for
-    every matrix of a (k, n, n) stack: the vertex route of
-    :func:`~normlab.sphere_opt.maximize_on_sphere`, bit for bit.  Every
+    every matrix of a (k, n, n) stack, the package's one vertex route.
+    x -> N2(Ax) is convex, so its maximum over the ball sits at a phase
+    multiple of a vertex, and absolute homogeneity drops the phase.  Every
     matrix's best vertex, ties to the lowest, from one
     :func:`vnorm_eval_many` call over all its columns, renormalized by N1
     and rescored; exact, n evaluations each."""
@@ -493,7 +506,6 @@ def gind_eval_many(
                 core1,
                 n,
                 budget,
-                objective_convex=True,
                 # N2(A(ax)) = |a| N2(Ax): core2 is a norm descriptor validated at construction
                 objective_homogeneous=True,
                 extra_seeds=_quality_seeds(m),

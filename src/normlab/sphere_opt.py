@@ -2,13 +2,11 @@
 
 One body, :func:`_maximize`, behind two entry points that supply the shape:
 :func:`maximize_on_sphere` over C^n and :func:`maximize_on_matrix_sphere`
-over M_n.  Exact dispatch where the sphere has usable extreme-point
-structure (phase multiples of the basis vectors for the l1 and weighted-l1
-balls and of the single-entry matrices for the entrywise-sum ball), and one
-derivative-free multi-start hill climb over the renormalized sphere,
-:func:`_climb`, everywhere else, the entrywise-max ball included.  Ascent
-results are honest lower bounds and are labeled as such.  The climb walks
-its starts one after another and scores lazily, one candidate at a time.
+over M_n.  Both run one derivative-free multi-start hill climb over the
+renormalized sphere, :func:`_climb`, on every domain, and label every result
+a lower bound.  The climb walks its starts one after another and scores
+lazily, one candidate at a time.  The exact routes of induced norms, the l1
+vertex route among them, live in :func:`normlab.gind.gind_eval`.
 
 :func:`maximize_on_polydisc` is the deterministic alternative for convex
 objectives on a polydisc {|x_j| <= r_j}, the unit ball of an l-inf or
@@ -31,17 +29,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .budget import (
-    EXACT_VERTEX,
-    LOWER_BOUND,
-    ComputationResult,
-    OptBudget,
-    default_budget,
-)
-from .core import RandomStream, sample_matrices, sample_matrix, sample_vector, sample_vectors
+from .budget import LOWER_BOUND, ComputationResult, OptBudget, default_budget
+from .core import RandomStream, check_sizes, sample_matrices, sample_matrix, sample_vector, sample_vectors
 from .errors import HomogeneityError
-from .matrix_norms import EntrywiseSum, mnorm_eval
-from .vector_norms import Lp, WeightedLp, split_scale, vnorm_eval
+from .matrix_norms import mnorm_eval
+from .vector_norms import vnorm_eval
 
 _TINY = 1e-300
 # the climb's step schedule: its first relative step, the factors after an
@@ -53,13 +45,14 @@ _STEP_FLOOR = 1e-7
 
 
 def _check_homogeneity(objective, draw_point, g: np.random.Generator) -> int:
-    """Probe objective(a x) = |a| objective(x) at 10 random (x, a) pairs."""
+    """Probe objective(a x) = |a| objective(x) at 10 random (x, a) pairs; a
+    pair whose two sides do not compare, a NaN or inf - inf, fails too."""
     for _ in range(10):
         x = draw_point(g)
         a = complex((0.3 + 2.7 * g.random()) * np.exp(2j * np.pi * g.random()))
         lhs = objective(a * x)
         rhs = abs(a) * objective(x)
-        if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
+        if not abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs)):
             raise HomogeneityError(
                 f"objective is not absolutely homogeneous: f(ax)={lhs!r} vs |a|f(x)={rhs!r}"
             )
@@ -97,7 +90,8 @@ def _climb(evaluate, pool: Iterable[np.ndarray], budget: OptBudget, rng: RandomS
 
     ``evaluate(raw)`` scores a raw point as ``(value, point)`` on the
     sphere, or returns None when the raw point has no image there; such
-    points are neither scored nor counted.  The ``budget.multistarts`` best
+    points are neither scored nor counted; it raises when no seed scores
+    above -inf, as when every value is NaN.  The ``budget.multistarts`` best
     seeds are climbed, start ``idx`` from child stream ``100 + idx``.  Each
     sweep tries the four :func:`_sphere_moves` of every entry, all built
     from the entry's value at the start of its turn, plus two random
@@ -113,8 +107,8 @@ def _climb(evaluate, pool: Iterable[np.ndarray], budget: OptBudget, rng: RandomS
     call is spent on a candidate the walk never reaches.
     """
     seeds = [scored for scored in map(evaluate, pool) if scored is not None]
-    if not seeds:
-        raise HomogeneityError("no seed lies on the domain sphere")
+    if not any(val > -math.inf for val, _ in seeds):
+        raise HomogeneityError("no seed on the domain sphere scores a comparable value")
     evals = len(seeds)
 
     best_val, best_x = -math.inf, None
@@ -360,39 +354,20 @@ def seed_pool(n: int, budget: OptBudget, extra_seeds: Iterable[np.ndarray] = ())
     return np.vstack([np.eye(n, dtype=np.complex128), np.ones(n), phases, *extras, gaussians])
 
 
-def _maximize(objective, domain_eval, sample, n, budget, homogeneous, vertices, gamma, pool):
-    """The body of both entry points: the probe unless ``homogeneous``, then
-    the best of ``vertices`` (scored at ``v / gamma``, ties to the lowest
-    index) or, when that is None, the climb from ``pool(budget)``; the
-    witness is renormalized by ``domain_eval`` and rescored.  Only the climb
-    reads the budget, so only the climb builds the default one, whose seed
-    is 0."""
-    rng = RandomStream(0 if budget is None else budget.seed)
+def _maximize(objective, domain_eval, sample, n, budget, homogeneous, pool):
+    """The body of both entry points: n checked, the probe unless
+    ``homogeneous``, then the climb from ``pool(budget)`` on the default
+    budget when ``budget`` is None; the witness is renormalized by
+    ``domain_eval`` and rescored."""
+    check_sizes(n, 0)
+    budget = budget or default_budget(n)
+    rng = RandomStream(budget.seed)
     evals = 0
     if not homogeneous:
         evals = _check_homogeneity(objective, lambda g: sample(g, n), rng.child(777).generator())
-    if vertices is not None:
-        vals = [objective(v / gamma) for v in vertices]
-        witness = vertices[max(range(len(vertices)), key=lambda i: (vals[i], -i))]
-        exactness, evals = EXACT_VERTEX, evals + len(vertices)
-    else:
-        budget = budget or default_budget(n)
-        _, witness, climbed = _climb(_on_sphere(objective, domain_eval), pool(budget), budget, rng)
-        exactness, evals = LOWER_BOUND, evals + climbed
+    _, witness, climbed = _climb(_on_sphere(objective, domain_eval), pool(budget), budget, rng)
     w = witness / domain_eval(witness)
-    return ComputationResult(float(objective(w)), w, exactness, evals)
-
-
-def l1_vertices(core, n: int) -> np.ndarray | None:
-    """The vertices e_j / w_j of the unit ball of an l1 or weighted-l1 core
-    with n weights in C^n, as the rows of an array (w = 1 for plain l1),
-    whose phase multiples are its extreme points; None for every other
-    core."""
-    if isinstance(core, Lp) and core.p == 1.0:
-        return np.eye(n, dtype=np.complex128)
-    if isinstance(core, WeightedLp) and core.p == 1.0 and len(core.weights) == n:
-        return np.eye(n, dtype=np.complex128) / np.asarray(core.weights)[:, None]
-    return None
+    return ComputationResult(float(objective(w)), w, LOWER_BOUND, evals + climbed)
 
 
 def maximize_on_sphere(
@@ -401,29 +376,26 @@ def maximize_on_sphere(
     n: int,
     budget: OptBudget | None = None,
     *,
-    objective_convex: bool = True,
     objective_homogeneous: bool = False,
     extra_seeds: Iterable[np.ndarray] = (),
 ) -> ComputationResult:
-    """max{ objective(x) : ||x||_domain = 1 } over x in C^n.
+    """max{ objective(x) : ||x||_domain = 1 } over x in C^n, a lower bound.
 
-    l1 and weighted-l1 domains dispatch exactly to their vertices for convex
-    objectives.  Everything else runs the hill climb over the renormalized
-    sphere, seeded with the basis vectors, the all-ones vector, n random
-    phase vectors, the caller's ``extra_seeds`` and ``budget.samples``
-    Gaussian draws, and is a lower bound.  ``objective_convex`` is a caller
-    assertion enabling vertex dispatch; ``objective_convex=False`` sends
-    l1-type domains to the climb.  ``objective_homogeneous`` is a caller
-    assertion that objective(a x) = |a| objective(x); without it, absolute
-    homogeneity is probed at 10 random points and a violation raises
-    ``HomogeneityError``.
-    The result's ``evaluations`` counts every objective call, including the
-    probe's 20 when it runs.
+    Every domain runs the hill climb over the renormalized sphere, seeded
+    with the basis vectors (the l1 sphere's vertices among them), the
+    all-ones vector, n random phase vectors, the caller's ``extra_seeds``
+    and ``budget.samples`` Gaussian draws.  The exact l1 vertex route of an
+    induced norm is :func:`normlab.gind.gind_eval`'s.
+    ``objective_homogeneous`` is a caller assertion that objective(a x) =
+    |a| objective(x); without it, absolute homogeneity is probed at 10
+    random points and a violation raises ``HomogeneityError``, as does an
+    objective that scores no seed above -inf.  n < 1 raises
+    ``DimensionMismatchError``.  The result's ``evaluations`` counts every
+    objective call, including the probe's 20 when it runs.
     """
-    vertices = l1_vertices(split_scale(domain_norm)[1], n) if objective_convex else None
     return _maximize(
         objective, functools.partial(vnorm_eval, domain_norm), sample_vector, n, budget,
-        objective_homogeneous, vertices, 1.0, lambda b: seed_pool(n, b, extra_seeds),
+        objective_homogeneous, lambda b: seed_pool(n, b, extra_seeds),
     )
 
 
@@ -433,34 +405,28 @@ def maximize_on_matrix_sphere(
     n: int,
     budget: OptBudget | None = None,
     *,
-    objective_convex: bool = True,
     objective_homogeneous: bool = False,
     extra_seeds: Iterable[np.ndarray] = (),
 ) -> ComputationResult:
-    """max{ objective(A) : ||A||_domain = 1 } over A in M_n.
+    """max{ objective(A) : ||A||_domain = 1 } over A in M_n, a lower bound.
 
-    Entrywise-sum domains dispatch exactly to single-entry vertices for
-    convex objectives.  Every other domain, the entrywise-max ball included,
-    runs the hill climb over the renormalized sphere, seeded with the
-    identity, all single-entry matrices, the all-ones matrix, the caller's
-    ``extra_seeds`` and ``budget.samples`` Gaussian draws, and gives a lower
-    bound.  ``objective_convex`` and ``objective_homogeneous`` are caller
-    assertions with the same meaning as in :func:`maximize_on_sphere`:
-    without the latter, absolute homogeneity is probed at 10 random matrices
-    and a violation raises ``HomogeneityError``.  ``evaluations`` counts
-    every objective call, including the probe's 20 when it runs.
+    Every domain runs the hill climb over the renormalized sphere, seeded
+    with the identity, all single-entry matrices (the entrywise-sum
+    sphere's vertices), the all-ones matrix, the caller's ``extra_seeds``
+    and ``budget.samples`` Gaussian draws.  ``objective_homogeneous``, the
+    probe and the errors are as in :func:`maximize_on_sphere`.
+    ``evaluations`` counts every objective call, including the probe's 20
+    when it runs.
     """
-    gamma, core = split_scale(domain_norm)
-    singles = list(np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n))
 
     def pool(b):
         g = RandomStream(b.seed).child(0).generator()
         eye, ones = np.eye(n, dtype=np.complex128), np.ones((n, n), dtype=np.complex128)
+        singles = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
         extras = _valid_seeds(extra_seeds, (n, n))
         return [eye, *singles, ones, *extras, *sample_matrices(g, n, b.samples)]
 
-    vertices = singles if objective_convex and isinstance(core, EntrywiseSum) else None
     return _maximize(
         objective, functools.partial(mnorm_eval, domain_norm), sample_matrix, n, budget,
-        objective_homogeneous, vertices, gamma, pool,
+        objective_homogeneous, pool,
     )

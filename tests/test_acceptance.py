@@ -262,9 +262,7 @@ def test_criterion_09_oracle_equivalence():
             budget = OptBudget(multistarts=6, max_iters=400, samples=24, seed=113 + k)
             engine = gind_eval(GIndPair(Lp(domain_p), codomain), a, budget).value
             objective = lambda x: vnorm_eval(codomain, a @ x)
-            ascent = maximize_on_sphere(
-                objective, Lp(domain_p), 2, budget, objective_convex=False
-            ).value
+            ascent = maximize_on_sphere(objective, Lp(domain_p), 2, budget).value
             worst = max(
                 worst,
                 abs(engine - oracle) / max(1e-30, oracle),

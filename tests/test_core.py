@@ -393,6 +393,22 @@ def test_one_body_per_vector_norm_kernel():
     assert not _isinstance_calls("vector_norms", "vnorm_eval")
 
 
+def test_one_vertex_route():
+    # gind's vertex search is the one code path that labels a result
+    # exact_vertex, and no module passes or accepts a convexity assertion
+    # that could open a second one
+    package = Path(__file__).resolve().parents[1] / "src" / "normlab"
+    naming, convex = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.keyword, ast.arg)) and "convex" in (node.arg or ""):
+                convex.add(path.stem)
+            if "EXACT_VERTEX" in (getattr(node, field, None) for field in ("id", "attr", "name")):
+                naming.add(path.stem)
+    assert naming - {"budget", "__init__"} == {"gind"}
+    assert not convex
+
+
 # the private names one normlab module imports from another, as (importing
 # module, source module, name); the list may only shrink
 PRIVATE_IMPORTS = {

@@ -12,6 +12,7 @@ from normlab import (
     LOWER_BOUND,
     EntrywiseMax,
     EntrywiseSum,
+    GInd,
     GIndPair,
     Lp,
     MaxColSum,
@@ -26,7 +27,7 @@ from normlab import (
     mnorm_eval,
     vnorm_eval,
 )
-from normlab.errors import HomogeneityError
+from normlab.errors import DimensionMismatchError, HomogeneityError
 from _oracles import dense_gind_oracle
 
 B = OptBudget(multistarts=6, max_iters=700, samples=24, seed=3)
@@ -38,8 +39,9 @@ def _l2_of(a):
 
 
 def test_l1_vertex_dispatch():
+    # the l1 vertex route is gind_eval's; the sphere maximizers always climb
     a = np.array([[1, 2], [3, 4]], dtype=np.complex128)
-    res = maximize_on_sphere(_l2_of(a), Lp(1), 2, B)
+    res = gind_eval(GInd(Lp(1), Lp(2)), a, B)
     assert res.exactness == EXACT_VERTEX
     assert res.value == pytest.approx(math.sqrt(20.0), rel=1e-12)
     assert np.allclose(res.witness, [0, 1])  # second column wins
@@ -72,6 +74,32 @@ def test_matrix_homogeneity_probe_rejects():
         maximize_on_matrix_sphere(
             lambda b: float(np.abs(b).sum()) + 1.0, EntrywiseSum(), 2, B
         )
+
+
+# both entry points, on an l1-type domain and on another
+ENTRY_POINTS = [
+    (maximize_on_sphere, Lp(1)),
+    (maximize_on_sphere, Lp(2)),
+    (maximize_on_matrix_sphere, EntrywiseSum()),
+    (maximize_on_matrix_sphere, Spectral()),
+]
+
+
+@pytest.mark.parametrize("maximize, domain", ENTRY_POINTS)
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_a_nan_objective_raises(maximize, domain, homogeneous):
+    # NaN compares false both ways: the probe reads it as a violation, and a
+    # climb whose seeds all score NaN has no best point to return
+    with pytest.raises(HomogeneityError):
+        maximize(lambda x: math.nan, domain, 2, B, objective_homogeneous=homogeneous)
+
+
+@pytest.mark.parametrize("maximize, domain", ENTRY_POINTS)
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("budget", [None, B])
+def test_a_dimension_below_one_raises(maximize, domain, homogeneous, budget):
+    with pytest.raises(DimensionMismatchError):
+        maximize(lambda x: 1.0, domain, 0, budget, objective_homogeneous=homogeneous)
 
 
 def test_homogeneity_assertion_skips_only_the_probe():
@@ -132,7 +160,7 @@ def test_lower_bound_soundness():
 
 def test_scaled_domain_vertex():
     a = np.array([[1, 2], [3, 4]], dtype=np.complex128)
-    res = maximize_on_sphere(_l2_of(a), Scaled(2.0, Lp(1)), 2, B)
+    res = gind_eval(GInd(Scaled(2.0, Lp(1)), Lp(2)), a, B)
     assert res.exactness == EXACT_VERTEX
     assert res.value == pytest.approx(math.sqrt(20.0) / 2.0, rel=1e-12)
 
@@ -163,13 +191,15 @@ def test_determinism():
     assert np.array_equal(r1.witness, r2.witness)
 
 
-def test_matrix_vertex_dispatch():
-    # max of l1(Ax) over the entrywise-sum sphere is linf(x), at E_12
+def test_matrix_climb_reaches_entrywise_sum_vertex():
+    # max of l1(Ax) over the entrywise-sum sphere is linf(x), at E_12: the
+    # climb's seeds hold every single-entry matrix, so it reaches the vertex,
+    # and labels it a lower bound
     x = np.array([1.0, 2.0], dtype=np.complex128)
     objective = lambda b: float(np.abs(b @ x).sum())
     res = maximize_on_matrix_sphere(objective, EntrywiseSum(), 2, B)
-    assert res.exactness == EXACT_VERTEX
-    assert res.value == pytest.approx(2.0, rel=1e-12)
+    assert res.exactness == LOWER_BOUND
+    assert res.value == 2.0
     assert abs(res.witness[0, 1]) == pytest.approx(1.0)
 
 
@@ -212,29 +242,28 @@ def test_weighted_l1_vertex_dispatch():
     from normlab import WeightedLp
 
     a = np.array([[1, 2], [3, 4]], dtype=np.complex128)
-    res = maximize_on_sphere(_l2_of(a), WeightedLp((2.0, 1.0), 1.0), 2, B)
+    res = gind_eval(GInd(WeightedLp((2.0, 1.0), 1.0), Lp(2)), a, B)
     assert res.exactness == EXACT_VERTEX
     # candidates are e_1/2 and e_2: max(sqrt(10)/2, sqrt(20))
     assert res.value == pytest.approx(math.sqrt(20.0), rel=1e-12)
 
 
 def test_nonconvex_objective_skips_vertex_dispatch():
-    # homogeneous but not convex: the l1-sphere maximum sits mid-face, so
-    # vertex dispatch would be wrong; the caller must say so
+    # homogeneous but not convex: the l1-sphere maximum sits mid-face, where
+    # no vertex is; the climb finds it
     objective = lambda x: 2.0 * math.sqrt(abs(x[0]) * abs(x[1]))
-    res = maximize_on_sphere(
-        objective, Lp(1), 2, B, objective_convex=False
-    )
+    res = maximize_on_sphere(objective, Lp(1), 2, B)
     assert res.exactness == LOWER_BOUND
     assert res.value == pytest.approx(1.0, rel=1e-6)  # at |x1| = |x2| = 1/2
 
 
 def test_vertex_tie_goes_to_lowest_index():
     # l2 is 1 at every l1 vertex: the tie resolves to e_1
-    res = maximize_on_sphere(lambda x: float(np.linalg.norm(x)), Lp(1), 3, B)
+    res = gind_eval(GInd(Lp(1), Lp(2)), np.eye(3), B)
     assert res.exactness == EXACT_VERTEX
     assert res.value == 1.0
     assert np.array_equal(res.witness, [1, 0, 0])
+    assert res.evaluations == 3
 
 
 @pytest.mark.parametrize("gamma, x", [(2.0, [1.0, 1.0])])
@@ -276,14 +305,12 @@ def test_budget_takes_numpy_integers_as_python_ints():
 
 
 MAXIMIZERS = Path(__file__).resolve().parent / "data" / "sphere_maximizers.json"
-_L1_TYPE = {"l1", "wl1", "2 l1", "entrywise-sum", "2 entrywise-sum"}
 
 
 def _maximizer_cases():
     """(label, call) for every recorded maximizer call: both entry points at
     n = 2 and 3 (the max domains at n = 2 only), each domain once probed and once asserted homogeneous with
-    extra seeds, the l1-type domains also with ``objective_convex=False``,
-    and two climbs at n = 2 also on the default budget."""
+    extra seeds, and two climbs at n = 2 also on the default budget."""
     for n in (2, 3):
         g = np.random.default_rng([2903, n])
         a = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
@@ -314,8 +341,6 @@ def _maximizer_cases():
                     "probed": {},
                     "seeded": {"objective_homogeneous": True, "extra_seeds": seeds},
                 }
-                if name in _L1_TYPE:
-                    variants["nonconvex"] = {"objective_convex": False}
                 if n == 2 and name in ("linf", "entrywise-max"):
                     variants["default budget"] = {"budget": None}
                 for variant, kwargs in variants.items():
